@@ -9,6 +9,7 @@ minimal-power machinery and gives two independent ways to count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Optional
 
@@ -192,6 +193,14 @@ def _scan_one(args) -> tuple:
         return p, False, "budget"
 
 
+def _scan_workers(threads: int, p_max: int) -> int:
+    """Worker processes for a scan: the request, capped by the number of
+    periods and of CPUs.  Raises ValueError below 1."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    return min(threads, p_max, os.cpu_count() or 1)
+
+
 def forbidden_period_scan(
     k: int,
     bound: ExponentBound,
@@ -204,16 +213,18 @@ def forbidden_period_scan(
     Each period gets its own allowance of ``budget`` candidate roots; a
     period that exhausts it raises BudgetExceededError naming the first
     period that could not be settled.  ``threads`` > 1 distributes
-    periods over processes; results are merged deterministically.
+    periods over processes, at most one per period and per CPU; results
+    are merged deterministically.  ``threads`` below 1 raises ValueError.
     """
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    workers = _scan_workers(threads, p_max)
     jobs = [(k, bound, p, budget) for p in range(1, p_max + 1)]
     results = {}
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for p, permitted, failure in pool.map(_scan_one, jobs):
                 results[p] = (permitted, failure)
     else:

@@ -227,7 +227,9 @@ def _nontrivial_component_rows(adjacency, comp):
     return rows
 
 
-def digraph_index(adjacency: Sequence[dict], delta=Fraction(1, 10**6)) -> IndexInterval:
+def digraph_index(
+    adjacency: Sequence[dict], delta=Fraction(1, 10**6), components=None
+) -> IndexInterval:
     """Certified interval around the index of a weighted digraph.
 
     ``adjacency[u]`` maps targets to positive integer weights.  The index
@@ -235,13 +237,17 @@ def digraph_index(adjacency: Sequence[dict], delta=Fraction(1, 10**6)) -> IndexI
     rate of weighted walk counts; it equals the maximum over strongly
     connected components.  A graph with no cycles has index 0.  The
     returned interval has width at most ``2*delta``.
+
+    ``components`` are the graph's strongly connected components when
+    the caller already has them; those without a cycle may be left out.
     """
     dfr = _as_fraction(delta)
     if dfr <= 0:
         raise ValueError("delta must be positive")
-    comps = tarjan_components([list(row.keys()) for row in adjacency])
+    if components is None:
+        components = tarjan_components([list(row.keys()) for row in adjacency])
     lo_all = hi_all = None
-    for comp in comps:
+    for comp in components:
         rows = _nontrivial_component_rows(adjacency, comp)
         if rows is None:
             continue

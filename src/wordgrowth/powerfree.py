@@ -13,19 +13,25 @@ Symmetry: the languages are stable under permuting letters, so the walk
 counts of their approximating automata factor through a quotient whose
 states are letter-canonical forbidden-word prefixes.  The quotient is
 built directly with relabeling-aware failure links and feeds the same
-interval engine through weighted edges; tests cross-check it against
-the plain construction.
+interval engine through weighted edges.  The lower bound's condition,
+a unique cycle-carrying component of the full automaton, is decided on
+the quotient too: the full automaton has [S_k : K] such components over
+each cycle-carrying quotient component, K being generated by the letter
+permutations read around its cycles and by its states' stabilizers
+(``_lifted_components``).  The full automaton is built only without
+symmetry (``--no-symmetry``), the path tests use as the oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from wordgrowth.automaton import Dfa, scc
+from wordgrowth.automaton import Dfa, tarjan_components
 from wordgrowth.fad import Antidictionary, fad_automaton, word_to_str
 from wordgrowth.growth import (
     IndexInterval,
@@ -439,57 +445,56 @@ class _QuotientTrie:
                     self.fail[c] = 0
                     self.fsig[c] = (_FRESH,) * self.nletters[c]
                     continue
-                nd = self.fail[u]
+                # fail(ux) = goto(fail(u), x), carrying u's letters (and
+                # a fresh x) into the frame of the target
                 tr = list(self.fsig[u])
-                y = tr[x] if x < self.nletters[u] else _FRESH
-                while True:
-                    key = y if y != _FRESH else self.nletters[nd]
-                    t = self.children[nd].get(key)
-                    if t is not None:
-                        if self.terminal[t]:
-                            raise AssertionError(
-                                "failure chain hit a forbidden word; input set "
-                                "was not antifactorial"
-                            )
-                        if x < self.nletters[u]:
-                            tr[x] = key
-                        else:
-                            tr.append(key)
-                        self.fail[c] = t
-                        self.fsig[c] = tuple(tr)
-                        break
-                    if nd == 0:
-                        self.fail[c] = 0
-                        self.fsig[c] = (_FRESH,) * self.nletters[c]
-                        break
-                    sig = self.fsig[nd]
-                    tr = [sig[v] if v != _FRESH else _FRESH for v in tr]
-                    y = sig[y] if y != _FRESH else _FRESH
-                    nd = self.fail[nd]
+                if x == self.nletters[u]:
+                    tr.append(_FRESH)
+                t = self.goto(self.fail[u], tr[x], tr, x)
+                if t is None:
+                    raise AssertionError(
+                        "failure chain hit a forbidden word; input set "
+                        "was not antifactorial"
+                    )
+                self.fail[c] = t
+                self.fsig[c] = tuple(tr)
         return order
 
-    def goto(self, u: int, x: int):
-        """Target of reading frame-letter x (possibly the fresh slot) at
-        state u, or None when the move is forbidden."""
-        nd, y = u, (x if x < self.nletters[u] else _FRESH)
+    def goto(self, nd: int, y: int, tr: Optional[list] = None, r: int = 0):
+        """Target of reading y at node nd, or None when the move is
+        forbidden.  y is a letter of nd's frame, or _FRESH for a letter
+        outside it.
+
+        When ``tr`` is given, it lists letters of nd's frame (or _FRESH)
+        with ``tr[r] == y``, and is rewritten in place into the target's
+        frame: entries composed through ``fsig`` along the failure chain,
+        the read letter set to its name in the target.
+        """
         while True:
             key = y if y != _FRESH else self.nletters[nd]
             t = self.children[nd].get(key)
             if t is not None:
-                return None if self.terminal[t] else t
+                if self.terminal[t]:
+                    return None
+                if tr is not None:
+                    tr[r] = key
+                return t
             if nd == 0:
                 return 0
             sig = self.fsig[nd]
             y = sig[y] if y != _FRESH else _FRESH
+            if tr is not None:
+                tr[:] = [sig[v] if v != _FRESH else _FRESH for v in tr]
             nd = self.fail[nd]
 
 
 def _quotient_graph(k: int, canonical_words: Iterable[tuple]):
-    """Weighted adjacency of the letter-permutation quotient of the
-    forbidden-prefix automaton, plus the state count.
+    """The quotient trie and the weighted adjacency of the
+    letter-permutation quotient of the forbidden-prefix automaton.
 
-    State 0 is the root.  An existing-letter move has weight 1, the
-    fresh-letter move carries the number of unused concrete letters.
+    State q is trie node ``trie.order[q]``; state 0 is the root.  An
+    existing-letter move has weight 1, the fresh-letter move carries the
+    number of unused concrete letters.
     Weighted walk counts from the root equal the word counts of the full
     language, so index and polynomial structure are preserved.
     """
@@ -499,13 +504,145 @@ def _quotient_graph(k: int, canonical_words: Iterable[tuple]):
     for node, q in state_of.items():
         nl = trie.nletters[node]
         for x in range(min(nl + 1, k)):
-            t = trie.goto(node, x)
+            t = trie.goto(node, x if x < nl else _FRESH)
             if t is None:
                 continue
             weight = 1 if x < nl else k - nl
             tq = state_of[t]
             adjacency[q][tq] = adjacency[q].get(tq, 0) + weight
-    return adjacency, len(adjacency)
+    return trie, adjacency
+
+
+def _edge_voltage(tr: list, k: int) -> tuple:
+    """The permutation pi of range(k) that sends each letter of an edge's
+    target frame to the source slot it came from.
+
+    ``tr`` is the source slots' translation into the target frame, as
+    ``_QuotientTrie.goto`` leaves it.  Target letters outside the frame
+    take the unused slots in increasing order.
+    """
+    pi = [_FRESH] * k
+    for i, j in enumerate(tr):
+        if j != _FRESH:
+            pi[j] = i
+    spare = iter([i for i in range(k) if i not in pi])
+    return tuple(i if i != _FRESH else next(spare) for i in pi)
+
+
+def _cyclic_components(adjacency) -> list:
+    """Strongly connected components of a weighted digraph that carry a
+    cycle."""
+    return [
+        comp
+        for comp in tarjan_components([list(row) for row in adjacency])
+        if len(comp) > 1 or comp[0] in adjacency[comp[0]]
+    ]
+
+
+def _lifted_components(trie: _QuotientTrie, k: int, comp) -> int:
+    """Number of cycle-carrying strongly connected components of the full
+    automaton that lie over one cycle-carrying component C of the
+    quotient built by ``_quotient_graph``, given by its states.
+
+    A full state is a pair (u, phi): a quotient state u and an injection
+    phi of u's ``nletters[u]`` frame letters into the alphabet.  Reading
+    letter a moves (u, phi) to (t, phi o pi) along the quotient edge e
+    for frame letter phi^-1(a), or for the fresh slot nletters[u] when a
+    is not in phi's image; pi (``_edge_voltage``) sends t's letters to
+    the slots of u they came from.  Every quotient edge lifts from every
+    state over its source, so each component of the full automaton over
+    C projects onto all of C, and none lies over a quotient component
+    without a cycle.
+
+    Proof of the count.  Lift further to the frame bundle P, whose
+    states are (u, g) with g in S_k, and whose edges (u, g) -> (t, g pi_e)
+    have voltages pi_e (Gross & Tucker, Topological Graph Theory, ch. 2).
+    P covers the quotient, so over the strongly connected C it splits
+    into strongly connected components.  Fix a spanning tree of C rooted
+    at u0, with transports T_u0 = id and T_t = T_u pi_e along tree
+    edges.  The component of (u0, h) is {(u, h y T_u) : y in K0, u in C},
+    where K0 is generated by T_u pi_e T_t^-1 over the edges e: u -> t of
+    C (each a closed walk through the tree).  The full state (u, phi) is
+    the image of every (u, g) with g restricted to u's letters equal to
+    phi, i.e. of the coset g Stab_u, Stab_u permuting the unused letters
+    nletters[u]..k-1.  The fresh edge out of (u, phi) reads any unused
+    letter, so the full edges are exactly the images of P's edges, and
+    the full components over C are the P-components glued along these
+    identifications: (u, h y T_u) ~ (u, h y (T_u s T_u^-1) T_u) for s in
+    Stab_u.  With
+
+        K = < T_u pi_e T_t^-1 (edges e in C),
+              T_u s T_u^-1 (u in C, s in Stab_u) >,
+
+    the component of (u0, h) is labelled by the coset hK, so there are
+    exactly [S_k : K] of them.  Letters are not acted on freely: a state
+    with fewer than k-1 letters has a nontrivial stabilizer, which is
+    why the stabilizer conjugates are generators.  The choice of pi_e's
+    values outside t's letters only moves T_t within T_t Stab_t.
+
+    Computation.  K contains Stab_u0 (T_u0 = id), the stabilizer in S_k
+    of the tuple iota = (0, .., n-1) with n = nletters[u0].  So
+    [S_k : K] = |F| / |K iota|, where F is the set of injections of u0's
+    letters into the alphabet, of size k!/(k-n)!.  The orbit K iota is
+    grown while C is searched breadth first from the state u0 of fewest
+    letters: tree edges set transports, every other edge and every
+    adjacent transposition (i i+1) of a state's unused letters adds a
+    generator.  The search stops as soon as the orbit is
+    all of F, that is when K = S_k, so a unique component usually costs
+    a small part of C; otherwise it takes O(|C| k) permutation steps,
+    plus the orbit closures.
+    """
+    members = {trie.order[q] for q in comp}
+    nletters = trie.nletters
+    u0 = min(members, key=nletters.__getitem__)
+    identity = tuple(range(k))
+    iota = identity[: nletters[u0]]
+    fibre = math.perm(k, len(iota))
+    orbit = {iota}
+    gens: set = set()
+
+    def generate(g: tuple) -> None:
+        if g in gens:
+            return
+        gens.add(g)
+        todo = [tuple(g[a] for a in p) for p in orbit]
+        while todo:
+            p = todo.pop()
+            if p in orbit:
+                continue
+            orbit.add(p)
+            todo.extend(tuple(h[a] for a in p) for h in gens)
+
+    transport = {u0: identity}
+    queue = [u0]
+    for u in queue:
+        if len(orbit) == fibre:
+            return 1
+        tu = transport[u]
+        nl = nletters[u]
+        for i in range(nl, k - 1):
+            # conjugating the transposition (i i+1) by T_u
+            g = list(identity)
+            g[tu[i]], g[tu[i + 1]] = tu[i + 1], tu[i]
+            generate(tuple(g))
+        for x in range(min(nl + 1, k)):
+            tr = list(range(nl)) if x < nl else [*range(nl), _FRESH]
+            t = trie.goto(u, tr[x], tr, x)
+            if t not in members:
+                continue
+            pi = _edge_voltage(tr, k)
+            moved = tuple(tu[j] for j in pi)
+            tt = transport.get(t)
+            if tt is None:
+                transport[t] = moved
+                queue.append(t)
+            else:
+                # moved o tt^-1
+                g = [0] * k
+                for j in range(k):
+                    g[tt[j]] = moved[j]
+                generate(tuple(g))
+    return fibre // len(orbit)
 
 
 def _quotient_counts(adjacency, n: int) -> list:
@@ -597,6 +734,16 @@ def approximation_bounds(
     connected component in the full approximation automaton; when any of
     these fails the lower bound is omitted with a note.  Raises
     FiniteApproximationError when the approximation itself is finite.
+
+    With ``symmetry`` the automaton is the letter-symmetry quotient, and
+    uniqueness is certified from it alone: the full automaton has one
+    cycle-carrying component exactly when the quotient has one, C, and
+    the letter permutations gathered around C's cycles, with the
+    stabilizers of its states, generate all of S_k (see
+    ``_lifted_components``).  The full automaton is never built.  Without
+    ``symmetry`` (the CLI's ``--no-symmetry``) the full automaton is
+    built and its components are counted directly; tests use that path
+    as the oracle.
     """
     dfr = _as_fraction(delta)
     if dfr <= 0:
@@ -605,15 +752,12 @@ def approximation_bounds(
     canon_words = [mp.word for mp in canon]
     ad_size = sum(_orbit_size(w, k) for w in canon_words)
 
-    full_dfa = None
     if symmetry:
-        adjacency, states = _quotient_graph(k, canon_words)
+        trie, adjacency = _quotient_graph(k, canon_words)
     else:
-        full_dfa = _full_automaton(k, canon_words)
-        adjacency = _dfa_adjacency(full_dfa)
-        states = full_dfa.state_count
-
-    upper = digraph_index(adjacency, dfr)
+        adjacency = _dfa_adjacency(_full_automaton(k, canon_words))
+    cyclic = _cyclic_components(adjacency)
+    upper = digraph_index(adjacency, dfr, cyclic)
     if upper.hi == 0:
         raise FiniteApproximationError(
             f"the cap-{cap} approximation of L({k}, {bound}) is finite"
@@ -629,9 +773,9 @@ def approximation_bounds(
     elif mode != "period":
         note = "lower bound needs a period-capped antidictionary"
     else:
-        if full_dfa is None:
-            full_dfa = _full_automaton(k, canon_words)
-        unique = len(scc(full_dfa).nontrivial) == 1
+        unique = len(cyclic) == 1 and (
+            not symmetry or _lifted_components(trie, k, cyclic[0]) == 1
+        )
         if not unique:
             note = "automaton has several cycle components"
         else:
@@ -640,7 +784,7 @@ def approximation_bounds(
             except NoLowerBoundError as exc:
                 note = str(exc)
     return PowerFreeBounds(
-        k, bound, mode, cap, upper, lower, dfr, ad_size, states, unique, note
+        k, bound, mode, cap, upper, lower, dfr, ad_size, len(adjacency), unique, note
     )
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from oracles import naive_circular_square_free, naive_min_period
+from wordgrowth import circular
 from wordgrowth.circular import (
     BudgetExceededError,
     CircularWord,
@@ -16,6 +17,7 @@ from wordgrowth.circular import (
     minimal_roots,
     root_complexity,
 )
+from wordgrowth.circular import _scan_workers
 from wordgrowth.fad import parse_word
 from wordgrowth.powerfree import ExponentBound
 
@@ -259,3 +261,19 @@ def test_scan_argument_validation():
         forbidden_period_scan(2, SQ, 0)
     with pytest.raises(ValueError):
         forbidden_period_scan(2, SQ, 3, budget=0)
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            forbidden_period_scan(2, SQ, 3, threads=threads)
+
+
+def test_scan_workers_are_clamped(monkeypatch):
+    monkeypatch.setattr(circular.os, "cpu_count", lambda: 4)
+    assert _scan_workers(1, 30) == 1
+    assert _scan_workers(3, 30) == 3
+    assert _scan_workers(10**9, 30) == 4
+    assert _scan_workers(10**9, 2) == 2
+    monkeypatch.setattr(circular.os, "cpu_count", lambda: None)
+    assert _scan_workers(8, 30) == 1
+    for threads in (0, -1, -(10**9)):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            _scan_workers(threads, 30)

@@ -210,6 +210,13 @@ def test_scan_budget_failure(runner):
     assert "budget" in result.output
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_scan_rejects_threads_below_one(runner, threads):
+    result = runner.invoke(main, ["--threads", threads, "scan", "2", "5/2", "--p-max", "8"])
+    assert result.exit_code == 1
+    assert "threads must be at least 1" in result.output
+
+
 def test_scan_threads_deterministic(runner):
     one = run(runner, ["scan", "2", "7/3", "--p-max", "10"])
     two = run(runner, ["--threads", "2", "scan", "2", "7/3", "--p-max", "10"])

@@ -7,7 +7,9 @@ import pytest
 
 import builders
 from oracles import brute_count, dfa_adjacency_rows, interval_contains, spectral_radius_root
+from wordgrowth import growth
 from wordgrowth.automaton import Dfa, empty_dfa, trim
+from wordgrowth.fad import fad_automaton, tm_antidictionary
 from wordgrowth.growth import (
     approximate_index,
     asymptotic_profile,
@@ -117,6 +119,31 @@ def test_digraph_index_picks_dominant_component():
     rows = [{0: 2}, {1: 3}]
     iv = digraph_index(rows)
     assert iv.lo <= 3 <= iv.hi and iv.lo > 2
+
+
+def test_exact_continuation_certifies_thue_morse(monkeypatch):
+    # at delta = 1e-20 neither the all-ones nor the float certificate is
+    # tight enough, so the integer continuation loop has to finish the job
+    calls = []
+    exact_bounds = growth._exact_bounds
+    component_interval = growth._component_interval
+
+    def counting_exact_bounds(rows, v):
+        calls[-1] += 1
+        return exact_bounds(rows, v)
+
+    def counting_component_interval(rows, delta):
+        calls.append(0)
+        return component_interval(rows, delta)
+
+    monkeypatch.setattr(growth, "_exact_bounds", counting_exact_bounds)
+    monkeypatch.setattr(growth, "_component_interval", counting_component_interval)
+    delta = Fraction(1, 10**20)
+    iv = approximate_index(fad_automaton(tm_antidictionary(3)), delta)
+    assert max(calls) > 2
+    assert iv.hi - iv.lo <= 2 * delta
+    # the level-3 rate is phi^(1/16); phi is the positive root of x^2 - x - 1
+    assert contains_root_of(iv.lo**16, iv.hi**16, 1, -1, -1)
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 100), Fraction(1, 10**9)])

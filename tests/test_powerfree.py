@@ -16,6 +16,8 @@ from oracles import (
     naive_violates,
     thue_morse_prefix,
 )
+from wordgrowth import powerfree
+from wordgrowth.automaton import scc
 from wordgrowth.fad import Antidictionary, parse_word
 from wordgrowth.powerfree import (
     ExponentBound,
@@ -30,6 +32,12 @@ from wordgrowth.powerfree import (
     minimal_periods_of_suffixes,
     minimal_powers,
     violates,
+)
+from wordgrowth.powerfree import (
+    _cyclic_components,
+    _full_automaton,
+    _lifted_components,
+    _quotient_graph,
 )
 
 B = ExponentBound.parse
@@ -271,15 +279,32 @@ def overlaps(a, b):
 
 
 def test_bounds_widths_and_symmetry_agreement():
+    # the two paths certify intervals of the same rate on different
+    # graphs, so the intervals and the lower bounds derived from them need
+    # not be equal fractions; they must be consistent, and the component
+    # verdict and the note must be equal
     delta = Fraction(1, 10**6)
-    for k, token, cap in [(2, "3", 8), (3, "2", 5), (3, "2+", 4)]:
-        fast = approximation_bounds(k, B(token), cap, delta=delta)
-        slow = approximation_bounds(k, B(token), cap, delta=delta, symmetry=False)
-        for r in (fast, slow):
-            assert r.upper.hi - r.upper.lo <= 2 * delta
-        assert overlaps(fast.upper, slow.upper)
-        assert fast.antidictionary_size == slow.antidictionary_size
-        assert fast.automaton_states <= slow.automaton_states
+    for k, top in ((2, 13), (3, 6), (4, 4)):
+        for token in ("2", "3", "5/2", "7/3", "2+", "7/3+"):
+            for cap in range(1, top + 1):
+                case = (k, token, cap)
+                try:
+                    fast = approximation_bounds(k, B(token), cap, delta=delta)
+                except FiniteApproximationError:
+                    with pytest.raises(FiniteApproximationError):
+                        approximation_bounds(k, B(token), cap, delta=delta, symmetry=False)
+                    continue
+                slow = approximation_bounds(k, B(token), cap, delta=delta, symmetry=False)
+                for r in (fast, slow):
+                    assert r.upper.hi - r.upper.lo <= 2 * delta, case
+                assert overlaps(fast.upper, slow.upper), case
+                assert fast.antidictionary_size == slow.antidictionary_size, case
+                assert fast.automaton_states <= slow.automaton_states, case
+                assert fast.unique_component == slow.unique_component, case
+                assert fast.lower_note == slow.lower_note, case
+                assert (fast.lower is None) == (slow.lower is None), case
+                if fast.lower is not None:
+                    assert fast.lower <= slow.upper.hi and slow.lower <= fast.upper.hi, case
 
 
 def test_bounds_finite_approximation_raises():
@@ -331,6 +356,73 @@ def test_bounds_serializers():
     assert blob["antidictionary_size"] == r.antidictionary_size
     text = r.to_text()
     assert "upper" in text and "lower" in text
+
+
+# ---------------------------------------------------------------------------
+# cycle components certified from the symmetry quotient
+
+
+def quotient_cycle_components(k, words):
+    """Cycle-carrying components of the full automaton, counted from the
+    quotient alone."""
+    trie, adjacency = _quotient_graph(k, words)
+    return sum(_lifted_components(trie, k, c) for c in _cyclic_components(adjacency))
+
+
+def full_cycle_components(k, words):
+    return len(scc(_full_automaton(k, words)).nontrivial)
+
+
+GRID_BOUNDS = ["2", "3", "5/2", "7/3", "2+", "7/3+", "3/2", "5/3", "7/4"]
+GRID_CAPS = {2: 13, 3: 9, 4: 5}
+
+
+def grid_cases(k):
+    # at k = 3 the period-mode automata for bounds >= 2 pass 36k states
+    # at cap 8 (200k at cap 9), so those stop at cap 7
+    for token in GRID_BOUNDS:
+        bound = B(token)
+        for mode in ("period", "excess"):
+            top = GRID_CAPS[k]
+            if k == 3 and mode == "period" and bound.value >= 2:
+                top = 7
+            for cap in range(1, top + 1):
+                yield bound, mode, cap
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_lifted_component_count_matches_full_automaton(k):
+    for bound, mode, cap in grid_cases(k):
+        words = [mp.word for mp in minimal_powers(k, bound, cap, mode, canonical=True)]
+        got = quotient_cycle_components(k, words)
+        assert got == full_cycle_components(k, words), (k, str(bound), mode, cap)
+
+
+@pytest.mark.parametrize(
+    "k,token,cap,count",
+    [(3, "5/3", 4, 3), (3, "7/4", 8, 2), (3, "3/2", 2, 2)],
+)
+def test_lifted_component_count_several_components(k, token, cap, count):
+    # one quotient component whose letter permutations generate a proper
+    # subgroup of S_k: the full automaton splits into [S_k : K] copies
+    words = [mp.word for mp in minimal_powers(k, B(token), cap, canonical=True)]
+    _, adjacency = _quotient_graph(k, words)
+    assert len(_cyclic_components(adjacency)) == 1
+    assert quotient_cycle_components(k, words) == count
+    assert full_cycle_components(k, words) == count
+
+
+def test_symmetry_path_never_builds_full_automaton(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full automaton was built")
+
+    monkeypatch.setattr(powerfree, "_full_automaton", refuse)
+    monkeypatch.setattr(powerfree, "fad_automaton", refuse)
+    r = approximation_bounds(2, B("3"), 12)
+    assert r.unique_component is True
+    assert r.lower is not None
+    with pytest.raises(AssertionError, match="full automaton"):
+        approximation_bounds(2, B("3"), 12, symmetry=False)
 
 
 # ---------------------------------------------------------------------------
