@@ -147,17 +147,18 @@ def _component_interval(rows, delta: Fraction):
     component, width at most 2*delta.
 
     ``rows`` is the local weighted adjacency (every row nonempty, so the
-    lower bound from all-ones is already >= 1).  Strategy: float
-    acceleration, integerize, certify exactly; if the certified gap is
-    still too wide, continue the iteration in exact integer arithmetic
-    with renormalization at doubling precision.  Successive certificates
-    are intersected, which only ever tightens the answer.
+    lower bound from all-ones is already >= 1, and exact for a single
+    state's loops).  Strategy: float acceleration, integerize, certify
+    exactly; if the certified gap is still too wide, continue the
+    iteration in exact integer arithmetic with renormalization at
+    doubling precision.  Successive certificates are intersected, which
+    only ever tightens the answer.
     """
     n = len(rows)
     ones = [1] * n
     best_lo, best_hi = _exact_bounds(rows, ones)
     if best_hi - best_lo <= 2 * delta:
-        return best_lo, best_hi
+        return IndexInterval(best_lo, best_hi)
 
     fv = _float_vector(rows, n, max_iters=20000)
     if fv is not None:
@@ -167,7 +168,7 @@ def _component_interval(rows, delta: Fraction):
         best_lo = max(best_lo, lo)
         best_hi = min(best_hi, hi)
         if best_hi - best_lo <= 2 * delta:
-            return best_lo, best_hi
+            return IndexInterval(best_lo, best_hi)
     else:
         v = list(ones)
 
@@ -197,7 +198,7 @@ def _component_interval(rows, delta: Fraction):
             best_hi = min(best_hi, hi)
             gap = best_hi - best_lo
             if gap <= 2 * delta:
-                return best_lo, best_hi
+                return IndexInterval(best_lo, best_hi)
             if gap > prev_gap * Fraction(49, 50):
                 stall += 1
                 if stall >= 3:
@@ -227,6 +228,15 @@ def _nontrivial_component_rows(adjacency, comp):
     return rows
 
 
+def _rate(intervals) -> IndexInterval:
+    """Index of a graph from its nontrivial components' intervals: the
+    largest of each end, or [0, 0] when no component carries a cycle."""
+    intervals = list(intervals)
+    if not intervals:
+        return IndexInterval(Fraction(0), Fraction(0))
+    return IndexInterval(max(iv.lo for iv in intervals), max(iv.hi for iv in intervals))
+
+
 def digraph_index(
     adjacency: Sequence[dict], delta=Fraction(1, 10**6), components=None
 ) -> IndexInterval:
@@ -246,22 +256,8 @@ def digraph_index(
         raise ValueError("delta must be positive")
     if components is None:
         components = tarjan_components([list(row.keys()) for row in adjacency])
-    lo_all = hi_all = None
-    for comp in components:
-        rows = _nontrivial_component_rows(adjacency, comp)
-        if rows is None:
-            continue
-        if len(rows) == 1:
-            lo = hi = Fraction(rows[0][0][1])
-        else:
-            lo, hi = _component_interval(rows, dfr)
-        if lo_all is None or lo > lo_all:
-            lo_all = lo
-        if hi_all is None or hi > hi_all:
-            hi_all = hi
-    if lo_all is None:
-        return IndexInterval(Fraction(0), Fraction(0))
-    return IndexInterval(lo_all, hi_all)
+    rows = (_nontrivial_component_rows(adjacency, comp) for comp in components)
+    return _rate(_component_interval(r, dfr) for r in rows if r is not None)
 
 
 def _dfa_adjacency(dfa: Dfa) -> list:
@@ -297,6 +293,30 @@ def count_words(dfa: Dfa, n: int) -> int:
     return sum(counts[q] for q in dfa.accepting)
 
 
+def _analyse(dfa: Dfa, delta: Fraction, runs: dict) -> tuple:
+    """Strong components of a trimmed automaton and two certified
+    intervals for each nontrivial one, keyed by component id: ``rates``
+    at delta, and ``tight``, intersected with a second run at delta/4
+    (both enclose the index, so the intersection does too).
+
+    ``runs`` maps a component's local rows to its two intervals and is
+    shared by every automaton analysed at the same delta: the engine is
+    deterministic, so a component seen before costs nothing.
+    """
+    dec = scc(dfa)
+    adjacency = _dfa_adjacency(dfa)
+    rates, tight = {}, {}
+    for cid in dec.nontrivial:
+        rows = _nontrivial_component_rows(adjacency, dec.components[cid])
+        key = tuple(map(tuple, rows))
+        if key not in runs:
+            at = _component_interval(rows, delta)
+            lo, hi = _component_interval(rows, delta / 4)
+            runs[key] = (at, IndexInterval(max(at.lo, lo), min(at.hi, hi)))
+        rates[cid], tight[cid] = runs[key]
+    return dec, rates, tight
+
+
 def classify(dfa: Dfa) -> ComplexityClass:
     """Growth class of the language of a trimmed automaton.
 
@@ -307,7 +327,10 @@ def classify(dfa: Dfa) -> ComplexityClass:
     the count grows polynomially; the degree is one less than the
     largest number of cycle components a single walk can visit.
     """
-    dec = scc(dfa)
+    return _classify(dfa, scc(dfa))
+
+
+def _classify(dfa: Dfa, dec: SccDecomposition) -> ComplexityClass:
     if not dec.nontrivial:
         return ComplexityClass("Finite")
     edge_count = {c: 0 for c in dec.nontrivial}
@@ -334,29 +357,6 @@ def approximate_index(dfa: Dfa, delta=Fraction(1, 10**6)) -> IndexInterval:
     return digraph_index(_dfa_adjacency(dfa), delta)
 
 
-def _component_intervals(adjacency, comps, delta: Fraction) -> dict:
-    """Certified intervals for the nontrivial components of a graph.
-
-    Evaluated at delta and again at delta/4, intersected: both runs
-    enclose the true index, so the intersection does too and is tighter.
-    Keyed by component id (position in ``comps``); trivial components
-    are absent.
-    """
-    out = {}
-    for cid, comp in enumerate(comps):
-        rows = _nontrivial_component_rows(adjacency, comp)
-        if rows is None:
-            continue
-        if len(rows) == 1:
-            w = Fraction(rows[0][0][1])
-            out[cid] = IndexInterval(w, w)
-            continue
-        lo1, hi1 = _component_interval(rows, delta)
-        lo2, hi2 = _component_interval(rows, delta / 4)
-        out[cid] = IndexInterval(max(lo1, lo2), min(hi1, hi2))
-    return out
-
-
 def polynomial_index_general(dfa: Dfa, delta=Fraction(1, 10**6)) -> int:
     """Degree bound for the per-residue polynomial factors.
 
@@ -370,13 +370,15 @@ def polynomial_index_general(dfa: Dfa, delta=Fraction(1, 10**6)) -> int:
     dfr = _as_fraction(delta)
     if dfr <= 0:
         raise ValueError("delta must be positive")
-    dec = scc(dfa)
+    dec, _, tight = _analyse(dfa, dfr, {})
     if not dec.nontrivial:
         raise ValueError("polynomial index undefined for a finite language")
-    adjacency = _dfa_adjacency(dfa)
-    intervals = _component_intervals(adjacency, dec.components, dfr)
-    gr_lo = max(iv.lo for iv in intervals.values())
-    maximal = {cid for cid, iv in intervals.items() if iv.hi >= gr_lo}
+    return _polynomial_index(dfa, dec, tight)
+
+
+def _polynomial_index(dfa: Dfa, dec: SccDecomposition, tight: dict) -> int:
+    gr_lo = max(iv.lo for iv in tight.values())
+    maximal = {cid for cid, iv in tight.items() if iv.hi >= gr_lo}
     return cycle_intersection_bound(dfa, maximal, dec) - 1
 
 
@@ -459,82 +461,51 @@ class GrowthReport:
         return "\n".join(lines) + "\n"
 
 
-def _product_with_counter(dfa: Dfa, modulus: int, residue: int) -> Dfa:
-    """Automaton for the length-residue slice of the language.
-
-    States are (state, length mod modulus) pairs reachable from the
-    start; accepting pairs are accepting states seen at the requested
-    residue.  Trimmed before return.
-    """
-    if dfa.state_count == 0:
-        return dfa
-    n = dfa.state_count
-    trans = [dict() for _ in range(n * modulus)]
-    for q, row in enumerate(dfa.transitions):
-        for c in range(modulus):
-            src = q * modulus + c
-            c2 = (c + 1) % modulus
-            trans[src] = {x: t * modulus + c2 for x, t in row.items()}
-    accepting = [q * modulus + residue for q in dfa.accepting]
-    prod = Dfa(dfa.alphabet_size, trans, dfa.initial * modulus, accepting)
-    return trim(prod)
-
-
-def _reachable_product_states(dfa: Dfa, modulus: int):
-    """Set of (state, counter) pairs reachable from (initial, 0)."""
-    start = (dfa.initial, 0)
-    seen = {start}
-    queue = [start]
-    while queue:
-        q, c = queue.pop()
-        c2 = (c + 1) % modulus
-        for t in dfa.transitions[q].values():
-            p = (t, c2)
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return seen
-
-
 def _residue_sets(dfa: Dfa, dec: SccDecomposition, modulus: int) -> dict:
     """For each nontrivial component C, the set of length residues mod
     ``modulus`` realized by accepting walks through C, as a bitmask.
 
-    bits[(q, c)] collects residues j such that some walk from q, entered
-    with length residue c, reaches acceptance at overall residue j.
-    Since ``modulus`` is a multiple of every nontrivial component's
-    imprimitivity, a walk through C can be pumped by closed walks of
-    length 0 mod ``modulus``, so these sets capture exactly the residues
-    with unboundedly many accepting walk lengths through C.
+    A walk entering a state q at length residue c and leaving it for
+    acceptance with l more letters realizes c + l; ``head[q]`` and
+    ``tail[q]`` collect every such c and l.  Since ``modulus`` is a
+    multiple of every nontrivial component's imprimitivity, a walk
+    through C can be pumped by closed walks of length 0 mod ``modulus``,
+    so these sets capture exactly the residues with unboundedly many
+    accepting walk lengths through C.
     """
-    n = dfa.state_count
-    bits = [0] * (n * modulus)
-    for q in dfa.accepting:
-        for c in range(modulus):
-            bits[q * modulus + c] |= 1 << c
-    # reverse propagation to a fixpoint: bits[q,c] |= bits[t,(c+1)%m]
-    rev = [[] for _ in range(n * modulus)]
-    for q, row in enumerate(dfa.transitions):
-        for t in row.values():
-            for c in range(modulus):
-                rev[t * modulus + (c + 1) % modulus].append(q * modulus + c)
-    queue = [i for i in range(n * modulus) if bits[i]]
-    while queue:
-        i = queue.pop()
-        b = bits[i]
-        for j in rev[i]:
-            if b | bits[j] != bits[j]:
-                bits[j] |= b
-                queue.append(j)
-    reachable = _reachable_product_states(dfa, modulus)
+    full = (1 << modulus) - 1
+
+    def rotate(bits, c):
+        return ((bits << c) | (bits >> (modulus - c))) & full
+
+    def closure(edges, seeds):
+        bits = [0] * len(edges)
+        for q in seeds:
+            bits[q] = 1
+        queue = list(seeds)
+        while queue:
+            q = queue.pop()
+            b = rotate(bits[q], 1)
+            for t in edges[q]:
+                if b | bits[t] != bits[t]:
+                    bits[t] |= b
+                    queue.append(t)
+        return bits
+
+    succ = [set(row.values()) for row in dfa.transitions]
+    pred = [[] for _ in succ]
+    for q, targets in enumerate(succ):
+        for t in targets:
+            pred[t].append(q)
+    head = closure(succ, [dfa.initial])
+    tail = closure(pred, dfa.accepting)
     masks = {}
     for cid in dec.nontrivial:
-        mask = 0
+        masks[cid] = 0
         for q in dec.components[cid]:
             for c in range(modulus):
-                if (q, c) in reachable:
-                    mask |= bits[q * modulus + c]
-        masks[cid] = mask
+                if head[q] >> c & 1:
+                    masks[cid] |= rotate(tail[q], c)
     return masks
 
 
@@ -547,6 +518,11 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
     degree.  r is the lcm of the imprimitivity of the *important*
     components: those whose accepting-walk residues are not already
     covered by components of strictly larger certified rate.
+
+    The automaton and each residue slice are analysed once (components,
+    class, rate and polynomial index from one pass), the slices share
+    one counter product, and a component that recurs across slices is
+    certified once.
     """
     dfr = _as_fraction(delta)
     if dfr <= 0:
@@ -562,47 +538,54 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
             "NonOscillating",
             dfr,
         )
-    cls = classify(dfa)
-    gr = approximate_index(dfa, dfr)
-    dec = scc(dfa)
+    runs: dict = {}
+    dec, rates, tight = _analyse(dfa, dfr, runs)
+    cls = _classify(dfa, dec)
+    gr = _rate(rates.values())
     if not dec.nontrivial:
         finite = ResidueAsymptotics(0, Fraction(0), Fraction(0), 0)
         return GrowthReport(cls, gr, 0, 1, (finite,), "NonOscillating", dfr)
 
-    pd = polynomial_index_general(dfa, dfr)
+    pd = _polynomial_index(dfa, dec, tight)
     periods = {c: imprimitivity(dfa, dec.components[c]) for c in dec.nontrivial}
     rho = lcm(*periods.values())
     masks = _residue_sets(dfa, dec, rho)
-    adjacency = _dfa_adjacency(dfa)
-    intervals = _component_intervals(adjacency, dec.components, dfr)
 
     important = []
     for c in dec.nontrivial:
         higher = 0
         for d in dec.nontrivial:
-            if d != c and intervals[d].lo > intervals[c].hi:
+            if d != c and tight[d].lo > tight[c].hi:
                 higher |= masks[d]
         if masks[c] & ~higher:
             important.append(c)
     r = lcm(*(periods[c] for c in important)) if important else 1
 
+    # the automaton times a length counter mod r, (q, c) numbered q * r + c;
+    # slice j accepts the pairs (accepting q, j)
+    product = [
+        {x: t * r + (c + 1) % r for x, t in row.items()}
+        for row in dfa.transitions
+        for c in range(r)
+    ]
     per_residue = []
     for j in range(r):
-        piece = _product_with_counter(dfa, r, j)
+        accepting = [q * r + j for q in dfa.accepting]
+        piece = trim(Dfa(dfa.alphabet_size, product, dfa.initial * r, accepting))
         if piece.state_count == 0:
             per_residue.append(ResidueAsymptotics(j, Fraction(0), Fraction(0), 0))
             continue
-        alpha = approximate_index(piece, dfr)
-        piece_cls = classify(piece)
-        m = 0 if piece_cls.tag == "Finite" else polynomial_index_general(piece, dfr)
+        piece_dec, piece_rates, piece_tight = _analyse(piece, dfr, runs)
+        alpha = _rate(piece_rates.values())
+        m = _polynomial_index(piece, piece_dec, piece_tight) if piece_dec.nontrivial else 0
         per_residue.append(ResidueAsymptotics(j, alpha.lo, alpha.hi, m))
 
     report = GrowthReport(cls, gr, pd, r, tuple(per_residue), "Indeterminate", dfr)
-    tag = oscillation_type(report, dfa)
+    tag = oscillation_type(report)
     return GrowthReport(cls, gr, pd, r, tuple(per_residue), tag, dfr)
 
 
-def oscillation_type(report: GrowthReport, dfa: Optional[Dfa] = None) -> str:
+def oscillation_type(report: GrowthReport) -> str:
     """Classify how the counting function behaves across residues.
 
     Wild when some residues die out while others grow, or when the

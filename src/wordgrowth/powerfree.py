@@ -645,22 +645,6 @@ def _lifted_components(trie: _QuotientTrie, k: int, comp) -> int:
     return fibre // len(orbit)
 
 
-def _quotient_counts(adjacency, n: int) -> list:
-    """Weighted walk counts from the root for lengths 0..n."""
-    counts = [0] * len(adjacency)
-    counts[0] = 1
-    out = [1]
-    for _ in range(n):
-        nxt = [0] * len(adjacency)
-        for q, c in enumerate(counts):
-            if c:
-                for t, w in adjacency[q].items():
-                    nxt[t] += c * w
-        counts = nxt
-        out.append(sum(counts))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the bounds pipeline
 

@@ -87,6 +87,32 @@ def chained_phi_dfa():
     return Dfa(3, rows, base.initial, range(2 * s))
 
 
+def dominated_cycle_dfa():
+    """Rate 2 on even lengths, with two slower cycles beside it.
+
+    Letters a,b feed a parity-tracked full binary block accepted at even
+    times.  Letter c leads to a fork: a enters a 4-cycle accepted only
+    at lengths 0 mod 4, residues the faster block already carries, so
+    its period does not enter the residue count; b enters a 3-cycle
+    accepted at lengths 1 mod 3, odd ones included, so its period does.
+    r = 6 while the lcm of all component periods is 12.
+    """
+    rows = [
+        {0: 1, 1: 1, 2: 3},
+        {0: 2, 1: 2},
+        {0: 1, 1: 1},
+        {0: 4, 1: 8},
+        {2: 5},
+        {2: 6},
+        {2: 7},
+        {2: 4},
+        {2: 9},
+        {2: 10},
+        {2: 8},
+    ]
+    return Dfa(3, rows, 0, [0, 2, 6, 10])
+
+
 def parity_split_dfa():
     """Rate 2 on even lengths, a single word on odd lengths.
 

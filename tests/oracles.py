@@ -3,13 +3,27 @@
 Everything here is deliberately naive: exhaustive enumeration, direct
 definitions, and exact symbolic root isolation.  None of it shares code
 with the library beyond the public data containers, so agreement is
-meaningful evidence.
+meaningful evidence.  The one exception is ``per_slice_profile``, the
+slow path of the growth profile, built from the library's public
+per-automaton functions.
 """
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import sympy
+
+from wordgrowth.automaton import Dfa, imprimitivity, scc, trim
+from wordgrowth.growth import (
+    GrowthReport,
+    ResidueAsymptotics,
+    approximate_index,
+    classify,
+    digraph_index,
+    oscillation_type,
+    polynomial_index_general,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +254,100 @@ def brute_two_extendable(dfa, word) -> bool:
             if dfa.accepts(u + word + v):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# growth profiles
+
+def counter_slice(dfa, modulus: int, residue: int):
+    """Trimmed automaton of the accepted words of length = residue
+    (mod modulus): the automaton times a length counter."""
+    trans = [dict() for _ in range(dfa.state_count * modulus)]
+    for q, row in enumerate(dfa.transitions):
+        for c in range(modulus):
+            trans[q * modulus + c] = {
+                x: t * modulus + (c + 1) % modulus for x, t in row.items()
+            }
+    accepting = [q * modulus + residue for q in dfa.accepting]
+    return trim(Dfa(dfa.alphabet_size, trans, dfa.initial * modulus, accepting))
+
+
+def _counter_reach(dfa, modulus: int, start):
+    """(state, length mod modulus) pairs reachable from ``start``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        q, c = stack.pop()
+        for t in dfa.transitions[q].values():
+            pair = (t, (c + 1) % modulus)
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return seen
+
+
+def _tight_component_interval(dfa, comp, delta):
+    """A component's index certified at delta and at delta/4, intersected."""
+    local = {q: i for i, q in enumerate(sorted(comp))}
+    adjacency = [dict() for _ in local]
+    for q, i in local.items():
+        for t in dfa.transitions[q].values():
+            if t in local:
+                adjacency[i][local[t]] = adjacency[i].get(local[t], 0) + 1
+    a = digraph_index(adjacency, delta)
+    b = digraph_index(adjacency, delta / 4)
+    return max(a.lo, b.lo), min(a.hi, b.hi)
+
+
+def per_slice_profile(dfa, delta: Fraction):
+    """``asymptotic_profile`` of a nonempty trimmed automaton, the slow
+    way: every residue slice is its own counter product, analysed by the
+    public ``approximate_index``, ``classify`` and
+    ``polynomial_index_general``, and each component's residues are read
+    off an explicit search of the counter product."""
+    cls = classify(dfa)
+    gr = approximate_index(dfa, delta)
+    dec = scc(dfa)
+    if not dec.nontrivial:
+        finite = ResidueAsymptotics(0, Fraction(0), Fraction(0), 0)
+        return GrowthReport(cls, gr, 0, 1, (finite,), "NonOscillating", delta)
+    pd = polynomial_index_general(dfa, delta)
+    periods = {c: imprimitivity(dfa, dec.components[c]) for c in dec.nontrivial}
+    rho = lcm(*periods.values())
+    reachable = _counter_reach(dfa, rho, (dfa.initial, 0))
+    residues = {
+        c: {
+            j
+            for q, i in reachable
+            if q in dec.components[c]
+            for t, j in _counter_reach(dfa, rho, (q, i))
+            if t in dfa.accepting
+        }
+        for c in dec.nontrivial
+    }
+    intervals = {
+        c: _tight_component_interval(dfa, dec.components[c], delta) for c in dec.nontrivial
+    }
+    important = []
+    for c in dec.nontrivial:
+        higher = set()
+        for d in dec.nontrivial:
+            if d != c and intervals[d][0] > intervals[c][1]:
+                higher |= residues[d]
+        if residues[c] - higher:
+            important.append(c)
+    r = lcm(*(periods[c] for c in important)) if important else 1
+    per_residue = []
+    for j in range(r):
+        piece = counter_slice(dfa, r, j)
+        if piece.state_count == 0:
+            per_residue.append(ResidueAsymptotics(j, Fraction(0), Fraction(0), 0))
+            continue
+        alpha = approximate_index(piece, delta)
+        finite = classify(piece).tag == "Finite"
+        m = 0 if finite else polynomial_index_general(piece, delta)
+        per_residue.append(ResidueAsymptotics(j, alpha.lo, alpha.hi, m))
+    report = GrowthReport(cls, gr, pd, r, tuple(per_residue), "Indeterminate", delta)
+    return GrowthReport(
+        cls, gr, pd, r, tuple(per_residue), oscillation_type(report), delta
+    )

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 import builders
-from oracles import brute_count, dfa_adjacency_rows, interval_contains, spectral_radius_root
+from oracles import (
+    brute_count,
+    dfa_adjacency_rows,
+    interval_contains,
+    per_slice_profile,
+    spectral_radius_root,
+)
 from wordgrowth import growth
 from wordgrowth.automaton import Dfa, empty_dfa, trim
 from wordgrowth.fad import fad_automaton, tm_antidictionary
@@ -300,6 +306,66 @@ def test_profile_gr_agrees_with_approximate_index(dfa_corpus):
         rep = asymptotic_profile(d)
         iv = approximate_index(d)
         assert rep.gr.lo <= iv.hi and iv.lo <= rep.gr.hi
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 10**6), Fraction(1, 10**9)])
+def test_profile_matches_per_slice_oracle(dfa_corpus, delta):
+    """The shared component analysis gives exactly the report of the
+    per-slice pipeline, every field and every Fraction."""
+    automata = list(dfa_corpus)
+    automata += [
+        trim(build())
+        for build in (
+            builders.oscillating_dfa,
+            builders.parity_split_dfa,
+            builders.even_only_dfa,
+            builders.chained_phi_dfa,
+            builders.dominated_cycle_dfa,
+        )
+    ]
+    automata += [fad_automaton(tm_antidictionary(i)) for i in range(3)]
+    for d in automata:
+        assert asymptotic_profile(d, delta) == per_slice_profile(d, delta)
+
+
+def test_profile_residue_count_below_period_lcm():
+    # the 4-cycle only adds words at lengths 0 mod 4, which the rate-2
+    # block already carries; the 3-cycle adds lengths 1 mod 6: r = 6, not 12
+    rep = asymptotic_profile(builders.dominated_cycle_dfa())
+    assert rep.residue_count == 6
+    assert rep.oscillation == "Wild"
+    for pr in rep.per_residue:
+        if pr.residue % 2 == 0:
+            assert pr.alpha_lo <= 2 <= pr.alpha_hi
+        elif pr.residue == 1:
+            assert pr.alpha_lo <= 1 <= pr.alpha_hi < 2
+        else:
+            assert pr.alpha_hi == 0
+
+
+def test_profile_certifies_each_component_once(monkeypatch):
+    # Thue-Morse level 2 has r = 8 slices whose components repeat: the
+    # profile runs the engine once per distinct (local rows, delta) and
+    # decomposes the automaton and each nonempty slice once
+    runs, decompositions = [], []
+    component_interval = growth._component_interval
+    scc = growth.scc
+
+    def counting_component_interval(rows, delta):
+        runs.append((tuple(map(tuple, rows)), delta))
+        return component_interval(rows, delta)
+
+    def counting_scc(dfa):
+        decompositions.append(dfa)
+        return scc(dfa)
+
+    monkeypatch.setattr(growth, "_component_interval", counting_component_interval)
+    monkeypatch.setattr(growth, "scc", counting_scc)
+    rep = asymptotic_profile(fad_automaton(tm_antidictionary(2)))
+    assert rep.residue_count == 8
+    assert all(pr.alpha_hi > 0 for pr in rep.per_residue)
+    assert len(runs) == len(set(runs)) == 14
+    assert len(decompositions) == 1 + rep.residue_count
 
 
 # ---------------------------------------------------------------------------
