@@ -3,26 +3,22 @@
 A circular word is a word up to rotation; it is square-free when no
 factor of length up to the word's own length, read around the circle,
 is a square.  Circular square-free words of length n are exactly the
-roots of the minimal squares of period n, which ties this module to the
-minimal-power machinery and gives two independent ways to count.
+roots of the minimal squares of period n.  Enumeration, root tables and
+period scans therefore all read the minimal words of one period from
+``powerfree.minimal_words``, whose budget error ``BudgetExceededError``
+is re-exported here; ``circular_is_square_free`` checks the circular
+definition directly.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Optional
 
 from wordgrowth.fad import word_to_str
-from wordgrowth.powerfree import (
-    ExponentBound,
-    _BudgetExhausted,
-    _extend_periodically,
-    _is_minimal_word,
-    _orbit_size,
-    _root_dfs,
-    _target_length,
-)
+from wordgrowth.powerfree import BudgetExceededError, ExponentBound, minimal_words
 
 __all__ = [
     "BudgetExceededError",
@@ -34,18 +30,6 @@ __all__ = [
     "minimal_roots",
     "root_complexity",
 ]
-
-
-class BudgetExceededError(RuntimeError):
-    """A period scan ran out of its root budget; names the first period
-    that could not be settled."""
-
-    def __init__(self, period: int, budget: int):
-        super().__init__(
-            f"budget of {budget} candidate roots exhausted at period {period}"
-        )
-        self.period = period
-        self.budget = budget
 
 
 def least_rotation(word) -> tuple:
@@ -110,19 +94,16 @@ def circular_is_square_free(word, k: Optional[int] = None) -> bool:
 def enumerate_circular_square_free(n: int, alphabet_size: int = 3) -> list:
     """All square-free circular words of length n, sorted.
 
-    Depth-first over linearly square-free words with a final wraparound
-    check, deduplicated through least rotations.
+    These are the roots of the minimal squares of period n, deduplicated
+    through least rotations.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
     if n == 0:
         return [CircularWord(())]
     square = ExponentBound(2)
-    found = set()
-    for root, _ in _root_dfs(alphabet_size, square, {n}, canonical=False):
-        if circular_is_square_free(root):
-            found.add(least_rotation(root))
-    return sorted(CircularWord(w) for w in sorted(found))
+    found = {least_rotation(root) for root in minimal_roots(alphabet_size, square, n)}
+    return [CircularWord(w) for w in sorted(found)]
 
 
 def _rotation_renaming_key(word) -> tuple:
@@ -150,11 +131,7 @@ def minimal_roots(k: int, bound: ExponentBound, n: int) -> list:
     square-free."""
     if n < 1:
         raise ValueError("period must be at least 1")
-    return sorted(
-        root
-        for root, p in _root_dfs(k, bound, {n}, canonical=False)
-        if _is_minimal_word(_extend_periodically(root, _target_length(bound, p)), p, bound)
-    )
+    return sorted(mp.word[:n] for mp in minimal_words(k, bound, [n]))
 
 
 def root_complexity(k: int, bound: ExponentBound, n: int) -> int:
@@ -168,29 +145,22 @@ def root_complexity(k: int, bound: ExponentBound, n: int) -> int:
     letters counts k!.
     """
     classes = {_rotation_renaming_key(root) for root in minimal_roots(k, bound, n)}
-    return sum(_orbit_size(key, k) for key in classes)
-
-
-def _period_permitted(k: int, bound: ExponentBound, p: int, budget: int) -> bool:
-    """Does any minimal bound-violating word of period p exist?
-
-    Searches canonical roots only (permuting letters preserves
-    minimality), stopping at the first witness.
-    """
-    counter = [budget]
-    for root, _ in _root_dfs(k, bound, {p}, canonical=True, budget=counter):
-        w = _extend_periodically(root, _target_length(bound, p))
-        if _is_minimal_word(w, p, bound):
-            return True
-    return False
+    return sum(math.perm(k, 1 + max(key)) for key in classes)
 
 
 def _scan_one(args) -> tuple:
+    """(period, permitted, exhausted) for one period of a scan.
+
+    A period is permitted when a minimal word of that period exists;
+    canonical roots suffice (permuting letters preserves minimality),
+    and the search stops at the first witness.
+    """
     k, bound, p, budget = args
     try:
-        return p, _period_permitted(k, bound, p, budget), None
-    except _BudgetExhausted:
-        return p, False, "budget"
+        witness = next(minimal_words(k, bound, [p], canonical=True, budget=budget), None)
+    except BudgetExceededError:
+        return p, False, True
+    return p, witness is not None, False
 
 
 def _scan_workers(threads: int, p_max: int) -> int:
@@ -225,13 +195,13 @@ def forbidden_period_scan(
     results = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for p, permitted, failure in pool.map(_scan_one, jobs):
-                results[p] = (permitted, failure)
+            for p, permitted, exhausted in pool.map(_scan_one, jobs):
+                results[p] = (permitted, exhausted)
     else:
         for job in jobs:
-            p, permitted, failure = _scan_one(job)
-            results[p] = (permitted, failure)
+            p, permitted, exhausted = _scan_one(job)
+            results[p] = (permitted, exhausted)
     for p in range(1, p_max + 1):
-        if results[p][1] == "budget":
+        if results[p][1]:
             raise BudgetExceededError(p, budget)
     return {p for p in range(1, p_max + 1) if not results[p][0]}

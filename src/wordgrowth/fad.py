@@ -61,14 +61,13 @@ def word_to_str(w: Iterable[int]) -> str:
 class _Trie:
     """Word trie with failure links; shared by validation and automata."""
 
-    __slots__ = ("children", "terminal", "fail", "term_link", "depth")
+    __slots__ = ("children", "terminal", "fail", "term_link")
 
     def __init__(self):
         self.children: list[dict] = [dict()]
         self.terminal: list[bool] = [False]
         self.fail: list[int] = [0]
         self.term_link: list[int] = [-1]
-        self.depth: list[int] = [0]
 
     def insert(self, word: Word) -> None:
         node = 0
@@ -80,7 +79,6 @@ class _Trie:
                 self.terminal.append(False)
                 self.fail.append(0)
                 self.term_link.append(-1)
-                self.depth.append(self.depth[node] + 1)
                 self.children[node][x] = nxt
             node = nxt
         self.terminal[node] = True
@@ -102,8 +100,6 @@ class _Trie:
                     while f and x not in self.children[f]:
                         f = self.fail[f]
                     f = self.children[f].get(x, 0)
-                    if f == v:
-                        f = 0
                 self.fail[v] = f
                 self.term_link[v] = f if self.terminal[f] else self.term_link[f]
                 order.append(v)

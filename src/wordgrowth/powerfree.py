@@ -43,6 +43,7 @@ from wordgrowth.growth import (
 )
 
 __all__ = [
+    "BudgetExceededError",
     "ExponentBound",
     "FiniteApproximationError",
     "MinimalPower",
@@ -51,10 +52,12 @@ __all__ = [
     "approximation_bounds",
     "asymptotic_formula",
     "exponent",
+    "free_roots",
     "is_free",
     "lower_bound",
     "minimal_periods_of_suffixes",
     "minimal_powers",
+    "minimal_words",
     "violates",
 ]
 
@@ -63,8 +66,16 @@ class FiniteApproximationError(ValueError):
     """The regular approximation is a finite language; no growth rate."""
 
 
-class _BudgetExhausted(RuntimeError):
-    """Internal: a root scan ran past its visit allowance."""
+class BudgetExceededError(RuntimeError):
+    """A root search ran out of its budget; names the first period that
+    could not be settled."""
+
+    def __init__(self, period: int, budget: int):
+        super().__init__(
+            f"budget of {budget} candidate roots exhausted at period {period}"
+        )
+        self.period = period
+        self.budget = budget
 
 
 class NoLowerBoundError(ValueError):
@@ -174,27 +185,11 @@ def is_free(word, bound: ExponentBound, max_factor: Optional[int] = None) -> boo
     which some callers can justify on structural grounds.
     """
     w = tuple(word)
-    n = len(w)
-    for start in range(n):
-        sub = w[start:]
-        m = len(sub) if max_factor is None else min(len(sub), max_factor)
-        if m < 2:
-            continue
-        border = [0] * (m + 1)
-        j = 0
-        for i in range(1, m):
-            while j and sub[i] != sub[j]:
-                j = border[j]
-            if sub[i] == sub[j]:
-                j += 1
-            else:
-                j = 0
-            border[i + 1] = j
-            length = i + 1
-            period = length - j
-            if period < length and _crosses(length, period, bound):
-                return False
-    return True
+    m = len(w) if max_factor is None else max_factor
+    return all(
+        _suffixes_stay_free(w[max(0, end - m):end], bound)
+        for end in range(2, len(w) + 1)
+    )
 
 
 def minimal_periods_of_suffixes(word) -> list:
@@ -210,6 +205,17 @@ def minimal_periods_of_suffixes(word) -> list:
     for length in range(1, n + 1):
         out[n - length] = length - border[length]
     return out
+
+
+def _suffixes_stay_free(word, bound: ExponentBound) -> bool:
+    """Check only the factors that end at the last letter."""
+    periods = minimal_periods_of_suffixes(word)
+    n = len(word)
+    for i in range(n - 1):
+        length = n - i
+        if periods[i] < length and _crosses(length, periods[i], bound):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -258,54 +264,28 @@ def _target_periods(bound: ExponentBound, cap: int, mode: str) -> list:
     raise ValueError("mode must be 'period' or 'excess'")
 
 
-def _suffixes_stay_free(word, bound: ExponentBound) -> bool:
-    """Check only the factors that end at the last letter."""
-    periods = minimal_periods_of_suffixes(word)
-    n = len(word)
-    for i in range(n - 1):
-        length = n - i
-        if periods[i] < length and _crosses(length, periods[i], bound):
-            return False
-    return True
-
-
-def _extend_periodically(root, length: int):
-    p = len(root)
-    reps = -(-length // p)
-    return (tuple(root) * reps)[:length]
-
-
-def _is_minimal_word(w, period: int, bound: ExponentBound) -> bool:
-    """Minimality of a candidate of exact target length whose root is
-    already known to be free."""
-    if minimal_period(w) != period:
-        return False
-    if bound.value < 2:
-        # below squares a non-minimal candidate always contains a
-        # violating factor shorter than the period itself
-        return is_free(w, bound, max_factor=period - 1) if period > 1 else True
-    return is_free(w[1:], bound) and is_free(w[:-1], bound)
-
-
-def _root_dfs(
+def free_roots(
     k: int,
     bound: ExponentBound,
-    targets: set,
-    canonical: bool,
-    budget: Optional[list] = None,
+    periods: Iterable[int],
+    canonical: bool = False,
+    budget: Optional[int] = None,
 ) -> Iterator[tuple]:
-    """Depth-first scan of bound-free words, yielding (root, period)
-    pairs at every target depth.
+    """Depth-first scan of bound-free words, yielding every one whose
+    length is among ``periods``.
 
-    Roots of minimal violating words are free, so the scan is complete.
-    ``canonical`` restricts branching to the letter-canonical orbit
-    representatives (first occurrences in increasing order).  ``budget``
-    is a single-element list counting visited roots, decremented in
-    place; hitting zero raises RuntimeError.
+    Each letter is checked against the factors it closes, so every
+    yielded word is free; roots of minimal violating words are free, so
+    the scan is complete for them.  ``canonical`` restricts branching to
+    the letter-canonical orbit representatives (first occurrences in
+    increasing order).  ``budget`` caps the free words visited; one more
+    raises BudgetExceededError naming the largest period searched.
     """
+    targets = set(periods)
     if not targets:
         return
     p_max = max(targets)
+    visited = 0
     word: list = []
 
     def options() -> range:
@@ -321,12 +301,11 @@ def _root_dfs(
         for x in it:
             word.append(x)
             if _suffixes_stay_free(word, bound):
-                if budget is not None:
-                    budget[0] -= 1
-                    if budget[0] < 0:
-                        raise _BudgetExhausted("root budget exhausted")
+                visited += 1
+                if budget is not None and visited > budget:
+                    raise BudgetExceededError(p_max, budget)
                 if len(word) in targets:
-                    yield tuple(word), len(word)
+                    yield tuple(word)
                 if len(word) < p_max:
                     stack.append(iter(options()))
                     advanced = True
@@ -339,12 +318,35 @@ def _root_dfs(
             word.pop()
 
 
-def _orbit_size(word, k: int) -> int:
-    used = 1 + max(word) if word else 0
-    size = 1
-    for i in range(used):
-        size *= k - i
-    return size
+def minimal_words(
+    k: int,
+    bound: ExponentBound,
+    periods: Iterable[int],
+    canonical: bool = False,
+    budget: Optional[int] = None,
+) -> Iterator[MinimalPower]:
+    """Minimal bound-violating words of the given periods, in search
+    order, one per free root of ``free_roots`` (same arguments) that
+    extends to one.
+
+    The periodic extension w of a root of period p to the target length
+    L violates.  It is minimal when both one-letter trims are free: the
+    prefix w[:L-1] is checked letter by letter past the root, as the
+    search checks the root itself, and w[1:], whose other factors lie in
+    that prefix, only at its last letter.  Its minimal period must be p.
+    """
+    for root in free_roots(k, bound, periods, canonical, budget):
+        p = len(root)
+        length = _target_length(bound, p)
+        w = list(root)
+        while len(w) < length - 1:
+            w.append(w[-p])
+            if not _suffixes_stay_free(w, bound):
+                break
+        else:  # w is the free prefix w[:L-1]
+            w.append(w[-p])
+            if _suffixes_stay_free(w[1:], bound) and minimal_period(w) == p:
+                yield MinimalPower(p, tuple(w), Fraction(length, p))
 
 
 def _expand_orbit(word, k: int) -> Iterator[tuple]:
@@ -365,20 +367,13 @@ def minimal_powers(
 
     A minimal violating word of period p has exactly the target length
     for p, so generation walks the free roots of each target period and
-    extends them periodically.  With ``canonical`` only orbit
-    representatives under letter permutation are produced.
+    extends them periodically (``minimal_words``).  With ``canonical``
+    only orbit representatives under letter permutation are produced.
     """
     if k < 1:
         raise ValueError("alphabet must have at least 1 letter")
     periods = _target_periods(bound, cap, mode)
-    out = []
-    targets = set(periods)
-    for root, p in _root_dfs(k, bound, targets, canonical):
-        w = _extend_periodically(root, _target_length(bound, p))
-        if _is_minimal_word(w, p, bound):
-            out.append(MinimalPower(p, w, Fraction(len(w), p)))
-    out.sort()
-    return out
+    return sorted(minimal_words(k, bound, periods, canonical))
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +729,7 @@ def approximation_bounds(
         raise ValueError("delta must be positive")
     canon = minimal_powers(k, bound, cap, mode, canonical=True)
     canon_words = [mp.word for mp in canon]
-    ad_size = sum(_orbit_size(w, k) for w in canon_words)
+    ad_size = sum(math.perm(k, 1 + max(w)) for w in canon_words)
 
     if symmetry:
         trie, adjacency = _quotient_graph(k, canon_words)

@@ -3,9 +3,10 @@
 Everything here is deliberately naive: exhaustive enumeration, direct
 definitions, and exact symbolic root isolation.  None of it shares code
 with the library beyond the public data containers, so agreement is
-meaningful evidence.  The one exception is ``per_slice_profile``, the
-slow path of the growth profile, built from the library's public
-per-automaton functions.
+meaningful evidence.  The two exceptions are slow paths built from
+the library's public functions: ``per_slice_profile``, the growth
+profile from per-automaton calls, and ``trim_minimal_powers``, the
+minimal powers from ``is_free`` on both trims of each candidate.
 """
 
 import itertools
@@ -23,6 +24,13 @@ from wordgrowth.growth import (
     digraph_index,
     oscillation_type,
     polynomial_index_general,
+)
+from wordgrowth.powerfree import (
+    MinimalPower,
+    free_roots,
+    is_free,
+    minimal_period,
+    violates,
 )
 
 
@@ -147,6 +155,33 @@ def brute_minimal_powers_by_period(k: int, beta: Fraction, plus: bool, cap: int)
                 if naive_min_period(w) <= cap and naive_is_minimal_power(w, beta, plus):
                     out.add(w)
     return sorted(out, key=lambda w: (naive_min_period(w), w))
+
+
+def trim_minimal_powers(k: int, bound, cap: int, mode: str, canonical: bool):
+    """``minimal_powers`` by the slow path: each free root of a target
+    period, extended periodically to the shortest violating length, is
+    kept when its minimal period is the root's and ``is_free`` accepts
+    both one-letter trims."""
+
+    def target(p):
+        length = p + 1
+        while not violates(Fraction(length, p), bound):
+            length += 1
+        return length
+
+    if mode == "period":
+        periods = range(1, cap + 1)
+    else:
+        periods = itertools.takewhile(
+            lambda p: target(p) - p <= cap, itertools.count(1)
+        )
+    out = []
+    for root in free_roots(k, bound, list(periods), canonical):
+        p = len(root)
+        w = tuple(root[i % p] for i in range(target(p)))
+        if minimal_period(w) == p and is_free(w[1:], bound) and is_free(w[:-1], bound):
+            out.append(MinimalPower(p, w, Fraction(len(w), p)))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

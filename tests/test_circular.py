@@ -1,11 +1,14 @@
 """Circular square-free words, minimal roots, period scans."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from oracles import naive_circular_square_free, naive_min_period
+import wordgrowth
 from wordgrowth import circular
 from wordgrowth.circular import (
     BudgetExceededError,
@@ -243,11 +246,13 @@ def test_scan_agrees_with_root_complexity():
 
 
 def test_scan_budget_exhaustion():
-    with pytest.raises(BudgetExceededError) as err:
-        forbidden_period_scan(2, B("5/2"), 8, budget=1)
-    assert err.value.budget == 1
-    assert 1 <= err.value.period <= 8
-    assert "budget" in str(err.value)
+    # period 1 is settled by its first root; period 2 needs a second one
+    for threads in (1, 2):
+        with pytest.raises(BudgetExceededError) as err:
+            forbidden_period_scan(2, B("5/2"), 8, budget=1, threads=threads)
+        assert err.value.budget == 1
+        assert err.value.period == 2, threads
+        assert "budget" in str(err.value)
 
 
 def test_scan_parallel_matches_serial():
@@ -277,3 +282,37 @@ def test_scan_workers_are_clamped(monkeypatch):
     for threads in (0, -1, -(10**9)):
         with pytest.raises(ValueError, match="threads must be at least 1"):
             _scan_workers(threads, 30)
+
+
+# ---------------------------------------------------------------------------
+# module boundaries
+
+# (module, name): the private helpers another package module may import
+ALLOWED_PRIVATE_IMPORTS = {("growth", "_as_fraction"), ("growth", "_dfa_adjacency")}
+
+
+def private_cross_imports():
+    """(module, name, importer) for every underscore name imported from
+    one package module into another."""
+    found = set()
+    for path in sorted(Path(wordgrowth.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                module = node.module or ""
+            elif (node.module or "").startswith("wordgrowth."):
+                module = node.module[len("wordgrowth."):]
+            else:
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and module != path.stem:
+                    found.add((module, alias.name, path.stem))
+    return found
+
+
+def test_no_new_private_cross_imports():
+    # circular reads the minimal-word step through public names only
+    found = private_cross_imports()
+    assert ("growth", "_as_fraction", "powerfree") in found  # the scan sees imports
+    assert {(m, name) for m, name, _ in found} <= ALLOWED_PRIVATE_IMPORTS, sorted(found)

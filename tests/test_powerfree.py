@@ -15,6 +15,7 @@ from oracles import (
     naive_min_period,
     naive_violates,
     thue_morse_prefix,
+    trim_minimal_powers,
 )
 from wordgrowth import powerfree
 from wordgrowth.automaton import scc
@@ -211,6 +212,10 @@ BRUTE_CASES = [
     (3, "2+", 5),
     (3, "7/3", 5),
     (3, "5/2", 4),
+    (2, "3/2", 6),
+    (3, "7/4", 5),
+    (3, "3/2", 5),
+    (4, "7/5", 4),
 ]
 
 
@@ -219,6 +224,23 @@ def test_minimal_powers_match_brute_force(k, token, cap):
     bound = B(token)
     got = words_of(minimal_powers(k, bound, cap))
     assert got == brute_minimal_powers_by_period(k, bound.value, bound.plus, cap)
+
+
+TRIM_TOKENS = (
+    "2", "2+", "3", "3+", "5/2", "7/3", "7/3+", "11/4",
+    "3/2", "5/3", "7/4", "7/5", "4/3", "5/4+",
+)
+
+
+@pytest.mark.parametrize("k,cap", [(2, 12), (3, 7), (4, 5)])
+def test_minimal_powers_match_trim_oracle(k, cap):
+    # the fast minimality test against is_free on both trims
+    for token in TRIM_TOKENS:
+        for mode in ("period", "excess"):
+            for canonical in (False, True):
+                case = (k, token, cap, mode, canonical)
+                fast = minimal_powers(k, B(token), cap, mode, canonical)
+                assert fast == trim_minimal_powers(k, B(token), cap, mode, canonical), case
 
 
 def test_minimal_powers_match_brute_by_length():
