@@ -125,16 +125,17 @@ def _rotation_renaming_key(word) -> tuple:
     return best
 
 
-def minimal_roots(k: int, bound: ExponentBound, n: int) -> list:
+def minimal_roots(k: int, bound: ExponentBound, n: int, budget: Optional[int] = None) -> list:
     """All length-n words whose periodic extension is a minimal power;
     for squares these are exactly the words whose circular closure is
-    square-free."""
+    square-free.  ``budget`` caps the free words the root search visits;
+    one more raises BudgetExceededError naming period n."""
     if n < 1:
         raise ValueError("period must be at least 1")
-    return sorted(mp.word[:n] for mp in minimal_words(k, bound, [n]))
+    return sorted(mp.word[:n] for mp in minimal_words(k, bound, [n], budget=budget))
 
 
-def root_complexity(k: int, bound: ExponentBound, n: int) -> int:
+def root_complexity(k: int, bound: ExponentBound, n: int, budget: Optional[int] = None) -> int:
     """Number of minimal bound-violating words of period exactly n,
     with roots counted up to rotation.
 
@@ -142,9 +143,9 @@ def root_complexity(k: int, bound: ExponentBound, n: int) -> int:
     equivalent under rotation and renaming contributes the number of
     distinct letter assignments of one representative, k!/(k-used)!.
     A lone one-letter class therefore counts k, a lone class using all
-    letters counts k!.
+    letters counts k!.  ``budget`` is passed to ``minimal_roots``.
     """
-    classes = {_rotation_renaming_key(root) for root in minimal_roots(k, bound, n)}
+    classes = {_rotation_renaming_key(root) for root in minimal_roots(k, bound, n, budget)}
     return sum(math.perm(k, 1 + max(key)) for key in classes)
 
 

@@ -76,7 +76,7 @@ def _no_csv(fmt: str):
 @click.option("--delta", default="1e-6", show_default=True,
               help="Half-width of certified growth-rate intervals.")
 @click.option("--budget", default=20_000_000, show_default=True, type=int,
-              help="Candidate-root allowance per scanned period.")
+              help="Candidate-root allowance per period of scan and root.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text", show_default=True)
 @click.option("--threads", default=1, show_default=True, type=int,
@@ -291,7 +291,13 @@ def cmd_root(obj, k, beta, n_max):
     bound = _parse_bound(beta)
     if n_max < 1:
         raise click.ClickException("n-max must be at least 1")
-    rows = [(k, str(bound), n, root_complexity(k, bound, n)) for n in range(1, n_max + 1)]
+    try:
+        rows = [
+            (k, str(bound), n, root_complexity(k, bound, n, obj["budget"]))
+            for n in range(1, n_max + 1)
+        ]
+    except BudgetExceededError as exc:
+        raise click.ClickException(str(exc)) from None
     if obj["fmt"] == "json":
         click.echo(json.dumps(
             [{"k": a, "beta": b, "n": n, "count": c} for a, b, n, c in rows], indent=2

@@ -165,12 +165,6 @@ def exponent(word) -> Fraction:
     return Fraction(len(w), minimal_period(w))
 
 
-def _crosses(length: int, period: int, bound: ExponentBound) -> bool:
-    lhs = length * bound.den
-    rhs = bound.num * period
-    return lhs > rhs if bound.plus else lhs >= rhs
-
-
 def violates(e, bound: ExponentBound) -> bool:
     """True when exponent e crosses the bound (>= for plain bounds,
     strict > for plus bounds)."""
@@ -185,11 +179,8 @@ def is_free(word, bound: ExponentBound, max_factor: Optional[int] = None) -> boo
     which some callers can justify on structural grounds.
     """
     w = tuple(word)
-    m = len(w) if max_factor is None else max_factor
-    return all(
-        _suffixes_stay_free(w[max(0, end - m):end], bound)
-        for end in range(2, len(w) + 1)
-    )
+    pairs = _suffix_checks(bound, len(w) if max_factor is None else max_factor)
+    return not any(_ends_in_violation(w, end, pairs) for end in range(2, len(w) + 1))
 
 
 def minimal_periods_of_suffixes(word) -> list:
@@ -207,15 +198,30 @@ def minimal_periods_of_suffixes(word) -> list:
     return out
 
 
-def _suffixes_stay_free(word, bound: ExponentBound) -> bool:
-    """Check only the factors that end at the last letter."""
-    periods = minimal_periods_of_suffixes(word)
-    n = len(word)
-    for i in range(n - 1):
-        length = n - i
-        if periods[i] < length and _crosses(length, periods[i], bound):
+def _suffix_checks(bound: ExponentBound, n_max: int) -> list:
+    """The pairs (q, L_q), L_q = ``_target_length(bound, q)``, with
+    L_q <= n_max, that is q * beta <= n_max (< for a plus bound)."""
+    q_max = (n_max * bound.den - bound.plus) // bound.num
+    return [(q, _target_length(bound, q)) for q in range(1, q_max + 1)]
+
+
+def _ends_in_violation(word, end: int, pairs: list) -> bool:
+    """True when a factor of word[:end] ending at ``end``, of length at
+    most n_max, violates the bound; ``pairs`` is ``_suffix_checks(bound,
+    n_max)``.  One exists exactly when the factor of length L_q there has
+    period q for some q.  If: its exponent is at least L_q/q, which
+    crosses.  Only if: a violating factor of minimal period p is at least
+    L_p long (crossing is monotone in length), and its suffix of length
+    L_p has period p.  L_q increases with q, ending the loop; comparing
+    last letters first skips most periods.
+    """
+    last = word[end - 1]
+    for q, length in pairs:
+        if length > end:
             return False
-    return True
+        if word[end - 1 - q] == last and word[end - length:end - q] == word[end - length + q:end]:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -285,37 +291,25 @@ def free_roots(
     if not targets:
         return
     p_max = max(targets)
+    pairs = _suffix_checks(bound, p_max)
     visited = 0
     word: list = []
-
-    def options() -> range:
-        if not canonical:
-            return range(k)
-        used = 1 + max(word) if word else 0
-        return range(min(used + 1, k))
-
-    stack: list = [iter(options())]
-    while stack:
-        it = stack[-1]
-        advanced = False
-        for x in it:
-            word.append(x)
-            if _suffixes_stay_free(word, bound):
-                visited += 1
-                if budget is not None and visited > budget:
-                    raise BudgetExceededError(p_max, budget)
-                if len(word) in targets:
-                    yield tuple(word)
-                if len(word) < p_max:
-                    stack.append(iter(options()))
-                    advanced = True
-                    break
-            word.pop()
-        if advanced:
+    stack = [(0, x) for x in reversed(range(min(1, k) if canonical else k))]
+    while stack:  # (length before, letter) pairs, depth first
+        n, x = stack.pop()
+        del word[n:]
+        word.append(x)
+        n += 1
+        if _ends_in_violation(word, n, pairs):
             continue
-        stack.pop()
-        if word:
-            word.pop()
+        visited += 1
+        if budget is not None and visited > budget:
+            raise BudgetExceededError(p_max, budget)
+        if n in targets:
+            yield tuple(word)
+        if n < p_max:
+            letters = min(max(word) + 2, k) if canonical else k
+            stack.extend([(n, y) for y in range(letters - 1, -1, -1)])
 
 
 def minimal_words(
@@ -335,17 +329,19 @@ def minimal_words(
     search checks the root itself, and w[1:], whose other factors lie in
     that prefix, only at its last letter.  Its minimal period must be p.
     """
+    periods = list(periods)
+    pairs = _suffix_checks(bound, _target_length(bound, max(periods, default=0)))
     for root in free_roots(k, bound, periods, canonical, budget):
         p = len(root)
         length = _target_length(bound, p)
         w = list(root)
         while len(w) < length - 1:
             w.append(w[-p])
-            if not _suffixes_stay_free(w, bound):
+            if _ends_in_violation(w, len(w), pairs):
                 break
         else:  # w is the free prefix w[:L-1]
             w.append(w[-p])
-            if _suffixes_stay_free(w[1:], bound) and minimal_period(w) == p:
+            if not _ends_in_violation(w[1:], length - 1, pairs) and minimal_period(w) == p:
                 yield MinimalPower(p, tuple(w), Fraction(length, p))
 
 

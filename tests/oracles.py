@@ -6,7 +6,8 @@ with the library beyond the public data containers, so agreement is
 meaningful evidence.  The two exceptions are slow paths built from
 the library's public functions: ``per_slice_profile``, the growth
 profile from per-automaton calls, and ``trim_minimal_powers``, the
-minimal powers from ``is_free`` on both trims of each candidate.
+minimal powers from a border-table root search and trim check
+(``suffixes_stay_free``, on ``minimal_periods_of_suffixes``).
 """
 
 import itertools
@@ -27,9 +28,8 @@ from wordgrowth.growth import (
 )
 from wordgrowth.powerfree import (
     MinimalPower,
-    free_roots,
-    is_free,
     minimal_period,
+    minimal_periods_of_suffixes,
     violates,
 )
 
@@ -157,11 +157,60 @@ def brute_minimal_powers_by_period(k: int, beta: Fraction, plus: bool, cap: int)
     return sorted(out, key=lambda w: (naive_min_period(w), w))
 
 
+def suffixes_stay_free(word, bound) -> bool:
+    """No suffix of the word violates the bound, read off the minimal
+    period of every suffix (one border table of the reversed word)."""
+    periods = minimal_periods_of_suffixes(word)
+    n = len(word)
+    for i in range(n - 1):
+        length = n - i
+        if periods[i] < length and _length_crosses(length, periods[i], bound):
+            return False
+    return True
+
+
+def _length_crosses(length: int, period: int, bound) -> bool:
+    """length/period crosses the bound, by integer cross-multiplication."""
+    lhs = length * bound.den
+    rhs = bound.num * period
+    return lhs > rhs if bound.plus else lhs >= rhs
+
+
+def border_is_free(word, bound) -> bool:
+    """``is_free`` by the border-table check at every end position."""
+    return all(suffixes_stay_free(word[:end], bound) for end in range(2, len(word) + 1))
+
+
+def border_free_roots(k: int, bound, periods, canonical: bool):
+    """Free words whose length is among ``periods``, by a recursive
+    search that checks each new letter with ``suffixes_stay_free``;
+    ``canonical`` keeps first occurrences of letters in increasing order."""
+    targets = set(periods)
+    if not targets:
+        return
+    p_max = max(targets)
+    word = []
+
+    def grow():
+        if len(word) in targets:
+            yield tuple(word)
+        if len(word) == p_max:
+            return
+        used = 1 + max(word) if word else 0
+        for x in range(min(used + 1, k) if canonical else k):
+            word.append(x)
+            if suffixes_stay_free(word, bound):
+                yield from grow()
+            word.pop()
+
+    yield from grow()
+
+
 def trim_minimal_powers(k: int, bound, cap: int, mode: str, canonical: bool):
     """``minimal_powers`` by the slow path: each free root of a target
-    period, extended periodically to the shortest violating length, is
-    kept when its minimal period is the root's and ``is_free`` accepts
-    both one-letter trims."""
+    period (``border_free_roots``), extended periodically to the
+    shortest violating length, is kept when its minimal period is the
+    root's and ``border_is_free`` accepts both one-letter trims."""
 
     def target(p):
         length = p + 1
@@ -176,10 +225,14 @@ def trim_minimal_powers(k: int, bound, cap: int, mode: str, canonical: bool):
             lambda p: target(p) - p <= cap, itertools.count(1)
         )
     out = []
-    for root in free_roots(k, bound, list(periods), canonical):
+    for root in border_free_roots(k, bound, list(periods), canonical):
         p = len(root)
         w = tuple(root[i % p] for i in range(target(p)))
-        if minimal_period(w) == p and is_free(w[1:], bound) and is_free(w[:-1], bound):
+        if (
+            minimal_period(w) == p
+            and border_is_free(w[1:], bound)
+            and border_is_free(w[:-1], bound)
+        ):
             out.append(MinimalPower(p, w, Fraction(len(w), p)))
     return sorted(out)
 

@@ -255,6 +255,16 @@ def test_scan_budget_exhaustion():
         assert "budget" in str(err.value)
 
 
+def test_root_budget_exhaustion():
+    # the square-free search visits 3 + 6 free words to length 2, and 12 more at length 3
+    assert root_complexity(3, SQ, 2, budget=9) == root_complexity(3, SQ, 2)
+    with pytest.raises(BudgetExceededError) as err:
+        minimal_roots(3, SQ, 3, budget=10)
+    assert (err.value.period, err.value.budget) == (3, 10)
+    with pytest.raises(BudgetExceededError):
+        root_complexity(3, SQ, 2, budget=8)
+
+
 def test_scan_parallel_matches_serial():
     serial = forbidden_period_scan(2, B("7/3"), 10)
     parallel = forbidden_period_scan(2, B("7/3"), 10, threads=2)

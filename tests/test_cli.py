@@ -210,6 +210,12 @@ def test_scan_budget_failure(runner):
     assert "budget" in result.output
 
 
+def test_root_budget_failure(runner):
+    result = runner.invoke(main, ["--budget", "10", "root", "3", "2", "--n-max", "19"])
+    assert result.exit_code == 1
+    assert "budget of 10 candidate roots exhausted at period 3" in result.output
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_scan_rejects_threads_below_one(runner, threads):
     result = runner.invoke(main, ["--threads", threads, "scan", "2", "5/2", "--p-max", "8"])

@@ -14,6 +14,7 @@ from oracles import (
     naive_exponent,
     naive_min_period,
     naive_violates,
+    suffixes_stay_free,
     thue_morse_prefix,
     trim_minimal_powers,
 )
@@ -155,6 +156,17 @@ def test_thue_morse_prefix_freeness():
     assert not is_free(prefix, B("2"))
 
 
+def test_letters_beyond_a_byte():
+    # 300 and 44 agree modulo 256, so a byte-sized word would see a square
+    assert is_free((44, 300), B("2"))
+    assert is_free((256, 257, 300, 256, 257), B("2"))
+    assert not is_free((256, 300, 256, 300), B("2"))
+    powers = minimal_powers(300, B("2"), 2)
+    assert len(powers) == 300 + 300 * 299
+    assert powerfree.MinimalPower(2, (43, 299, 43, 299), Fraction(2)) in powers
+    assert powers[-1].word == (299, 298, 299, 298)
+
+
 # ---------------------------------------------------------------------------
 # minimal violating words
 
@@ -241,6 +253,33 @@ def test_minimal_powers_match_trim_oracle(k, cap):
                 case = (k, token, cap, mode, canonical)
                 fast = minimal_powers(k, B(token), cap, mode, canonical)
                 assert fast == trim_minimal_powers(k, B(token), cap, mode, canonical), case
+
+
+@st.composite
+def words_over_k(draw):
+    k = draw(st.integers(1, 4))
+    return tuple(draw(st.lists(st.integers(0, k - 1), max_size=40)))
+
+
+@given(words_over_k(), st.sampled_from(TRIM_TOKENS))
+@settings(max_examples=400, deadline=None)
+def test_slice_check_matches_border_table(w, token):
+    # one slice comparison per period against the minimal period of every suffix
+    bound = B(token)
+    pairs = powerfree._suffix_checks(bound, len(w))
+    for end in range(1, len(w) + 1):
+        slice_says = powerfree._ends_in_violation(w, end, pairs)
+        assert slice_says == (not suffixes_stay_free(w[:end], bound)), (w[:end], token)
+
+
+@given(words_over_k(), st.sampled_from(TRIM_TOKENS), st.integers(0, 42))
+@settings(max_examples=300, deadline=None)
+def test_is_free_windows_match_border_table(w, token, m):
+    bound = B(token)
+    border = all(
+        suffixes_stay_free(w[max(0, end - m):end], bound) for end in range(2, len(w) + 1)
+    )
+    assert is_free(w, bound, max_factor=m) == border
 
 
 def test_minimal_powers_match_brute_by_length():
