@@ -179,7 +179,7 @@ def is_free(word, bound: ExponentBound, max_factor: Optional[int] = None) -> boo
     which some callers can justify on structural grounds.
     """
     w = tuple(word)
-    pairs = _suffix_checks(bound, len(w) if max_factor is None else max_factor)
+    pairs = _suffix_checks(bound, len(w) if max_factor is None else min(max_factor, len(w)))
     return not any(_ends_in_violation(w, end, pairs) for end in range(2, len(w) + 1))
 
 
