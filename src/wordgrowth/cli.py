@@ -76,7 +76,8 @@ def _no_csv(fmt: str):
 @click.option("--delta", default="1e-6", show_default=True,
               help="Half-width of certified growth-rate intervals.")
 @click.option("--budget", default=20_000_000, show_default=True, type=int,
-              help="Candidate-root allowance per period of scan and root.")
+              help="Free words a root search may visit: per period for scan "
+                   "and root, per query for powerfree.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text", show_default=True)
 @click.option("--threads", default=1, show_default=True, type=int,
@@ -86,6 +87,8 @@ def _no_csv(fmt: str):
 @click.pass_context
 def main(ctx, delta, budget, fmt, threads, no_symmetry):
     """Growth-rate analyses for regular and power-free languages."""
+    if budget < 1:
+        raise click.ClickException("budget must be at least 1")
     ctx.obj = {
         "delta": _parse_delta(delta),
         "budget": budget,
@@ -260,6 +263,7 @@ def cmd_powerfree(obj, k, beta, cap, mode, no_lower):
             delta=obj["delta"],
             symmetry=obj["symmetry"],
             with_lower=not no_lower,
+            budget=obj["budget"],
         )
     except FiniteApproximationError as exc:
         # a finite approximation is an answer, not a failure
@@ -269,7 +273,7 @@ def cmd_powerfree(obj, k, beta, cap, mode, no_lower):
         else:
             click.echo(f"language     L({k}, {bound})\nfinite       {exc}")
         return
-    except ValueError as exc:
+    except (BudgetExceededError, ValueError) as exc:
         raise click.ClickException(str(exc)) from None
     elapsed = time.perf_counter() - started
     if obj["fmt"] == "json":

@@ -4,7 +4,9 @@ An antidictionary is an antifactorial set of words: none is a factor of
 another.  The language it defines is every word containing none of them.
 Such a language is factorial (closed under factors) and is recognized by
 an automaton whose states are the proper prefixes of the forbidden
-words, built here with the classic failure-link construction.
+words, built here by ``FailureTrie``: failure links and a goto table
+filled once, breadth first.  The same trie, in its letter-canonical
+frame, builds the letter-symmetry quotients of ``powerfree``.
 
 The module also carries a few concrete language families used to
 exercise the growth machinery: truncated antidictionaries of the
@@ -15,13 +17,15 @@ between polynomial and exponential.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from wordgrowth.automaton import Dfa, DfaFormatError, empty_dfa, scc, trim
 
 __all__ = [
     "Antidictionary",
+    "FailureTrie",
     "extendable_part",
     "fad_automaton",
     "format_antidictionary",
@@ -58,57 +62,157 @@ def word_to_str(w: Iterable[int]) -> str:
     return "".join(chr(ord("a") + x) for x in w)
 
 
-class _Trie:
-    """Word trie with failure links; shared by validation and automata."""
+class FailureTrie:
+    """Trie of forbidden words with failure links and a goto table: the
+    automaton of the language avoiding the words.
 
-    __slots__ = ("children", "terminal", "fail", "term_link")
+    Node u reads through a frame of slots.  In the identity frame each
+    slot is its letter.  In the letter-canonical frame (``canonical``),
+    for orbit representatives under letter permutation, slot i below
+    ``nletters[u]`` is the i-th letter, from 0, to occur in u's word, and
+    slot ``nletters[u]``, when below k, is the fresh slot for every
+    unused letter.  ``fsig[u]`` names u's slots in the frame of
+    ``fail[u]``, the longest proper suffix of u's word that is a node,
+    with ``FRESH`` for a letter that does not occur there; composing
+    these along a failure chain replays the full automaton on a whole
+    orbit at once.
 
-    def __init__(self):
-        self.children: list[dict] = [dict()]
-        self.terminal: list[bool] = [False]
-        self.fail: list[int] = [0]
-        self.term_link: list[int] = [-1]
+    Storage is flat, k entries per node: entry u*k + y of ``children``,
+    ``fsig`` and ``delta`` belongs to slot y of u.  ``delta`` is filled
+    once, breadth first (Aho & Corasick, CACM 1975): delta(u, y) is u's
+    child on y, else the root at the root, else delta(fail(u),
+    fsig[u][y]), FRESH going to fail(u)'s fresh slot.  A forbidden word t
+    is stored as ~t, so negative entries are forbidden moves.  ``states``
+    lists the other nodes breadth first, children by slot: automaton
+    state q is node ``states[q]``, and ``state_of`` maps back (-1 for
+    forbidden words).
 
-    def insert(self, word: Word) -> None:
-        node = 0
-        for x in word:
-            nxt = self.children[node].get(x)
-            if nxt is None:
-                nxt = len(self.children)
-                self.children.append(dict())
-                self.terminal.append(False)
-                self.fail.append(0)
-                self.term_link.append(-1)
-                self.children[node][x] = nxt
-            node = nxt
-        self.terminal[node] = True
+    A letter-canonical set must be antifactorial.  An identity-frame set
+    need not be: its failure links stay exact, which is what
+    ``Antidictionary`` checks.
+    """
 
-    def build_links(self) -> list:
-        """Breadth-first failure and nearest-terminal links; returns the
-        BFS order."""
-        order = [0]
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for x in sorted(self.children[u]):
-                v = self.children[u][x]
-                if u == 0:
-                    f = 0
+    FRESH = -1
+
+    __slots__ = (
+        "k", "children", "terminal", "nletters", "fsig", "fail", "delta",
+        "states", "state_of",
+    )
+
+    def __init__(self, k: int, words: Iterable[Word], canonical: bool = False):
+        self.k = k
+        self.children = array("i", [-1]) * k
+        self.terminal = bytearray(1)
+        self.nletters = array("i", [0 if canonical else k])
+        self._insert(words)
+        n = len(self.terminal)
+        row = [self.FRESH] * k if canonical else range(k)
+        self.fsig = array("i", row) * n
+        self._link(canonical)
+
+    def _insert(self, words: Iterable[Word]) -> None:
+        k, children, terminal, nletters = self.k, self.children, self.terminal, self.nletters
+        blank = array("i", [-1]) * k
+        for word in words:
+            node = 0
+            for x in word:
+                nl = nletters[node]
+                if x > nl or not 0 <= x < k:
+                    raise ValueError(f"{word_to_str(word)} does not fit the trie's frame")
+                i = node * k + x
+                nxt = children[i]
+                if nxt < 0:
+                    nxt = children[i] = len(terminal)
+                    children += blank
+                    terminal.append(0)
+                    nletters.append(nl + 1 if x == nl else nl)
+                node = nxt
+            terminal[node] = 1
+
+    def _link(self, canonical: bool) -> None:
+        k, children, terminal, nletters, fsig = (
+            self.k, self.children, self.terminal, self.nletters, self.fsig
+        )
+        FRESH = self.FRESH
+        n = len(terminal)
+        fail = self.fail = array("i", [0]) * n
+        delta = self.delta = array("i", [0]) * (n * k)
+        states = self.states = array("i", [0])
+        for u in states:
+            base = u * k
+            nl = nletters[u]
+            f = fail[u]
+            fbase = f * k
+            fresh = nletters[f]
+            for y in range(nl + 1 if nl < k else k):
+                if u:
+                    slot = fsig[base + y]
+                    if slot == FRESH:
+                        slot = fresh
+                    t = delta[fbase + slot]
                 else:
-                    f = self.fail[u]
-                    while f and x not in self.children[f]:
-                        f = self.fail[f]
-                    f = self.children[f].get(x, 0)
-                self.fail[v] = f
-                self.term_link[v] = f if self.terminal[f] else self.term_link[f]
-                order.append(v)
-        return order
+                    t = 0
+                c = children[base + y]
+                if c < 0:
+                    delta[base + y] = t
+                    continue
+                # the child's failure link is where u's failure link reads y
+                if t < 0:
+                    if canonical:
+                        raise AssertionError(
+                            "failure chain hit a forbidden word; input set "
+                            "was not antifactorial"
+                        )
+                    t = ~t
+                fail[c] = t
+                if terminal[c]:
+                    delta[base + y] = ~c
+                    continue
+                delta[base + y] = c
+                states.append(c)
+                if not canonical or not u:
+                    continue
+                cbase = c * k
+                if children[fbase + slot] >= 0:
+                    # the link is f's child: u's names carry over to it
+                    fsig[cbase:cbase + k] = fsig[base:base + k]
+                    fsig[cbase + y] = slot
+                else:
+                    tr = fsig[base:base + nl].tolist()
+                    if y == nl:
+                        tr.append(FRESH)
+                    self.goto(f, tr, y)
+                    fsig[cbase:cbase + len(tr)] = array("i", tr)
+        self.state_of = array("i", [-1]) * n
+        for q, u in enumerate(states):
+            self.state_of[u] = q
 
-    def scan_step(self, node: int, x: int) -> int:
-        while node and x not in self.children[node]:
+    def goto(self, node: int, tr: list, r: int) -> Optional[int]:
+        """Read slot ``tr[r]`` at ``node`` along the failure chain, and
+        return the target, or None when the move is forbidden.
+
+        ``tr`` lists slots of node's frame, or FRESH, and is rewritten
+        in place into the target's frame: entries composed through
+        ``fsig`` along the chain, the read letter set to its name in the
+        target.  ``delta`` gives the same targets, without the
+        translation.
+        """
+        k, children, nletters, fsig = self.k, self.children, self.nletters, self.fsig
+        FRESH = self.FRESH
+        while True:
+            y = tr[r]
+            slot = nletters[node] if y == FRESH else y
+            t = children[node * k + slot]
+            if t >= 0:
+                if self.terminal[t]:
+                    return None
+                tr[r] = slot
+                return t
+            if node == 0:
+                return 0
+            base = node * k
+            tr[:] = [v if v == FRESH else fsig[base + v] for v in tr]
             node = self.fail[node]
-        return self.children[node].get(x, 0)
 
 
 class Antidictionary:
@@ -139,28 +243,21 @@ class Antidictionary:
         words = [w for w in self.words if w]
         if not words:
             return
-        trie = _Trie()
-        terminal_of = {}
+        k = self.alphabet_size
+        trie = FailureTrie(k, words)
+        # ends[u]: some suffix of u's word, its whole word included, is forbidden
+        ends = bytearray(trie.terminal)
+        for u in trie.states:
+            ends[u] = ends[trie.fail[u]]
         for w in words:
-            trie.insert(w)
-        for w in words:
-            node = 0
+            path = [0]
             for x in w:
-                node = trie.children[node][x]
-            terminal_of[w] = node
-        trie.build_links()
-        for w in words:
-            node = 0
-            for i, x in enumerate(w):
-                node = trie.scan_step(node, x)
-                hit = node if trie.terminal[node] else trie.term_link[node]
-                if i == len(w) - 1 and hit == terminal_of[w]:
-                    # w's own match is fine; a shorter suffix match is not
-                    hit = trie.term_link[hit]
-                if hit != -1:
-                    raise ValueError(
-                        f"not antifactorial: a forbidden word occurs inside {word_to_str(w)}"
-                    )
+                path.append(trie.children[path[-1] * k + x])
+            # a forbidden word ends at a proper prefix of w, or is a proper suffix
+            if any(ends[u] for u in path[1:-1]) or ends[trie.fail[path[-1]]]:
+                raise ValueError(
+                    f"not antifactorial: a forbidden word occurs inside {word_to_str(w)}"
+                )
 
     def __len__(self):
         return len(self.words)
@@ -189,22 +286,12 @@ def fad_automaton(ad: Antidictionary) -> Dfa:
     k = ad.alphabet_size
     if () in ad.words:
         return empty_dfa(k)
-    trie = _Trie()
-    for w in ad.words:
-        trie.insert(w)
-    order = trie.build_links()
-    state_of = {}
-    for node in order:
-        if not trie.terminal[node]:
-            state_of[node] = len(state_of)
-    n = len(state_of)
-    rows: list[dict] = [dict() for _ in range(n)]
-    for node, q in state_of.items():
-        for x in range(k):
-            t = trie.scan_step(node, x)
-            if not trie.terminal[t]:
-                rows[q][x] = state_of[t]
-    return trim(Dfa(k, rows, 0, range(n)))
+    trie = FailureTrie(k, ad.words)
+    rows: list[dict] = []
+    for u in trie.states:
+        targets = trie.delta[u * k:u * k + k]
+        rows.append({x: trie.state_of[t] for x, t in enumerate(targets) if t >= 0})
+    return trim(Dfa(k, rows, 0, range(len(rows))))
 
 
 # ---------------------------------------------------------------------------

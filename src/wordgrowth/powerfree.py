@@ -12,13 +12,14 @@ certified interval engine, the lower bound from rational bisection.
 Symmetry: the languages are stable under permuting letters, so the walk
 counts of their approximating automata factor through a quotient whose
 states are letter-canonical forbidden-word prefixes.  The quotient is
-built directly with relabeling-aware failure links and feeds the same
-interval engine through weighted edges.  The lower bound's condition,
-a unique cycle-carrying component of the full automaton, is decided on
-the quotient too: the full automaton has [S_k : K] such components over
-each cycle-carrying quotient component, K being generated by the letter
-permutations read around its cycles and by its states' stabilizers
-(``_lifted_components``).  The full automaton is built only without
+built directly by ``fad.FailureTrie`` in its letter-canonical frame,
+with relabeling-aware failure links and a breadth-first goto table, and
+feeds the same interval engine through weighted edges.  The lower
+bound's condition, a unique cycle-carrying component of the full
+automaton, is decided on the quotient too: the full automaton has
+[S_k : K] such components over each cycle-carrying quotient component,
+K being generated by the letter permutations read around its cycles and
+by its states' stabilizers (``_lifted_components``).  The full automaton is built only without
 symmetry (``--no-symmetry``), the path tests use as the oracle.
 """
 
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from wordgrowth.automaton import Dfa, tarjan_components
-from wordgrowth.fad import Antidictionary, fad_automaton, word_to_str
+from wordgrowth.fad import Antidictionary, FailureTrie, fad_automaton, word_to_str
 from wordgrowth.growth import (
     IndexInterval,
     _as_fraction,
@@ -120,10 +121,9 @@ class ExponentBound:
         else:
             a, b = s, "1"
         try:
-            num, den = int(a), int(b)
-        except ValueError:
+            frac = Fraction(int(a), int(b))
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad exponent token {token!r}") from None
-        frac = Fraction(num, den)
         return cls(frac.numerator, frac.denominator, plus)
 
     def __str__(self):
@@ -285,8 +285,11 @@ def free_roots(
     the scan is complete for them.  ``canonical`` restricts branching to
     the letter-canonical orbit representatives (first occurrences in
     increasing order).  ``budget`` caps the free words visited; one more
-    raises BudgetExceededError naming the largest period searched.
+    raises BudgetExceededError naming the largest period searched.  A
+    budget below 1 raises ValueError.
     """
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be at least 1")
     targets = set(periods)
     if not targets:
         return
@@ -357,6 +360,7 @@ def minimal_powers(
     cap: int,
     mode: str = "period",
     canonical: bool = False,
+    budget: Optional[int] = None,
 ) -> list:
     """All minimal bound-violating words with period (or excess) up to
     ``cap``, sorted by period then word.
@@ -365,142 +369,46 @@ def minimal_powers(
     for p, so generation walks the free roots of each target period and
     extends them periodically (``minimal_words``).  With ``canonical``
     only orbit representatives under letter permutation are produced.
+    ``budget`` caps the free words that one search over all the periods
+    visits, as in ``free_roots``.
     """
     if k < 1:
         raise ValueError("alphabet must have at least 1 letter")
     periods = _target_periods(bound, cap, mode)
-    return sorted(minimal_words(k, bound, periods, canonical))
+    return sorted(minimal_words(k, bound, periods, canonical, budget))
 
 
 # ---------------------------------------------------------------------------
 # letter-canonical quotient automaton
 
-_FRESH = -1
-
-
-class _QuotientTrie:
-    """Trie of letter-canonical forbidden words with relabeling-aware
-    failure links.
-
-    A full forbidden-prefix automaton is stable under letter
-    permutations; its orbits are the canonical prefixes stored here.
-    ``fsig[u]`` translates the letters of u's word into the frame of
-    ``fail[u]``'s word (the canonical form of the longest proper suffix
-    that is again a canonical prefix); letters that do not survive into
-    the suffix map to the fresh marker.  Following a failure chain while
-    composing these translations replays exactly what the full automaton
-    does on every member of the orbit at once.
-    """
-
-    __slots__ = ("children", "terminal", "nletters", "fail", "fsig", "order")
-
-    def __init__(self, words: Iterable[tuple]):
-        self.children: list[dict] = [dict()]
-        self.terminal: list[bool] = [False]
-        self.nletters: list[int] = [0]
-        self.fail: list[int] = [0]
-        self.fsig: list[tuple] = [()]
-        for w in words:
-            self._insert(w)
-        self.order = self._link()
-
-    def _insert(self, word: tuple) -> None:
-        node = 0
-        for x in word:
-            nl = self.nletters[node]
-            if x > nl:
-                raise ValueError("word is not letter-canonical")
-            nxt = self.children[node].get(x)
-            if nxt is None:
-                nxt = len(self.children)
-                self.children.append(dict())
-                self.terminal.append(False)
-                self.nletters.append(nl + 1 if x == nl else nl)
-                self.fail.append(0)
-                self.fsig.append(())
-                self.children[node][x] = nxt
-            node = nxt
-        self.terminal[node] = True
-
-    def _link(self) -> list:
-        order = [0]
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for x in sorted(self.children[u]):
-                c = self.children[u][x]
-                if not self.terminal[c]:
-                    order.append(c)
-                if u == 0:
-                    self.fail[c] = 0
-                    self.fsig[c] = (_FRESH,) * self.nletters[c]
-                    continue
-                # fail(ux) = goto(fail(u), x), carrying u's letters (and
-                # a fresh x) into the frame of the target
-                tr = list(self.fsig[u])
-                if x == self.nletters[u]:
-                    tr.append(_FRESH)
-                t = self.goto(self.fail[u], tr[x], tr, x)
-                if t is None:
-                    raise AssertionError(
-                        "failure chain hit a forbidden word; input set "
-                        "was not antifactorial"
-                    )
-                self.fail[c] = t
-                self.fsig[c] = tuple(tr)
-        return order
-
-    def goto(self, nd: int, y: int, tr: Optional[list] = None, r: int = 0):
-        """Target of reading y at node nd, or None when the move is
-        forbidden.  y is a letter of nd's frame, or _FRESH for a letter
-        outside it.
-
-        When ``tr`` is given, it lists letters of nd's frame (or _FRESH)
-        with ``tr[r] == y``, and is rewritten in place into the target's
-        frame: entries composed through ``fsig`` along the failure chain,
-        the read letter set to its name in the target.
-        """
-        while True:
-            key = y if y != _FRESH else self.nletters[nd]
-            t = self.children[nd].get(key)
-            if t is not None:
-                if self.terminal[t]:
-                    return None
-                if tr is not None:
-                    tr[r] = key
-                return t
-            if nd == 0:
-                return 0
-            sig = self.fsig[nd]
-            y = sig[y] if y != _FRESH else _FRESH
-            if tr is not None:
-                tr[:] = [sig[v] if v != _FRESH else _FRESH for v in tr]
-            nd = self.fail[nd]
+_FRESH = FailureTrie.FRESH
 
 
 def _quotient_graph(k: int, canonical_words: Iterable[tuple]):
-    """The quotient trie and the weighted adjacency of the
+    """The letter-canonical trie and the weighted adjacency of the
     letter-permutation quotient of the forbidden-prefix automaton.
 
-    State q is trie node ``trie.order[q]``; state 0 is the root.  An
-    existing-letter move has weight 1, the fresh-letter move carries the
-    number of unused concrete letters.
+    State q is trie node ``trie.states[q]``; state 0 is the root.  Its
+    moves are read off the trie's goto table.  An existing-letter move
+    has weight 1, the fresh-letter move carries the number of unused
+    concrete letters.
     Weighted walk counts from the root equal the word counts of the full
     language, so index and polynomial structure are preserved.
     """
-    trie = _QuotientTrie(canonical_words)
-    state_of = {node: i for i, node in enumerate(trie.order)}
-    adjacency: list[dict] = [dict() for _ in trie.order]
-    for node, q in state_of.items():
-        nl = trie.nletters[node]
+    trie = FailureTrie(k, canonical_words, canonical=True)
+    delta, state_of, nletters = trie.delta, trie.state_of, trie.nletters
+    adjacency: list[dict] = []
+    for u in trie.states:
+        nl = nletters[u]
+        base = u * k
+        row = {}
         for x in range(min(nl + 1, k)):
-            t = trie.goto(node, x if x < nl else _FRESH)
-            if t is None:
+            t = delta[base + x]
+            if t < 0:
                 continue
-            weight = 1 if x < nl else k - nl
             tq = state_of[t]
-            adjacency[q][tq] = adjacency[q].get(tq, 0) + weight
+            row[tq] = row.get(tq, 0) + (1 if x < nl else k - nl)
+        adjacency.append(row)
     return trie, adjacency
 
 
@@ -509,7 +417,7 @@ def _edge_voltage(tr: list, k: int) -> tuple:
     target frame to the source slot it came from.
 
     ``tr`` is the source slots' translation into the target frame, as
-    ``_QuotientTrie.goto`` leaves it.  Target letters outside the frame
+    ``FailureTrie.goto`` leaves it.  Target letters outside the frame
     take the unused slots in increasing order.
     """
     pi = [_FRESH] * k
@@ -530,7 +438,7 @@ def _cyclic_components(adjacency) -> list:
     ]
 
 
-def _lifted_components(trie: _QuotientTrie, k: int, comp) -> int:
+def _lifted_components(trie: FailureTrie, k: int, comp) -> int:
     """Number of cycle-carrying strongly connected components of the full
     automaton that lie over one cycle-carrying component C of the
     quotient built by ``_quotient_graph``, given by its states.
@@ -583,7 +491,7 @@ def _lifted_components(trie: _QuotientTrie, k: int, comp) -> int:
     a small part of C; otherwise it takes O(|C| k) permutation steps,
     plus the orbit closures.
     """
-    members = {trie.order[q] for q in comp}
+    members = {trie.states[q] for q in comp}
     nletters = trie.nletters
     u0 = min(members, key=nletters.__getitem__)
     identity = tuple(range(k))
@@ -618,7 +526,7 @@ def _lifted_components(trie: _QuotientTrie, k: int, comp) -> int:
             generate(tuple(g))
         for x in range(min(nl + 1, k)):
             tr = list(range(nl)) if x < nl else [*range(nl), _FRESH]
-            t = trie.goto(u, tr[x], tr, x)
+            t = trie.goto(u, tr, x)
             if t not in members:
                 continue
             pi = _edge_voltage(tr, k)
@@ -699,6 +607,7 @@ def approximation_bounds(
     delta=Fraction(1, 10**6),
     symmetry: bool = True,
     with_lower: bool = True,
+    budget: Optional[int] = None,
 ) -> PowerFreeBounds:
     """Certified upper and (when possible) lower bounds for the growth
     rate of L(k, bound) from the cap-limited regular approximation.
@@ -718,12 +627,13 @@ def approximation_bounds(
     ``_lifted_components``).  The full automaton is never built.  Without
     ``symmetry`` (the CLI's ``--no-symmetry``) the full automaton is
     built and its components are counted directly; tests use that path
-    as the oracle.
+    as the oracle.  ``budget`` is passed to ``minimal_powers`` and raises
+    BudgetExceededError when the minimal-power search outgrows it.
     """
     dfr = _as_fraction(delta)
     if dfr <= 0:
         raise ValueError("delta must be positive")
-    canon = minimal_powers(k, bound, cap, mode, canonical=True)
+    canon = minimal_powers(k, bound, cap, mode, canonical=True, budget=budget)
     canon_words = [mp.word for mp in canon]
     ad_size = sum(math.perm(k, 1 + max(w)) for w in canon_words)
 

@@ -1,13 +1,14 @@
 """Independent reference implementations used by the test suite.
 
 Everything here is deliberately naive: exhaustive enumeration, direct
-definitions, and exact symbolic root isolation.  None of it shares code
-with the library beyond the public data containers, so agreement is
-meaningful evidence.  The two exceptions are slow paths built from
-the library's public functions: ``per_slice_profile``, the growth
-profile from per-automaton calls, and ``trim_minimal_powers``, the
-minimal powers from a border-table root search and trim check
-(``suffixes_stay_free``, on ``minimal_periods_of_suffixes``).
+definitions, exact symbolic root isolation, and failure-chain walks.
+None of it shares code with the library beyond the public data
+containers, so agreement is meaningful evidence.  The two exceptions
+are slow paths built from the library's public functions:
+``per_slice_profile``, the growth profile from per-automaton calls, and
+``trim_minimal_powers``, the minimal powers from a border-table root
+search and trim check (``suffixes_stay_free``, on
+``minimal_periods_of_suffixes``).
 """
 
 import itertools
@@ -16,7 +17,8 @@ from math import lcm
 
 import sympy
 
-from wordgrowth.automaton import Dfa, imprimitivity, scc, trim
+from wordgrowth.automaton import Dfa, empty_dfa, imprimitivity, scc, trim
+from wordgrowth.fad import word_to_str
 from wordgrowth.growth import (
     GrowthReport,
     ResidueAsymptotics,
@@ -439,3 +441,254 @@ def per_slice_profile(dfa, delta: Fraction):
     return GrowthReport(
         cls, gr, pd, r, tuple(per_residue), oscillation_type(report), delta
     )
+
+
+# ---------------------------------------------------------------------------
+# failure-link tries, by chain walks
+#
+# The library builds the symmetry quotient, the forbidden-prefix automaton
+# and the antifactorial check from one trie with a breadth-first goto table
+# (``fad.FailureTrie``).  These are the earlier builders that walk the
+# failure chain for every move, kept as the reference.
+
+_FRESH = -1
+
+
+class _QuotientTrie:
+    """Trie of letter-canonical forbidden words with relabeling-aware
+    failure links.
+
+    A full forbidden-prefix automaton is stable under letter
+    permutations; its orbits are the canonical prefixes stored here.
+    ``fsig[u]`` translates the letters of u's word into the frame of
+    ``fail[u]``'s word (the canonical form of the longest proper suffix
+    that is again a canonical prefix); letters that do not survive into
+    the suffix map to the fresh marker.  Following a failure chain while
+    composing these translations replays exactly what the full automaton
+    does on every member of the orbit at once.
+    """
+
+    __slots__ = ("children", "terminal", "nletters", "fail", "fsig", "order")
+
+    def __init__(self, words):
+        self.children: list[dict] = [dict()]
+        self.terminal: list[bool] = [False]
+        self.nletters: list[int] = [0]
+        self.fail: list[int] = [0]
+        self.fsig: list[tuple] = [()]
+        for w in words:
+            self._insert(w)
+        self.order = self._link()
+
+    def _insert(self, word: tuple) -> None:
+        node = 0
+        for x in word:
+            nl = self.nletters[node]
+            if x > nl:
+                raise ValueError("word is not letter-canonical")
+            nxt = self.children[node].get(x)
+            if nxt is None:
+                nxt = len(self.children)
+                self.children.append(dict())
+                self.terminal.append(False)
+                self.nletters.append(nl + 1 if x == nl else nl)
+                self.fail.append(0)
+                self.fsig.append(())
+                self.children[node][x] = nxt
+            node = nxt
+        self.terminal[node] = True
+
+    def _link(self) -> list:
+        order = [0]
+        head = 0
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for x in sorted(self.children[u]):
+                c = self.children[u][x]
+                if not self.terminal[c]:
+                    order.append(c)
+                if u == 0:
+                    self.fail[c] = 0
+                    self.fsig[c] = (_FRESH,) * self.nletters[c]
+                    continue
+                # fail(ux) = goto(fail(u), x), carrying u's letters (and
+                # a fresh x) into the frame of the target
+                tr = list(self.fsig[u])
+                if x == self.nletters[u]:
+                    tr.append(_FRESH)
+                t = self.goto(self.fail[u], tr[x], tr, x)
+                if t is None:
+                    raise AssertionError(
+                        "failure chain hit a forbidden word; input set "
+                        "was not antifactorial"
+                    )
+                self.fail[c] = t
+                self.fsig[c] = tuple(tr)
+        return order
+
+    def goto(self, nd: int, y: int, tr=None, r: int = 0):
+        """Target of reading y at node nd, or None when the move is
+        forbidden.  y is a letter of nd's frame, or _FRESH for a letter
+        outside it.
+
+        When ``tr`` is given, it lists letters of nd's frame (or _FRESH)
+        with ``tr[r] == y``, and is rewritten in place into the target's
+        frame: entries composed through ``fsig`` along the failure chain,
+        the read letter set to its name in the target.
+        """
+        while True:
+            key = y if y != _FRESH else self.nletters[nd]
+            t = self.children[nd].get(key)
+            if t is not None:
+                if self.terminal[t]:
+                    return None
+                if tr is not None:
+                    tr[r] = key
+                return t
+            if nd == 0:
+                return 0
+            sig = self.fsig[nd]
+            y = sig[y] if y != _FRESH else _FRESH
+            if tr is not None:
+                tr[:] = [sig[v] if v != _FRESH else _FRESH for v in tr]
+            nd = self.fail[nd]
+
+
+def chain_walk_quotient_graph(k: int, canonical_words):
+    """The quotient trie and the weighted adjacency of the
+    letter-permutation quotient of the forbidden-prefix automaton.
+
+    State q is trie node ``trie.order[q]``; state 0 is the root.  An
+    existing-letter move has weight 1, the fresh-letter move carries the
+    number of unused concrete letters.
+    Weighted walk counts from the root equal the word counts of the full
+    language, so index and polynomial structure are preserved.
+    """
+    trie = _QuotientTrie(canonical_words)
+    state_of = {node: i for i, node in enumerate(trie.order)}
+    adjacency: list[dict] = [dict() for _ in trie.order]
+    for node, q in state_of.items():
+        nl = trie.nletters[node]
+        for x in range(min(nl + 1, k)):
+            t = trie.goto(node, x if x < nl else _FRESH)
+            if t is None:
+                continue
+            weight = 1 if x < nl else k - nl
+            tq = state_of[t]
+            adjacency[q][tq] = adjacency[q].get(tq, 0) + weight
+    return trie, adjacency
+
+
+class _Trie:
+    """Word trie with failure links; shared by validation and automata."""
+
+    __slots__ = ("children", "terminal", "fail", "term_link")
+
+    def __init__(self):
+        self.children: list[dict] = [dict()]
+        self.terminal: list[bool] = [False]
+        self.fail: list[int] = [0]
+        self.term_link: list[int] = [-1]
+
+    def insert(self, word: tuple) -> None:
+        node = 0
+        for x in word:
+            nxt = self.children[node].get(x)
+            if nxt is None:
+                nxt = len(self.children)
+                self.children.append(dict())
+                self.terminal.append(False)
+                self.fail.append(0)
+                self.term_link.append(-1)
+                self.children[node][x] = nxt
+            node = nxt
+        self.terminal[node] = True
+
+    def build_links(self) -> list:
+        """Breadth-first failure and nearest-terminal links; returns the
+        BFS order."""
+        order = [0]
+        head = 0
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for x in sorted(self.children[u]):
+                v = self.children[u][x]
+                if u == 0:
+                    f = 0
+                else:
+                    f = self.fail[u]
+                    while f and x not in self.children[f]:
+                        f = self.fail[f]
+                    f = self.children[f].get(x, 0)
+                self.fail[v] = f
+                self.term_link[v] = f if self.terminal[f] else self.term_link[f]
+                order.append(v)
+        return order
+
+    def scan_step(self, node: int, x: int) -> int:
+        while node and x not in self.children[node]:
+            node = self.fail[node]
+        return self.children[node].get(x, 0)
+
+
+def trie_check_antifactorial(normalized) -> None:
+    """``Antidictionary``'s antifactorial check on its sorted, deduplicated
+    word list: raises ValueError naming the first word that contains
+    another."""
+    words = [w for w in normalized if w]
+    if not words:
+        return
+    trie = _Trie()
+    terminal_of = {}
+    for w in words:
+        trie.insert(w)
+    for w in words:
+        node = 0
+        for x in w:
+            node = trie.children[node][x]
+        terminal_of[w] = node
+    trie.build_links()
+    for w in words:
+        node = 0
+        for i, x in enumerate(w):
+            node = trie.scan_step(node, x)
+            hit = node if trie.terminal[node] else trie.term_link[node]
+            if i == len(w) - 1 and hit == terminal_of[w]:
+                # w's own match is fine; a shorter suffix match is not
+                hit = trie.term_link[hit]
+            if hit != -1:
+                raise ValueError(
+                    f"not antifactorial: a forbidden word occurs inside {word_to_str(w)}"
+                )
+
+
+def trie_fad_automaton(ad) -> Dfa:
+    """Automaton of the factorial language avoiding ``ad``.
+
+    States are the proper prefixes of the forbidden words; reading a
+    letter follows the trie when possible and otherwise the longest
+    matching suffix.  A move whose longest matching suffix is a
+    forbidden word is dropped, so the automaton is partial.  All states
+    accept.
+    """
+    k = ad.alphabet_size
+    if () in ad.words:
+        return empty_dfa(k)
+    trie = _Trie()
+    for w in ad.words:
+        trie.insert(w)
+    order = trie.build_links()
+    state_of = {}
+    for node in order:
+        if not trie.terminal[node]:
+            state_of[node] = len(state_of)
+    n = len(state_of)
+    rows: list[dict] = [dict() for _ in range(n)]
+    for node, q in state_of.items():
+        for x in range(k):
+            t = trie.scan_step(node, x)
+            if not trie.terminal[t]:
+                rows[q][x] = state_of[t]
+    return trim(Dfa(k, rows, 0, range(n)))

@@ -164,6 +164,26 @@ def test_powerfree_rejects_bad_arguments(runner):
     assert runner.invoke(main, ["--delta", "nope", "powerfree", "2", "3", "--cap", "4"]).exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["powerfree", "2", "3/0", "--cap", "3"],
+        ["root", "3", "3/0", "--n-max", "3"],
+        ["scan", "2", "3/0", "--p-max", "5"],
+    ],
+)
+def test_zero_denominator_is_a_clean_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "Error: bad exponent token '3/0'" in result.output
+
+
+def test_powerfree_budget_failure(runner):
+    result = runner.invoke(main, ["--budget", "10", "powerfree", "3", "2", "--cap", "24"])
+    assert result.exit_code == 1
+    assert "budget of 10 candidate roots exhausted at period 24" in result.output
+
+
 def test_powerfree_no_symmetry_agrees(runner):
     fast = json.loads(run(runner, ["--format", "json", "powerfree", "2", "3", "--cap", "5"]))
     slow = json.loads(run(runner, [
@@ -214,6 +234,21 @@ def test_root_budget_failure(runner):
     result = runner.invoke(main, ["--budget", "10", "root", "3", "2", "--n-max", "19"])
     assert result.exit_code == 1
     assert "budget of 10 candidate roots exhausted at period 3" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--budget", "-5", "root", "3", "2", "--n-max", "3"],
+        ["--budget", "0", "root", "3", "2", "--n-max", "3"],
+        ["--budget", "0", "scan", "2", "5/2", "--p-max", "8"],
+        ["--budget", "-5", "scan", "2", "5/2", "--p-max", "8"],
+    ],
+)
+def test_budget_below_one_is_rejected(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "Error: budget must be at least 1" in result.output
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

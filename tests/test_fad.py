@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import builders
 from oracles import (
@@ -11,6 +13,8 @@ from oracles import (
     staircase_factors,
     theta_pow,
     thue_morse_prefix,
+    trie_check_antifactorial,
+    trie_fad_automaton,
 )
 from wordgrowth.automaton import Dfa, DfaFormatError, scc, trim
 from wordgrowth.fad import (
@@ -127,6 +131,53 @@ def test_fad_accepts_iff_no_forbidden_factor(fad_corpus):
         for n in range(depth + 1):
             for w in itertools.product(range(k), repeat=n):
                 assert d.accepts(w) == (not contains_factor(w, a.words))
+
+
+def test_fad_matches_chain_walk_oracle(fad_corpus):
+    corpus = fad_corpus + [tm_antidictionary(i) for i in range(-1, 4)]
+    corpus += [Antidictionary(3, []), Antidictionary(2, [()])]
+    for a in corpus:
+        assert fad_automaton(a) == trie_fad_automaton(a), a
+
+
+word_sets = st.integers(1, 3).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=7).map(tuple),
+                 max_size=12),
+    )
+)
+
+
+@given(word_sets)
+@settings(max_examples=300, deadline=None)
+def test_fad_matches_chain_walk_oracle_on_random_sets(case):
+    # keep the shortest words that contain no kept word, an antifactorial set
+    k, words = case
+    kept = []
+    for w in sorted(set(words), key=lambda w: (len(w), w)):
+        if not contains_factor(w, kept):
+            kept.append(w)
+    a = Antidictionary(k, kept)
+    assert fad_automaton(a) == trie_fad_automaton(a)
+
+
+def antifactorial_error(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(word_sets)
+@settings(max_examples=400, deadline=None)
+def test_antifactorial_check_matches_chain_walk_oracle(case):
+    # same decision, and the same first offending word in the message
+    k, words = case
+    normalized = sorted(set(words), key=lambda w: (len(w), w))
+    expected = antifactorial_error(trie_check_antifactorial, normalized)
+    assert antifactorial_error(Antidictionary, k, words) == expected
 
 
 # ---------------------------------------------------------------------------

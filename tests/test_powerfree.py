@@ -11,23 +11,27 @@ from hypothesis import strategies as st
 from oracles import (
     brute_minimal_powers_by_length,
     brute_minimal_powers_by_period,
+    chain_walk_quotient_graph,
     naive_exponent,
     naive_min_period,
     naive_violates,
     suffixes_stay_free,
     thue_morse_prefix,
+    trie_fad_automaton,
     trim_minimal_powers,
 )
 from wordgrowth import powerfree
 from wordgrowth.automaton import scc
 from wordgrowth.fad import Antidictionary, parse_word
 from wordgrowth.powerfree import (
+    BudgetExceededError,
     ExponentBound,
     FiniteApproximationError,
     NoLowerBoundError,
     approximation_bounds,
     asymptotic_formula,
     exponent,
+    free_roots,
     is_free,
     lower_bound,
     minimal_period,
@@ -37,7 +41,6 @@ from wordgrowth.powerfree import (
 )
 from wordgrowth.powerfree import (
     _cyclic_components,
-    _full_automaton,
     _lifted_components,
     _quotient_graph,
 )
@@ -70,6 +73,12 @@ def test_bound_value_and_normalization():
 @pytest.mark.parametrize("token", ["1", "abc", "0/3", "3/3", "1/2", ""])
 def test_bound_rejects_tokens_at_or_below_one(token):
     with pytest.raises(ValueError):
+        B(token)
+
+
+@pytest.mark.parametrize("token", ["3/0", "0/0", "5/0+"])
+def test_bound_rejects_zero_denominator(token):
+    with pytest.raises(ValueError, match="bad exponent token"):
         B(token)
 
 
@@ -282,6 +291,34 @@ def test_is_free_windows_match_border_table(w, token, m):
     assert is_free(w, bound, max_factor=m) == border
 
 
+def test_root_search_budget_is_exact():
+    # the search visits 19 free words at (3, 2, cap 6): a budget of 19
+    # is enough, 18 is not, and the error names the largest period
+    bound = B("2")
+    visited = sum(1 for _ in free_roots(3, bound, range(1, 7), canonical=True))
+    assert visited == 19
+    full = minimal_powers(3, bound, 6, canonical=True)
+    assert minimal_powers(3, bound, 6, canonical=True, budget=visited) == full
+    with pytest.raises(BudgetExceededError) as info:
+        minimal_powers(3, bound, 6, canonical=True, budget=visited - 1)
+    assert info.value.period == 6 and info.value.budget == visited - 1
+
+
+def test_budgets_below_one_are_rejected():
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            list(free_roots(3, B("2"), [3], budget=budget))
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            minimal_powers(3, B("2"), 3, budget=budget)
+
+
+def test_bounds_honour_the_budget():
+    with pytest.raises(BudgetExceededError, match="budget of 10 candidate roots"):
+        approximation_bounds(3, B("2"), 24, budget=10)
+    unbounded = approximation_bounds(2, B("3"), 8)
+    assert approximation_bounds(2, B("3"), 8, budget=10**6) == unbounded
+
+
 def test_minimal_powers_match_brute_by_length():
     brute = brute_minimal_powers_by_length(2, Fraction(2), False, 10)
     assert sorted(brute) == sorted(words_of(minimal_powers(2, B("2"), 2)))
@@ -431,7 +468,10 @@ def quotient_cycle_components(k, words):
 
 
 def full_cycle_components(k, words):
-    return len(scc(_full_automaton(k, words)).nontrivial)
+    """Cycle-carrying components of the full automaton, built by the
+    chain-walk oracle, which shares no trie with the quotient."""
+    full_words = [w for cw in words for w in orbit(cw, k)]
+    return len(scc(trie_fad_automaton(Antidictionary(k, full_words))).nontrivial)
 
 
 GRID_BOUNDS = ["2", "3", "5/2", "7/3", "2+", "7/3+", "3/2", "5/3", "7/4"]
@@ -449,6 +489,57 @@ def grid_cases(k):
                 top = 7
             for cap in range(1, top + 1):
                 yield bound, mode, cap
+
+
+def assert_quotient_matches_chain_walk(k, words, case):
+    trie, adjacency = _quotient_graph(k, words)
+    oracle_trie, expected = chain_walk_quotient_graph(k, words)
+    assert adjacency == expected, case
+    # the same insertion order too: Tarjan and the engine read rows in order
+    assert [list(row) for row in adjacency] == [list(row) for row in expected], case
+    assert [trie.nletters[u] for u in trie.states] == [
+        oracle_trie.nletters[u] for u in oracle_trie.order
+    ], case
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_quotient_matches_chain_walk_oracle(k):
+    for bound, mode, cap in grid_cases(k):
+        words = [mp.word for mp in minimal_powers(k, bound, cap, mode, canonical=True)]
+        assert_quotient_matches_chain_walk(k, words, (k, str(bound), mode, cap))
+
+
+@pytest.mark.parametrize(
+    "k,token,cap", [(2, "3", 17), (3, "2", 24), (3, "7/3", 9), (4, "2", 10)]
+)
+def test_quotient_matches_chain_walk_oracle_long_chains(k, token, cap):
+    words = [mp.word for mp in minimal_powers(k, B(token), cap, canonical=True)]
+    assert_quotient_matches_chain_walk(k, words, (k, token, cap))
+
+
+@st.composite
+def canonical_antidictionaries(draw):
+    """Letter-canonical representatives of a random permutation-closed
+    antifactorial set: the orbits of random words, minus every word that
+    contains a shorter kept one."""
+    k = draw(st.integers(1, 4))
+    words = draw(st.lists(
+        st.lists(st.integers(0, k - 1), min_size=1, max_size=8).map(tuple), max_size=10
+    ))
+    kept = []
+    for w in sorted(set().union(*(orbit(w, k) for w in words)), key=lambda w: (len(w), w)):
+        if not any(v == w[i:i + len(v)] for v in kept for i in range(len(w))):
+            kept.append(w)
+    return k, sorted({canonical_form(w) for w in kept})
+
+
+@given(canonical_antidictionaries())
+@settings(max_examples=300, deadline=None)
+def test_quotient_matches_chain_walk_oracle_on_random_sets(case):
+    # unlike minimal powers, these sets have links that are not the
+    # child of the parent's link, so the translating walk runs too
+    k, words = case
+    assert_quotient_matches_chain_walk(k, words, case)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
