@@ -220,10 +220,12 @@ class Antidictionary:
 
     Construction fails if any word is a factor of another (duplicates
     are collapsed first).  The empty word is only allowed alone, where
-    it forbids everything.
+    it forbids everything.  ``trie`` is the identity-frame
+    ``FailureTrie`` of the nonempty words, built once for the check and
+    read again by ``fad_automaton``.
     """
 
-    __slots__ = ("alphabet_size", "words")
+    __slots__ = ("alphabet_size", "words", "trie")
 
     def __init__(self, alphabet_size: int, words: Iterable[Word]):
         if alphabet_size < 1:
@@ -237,19 +239,16 @@ class Antidictionary:
             raise ValueError("empty word subsumes every other forbidden word")
         self.alphabet_size = alphabet_size
         self.words = tuple(normalized)
+        self.trie = FailureTrie(alphabet_size, [w for w in self.words if w])
         self._check_antifactorial()
 
     def _check_antifactorial(self) -> None:
-        words = [w for w in self.words if w]
-        if not words:
-            return
-        k = self.alphabet_size
-        trie = FailureTrie(k, words)
+        k, trie = self.alphabet_size, self.trie
         # ends[u]: some suffix of u's word, its whole word included, is forbidden
         ends = bytearray(trie.terminal)
         for u in trie.states:
             ends[u] = ends[trie.fail[u]]
-        for w in words:
+        for w in self.words:
             path = [0]
             for x in w:
                 path.append(trie.children[path[-1] * k + x])
@@ -286,7 +285,7 @@ def fad_automaton(ad: Antidictionary) -> Dfa:
     k = ad.alphabet_size
     if () in ad.words:
         return empty_dfa(k)
-    trie = FailureTrie(k, ad.words)
+    trie = ad.trie
     rows: list[dict] = []
     for u in trie.states:
         targets = trie.delta[u * k:u * k + k]

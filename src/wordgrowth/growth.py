@@ -8,7 +8,7 @@ positive vector v,
     min_i (Av)_i / v_i  <=  index(A)  <=  max_i (Av)_i / v_i.
 
 Any positive v gives rigorous two-sided bounds; a good v makes them
-tight.  The engine finds good vectors fast in floating point and then
+tight.  A numpy-only float pass finds good vectors fast, and the engine
 evaluates the bounds exactly over integers, so the emitted interval is a
 certificate regardless of how the vector was produced.  On a strongly
 connected component the iteration v <- (A+I)v tightens the bounds to any
@@ -25,7 +25,6 @@ from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from wordgrowth.automaton import (
     Dfa,
@@ -93,46 +92,46 @@ def _exact_bounds(rows, v):
 
     ``rows[i]`` lists (j, weight) pairs.  Every row is nonempty inside a
     nontrivial strongly connected component, which keeps lo >= 0 finite.
+    A ratio s / v_i is kept as the pair (s, v_i), pairs are compared by
+    cross-multiplication, and only the two extremes become ``Fraction``s.
     """
-    lo = hi = None
+    lo_s, lo_v, hi_s, hi_v = 1, 0, 0, 1  # 1/0 above every ratio, 0/1 below: sums are >= 1
     for i, row in enumerate(rows):
         s = 0
         for j, w in row:
             s += w * v[j]
-        r = Fraction(s, v[i])
-        if lo is None or r < lo:
-            lo = r
-        if hi is None or r > hi:
-            hi = r
-    return lo, hi
+        vi = v[i]
+        if s * lo_v < lo_s * vi:
+            lo_s, lo_v = s, vi
+        if s * hi_v > hi_s * vi:
+            hi_s, hi_v = s, vi
+    return Fraction(lo_s, lo_v), Fraction(hi_s, hi_v)
 
 
 def _float_vector(rows, n, max_iters):
     """Floating-point power iteration with (A+I); returns v or None.
 
     Only a convergence accelerator: nothing it returns is trusted
-    without the exact pass that follows.
+    without the exact pass that follows.  The product adds each row's
+    terms in index order, as a CSR kernel does: another order moves the
+    vector's last bits, and with them the certified intervals.
     """
-    data, indices, indptr = [], [], [0]
-    for row in rows:
-        for j, w in row:
-            indices.append(j)
-            data.append(float(w))
-        indptr.append(len(indices))
-    a = csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(n, n),
-    )
+    row = np.repeat(np.arange(n), [len(r) for r in rows])
+    col, weight = np.array([e for r in rows for e in r]).T
+
+    def product(v):
+        return np.bincount(row, weights=weight * v[col], minlength=n)
+
     v = np.ones(n)
     prev_gap = None
     for it in range(max_iters):
-        v = a @ v + v
+        v = product(v) + v
         m = v.max()
         if not np.isfinite(m) or m <= 0:
             return None
         v /= m
         if it % 32 == 31:
-            ratios = (a @ v) / v
+            ratios = product(v) / v
             gap = float(ratios.max() - ratios.min())
             if gap < 1e-14:
                 break

@@ -116,15 +116,13 @@ class ExponentBound:
         plus = s.endswith("+")
         if plus:
             s = s[:-1]
-        if "/" in s:
-            a, _, b = s.partition("/")
-        else:
-            a, b = s, "1"
-        try:
-            frac = Fraction(int(a), int(b))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad exponent token {token!r}") from None
-        return cls(frac.numerator, frac.denominator, plus)
+        a, slash, b = s.partition("/")
+        if not slash:
+            b = "1"
+        # unsigned digits only: int() would accept signs, and two of them cancel
+        if not all(x.isascii() and x.isdigit() for x in (a, b)) or int(b) == 0:
+            raise ValueError(f"bad exponent token {token!r}")
+        return cls(int(a), int(b), plus)
 
     def __str__(self):
         body = str(self.num) if self.den == 1 else f"{self.num}/{self.den}"

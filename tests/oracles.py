@@ -15,6 +15,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import sympy
 
 from wordgrowth.automaton import Dfa, empty_dfa, imprimitivity, scc, trim
@@ -441,6 +442,61 @@ def per_slice_profile(dfa, delta: Fraction):
     return GrowthReport(
         cls, gr, pd, r, tuple(per_residue), oscillation_type(report), delta
     )
+
+
+# ---------------------------------------------------------------------------
+# certified index engine
+#
+# The library's engine compares row ratios by cross-multiplication and
+# takes its float product from ``np.bincount``.  These are the earlier
+# versions, kept as the reference.
+
+
+def fraction_exact_bounds(rows, v):
+    """Exact min/max of (Av)_i / v_i, one ``Fraction`` per row."""
+    lo = hi = None
+    for i, row in enumerate(rows):
+        s = 0
+        for j, w in row:
+            s += w * v[j]
+        r = Fraction(s, v[i])
+        if lo is None or r < lo:
+            lo = r
+        if hi is None or r > hi:
+            hi = r
+    return lo, hi
+
+
+def row_sum_float_vector(rows, n, max_iters):
+    """Floating-point power iteration with (A+I), its product a plain
+    float sum of each row's terms in index order."""
+
+    def product(v):
+        out = np.zeros(n)
+        for i, row in enumerate(rows):
+            s = 0.0
+            for j, w in row:
+                s += float(w) * v[j]
+            out[i] = s
+        return out
+
+    v = np.ones(n)
+    prev_gap = None
+    for it in range(max_iters):
+        v = product(v) + v
+        m = v.max()
+        if not np.isfinite(m) or m <= 0:
+            return None
+        v /= m
+        if it % 32 == 31:
+            ratios = product(v) / v
+            gap = float(ratios.max() - ratios.min())
+            if gap < 1e-14:
+                break
+            if prev_gap is not None and gap >= prev_gap * 0.999:
+                break
+            prev_gap = gap
+    return v
 
 
 # ---------------------------------------------------------------------------

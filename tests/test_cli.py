@@ -1,11 +1,15 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 import builders
+import wordgrowth
 from wordgrowth.automaton import format_dfa, parse_dfa
 from wordgrowth.cli import main
 
@@ -176,6 +180,30 @@ def test_zero_denominator_is_a_clean_error(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert "Error: bad exponent token '3/0'" in result.output
+
+
+def test_signed_exponent_is_a_clean_error(runner):
+    result = runner.invoke(main, ["powerfree", "2", "--cap", "3", "--", "-3/-2"])
+    assert result.exit_code == 1
+    assert "Error: bad exponent token '-3/-2'" in result.output
+
+
+def test_cli_import_loads_no_scipy():
+    # the index engine runs on numpy alone
+    src = os.path.dirname(os.path.dirname(wordgrowth.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, wordgrowth.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_powerfree_budget_failure(runner):

@@ -16,6 +16,7 @@ from oracles import (
     trie_check_antifactorial,
     trie_fad_automaton,
 )
+from wordgrowth import fad
 from wordgrowth.automaton import Dfa, DfaFormatError, scc, trim
 from wordgrowth.fad import (
     Antidictionary,
@@ -138,6 +139,22 @@ def test_fad_matches_chain_walk_oracle(fad_corpus):
     corpus += [Antidictionary(3, []), Antidictionary(2, [()])]
     for a in corpus:
         assert fad_automaton(a) == trie_fad_automaton(a), a
+
+
+def test_fad_automaton_builds_one_trie(monkeypatch, fad_corpus):
+    # the antifactorial check and the automaton share the identity-frame trie
+    built = []
+
+    class CountingTrie(fad.FailureTrie):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fad, "FailureTrie", CountingTrie)
+    for a in fad_corpus + [tm_antidictionary(2)]:
+        built.clear()
+        fad_automaton(Antidictionary(a.alphabet_size, a.words))
+        assert len(built) == 1, a
 
 
 word_sets = st.integers(1, 3).flatmap(

@@ -4,13 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import builders
 from oracles import (
     brute_count,
     dfa_adjacency_rows,
+    fraction_exact_bounds,
     interval_contains,
     per_slice_profile,
+    row_sum_float_vector,
     spectral_radius_root,
 )
 from wordgrowth import growth
@@ -150,6 +154,44 @@ def test_exact_continuation_certifies_thue_morse(monkeypatch):
     assert iv.hi - iv.lo <= 2 * delta
     # the level-3 rate is phi^(1/16); phi is the positive root of x^2 - x - 1
     assert contains_root_of(iv.lo**16, iv.hi**16, 1, -1, -1)
+
+
+@st.composite
+def component_rows(draw, max_n=9, max_weight=5):
+    """Local rows as the engine gets them: every row nonempty, targets
+    increasing."""
+    n = draw(st.integers(1, max_n))
+    targets = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    weight = st.integers(1, max_weight)
+    return [[(j, draw(weight)) for j in sorted(draw(targets))] for _ in range(n)]
+
+
+@st.composite
+def rows_and_vector(draw):
+    rows = draw(component_rows())
+    # small entries give tied ratios; 2^53-scale ones are what the float
+    # pass hands over
+    entry = st.one_of(
+        st.integers(1, 3), st.integers(2**53 - 4, 2**53 + 4), st.integers(1, 2**60)
+    )
+    return rows, draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+
+
+@given(rows_and_vector())
+@settings(max_examples=300, deadline=None)
+def test_exact_bounds_match_fraction_oracle(case):
+    rows, v = case
+    lo, hi = growth._exact_bounds(rows, v)
+    assert (lo, hi) == fraction_exact_bounds(rows, v)
+    assert type(lo) is type(hi) is Fraction
+
+
+@given(component_rows())
+@settings(max_examples=150, deadline=None)
+def test_float_vector_matches_row_sum_oracle_bit_for_bit(rows):
+    fast = growth._float_vector(rows, len(rows), max_iters=200)
+    slow = row_sum_float_vector(rows, len(rows), max_iters=200)
+    assert fast.tobytes() == slow.tobytes()
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 100), Fraction(1, 10**9)])

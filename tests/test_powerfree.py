@@ -82,6 +82,13 @@ def test_bound_rejects_zero_denominator(token):
         B(token)
 
 
+@pytest.mark.parametrize("token", ["-3/-2", "3/-2", "-3", "+5/2"])
+def test_bound_rejects_signs(token):
+    # int() accepts signs, and Fraction(-3, -2) would cancel two of them
+    with pytest.raises(ValueError, match="bad exponent token"):
+        B(token)
+
+
 # ---------------------------------------------------------------------------
 # exponents of words
 
