@@ -1,20 +1,18 @@
-"""Square-free circular words and period existence scans.
+"""Square-free circular words, root tables and period existence scans.
 
 A circular word is a word up to rotation; it is square-free when no
 factor of length up to the word's own length, read around the circle,
 is a square.  Circular square-free words of length n are exactly the
-roots of the minimal squares of period n.  Enumeration, root tables and
-period scans therefore all read the minimal words of one period from
-``powerfree.minimal_words``, whose budget error ``BudgetExceededError``
-is re-exported here; ``circular_is_square_free`` checks the circular
-definition directly.
-"""
+roots of the minimal squares of period n.  Everything here reads
+minimal words from ``powerfree.minimal_words``, whose budget error
+``BudgetExceededError`` is re-exported: enumeration searches one
+period, while a root table and a period scan each run one search over
+all their periods, the scan dropping a period at its first witness.
+``circular_is_square_free`` checks the circular definition directly."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Optional
 
 from wordgrowth.fad import word_to_str
@@ -29,6 +27,7 @@ __all__ = [
     "least_rotation",
     "minimal_roots",
     "root_complexity",
+    "root_table",
 ]
 
 
@@ -59,6 +58,8 @@ class CircularWord:
         return hash(self.representative)
 
     def __lt__(self, other):
+        if not isinstance(other, CircularWord):
+            return NotImplemented
         return (len(self.representative), self.representative) < (
             len(other.representative),
             other.representative,
@@ -135,41 +136,32 @@ def minimal_roots(k: int, bound: ExponentBound, n: int, budget: Optional[int] = 
     return sorted(mp.word[:n] for mp in minimal_words(k, bound, [n], budget=budget))
 
 
+def root_table(k: int, bound: ExponentBound, n_max: int, budget: Optional[int] = None) -> list:
+    """Root complexities for n = 1..n_max, in order, from one search.
+
+    The root complexity of n counts the minimal bound-violating words of
+    period exactly n with roots up to rotation.  Conjugate roots describe
+    one cyclic object, so each class of roots equivalent under rotation
+    and renaming contributes the number of distinct letter assignments
+    of one representative, k!/(k-used)!: a lone one-letter class counts
+    k, a lone class using all letters counts k!.  Renaming a root to
+    first-occurrence form keeps it minimal and in its class, so the
+    letter-canonical roots meet every class.  ``budget`` caps the free
+    words the search visits; one more raises BudgetExceededError naming
+    n_max.
+    """
+    if n_max < 1:
+        raise ValueError("period must be at least 1")
+    classes = [set() for _ in range(n_max)]
+    for mp in minimal_words(k, bound, range(1, n_max + 1), canonical=True, budget=budget):
+        classes[mp.period - 1].add(_rotation_renaming_key(mp.word[:mp.period]))
+    return [sum(math.perm(k, 1 + max(key)) for key in keys) for keys in classes]
+
+
 def root_complexity(k: int, bound: ExponentBound, n: int, budget: Optional[int] = None) -> int:
-    """Number of minimal bound-violating words of period exactly n,
-    with roots counted up to rotation.
-
-    Conjugate roots describe one cyclic object, so each class of roots
-    equivalent under rotation and renaming contributes the number of
-    distinct letter assignments of one representative, k!/(k-used)!.
-    A lone one-letter class therefore counts k, a lone class using all
-    letters counts k!.  ``budget`` is passed to ``minimal_roots``.
-    """
-    classes = {_rotation_renaming_key(root) for root in minimal_roots(k, bound, n, budget)}
-    return sum(math.perm(k, 1 + max(key)) for key in classes)
-
-
-def _scan_one(args) -> tuple:
-    """(period, permitted, exhausted) for one period of a scan.
-
-    A period is permitted when a minimal word of that period exists;
-    canonical roots suffice (permuting letters preserves minimality),
-    and the search stops at the first witness.
-    """
-    k, bound, p, budget = args
-    try:
-        witness = next(minimal_words(k, bound, [p], canonical=True, budget=budget), None)
-    except BudgetExceededError:
-        return p, False, True
-    return p, witness is not None, False
-
-
-def _scan_workers(threads: int, p_max: int) -> int:
-    """Worker processes for a scan: the request, capped by the number of
-    periods and of CPUs.  Raises ValueError below 1."""
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-    return min(threads, p_max, os.cpu_count() or 1)
+    """The root complexity of n alone, ``root_table(...)[n - 1]``: its
+    search visits the same words as one for period n only."""
+    return root_table(k, bound, n, budget)[n - 1]
 
 
 def forbidden_period_scan(
@@ -177,32 +169,21 @@ def forbidden_period_scan(
     bound: ExponentBound,
     p_max: int,
     budget: int = 20_000_000,
-    threads: int = 1,
 ) -> set:
     """Periods up to p_max admitting no minimal bound-violating word.
 
-    Each period gets its own allowance of ``budget`` candidate roots; a
-    period that exhausts it raises BudgetExceededError naming the first
-    period that could not be settled.  ``threads`` > 1 distributes
-    periods over processes, at most one per period and per CPU; results
-    are merged deterministically.  ``threads`` below 1 raises ValueError.
+    One letter-canonical search covers every period (permuting letters
+    preserves minimality); a period leaves its targets at its first
+    minimal word, and the search stops when none is left.  ``budget``
+    caps the free words it visits; one more raises BudgetExceededError
+    naming the smallest period still open.
     """
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    workers = _scan_workers(threads, p_max)
-    jobs = [(k, bound, p, budget) for p in range(1, p_max + 1)]
-    results = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for p, permitted, exhausted in pool.map(_scan_one, jobs):
-                results[p] = (permitted, exhausted)
-    else:
-        for job in jobs:
-            p, permitted, exhausted = _scan_one(job)
-            results[p] = (permitted, exhausted)
-    for p in range(1, p_max + 1):
-        if results[p][1]:
-            raise BudgetExceededError(p, budget)
-    return {p for p in range(1, p_max + 1) if not results[p][0]}
+    open_periods = set(range(1, p_max + 1))
+    try:
+        for mp in minimal_words(k, bound, open_periods, canonical=True, budget=budget):
+            open_periods.discard(mp.period)
+    except BudgetExceededError:
+        raise BudgetExceededError(min(open_periods), budget) from None
+    return open_periods

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 One subcommand per analysis; global options pick the certified interval
-half-width, output format, search budget, thread count, and whether the
+half-width, output format, search budget, and whether the
 letter-symmetry quotient is used.  All numeric output is rounded
 outward, so printed intervals always contain the certified ones.
 """
@@ -19,7 +19,7 @@ from wordgrowth.circular import (
     BudgetExceededError,
     enumerate_circular_square_free,
     forbidden_period_scan,
-    root_complexity,
+    root_table,
 )
 from wordgrowth.fad import (
     fad_automaton,
@@ -76,12 +76,12 @@ def _no_csv(fmt: str):
 @click.option("--delta", default="1e-6", show_default=True,
               help="Half-width of certified growth-rate intervals.")
 @click.option("--budget", default=20_000_000, show_default=True, type=int,
-              help="Free words a root search may visit: per period for scan "
-                   "and root, per query for powerfree.")
+              help="Free words the one root search of a powerfree, root or "
+                   "scan query may visit.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text", show_default=True)
 @click.option("--threads", default=1, show_default=True, type=int,
-              help="Worker processes for period scans.")
+              help="Has no effect: every query runs in one process.")
 @click.option("--no-symmetry", is_flag=True,
               help="Build full automata instead of letter-symmetry quotients.")
 @click.pass_context
@@ -89,11 +89,12 @@ def main(ctx, delta, budget, fmt, threads, no_symmetry):
     """Growth-rate analyses for regular and power-free languages."""
     if budget < 1:
         raise click.ClickException("budget must be at least 1")
+    if threads < 1:
+        raise click.ClickException("threads must be at least 1")
     ctx.obj = {
         "delta": _parse_delta(delta),
         "budget": budget,
         "fmt": fmt,
-        "threads": threads,
         "symmetry": not no_symmetry,
     }
 
@@ -296,20 +297,18 @@ def cmd_root(obj, k, beta, n_max):
     if n_max < 1:
         raise click.ClickException("n-max must be at least 1")
     try:
-        rows = [
-            (k, str(bound), n, root_complexity(k, bound, n, obj["budget"]))
-            for n in range(1, n_max + 1)
-        ]
-    except BudgetExceededError as exc:
+        counts = root_table(k, bound, n_max, obj["budget"])
+    except (BudgetExceededError, ValueError) as exc:
         raise click.ClickException(str(exc)) from None
     if obj["fmt"] == "json":
         click.echo(json.dumps(
-            [{"k": a, "beta": b, "n": n, "count": c} for a, b, n, c in rows], indent=2
+            [{"k": k, "beta": str(bound), "n": n, "count": c}
+             for n, c in enumerate(counts, 1)], indent=2
         ))
     else:
         click.echo("k,beta,n,count")
-        for a, b, n, c in rows:
-            click.echo(f"{a},{b},{n},{c}")
+        for n, c in enumerate(counts, 1):
+            click.echo(f"{k},{bound},{n},{c}")
 
 
 @main.command("circular")
@@ -349,9 +348,7 @@ def cmd_scan(obj, k, beta, p_max):
     """Forbidden periods of a power-free language up to p-max."""
     bound = _parse_bound(beta)
     try:
-        forbidden = forbidden_period_scan(
-            k, bound, p_max, budget=obj["budget"], threads=obj["threads"]
-        )
+        forbidden = forbidden_period_scan(k, bound, p_max, budget=obj["budget"])
     except (BudgetExceededError, ValueError) as exc:
         raise click.ClickException(str(exc)) from None
     rows = sorted(forbidden)

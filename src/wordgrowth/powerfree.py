@@ -282,22 +282,29 @@ def free_roots(
     yielded word is free; roots of minimal violating words are free, so
     the scan is complete for them.  ``canonical`` restricts branching to
     the letter-canonical orbit representatives (first occurrences in
-    increasing order).  ``budget`` caps the free words visited; one more
-    raises BudgetExceededError naming the largest period searched.  A
-    budget below 1 raises ValueError.
+    increasing order).  A set of ``periods`` is read live: a caller may
+    discard periods between yields, after which the scan skips words
+    longer than the largest period left and stops when none is.
+    ``budget`` caps the free words visited; one more raises
+    BudgetExceededError naming the largest period still searched.  An
+    empty alphabet or a budget below 1 raises ValueError.
     """
+    if k < 1:
+        raise ValueError("alphabet must have at least 1 letter")
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
-    targets = set(periods)
+    targets = periods if isinstance(periods, set) else set(periods)
     if not targets:
         return
-    p_max = max(targets)
+    p_max, wanted = max(targets), len(targets)
     pairs = _suffix_checks(bound, p_max)
     visited = 0
     word: list = []
-    stack = [(0, x) for x in reversed(range(min(1, k) if canonical else k))]
+    stack = [(0, x) for x in reversed(range(1 if canonical else k))]
     while stack:  # (length before, letter) pairs, depth first
         n, x = stack.pop()
+        if n >= p_max:  # pushed before the caller dropped the longest periods
+            continue
         del word[n:]
         word.append(x)
         n += 1
@@ -308,6 +315,10 @@ def free_roots(
             raise BudgetExceededError(p_max, budget)
         if n in targets:
             yield tuple(word)
+            if len(targets) < wanted:
+                if not targets:
+                    return
+                p_max, wanted = max(targets), len(targets)
         if n < p_max:
             letters = min(max(word) + 2, k) if canonical else k
             stack.extend([(n, y) for y in range(letters - 1, -1, -1)])
@@ -321,8 +332,8 @@ def minimal_words(
     budget: Optional[int] = None,
 ) -> Iterator[MinimalPower]:
     """Minimal bound-violating words of the given periods, in search
-    order, one per free root of ``free_roots`` (same arguments) that
-    extends to one.
+    order, one per free root of ``free_roots`` (same arguments, and a
+    set of ``periods`` is read live as there) that extends to one.
 
     The periodic extension w of a root of period p to the target length
     L violates.  It is minimal when both one-letter trims are free: the
@@ -330,9 +341,9 @@ def minimal_words(
     search checks the root itself, and w[1:], whose other factors lie in
     that prefix, only at its last letter.  Its minimal period must be p.
     """
-    periods = list(periods)
-    pairs = _suffix_checks(bound, _target_length(bound, max(periods, default=0)))
-    for root in free_roots(k, bound, periods, canonical, budget):
+    targets = periods if isinstance(periods, set) else set(periods)
+    pairs = _suffix_checks(bound, _target_length(bound, max(targets, default=0)))
+    for root in free_roots(k, bound, targets, canonical, budget):
         p = len(root)
         length = _target_length(bound, p)
         w = list(root)
@@ -370,8 +381,6 @@ def minimal_powers(
     ``budget`` caps the free words that one search over all the periods
     visits, as in ``free_roots``.
     """
-    if k < 1:
-        raise ValueError("alphabet must have at least 1 letter")
     periods = _target_periods(bound, cap, mode)
     return sorted(minimal_words(k, bound, periods, canonical, budget))
 

@@ -1,7 +1,15 @@
-"""Automata and antidictionaries shared across the test modules."""
+"""Automata, antidictionaries and exponent bounds shared across the test
+modules."""
 
 from wordgrowth.automaton import Dfa, trim
 from wordgrowth.fad import Antidictionary, fad_automaton, parse_word, tm_antidictionary
+
+
+# exponent-bound tokens: plain and plus, above and below 2
+TRIM_TOKENS = (
+    "2", "2+", "3", "3+", "5/2", "7/3", "7/3+", "11/4",
+    "3/2", "5/3", "7/4", "7/5", "4/3", "5/4+",
+)
 
 
 def ad(k, words):

@@ -3,15 +3,17 @@
 Everything here is deliberately naive: exhaustive enumeration, direct
 definitions, exact symbolic root isolation, and failure-chain walks.
 None of it shares code with the library beyond the public data
-containers, so agreement is meaningful evidence.  The two exceptions
-are slow paths built from the library's public functions:
-``per_slice_profile``, the growth profile from per-automaton calls, and
+containers, so agreement is meaningful evidence.  The exceptions are
+slow paths built from the library's public functions:
+``per_slice_profile``, the growth profile from per-automaton calls;
 ``trim_minimal_powers``, the minimal powers from a border-table root
 search and trim check (``suffixes_stay_free``, on
-``minimal_periods_of_suffixes``).
+``minimal_periods_of_suffixes``); and ``per_period_root_complexity``
+and ``per_period_scan``, one root search per period.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from math import lcm
 
@@ -19,6 +21,7 @@ import numpy as np
 import sympy
 
 from wordgrowth.automaton import Dfa, empty_dfa, imprimitivity, scc, trim
+from wordgrowth.circular import minimal_roots
 from wordgrowth.fad import word_to_str
 from wordgrowth.growth import (
     GrowthReport,
@@ -33,6 +36,7 @@ from wordgrowth.powerfree import (
     MinimalPower,
     minimal_period,
     minimal_periods_of_suffixes,
+    minimal_words,
     violates,
 )
 
@@ -256,6 +260,36 @@ def naive_circular_square_free(word) -> bool:
                 if r[i:i + half] == r[i + half:i + 2 * half]:
                     return False
     return True
+
+
+def rotation_renaming_class(word):
+    """Least first-occurrence relabeling over all rotations of word."""
+    n = len(word)
+    best = None
+    for i in range(n):
+        rotated = word[i:] + word[:i]
+        seen = {}
+        relabeled = tuple(seen.setdefault(x, len(seen)) for x in rotated)
+        if best is None or relabeled < best:
+            best = relabeled
+    return best
+
+
+def per_period_root_complexity(k: int, bound, n: int) -> int:
+    """``root_complexity`` by its own search for period n: the rotation
+    and renaming classes of every root from ``minimal_roots``, each
+    counted by its letter assignments k!/(k-used)!."""
+    classes = {rotation_renaming_class(root) for root in minimal_roots(k, bound, n)}
+    return sum(math.perm(k, 1 + max(key)) for key in classes)
+
+
+def per_period_scan(k: int, bound, p_max: int) -> set:
+    """``forbidden_period_scan`` by one canonical search per period,
+    each stopped at its first minimal word."""
+    return {
+        p for p in range(1, p_max + 1)
+        if next(minimal_words(k, bound, [p], canonical=True), None) is None
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from oracles import naive_circular_square_free, naive_min_period
+from builders import TRIM_TOKENS
+from oracles import (
+    naive_circular_square_free,
+    naive_min_period,
+    per_period_root_complexity,
+    per_period_scan,
+    rotation_renaming_class,
+)
 import wordgrowth
-from wordgrowth import circular
 from wordgrowth.circular import (
     BudgetExceededError,
     CircularWord,
@@ -19,8 +25,8 @@ from wordgrowth.circular import (
     least_rotation,
     minimal_roots,
     root_complexity,
+    root_table,
 )
-from wordgrowth.circular import _scan_workers
 from wordgrowth.fad import parse_word
 from wordgrowth.powerfree import ExponentBound
 
@@ -63,6 +69,13 @@ def test_circular_word_order_by_length_then_word():
         CircularWord(parse_word("acb")),
     ]
     assert sorted(items) == [items[1], items[0], items[2]]
+
+
+def test_circular_word_order_rejects_other_types():
+    with pytest.raises(TypeError):
+        CircularWord((0, 1)) < 3
+    with pytest.raises(TypeError):
+        CircularWord((0, 1)) < (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +211,6 @@ def test_root_complexity_small_table():
         assert root_complexity(3, SQ, n) == expected
 
 
-def rotation_renaming_class(word):
-    n = len(word)
-    best = None
-    for i in range(n):
-        rotated = word[i:] + word[:i]
-        seen = {}
-        relabeled = tuple(seen.setdefault(x, len(seen)) for x in rotated)
-        if best is None or relabeled < best:
-            best = relabeled
-    return best
-
-
 def test_single_class_lengths():
     """Wherever the table shows 6, all roots are one rotation-renaming
     class; the count is the k!/(k-used)! weight of that lone class."""
@@ -247,28 +248,34 @@ def test_scan_agrees_with_root_complexity():
 
 def test_scan_budget_exhaustion():
     # period 1 is settled by its first root; period 2 needs a second one
-    for threads in (1, 2):
-        with pytest.raises(BudgetExceededError) as err:
-            forbidden_period_scan(2, B("5/2"), 8, budget=1, threads=threads)
-        assert err.value.budget == 1
-        assert err.value.period == 2, threads
-        assert "budget" in str(err.value)
+    with pytest.raises(BudgetExceededError) as err:
+        forbidden_period_scan(2, B("5/2"), 8, budget=1)
+    assert err.value.budget == 1
+    assert err.value.period == 2
+    assert "budget" in str(err.value)
+
+
+def test_scan_budget_is_exact():
+    # the one search of this scan visits 27 free words (62 if it kept
+    # every period to the end); period 5 admits no minimal word, so it is
+    # the smallest period still open when one fewer runs out
+    bound = B("5/2")
+    assert forbidden_period_scan(2, bound, 8, budget=27) == {5}
+    with pytest.raises(BudgetExceededError) as err:
+        forbidden_period_scan(2, bound, 8, budget=26)
+    assert (err.value.period, err.value.budget) == (5, 26)
 
 
 def test_root_budget_exhaustion():
-    # the square-free search visits 3 + 6 free words to length 2, and 12 more at length 3
-    assert root_complexity(3, SQ, 2, budget=9) == root_complexity(3, SQ, 2)
+    # the canonical square-free search visits a and ab to length 2;
+    # the search of minimal_roots visits 3 + 6 to length 2, and 12 more at length 3
+    assert root_complexity(3, SQ, 2, budget=2) == root_complexity(3, SQ, 2)
     with pytest.raises(BudgetExceededError) as err:
         minimal_roots(3, SQ, 3, budget=10)
     assert (err.value.period, err.value.budget) == (3, 10)
-    with pytest.raises(BudgetExceededError):
-        root_complexity(3, SQ, 2, budget=8)
-
-
-def test_scan_parallel_matches_serial():
-    serial = forbidden_period_scan(2, B("7/3"), 10)
-    parallel = forbidden_period_scan(2, B("7/3"), 10, threads=2)
-    assert serial == parallel
+    with pytest.raises(BudgetExceededError) as err:
+        root_complexity(3, SQ, 2, budget=1)
+    assert (err.value.period, err.value.budget) == (2, 1)
 
 
 def test_scan_argument_validation():
@@ -276,22 +283,35 @@ def test_scan_argument_validation():
         forbidden_period_scan(2, SQ, 0)
     with pytest.raises(ValueError):
         forbidden_period_scan(2, SQ, 3, budget=0)
-    for threads in (0, -1):
-        with pytest.raises(ValueError, match="threads"):
-            forbidden_period_scan(2, SQ, 3, threads=threads)
 
 
-def test_scan_workers_are_clamped(monkeypatch):
-    monkeypatch.setattr(circular.os, "cpu_count", lambda: 4)
-    assert _scan_workers(1, 30) == 1
-    assert _scan_workers(3, 30) == 3
-    assert _scan_workers(10**9, 30) == 4
-    assert _scan_workers(10**9, 2) == 2
-    monkeypatch.setattr(circular.os, "cpu_count", lambda: None)
-    assert _scan_workers(8, 30) == 1
-    for threads in (0, -1, -(10**9)):
-        with pytest.raises(ValueError, match="threads must be at least 1"):
-            _scan_workers(threads, 30)
+# (k, largest n of the root table, largest period of the scan): about 10 s in all
+DIFFERENTIAL_CAPS = [(2, 14, 28), (3, 9, 26), (4, 6, 20)]
+
+
+@pytest.mark.parametrize("k,n_max,p_max", DIFFERENTIAL_CAPS)
+def test_root_table_matches_per_period_oracle(k, n_max, p_max):
+    # one canonical search against one search over all roots per n
+    for token in TRIM_TOKENS:
+        bound = B(token)
+        expected = [per_period_root_complexity(k, bound, n) for n in range(1, n_max + 1)]
+        assert root_table(k, bound, n_max) == expected, (k, token)
+
+
+@pytest.mark.parametrize("k,n_max,p_max", DIFFERENTIAL_CAPS)
+def test_scan_matches_per_period_oracle(k, n_max, p_max):
+    # one search dropping periods as it goes against one search per period
+    for token in TRIM_TOKENS:
+        bound = B(token)
+        assert forbidden_period_scan(k, bound, p_max) == per_period_scan(k, bound, p_max), (
+            k, token)
+
+
+def test_root_table_rejects_empty_tables_and_alphabets():
+    with pytest.raises(ValueError, match="period must be at least 1"):
+        root_table(3, SQ, 0)
+    with pytest.raises(ValueError, match="alphabet must have at least 1 letter"):
+        root_table(0, SQ, 3)
 
 
 # ---------------------------------------------------------------------------

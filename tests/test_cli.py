@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import builders
 import wordgrowth
+from wordgrowth import powerfree
 from wordgrowth.automaton import format_dfa, parse_dfa
 from wordgrowth.cli import main
 
@@ -261,7 +262,38 @@ def test_scan_budget_failure(runner):
 def test_root_budget_failure(runner):
     result = runner.invoke(main, ["--budget", "10", "root", "3", "2", "--n-max", "19"])
     assert result.exit_code == 1
-    assert "budget of 10 candidate roots exhausted at period 3" in result.output
+    assert "budget of 10 candidate roots exhausted at period 19" in result.output
+
+
+@pytest.mark.parametrize(
+    "args", [["root", "3", "2", "--n-max", "8"], ["scan", "2", "5/2", "--p-max", "12"]]
+)
+def test_root_and_scan_run_one_search(runner, monkeypatch, args):
+    searches = []
+    search = powerfree.free_roots
+
+    def counted(*a, **kw):
+        searches.append(a)
+        return search(*a, **kw)
+
+    monkeypatch.setattr(powerfree, "free_roots", counted)
+    run(runner, args)
+    assert len(searches) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["powerfree", "0", "2", "--cap", "4"],
+        ["root", "0", "2", "--n-max", "3"],
+        ["scan", "0", "2", "--p-max", "4"],
+        ["circular", "--n", "4", "--k", "0"],
+    ],
+)
+def test_empty_alphabet_is_a_clean_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "Error: alphabet must have at least 1 letter" in result.output
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import TRIM_TOKENS
 from oracles import (
     brute_minimal_powers_by_length,
     brute_minimal_powers_by_period,
@@ -252,12 +253,6 @@ def test_minimal_powers_match_brute_force(k, token, cap):
     bound = B(token)
     got = words_of(minimal_powers(k, bound, cap))
     assert got == brute_minimal_powers_by_period(k, bound.value, bound.plus, cap)
-
-
-TRIM_TOKENS = (
-    "2", "2+", "3", "3+", "5/2", "7/3", "7/3+", "11/4",
-    "3/2", "5/3", "7/4", "7/5", "4/3", "5/4+",
-)
 
 
 @pytest.mark.parametrize("k,cap", [(2, 12), (3, 7), (4, 5)])
