@@ -96,10 +96,13 @@ def enumerate_circular_square_free(n: int, alphabet_size: int = 3) -> list:
     """All square-free circular words of length n, sorted.
 
     These are the roots of the minimal squares of period n, deduplicated
-    through least rotations.
+    through least rotations.  An empty alphabet raises ValueError at
+    every n, n = 0 included.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
+    if alphabet_size < 1:
+        raise ValueError("alphabet must have at least 1 letter")
     if n == 0:
         return [CircularWord(())]
     square = ExponentBound(2)

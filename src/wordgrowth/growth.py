@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ __all__ = [
     "ComplexityClass",
     "GrowthReport",
     "IndexInterval",
+    "WeightedDigraph",
     "approximate_index",
     "asymptotic_profile",
     "classify",
@@ -84,6 +85,82 @@ def _as_fraction(delta) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# weighted digraphs
+
+
+class WeightedDigraph:
+    """A digraph with positive integer edge weights, held as compressed
+    sparse rows.
+
+    Vertex v's edges are entries ``indptr[v]`` to ``indptr[v + 1]`` of
+    ``indices``, their targets, and ``weights``; the three are flat int64
+    arrays, and targets strictly increase within each row.
+    ``len(graph)`` is the vertex count and ``graph[v]`` v's targets, as
+    plain ints, so ``automaton.tarjan_components`` reads the graph as it
+    is.  Graphs with equal arrays are equal and hash alike.
+    """
+
+    __slots__ = ("indptr", "indices", "weights", "_ptr", "_targets")
+
+    def __init__(self, indptr, indices, weights):
+        self.indptr = indptr
+        self.indices = indices
+        self.weights = weights
+        # memoryviews index and slice to plain ints: the fastest rows for Tarjan
+        self._ptr = memoryview(indptr)
+        self._targets = memoryview(indices)
+
+    @classmethod
+    def from_edges(cls, n: int, source, target, weight) -> "WeightedDigraph":
+        """The graph on vertices 0..n-1 with the given edges, listed as
+        three equally long sequences; the weights of edges with the same
+        source and target are summed."""
+        source, target, weight = (
+            np.asarray(a, dtype=np.int64) for a in (source, target, weight)
+        )
+        key = source * n + target
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        weights = np.add.reduceat(weight[order], first)
+        key = key[first]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+        return cls(indptr, key % n, weights)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[dict]) -> "WeightedDigraph":
+        """The graph whose ``rows[u]`` maps u's targets to their weights."""
+        source = [u for u, row in enumerate(rows) for _ in row]
+        target = [t for row in rows for t in row]
+        weight = [w for row in rows for w in row.values()]
+        return cls.from_edges(len(rows), source, target, weight)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, v: int):
+        return self._targets[self._ptr[v]:self._ptr[v + 1]]
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightedDigraph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.indptr.tobytes(), self.indices.tobytes(), self.weights.tobytes()
+
+    def rows(self) -> list:
+        """Each vertex's (target, weight) pairs, in target order."""
+        pairs = list(zip(self.indices.tolist(), self.weights.tolist()))
+        ptr = self.indptr.tolist()
+        return [pairs[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
+# ---------------------------------------------------------------------------
 # certified index engine
 
 
@@ -108,7 +185,7 @@ def _exact_bounds(rows, v):
     return Fraction(lo_s, lo_v), Fraction(hi_s, hi_v)
 
 
-def _float_vector(rows, n, max_iters):
+def _float_vector(comp: WeightedDigraph, max_iters):
     """Floating-point power iteration with (A+I); returns v or None.
 
     Only a convergence accelerator: nothing it returns is trusted
@@ -116,8 +193,10 @@ def _float_vector(rows, n, max_iters):
     terms in index order, as a CSR kernel does: another order moves the
     vector's last bits, and with them the certified intervals.
     """
-    row = np.repeat(np.arange(n), [len(r) for r in rows])
-    col, weight = np.array([e for r in rows for e in r]).T
+    n = len(comp)
+    row = np.repeat(np.arange(n), np.diff(comp.indptr))
+    # float weights, once: the same products, without a cast per product
+    col, weight = comp.indices, comp.weights.astype(float)
 
     def product(v):
         return np.bincount(row, weights=weight * v[col], minlength=n)
@@ -126,8 +205,8 @@ def _float_vector(rows, n, max_iters):
     prev_gap = None
     for it in range(max_iters):
         v = product(v) + v
-        m = v.max()
-        if not np.isfinite(m) or m <= 0:
+        m = float(v.max())
+        if not isfinite(m) or m <= 0:
             return None
         v /= m
         if it % 32 == 31:
@@ -141,11 +220,11 @@ def _float_vector(rows, n, max_iters):
     return v
 
 
-def _component_interval(rows, delta: Fraction):
+def _component_interval(comp: WeightedDigraph, delta: Fraction):
     """Certified index interval of one nontrivial strongly connected
     component, width at most 2*delta.
 
-    ``rows`` is the local weighted adjacency (every row nonempty, so the
+    ``comp`` is the component's local graph (every row nonempty, so the
     lower bound from all-ones is already >= 1, and exact for a single
     state's loops).  Strategy: float acceleration, integerize, certify
     exactly; if the certified gap is still too wide, continue the
@@ -153,13 +232,14 @@ def _component_interval(rows, delta: Fraction):
     doubling precision.  Successive certificates are intersected, which
     only ever tightens the answer.
     """
-    n = len(rows)
+    n = len(comp)
+    rows = comp.rows()
     ones = [1] * n
     best_lo, best_hi = _exact_bounds(rows, ones)
     if best_hi - best_lo <= 2 * delta:
         return IndexInterval(best_lo, best_hi)
 
-    fv = _float_vector(rows, n, max_iters=20000)
+    fv = _float_vector(comp, max_iters=20000)
     if fv is not None:
         scale = 1 << 53
         v = [max(1, int(x * scale)) for x in fv.tolist()]
@@ -209,22 +289,38 @@ def _component_interval(rows, delta: Fraction):
     raise RuntimeError("index iteration failed to converge")
 
 
-def _nontrivial_component_rows(adjacency, comp):
-    """Local weighted rows for a component, or None if it is trivial."""
-    if len(comp) == 1:
-        q = next(iter(comp))
-        w = adjacency[q].get(q)
-        if w is None:
-            return None
-        return [[(0, w)]]
-    members = set(comp)
-    local = {q: i for i, q in enumerate(sorted(members))}
-    rows = [[] for _ in range(len(comp))]
-    for q in sorted(members):
-        for t in sorted(adjacency[q]):
-            if t in members:
-                rows[local[q]].append((local[t], adjacency[q][t]))
-    return rows
+def _component_graphs(graph: WeightedDigraph, components):
+    """Each component's local graph: its members numbered in increasing
+    order, with the edges between them.  None stands for a single vertex
+    without a loop.
+
+    The members' edges are gathered in one pass through a table of local
+    ids shared by all the components.  Numbering keeps the order of the
+    members, so the local rows keep increasing targets.
+    """
+    local = np.full(len(graph), -1, dtype=np.int64)
+    for comp in components:
+        n = len(comp)
+        if n == 1:
+            (q,) = comp
+            if q not in graph[q]:
+                yield None
+                continue
+        # the sort that from_edges runs: numpy's default one adds its own code pages
+        members = np.sort(np.fromiter(comp, dtype=np.int64, count=n), kind="stable")
+        local[members] = np.arange(n)
+        start = graph.indptr[members]
+        count = graph.indptr[members + 1] - start
+        # positions of the members' edges, row after row
+        offset = np.cumsum(count) - count
+        edge = np.arange(count.sum()) + np.repeat(start - offset, count)
+        col = local[graph.indices[edge]]
+        local[members] = -1
+        inside = col >= 0
+        row = np.repeat(np.arange(n), count)[inside]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+        yield WeightedDigraph(indptr, col[inside], graph.weights[edge[inside]])
 
 
 def _rate(intervals) -> IndexInterval:
@@ -237,15 +333,16 @@ def _rate(intervals) -> IndexInterval:
 
 
 def digraph_index(
-    adjacency: Sequence[dict], delta=Fraction(1, 10**6), components=None
+    graph: WeightedDigraph | Sequence[dict], delta=Fraction(1, 10**6), components=None
 ) -> IndexInterval:
     """Certified interval around the index of a weighted digraph.
 
-    ``adjacency[u]`` maps targets to positive integer weights.  The index
-    is the spectral radius of the weight matrix, equivalently the growth
-    rate of weighted walk counts; it equals the maximum over strongly
-    connected components.  A graph with no cycles has index 0.  The
-    returned interval has width at most ``2*delta``.
+    ``graph`` is a ``WeightedDigraph``, or a sequence whose ``graph[u]``
+    maps targets to positive integer weights, converted once on entry.
+    The index is the spectral radius of the weight matrix, equivalently
+    the growth rate of weighted walk counts; it equals the maximum over
+    strongly connected components.  A graph with no cycles has index 0.
+    The returned interval has width at most ``2*delta``.
 
     ``components`` are the graph's strongly connected components when
     the caller already has them; those without a cycle may be left out.
@@ -253,21 +350,20 @@ def digraph_index(
     dfr = _as_fraction(delta)
     if dfr <= 0:
         raise ValueError("delta must be positive")
+    if not isinstance(graph, WeightedDigraph):
+        graph = WeightedDigraph.from_rows(graph)
     if components is None:
-        components = tarjan_components([list(row.keys()) for row in adjacency])
-    rows = (_nontrivial_component_rows(adjacency, comp) for comp in components)
-    return _rate(_component_interval(r, dfr) for r in rows if r is not None)
+        components = tarjan_components(graph)
+    comps = _component_graphs(graph, components)
+    return _rate(_component_interval(c, dfr) for c in comps if c is not None)
 
 
-def _dfa_adjacency(dfa: Dfa) -> list:
-    """Letter-multiplicity weighted adjacency of the transition graph."""
-    adj = []
-    for row in dfa.transitions:
-        weights: dict[int, int] = {}
-        for t in row.values():
-            weights[t] = weights.get(t, 0) + 1
-        adj.append(weights)
-    return adj
+def _dfa_adjacency(dfa: Dfa) -> WeightedDigraph:
+    """Transition graph, each edge weighted by its number of letters."""
+    rows = dfa.transitions
+    source = [q for q, row in enumerate(rows) for _ in row]
+    target = [t for row in rows for t in row.values()]
+    return WeightedDigraph.from_edges(len(rows), source, target, [1] * len(target))
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +394,21 @@ def _analyse(dfa: Dfa, delta: Fraction, runs: dict) -> tuple:
     at delta, and ``tight``, intersected with a second run at delta/4
     (both enclose the index, so the intersection does too).
 
-    ``runs`` maps a component's local rows to its two intervals and is
+    ``runs`` maps a component's local graph to its two intervals and is
     shared by every automaton analysed at the same delta: the engine is
     deterministic, so a component seen before costs nothing.
     """
     dec = scc(dfa)
-    adjacency = _dfa_adjacency(dfa)
+    comps = _component_graphs(
+        _dfa_adjacency(dfa), [dec.components[cid] for cid in dec.nontrivial]
+    )
     rates, tight = {}, {}
-    for cid in dec.nontrivial:
-        rows = _nontrivial_component_rows(adjacency, dec.components[cid])
-        key = tuple(map(tuple, rows))
-        if key not in runs:
-            at = _component_interval(rows, delta)
-            lo, hi = _component_interval(rows, delta / 4)
-            runs[key] = (at, IndexInterval(max(at.lo, lo), min(at.hi, hi)))
-        rates[cid], tight[cid] = runs[key]
+    for cid, comp in zip(dec.nontrivial, comps):
+        if comp not in runs:
+            at = _component_interval(comp, delta)
+            lo, hi = _component_interval(comp, delta / 4)
+            runs[comp] = (at, IndexInterval(max(at.lo, lo), min(at.hi, hi)))
+        rates[cid], tight[cid] = runs[comp]
     return dec, rates, tight
 
 

@@ -32,10 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 from wordgrowth.automaton import Dfa, tarjan_components
 from wordgrowth.fad import Antidictionary, FailureTrie, fad_automaton, word_to_str
 from wordgrowth.growth import (
     IndexInterval,
+    WeightedDigraph,
     _as_fraction,
     _dfa_adjacency,
     decimal_lower,
@@ -392,31 +395,28 @@ _FRESH = FailureTrie.FRESH
 
 
 def _quotient_graph(k: int, canonical_words: Iterable[tuple]):
-    """The letter-canonical trie and the weighted adjacency of the
+    """The letter-canonical trie and the ``WeightedDigraph`` of the
     letter-permutation quotient of the forbidden-prefix automaton.
 
     State q is trie node ``trie.states[q]``; state 0 is the root.  Its
-    moves are read off the trie's goto table.  An existing-letter move
-    has weight 1, the fresh-letter move carries the number of unused
-    concrete letters.
+    moves are read off the trie's goto table, all states at once, with
+    numpy.  An existing-letter move has weight 1, the fresh-letter move
+    carries the number of unused concrete letters, and the weights of
+    moves to one target add up.
     Weighted walk counts from the root equal the word counts of the full
     language, so index and polynomial structure are preserved.
     """
     trie = FailureTrie(k, canonical_words, canonical=True)
-    delta, state_of, nletters = trie.delta, trie.state_of, trie.nletters
-    adjacency: list[dict] = []
-    for u in trie.states:
-        nl = nletters[u]
-        base = u * k
-        row = {}
-        for x in range(min(nl + 1, k)):
-            t = delta[base + x]
-            if t < 0:
-                continue
-            tq = state_of[t]
-            row[tq] = row.get(tq, 0) + (1 if x < nl else k - nl)
-        adjacency.append(row)
-    return trie, adjacency
+    states = np.frombuffer(trie.states, dtype=np.intc)
+    moves = np.frombuffer(trie.delta, dtype=np.intc).reshape(-1, k)[states]
+    nl = np.frombuffer(trie.nletters, dtype=np.intc)[states, None]
+    slot = np.arange(k)
+    # slots past the fresh one are unused; a negative move is forbidden
+    live = (slot <= nl) & (moves >= 0)
+    source = np.nonzero(live)[0]
+    target = np.frombuffer(trie.state_of, dtype=np.intc)[moves[live]]
+    weight = np.where(slot < nl, 1, k - nl)[live]
+    return trie, WeightedDigraph.from_edges(len(states), source, target, weight)
 
 
 def _edge_voltage(tr: list, k: int) -> tuple:
@@ -435,13 +435,13 @@ def _edge_voltage(tr: list, k: int) -> tuple:
     return tuple(i if i != _FRESH else next(spare) for i in pi)
 
 
-def _cyclic_components(adjacency) -> list:
+def _cyclic_components(graph: WeightedDigraph) -> list:
     """Strongly connected components of a weighted digraph that carry a
     cycle."""
     return [
         comp
-        for comp in tarjan_components([list(row) for row in adjacency])
-        if len(comp) > 1 or comp[0] in adjacency[comp[0]]
+        for comp in tarjan_components(graph)
+        if len(comp) > 1 or comp[0] in graph[comp[0]]
     ]
 
 
@@ -645,11 +645,11 @@ def approximation_bounds(
     ad_size = sum(math.perm(k, 1 + max(w)) for w in canon_words)
 
     if symmetry:
-        trie, adjacency = _quotient_graph(k, canon_words)
+        trie, graph = _quotient_graph(k, canon_words)
     else:
-        adjacency = _dfa_adjacency(_full_automaton(k, canon_words))
-    cyclic = _cyclic_components(adjacency)
-    upper = digraph_index(adjacency, dfr, cyclic)
+        graph = _dfa_adjacency(_full_automaton(k, canon_words))
+    cyclic = _cyclic_components(graph)
+    upper = digraph_index(graph, dfr, cyclic)
     if upper.hi == 0:
         raise FiniteApproximationError(
             f"the cap-{cap} approximation of L({k}, {bound}) is finite"
@@ -676,7 +676,7 @@ def approximation_bounds(
             except NoLowerBoundError as exc:
                 note = str(exc)
     return PowerFreeBounds(
-        k, bound, mode, cap, upper, lower, dfr, ad_size, len(adjacency), unique, note
+        k, bound, mode, cap, upper, lower, dfr, ad_size, len(graph), unique, note
     )
 
 

@@ -8,8 +8,10 @@ slow paths built from the library's public functions:
 ``per_slice_profile``, the growth profile from per-automaton calls;
 ``trim_minimal_powers``, the minimal powers from a border-table root
 search and trim check (``suffixes_stay_free``, on
-``minimal_periods_of_suffixes``); and ``per_period_root_complexity``
-and ``per_period_scan``, one root search per period.
+``minimal_periods_of_suffixes``); ``per_period_root_complexity``
+and ``per_period_scan``, one root search per period; and
+``goto_loop_quotient_graph``, the quotient read state by state off a
+``FailureTrie``'s goto table into dicts.
 """
 
 import itertools
@@ -22,7 +24,7 @@ import sympy
 
 from wordgrowth.automaton import Dfa, empty_dfa, imprimitivity, scc, trim
 from wordgrowth.circular import minimal_roots
-from wordgrowth.fad import word_to_str
+from wordgrowth.fad import FailureTrie, word_to_str
 from wordgrowth.growth import (
     GrowthReport,
     ResidueAsymptotics,
@@ -486,6 +488,26 @@ def per_slice_profile(dfa, delta: Fraction):
 # versions, kept as the reference.
 
 
+def dict_component_rows(adjacency, comp):
+    """A component's local rows read off a list of dicts: members
+    numbered in increasing order, each row's (target, weight) pairs in
+    target order; None for a single vertex without a loop."""
+    if len(comp) == 1:
+        q = next(iter(comp))
+        w = adjacency[q].get(q)
+        if w is None:
+            return None
+        return [[(0, w)]]
+    members = set(comp)
+    local = {q: i for i, q in enumerate(sorted(members))}
+    rows = [[] for _ in range(len(comp))]
+    for q in sorted(members):
+        for t in sorted(adjacency[q]):
+            if t in members:
+                rows[local[q]].append((local[t], adjacency[q][t]))
+    return rows
+
+
 def fraction_exact_bounds(rows, v):
     """Exact min/max of (Av)_i / v_i, one ``Fraction`` per row."""
     lo = hi = None
@@ -643,6 +665,28 @@ class _QuotientTrie:
             if tr is not None:
                 tr[:] = [sig[v] if v != _FRESH else _FRESH for v in tr]
             nd = self.fail[nd]
+
+
+def goto_loop_quotient_graph(k: int, canonical_words):
+    """The letter-canonical ``FailureTrie`` and the quotient's adjacency
+    as one dict per state, read state by state off the goto table:
+    weight 1 for an existing-letter move, the number of unused letters
+    for the fresh-letter move, summed over moves to one target."""
+    trie = FailureTrie(k, canonical_words, canonical=True)
+    delta, state_of, nletters = trie.delta, trie.state_of, trie.nletters
+    adjacency: list[dict] = []
+    for u in trie.states:
+        nl = nletters[u]
+        base = u * k
+        row = {}
+        for x in range(min(nl + 1, k)):
+            t = delta[base + x]
+            if t < 0:
+                continue
+            tq = state_of[t]
+            row[tq] = row.get(tq, 0) + (1 if x < nl else k - nl)
+        adjacency.append(row)
+    return trie, adjacency
 
 
 def chain_walk_quotient_graph(k: int, canonical_words):

@@ -135,6 +135,12 @@ def test_enumerate_small_cases():
         enumerate_circular_square_free(-1, 3)
 
 
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_enumerate_rejects_empty_alphabet_at_every_length(n):
+    with pytest.raises(ValueError, match="alphabet must have at least 1 letter"):
+        enumerate_circular_square_free(n, 0)
+
+
 def test_enumerate_binary_collapses():
     assert [len(enumerate_circular_square_free(n, 2)) for n in range(1, 5)] == [
         2,

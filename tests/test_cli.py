@@ -288,6 +288,7 @@ def test_root_and_scan_run_one_search(runner, monkeypatch, args):
         ["root", "0", "2", "--n-max", "3"],
         ["scan", "0", "2", "--p-max", "4"],
         ["circular", "--n", "4", "--k", "0"],
+        ["circular", "--n", "0", "--k", "0"],
     ],
 )
 def test_empty_alphabet_is_a_clean_error(runner, args):

@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import builders
 from oracles import (
     brute_count,
     dfa_adjacency_rows,
+    dict_component_rows,
     fraction_exact_bounds,
     interval_contains,
     per_slice_profile,
@@ -18,9 +19,10 @@ from oracles import (
     spectral_radius_root,
 )
 from wordgrowth import growth
-from wordgrowth.automaton import Dfa, empty_dfa, trim
+from wordgrowth.automaton import Dfa, empty_dfa, tarjan_components, trim
 from wordgrowth.fad import fad_automaton, tm_antidictionary
 from wordgrowth.growth import (
+    WeightedDigraph,
     approximate_index,
     asymptotic_profile,
     classify,
@@ -131,6 +133,53 @@ def test_digraph_index_picks_dominant_component():
     assert iv.lo <= 3 <= iv.hi and iv.lo > 2
 
 
+def test_digraph_index_takes_rows_or_weighted_digraph():
+    # the graph gets each weight as that many unit edges, shuffled, so
+    # its build sorts targets and merges repeated ones
+    rng = random.Random(31)
+    for delta in (Fraction(1, 10**6), Fraction(1, 10**12)):
+        for _ in range(25):
+            rows = builders.random_digraph(rng)
+            edges = [(u, t) for u, row in enumerate(rows) for t, w in row.items() for _ in range(w)]
+            rng.shuffle(edges)
+            graph = WeightedDigraph.from_edges(
+                len(rows), [u for u, _ in edges], [t for _, t in edges], [1] * len(edges)
+            )
+            assert digraph_index(graph, delta) == digraph_index(rows, delta)
+
+
+@st.composite
+def weighted_edge_lists(draw, max_n=8, max_weight=4):
+    """A vertex count, edges in any order with self-loops and repeated
+    (source, target) pairs, and vertex sets to gather besides the
+    strong components."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, max_weight)), max_size=3 * n))
+    subsets = draw(st.lists(st.lists(vertex, min_size=1, max_size=n, unique=True), max_size=3))
+    return n, edges, subsets
+
+
+@given(weighted_edge_lists())
+@example((3, [(0, 1, 1), (0, 0, 2), (1, 0, 1), (0, 1, 3)], [[2], [1, 2], [0]]))
+@settings(max_examples=300, deadline=None)
+def test_component_graphs_match_dict_rows_oracle(case):
+    # covers a self-loop, a merged repeated edge, a single state without
+    # a loop and a vertex set without an edge between its members
+    n, edges, subsets = case
+    graph = WeightedDigraph.from_edges(
+        n, [u for u, _, _ in edges], [t for _, t, _ in edges], [w for _, _, w in edges]
+    )
+    adjacency = [{} for _ in range(n)]
+    for u, t, w in edges:
+        adjacency[u][t] = adjacency[u].get(t, 0) + w
+    assert graph.rows() == [sorted(row.items()) for row in adjacency]
+    comps = tarjan_components(graph) + subsets
+    for comp, local in zip(comps, growth._component_graphs(graph, comps), strict=True):
+        expected = dict_component_rows(adjacency, comp)
+        assert (None if local is None else local.rows()) == expected, comp
+
+
 def test_exact_continuation_certifies_thue_morse(monkeypatch):
     # at delta = 1e-20 neither the all-ones nor the float certificate is
     # tight enough, so the integer continuation loop has to finish the job
@@ -189,7 +238,8 @@ def test_exact_bounds_match_fraction_oracle(case):
 @given(component_rows())
 @settings(max_examples=150, deadline=None)
 def test_float_vector_matches_row_sum_oracle_bit_for_bit(rows):
-    fast = growth._float_vector(rows, len(rows), max_iters=200)
+    comp = WeightedDigraph.from_rows([dict(row) for row in rows])
+    fast = growth._float_vector(comp, max_iters=200)
     slow = row_sum_float_vector(rows, len(rows), max_iters=200)
     assert fast.tobytes() == slow.tobytes()
 
@@ -393,9 +443,9 @@ def test_profile_certifies_each_component_once(monkeypatch):
     component_interval = growth._component_interval
     scc = growth.scc
 
-    def counting_component_interval(rows, delta):
-        runs.append((tuple(map(tuple, rows)), delta))
-        return component_interval(rows, delta)
+    def counting_component_interval(comp, delta):
+        runs.append((comp, delta))
+        return component_interval(comp, delta)
 
     def counting_scc(dfa):
         decompositions.append(dfa)
@@ -408,6 +458,15 @@ def test_profile_certifies_each_component_once(monkeypatch):
     assert all(pr.alpha_hi > 0 for pr in rep.per_residue)
     assert len(runs) == len(set(runs)) == 14
     assert len(decompositions) == 1 + rep.residue_count
+
+
+def test_profile_rate_is_pinned():
+    # the exact certificate, as first recorded: a float vector that
+    # differs in one bit, from another summation order or schedule,
+    # moves it
+    gr = asymptotic_profile(fad_automaton(tm_antidictionary(2))).gr
+    assert gr.lo == Fraction(605812568909975, 570446374702521)
+    assert gr.hi == Fraction(6278400847727603, 5911879657696003)
 
 
 # ---------------------------------------------------------------------------

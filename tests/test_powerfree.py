@@ -13,6 +13,7 @@ from oracles import (
     brute_minimal_powers_by_length,
     brute_minimal_powers_by_period,
     chain_walk_quotient_graph,
+    goto_loop_quotient_graph,
     naive_exponent,
     naive_min_period,
     naive_violates,
@@ -438,6 +439,26 @@ def test_bounds_lower_bound_fields():
     assert r.lower_note == ""
 
 
+def test_bounds_certificates_are_pinned():
+    # the exact certificates, as first recorded: a float vector that
+    # differs in one bit, from another summation order or schedule,
+    # moves them
+    r = approximation_bounds(2, B("3"), 15, delta=1e-7)
+    assert r.upper == (
+        Fraction(2792295161396679, 1915707331892120),
+        Fraction(1714477816982270, 1176250193663797),
+    )
+    assert r.lower == Fraction(
+        3221382297525249871838722454681690686056136603253258922549,
+        2230074519853062314153571827264836150598041600000000000000,
+    )
+    r = approximation_bounds(3, B("2"), 24, delta=1e-6)
+    assert r.upper == (
+        Fraction(1721900773680165, 1322567291322092),
+        Fraction(270982586047424, 208137838313537),
+    )
+
+
 def test_bounds_lower_bound_unavailable_cases():
     r = approximation_bounds(2, B("3"), 4, "excess")
     assert r.lower is None and "period" in r.lower_note
@@ -465,8 +486,8 @@ def test_bounds_serializers():
 def quotient_cycle_components(k, words):
     """Cycle-carrying components of the full automaton, counted from the
     quotient alone."""
-    trie, adjacency = _quotient_graph(k, words)
-    return sum(_lifted_components(trie, k, c) for c in _cyclic_components(adjacency))
+    trie, graph = _quotient_graph(k, words)
+    return sum(_lifted_components(trie, k, c) for c in _cyclic_components(graph))
 
 
 def full_cycle_components(k, words):
@@ -494,11 +515,13 @@ def grid_cases(k):
 
 
 def assert_quotient_matches_chain_walk(k, words, case):
-    trie, adjacency = _quotient_graph(k, words)
+    trie, graph = _quotient_graph(k, words)
     oracle_trie, expected = chain_walk_quotient_graph(k, words)
-    assert adjacency == expected, case
-    # the same insertion order too: Tarjan and the engine read rows in order
-    assert [list(row) for row in adjacency] == [list(row) for row in expected], case
+    rows = graph.rows()
+    assert rows == [sorted(row.items()) for row in expected], case
+    assert rows == [sorted(row.items()) for row in goto_loop_quotient_graph(k, words)[1]], case
+    # Tarjan and the engine read each row in target order
+    assert all(list(graph[q]) == sorted(set(graph[q])) for q in range(len(graph))), case
     assert [trie.nletters[u] for u in trie.states] == [
         oracle_trie.nletters[u] for u in oracle_trie.order
     ], case
@@ -560,8 +583,8 @@ def test_lifted_component_count_several_components(k, token, cap, count):
     # one quotient component whose letter permutations generate a proper
     # subgroup of S_k: the full automaton splits into [S_k : K] copies
     words = [mp.word for mp in minimal_powers(k, B(token), cap, canonical=True)]
-    _, adjacency = _quotient_graph(k, words)
-    assert len(_cyclic_components(adjacency)) == 1
+    _, graph = _quotient_graph(k, words)
+    assert len(_cyclic_components(graph)) == 1
     assert quotient_cycle_components(k, words) == count
     assert full_cycle_components(k, words) == count
 
