@@ -27,6 +27,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ["2,3,17", "2,3,20", "3,2,32", "2,3,24", "3,2,36"]
 DELTA = Fraction(1, 10**7)
+# what every run of a case must agree on
+SAME = ("words", "states", "edges", "cyclic_states", "upper", "lower")
 
 
 def one_run(case: str) -> dict:
@@ -85,6 +87,8 @@ def cpu_model() -> str:
 
 
 def main(argv: list) -> None:
+    if not argv:
+        raise SystemExit(__doc__)
     if argv[:1] == ["--one"]:
         print(json.dumps(one_run(argv[1])))
         return
@@ -108,19 +112,15 @@ def main(argv: list) -> None:
             ).stdout
             results.append(json.loads(out))
         first = results[0]
-        for key in ("words", "states", "edges", "cyclic_states", "upper", "lower"):
+        for key in SAME:
             if any(r[key] != first[key] for r in results):
                 raise SystemExit(f"{case}: runs disagree on {key}")
-        best = {s: min(r["times_s"][s] for r in results) for s in first["times_s"]}
         record["python"], record["numpy"] = first["python"], first["numpy"]
         record["cases"][case] = {
-            "best_s": {s: round(t, 4) for s, t in best.items()},
-            "words": first["words"],
-            "states": first["states"],
-            "edges": first["edges"],
-            "cyclic_states": first["cyclic_states"],
-            "upper": first["upper"],
-            "lower": first["lower"],
+            "best_s": {
+                s: round(min(r["times_s"][s] for r in results), 4) for s in first["times_s"]
+            },
+            **{key: first[key] for key in SAME},
             "peak_rss_mb": [round(r["peak_rss_mb"], 1) for r in results],
         }
         print(case, record["cases"][case]["best_s"], record["cases"][case]["peak_rss_mb"],
