@@ -2,16 +2,18 @@
 
     python scripts/stage_times.py LABEL [--runs N] [K,BETA,CAP ...]
 
-The stages are the canonical minimal-power search, the quotient build,
-Tarjan's cycle-carrying components, the certified index engine at
-delta = 1e-7, the lift of the unique component and the lower bound.
+The stages are the canonical minimal-power search (the level search
+that ``approximation_bounds`` runs, to one word array per period), the
+quotient build (from the word lists the bounds path makes of those
+arrays), Tarjan's cycle-carrying components, the certified index engine
+at delta = 1e-7, the lift of the unique component and the lower bound.
 Each case runs ``--runs`` times (default 3), each time in a fresh
-process; the record keeps each stage's best time, the sizes (words,
-states, edges, states in cyclic components) and each run's peak RSS.
+process; the record keeps each stage's best time, the sizes (free words
+visited, minimal words, states, edges, states in cyclic components),
+each run's peak RSS, and the process's peak RSS as each stage ended.
 The result goes to ``BENCH_stages_<LABEL>.json`` at the repository
 root.  The package on ``PYTHONPATH`` is measured, else this checkout's
-``src``; only names that several versions share are used, so an older
-tree can be measured with the same script.
+``src``; an older tree is measured with the script of its own commit.
 """
 
 import json
@@ -25,10 +27,10 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = ["2,3,17", "2,3,20", "3,2,32", "2,3,24", "3,2,36"]
+CASES = ["2,3,17", "2,3,20", "3,2,32", "2,3,24", "3,2,36", "3,2,40"]
 DELTA = Fraction(1, 10**7)
 # what every run of a case must agree on
-SAME = ("words", "states", "edges", "cyclic_states", "upper", "lower")
+SAME = ("visited", "words", "states", "edges", "cyclic_states", "upper", "lower")
 
 
 def one_run(case: str) -> dict:
@@ -40,18 +42,22 @@ def one_run(case: str) -> dict:
 
     k, token, cap = case.split(",")
     k, cap, bound = int(k), int(cap), powerfree.ExponentBound.parse(token)
-    times = {}
+    times, peaks = {}, {}
 
     def stage(name, call):
         start = time.perf_counter()
         out = call()
         times[name] = time.perf_counter() - start
+        peaks[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         return out
 
-    words = stage("minimal_powers", lambda: [
-        mp.word for mp in powerfree.minimal_powers(k, bound, cap, canonical=True)
-    ])
-    trie, graph = stage("quotient", lambda: powerfree._quotient_graph(k, words))
+    arrays, visited = stage("minimal_powers", lambda: powerfree._minimal_word_arrays(
+        k, bound, range(1, cap + 1), canonical=True
+    ))
+    words = sum(len(a) for a in arrays.values())
+    trie, graph = stage("quotient", lambda: powerfree._quotient_graph(
+        k, [w for a in arrays.values() for w in a.tolist()]
+    ))
     cyclic = stage("tarjan", lambda: powerfree._cyclic_components(graph))
     upper = stage("index", lambda: digraph_index(graph, DELTA, cyclic))
     lifted = stage("lift", lambda: [powerfree._lifted_components(trie, k, c) for c in cyclic])
@@ -63,7 +69,9 @@ def one_run(case: str) -> dict:
             pass
     return {
         "times_s": times,
-        "words": len(words),
+        "peak_rss_mb_after": peaks,
+        "visited": visited,
+        "words": words,
         "states": len(graph),
         "edges": sum(len(graph[q]) for q in range(len(graph))),
         "cyclic_states": sorted(len(c) for c in cyclic),
@@ -122,6 +130,10 @@ def main(argv: list) -> None:
             },
             **{key: first[key] for key in SAME},
             "peak_rss_mb": [round(r["peak_rss_mb"], 1) for r in results],
+            "peak_rss_mb_after": {
+                s: round(max(r["peak_rss_mb_after"][s] for r in results), 1)
+                for s in first["peak_rss_mb_after"]
+            },
         }
         print(case, record["cases"][case]["best_s"], record["cases"][case]["peak_rss_mb"],
               flush=True)

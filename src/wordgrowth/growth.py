@@ -220,6 +220,13 @@ def _float_vector(comp: WeightedDigraph, max_iters):
     return v
 
 
+def _integer_vector(fv) -> list:
+    """max(1, floor(x * 2^53)) for each entry x of a vector in [0, 1], as
+    Python ints.  Scaling by 2^53 is exact and the int64 cast truncates
+    toward zero, as ``int`` does, so this equals the per-entry loop."""
+    return np.maximum(1, (fv * (1 << 53)).astype(np.int64)).tolist()
+
+
 def _component_interval(comp: WeightedDigraph, delta: Fraction):
     """Certified index interval of one nontrivial strongly connected
     component, width at most 2*delta.
@@ -241,8 +248,7 @@ def _component_interval(comp: WeightedDigraph, delta: Fraction):
 
     fv = _float_vector(comp, max_iters=20000)
     if fv is not None:
-        scale = 1 << 53
-        v = [max(1, int(x * scale)) for x in fv.tolist()]
+        v = _integer_vector(fv)
         lo, hi = _exact_bounds(rows, v)
         best_lo = max(best_lo, lo)
         best_hi = min(best_hi, hi)

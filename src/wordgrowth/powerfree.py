@@ -9,6 +9,18 @@ and a classical inequality converts a good upper bound into a certified
 lower bound.  Everything numeric here is exact: rates come from the
 certified interval engine, the lower bound from rational bisection.
 
+Minimal words: two searches list them, and both check each new letter
+on the factors that end at it.  ``minimal_powers`` and the bounds
+pipeline need every minimal word up to the cap, so they search level by
+level with numpy (``_minimal_word_arrays``): all free words of one
+length are one array, and a per-row table of the longest suffix with
+each period decides every check.  ``free_roots`` and ``minimal_words``
+walk depth first, one letter at a time.  The circular-word module keeps
+that walk: its period scan stops a period at its first minimal word,
+which a level search, finishing each length first, cannot do.  The walk
+is also the level search's oracle in the tests; both visit the same
+free words, so a budget means the same in each.
+
 Symmetry: the languages are stable under permuting letters, so the walk
 counts of their approximating automata factor through a quotient whose
 states are letter-canonical forbidden-word prefixes.  The quotient is
@@ -360,6 +372,105 @@ def minimal_words(
                 yield MinimalPower(p, tuple(w), Fraction(length, p))
 
 
+def _minimal_word_arrays(
+    k: int,
+    bound: ExponentBound,
+    periods: Iterable[int],
+    canonical: bool = False,
+    budget: Optional[int] = None,
+) -> tuple:
+    """The minimal bound-violating words of the given periods, searched
+    one length at a time: ``(arrays, visited)``, where ``arrays`` maps
+    each period p, increasing, to the lexicographically sorted 2-D array
+    of its minimal words (one per row, length L_p), and ``visited``
+    counts the free words visited.
+
+    The search visits exactly the free words ``free_roots`` visits, of
+    every length up to the largest period, so ``budget`` and
+    ``canonical`` mean what they mean there; the budget is checked
+    before each level is materialised, and the error names the largest
+    period.  All free words of one length form one array, kept in
+    lexicographic order; R, one row per word, holds for each period q
+    below the largest one R_q, the length of the longest suffix with
+    period q.  Appending letter x to a word w of length n sets R_q to
+    R_q + 1 when w[n-q] = x, else to min(q, n + 1).  Everything is read
+    from R:
+
+    - a factor ending at the new letter violates exactly when some q has
+      L_q <= n + 1 and R_q >= L_q after the append (the statement
+      ``_ends_in_violation`` proves); before it, that is R_q >= L_q - 1
+      and w[n-q] = x, so each row's forbidden letters are gathered from
+      the q with R_q >= L_q - 1;
+    - the periodic extension of a period-p root to L_p applies the same
+      update to all roots at once, letter by letter, and drops a row
+      when its prefix w[:L_p-1] stops being free;
+    - w[1:] is free exactly when no q with L_q <= L_p - 1 has R_q >= L_q:
+      its other factors lie in the free prefix.
+
+    The minimal period of a kept word needs no check.  L_q strictly
+    increases with q (L_q/q crosses beta, and beta > 1), so every q < p
+    has L_q <= L_p - 1.  A word of period p and minimal period q < p
+    would have period q on its prefix w[:L_q], a violating factor of the
+    free prefix w[:L_p-1].  Hence the minimal period is p.
+    """
+    if k < 1:
+        raise ValueError("alphabet must have at least 1 letter")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be at least 1")
+    targets = set(periods)
+    if not targets:
+        return {}, 0
+    p_max = max(targets)
+    lengths = np.array([_target_length(bound, q) for q in range(1, p_max + 1)])
+    run_type = np.min_scalar_type(int(lengths[-1]))
+    qs = np.arange(1, p_max, dtype=run_type)  # the periods R keeps
+    words = np.zeros((1, 0), np.min_scalar_type(k - 1))
+    runs = np.zeros((1, p_max - 1), run_type)
+    used = np.zeros(1, np.intp)  # letters a canonical word has used
+    arrays, visited = {}, 0
+    for n in range(p_max):
+        free = np.ones((len(words), k), bool)
+        if canonical:
+            free &= np.arange(k) <= used[:, None]
+        # the q with L_q <= n + 1 and one letter short of a violation
+        qn = int(np.searchsorted(lengths, n + 1, "right"))
+        row, col = np.nonzero(runs[:, :qn] >= lengths[:qn] - 1)
+        free[row, words[row, n - 1 - col]] = False
+        visited += int(np.count_nonzero(free))
+        if budget is not None and visited > budget:
+            raise BudgetExceededError(p_max, budget)
+        parent, letter = np.nonzero(free)  # row-major: lexicographic order
+        words = np.concatenate([words[parent], letter[:, None].astype(words.dtype)], 1)
+        runs = runs[parent]
+        back = words[:, :n][:, ::-1][:, :p_max - 1]  # w[n-q] for the q <= n kept
+        runs[:, :n] = np.where(back == words[:, n, None], runs[:, :n] + 1, qs[:n])
+        runs[:, n:] = n + 1
+        if canonical:
+            used = np.maximum(used[parent], letter + 1)
+        if n + 1 in targets:
+            arrays[n + 1] = _periodic_extensions(words, runs, lengths, n + 1)
+    return arrays, visited
+
+
+def _periodic_extensions(roots, runs, lengths, p: int):
+    """The rows of ``roots`` (free words of length p, with their R table;
+    see ``_minimal_word_arrays``) whose periodic extension to L_p is a
+    minimal violating word, extended, in their order."""
+    length = int(lengths[p - 1])
+    words = roots[:, np.arange(length) % p]
+    runs = runs[:, :p - 1]
+    qs = np.arange(1, p, dtype=runs.dtype)
+    keep = np.arange(len(words))
+    for n in range(p, length):
+        back = words[keep, n - p + 1:n][:, ::-1]  # w[n-q] for q = 1..p-1
+        runs = np.where(back == words[keep, n][:, None], runs + 1, qs)
+        # the prefix w[:L_p-1] stays free; then w[1:] is free
+        qn = int(np.searchsorted(lengths[:p - 1], min(n + 1, length - 1), "right"))
+        ok = ~(runs[:, :qn] >= lengths[:qn]).any(1)
+        keep, runs = keep[ok], runs[ok]
+    return words[keep]
+
+
 def _expand_orbit(word, k: int) -> Iterator[tuple]:
     used = 1 + max(word) if word else 0
     for perm in itertools.permutations(range(k), used):
@@ -378,14 +489,21 @@ def minimal_powers(
     ``cap``, sorted by period then word.
 
     A minimal violating word of period p has exactly the target length
-    for p, so generation walks the free roots of each target period and
-    extends them periodically (``minimal_words``).  With ``canonical``
-    only orbit representatives under letter permutation are produced.
-    ``budget`` caps the free words that one search over all the periods
-    visits, as in ``free_roots``.
+    for p, so generation searches the free roots of each target period,
+    one length at a time, and extends them periodically
+    (``_minimal_word_arrays``).  With ``canonical`` only orbit
+    representatives under letter permutation are produced.  ``budget``
+    caps the free words that one search over all the periods visits, as
+    in ``free_roots``.
     """
-    periods = _target_periods(bound, cap, mode)
-    return sorted(minimal_words(k, bound, periods, canonical, budget))
+    arrays, _ = _minimal_word_arrays(
+        k, bound, _target_periods(bound, cap, mode), canonical, budget
+    )
+    out = []
+    for p, words in arrays.items():
+        e = Fraction(words.shape[1], p)
+        out.extend(MinimalPower(p, w, e) for w in map(tuple, words.tolist()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +752,20 @@ def approximation_bounds(
     ``_lifted_components``).  The full automaton is never built.  Without
     ``symmetry`` (the CLI's ``--no-symmetry``) the full automaton is
     built and its components are counted directly; tests use that path
-    as the oracle.  ``budget`` is passed to ``minimal_powers`` and raises
-    BudgetExceededError when the minimal-power search outgrows it.
+    as the oracle.  ``budget`` caps the free words the minimal-power
+    search visits, as in ``minimal_powers``, and raises
+    BudgetExceededError when the search outgrows it.
     """
     dfr = _as_fraction(delta)
     if dfr <= 0:
         raise ValueError("delta must be positive")
-    canon = minimal_powers(k, bound, cap, mode, canonical=True, budget=budget)
-    canon_words = [mp.word for mp in canon]
-    ad_size = sum(math.perm(k, 1 + max(w)) for w in canon_words)
+    arrays, _ = _minimal_word_arrays(
+        k, bound, _target_periods(bound, cap, mode), canonical=True, budget=budget
+    )
+    canon_words = [w for words in arrays.values() for w in words.tolist()]
+    ad_size = sum(
+        math.perm(k, 1 + top) for words in arrays.values() for top in words.max(1).tolist()
+    )
 
     if symmetry:
         trie, graph = _quotient_graph(k, canon_words)

@@ -213,6 +213,21 @@ def test_powerfree_budget_failure(runner):
     assert "budget of 10 candidate roots exhausted at period 24" in result.output
 
 
+def test_powerfree_budget_boundary_is_the_depth_first_count(runner):
+    # the bounds search visits exactly the free words the depth-first walk does
+    bound = powerfree.ExponentBound.parse("2")
+    n = sum(1 for _ in powerfree.free_roots(3, bound, range(1, 9), canonical=True))
+    args = ["powerfree", "3", "2", "--cap", "8"]
+    docs = [json.loads(run(runner, ["--format", "json", *budget, *args]))
+            for budget in ([], ["--budget", str(n)])]
+    for doc in docs:
+        doc.pop("wall_seconds")
+    assert docs[0] == docs[1]
+    result = runner.invoke(main, ["--budget", str(n - 1), *args])
+    assert result.exit_code == 1
+    assert f"budget of {n - 1} candidate roots exhausted at period 8" in result.output
+
+
 def test_powerfree_no_symmetry_agrees(runner):
     fast = json.loads(run(runner, ["--format", "json", "powerfree", "2", "3", "--cap", "5"]))
     slow = json.loads(run(runner, [

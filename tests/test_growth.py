@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -242,6 +243,16 @@ def test_float_vector_matches_row_sum_oracle_bit_for_bit(rows):
     fast = growth._float_vector(comp, max_iters=200)
     slow = row_sum_float_vector(rows, len(rows), max_iters=200)
     assert fast.tobytes() == slow.tobytes()
+
+
+@given(st.lists(st.floats(0.0, 1.0, allow_subnormal=True), max_size=40))
+@example([0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1.1e-16, 2.0**-53, 0.5 - 2.0**-54])
+@settings(max_examples=300, deadline=None)
+def test_integer_vector_matches_per_entry_loop(xs):
+    fv = np.array(xs, dtype=float)
+    got = growth._integer_vector(fv)
+    assert got == [max(1, int(x * (1 << 53))) for x in fv.tolist()]
+    assert all(type(x) is int for x in got)
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 100), Fraction(1, 10**9)])

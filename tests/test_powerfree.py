@@ -39,6 +39,7 @@ from wordgrowth.powerfree import (
     minimal_period,
     minimal_periods_of_suffixes,
     minimal_powers,
+    minimal_words,
     violates,
 )
 from wordgrowth.powerfree import (
@@ -265,6 +266,65 @@ def test_minimal_powers_match_trim_oracle(k, cap):
                 case = (k, token, cap, mode, canonical)
                 fast = minimal_powers(k, B(token), cap, mode, canonical)
                 assert fast == trim_minimal_powers(k, B(token), cap, mode, canonical), case
+
+
+LEVEL_TOKENS = ("2", "2+", "3", "7/3+", "5/2", "7/4", "3/2")
+
+
+@pytest.mark.parametrize(
+    "k,cap,tokens",
+    # at (4, 7/5, cap 7) one root, abcdb, extends to a word whose prefix
+    # is free but whose w[1:] is not: bcdbab ends in bab
+    [(1, 12, LEVEL_TOKENS), (2, 12, LEVEL_TOKENS), (3, 7, LEVEL_TOKENS), (4, 5, LEVEL_TOKENS),
+     (4, 7, ("7/5",))],
+)
+def test_level_search_matches_depth_first_and_trim_oracles(k, cap, tokens):
+    # minimal_powers searches level by level; minimal_words walks depth
+    # first, and trim_minimal_powers checks both trims with border tables
+    for token in tokens:
+        bound = B(token)
+        for mode in ("period", "excess"):
+            periods = powerfree._target_periods(bound, cap, mode)
+            for canonical in (False, True):
+                case = (k, token, cap, mode, canonical)
+                levels = minimal_powers(k, bound, cap, mode, canonical)
+                assert levels == sorted(minimal_words(k, bound, periods, canonical)), case
+                assert levels == trim_minimal_powers(k, bound, cap, mode, canonical), case
+                # the docstring's proof: no minimal-period check is needed
+                assert all(minimal_period(mp.word) == mp.period for mp in levels), case
+                _, visited = powerfree._minimal_word_arrays(k, bound, periods, canonical)
+                assert visited == sum(1 for _ in free_roots(k, bound, periods, canonical)), case
+
+
+@pytest.mark.parametrize("k", [128, 200, 257])
+def test_level_search_takes_letters_beyond_a_signed_byte(k):
+    for token, cap, canonical in (("2", 2, False), ("2+", 6, True), ("3/2", 3, True)):
+        bound = B(token)
+        periods = powerfree._target_periods(bound, cap, "period")
+        levels = minimal_powers(k, bound, cap, canonical=canonical)
+        assert levels == sorted(minimal_words(k, bound, periods, canonical))
+        assert all(minimal_period(mp.word) == mp.period for mp in levels)
+    top = minimal_powers(k, B("2"), 1)
+    assert top[-1].word == (k - 1, k - 1)
+
+
+@pytest.mark.parametrize(
+    "k,token,cap,mode",
+    [(3, "2", 6, "period"), (2, "3", 8, "period"), (2, "7/3+", 4, "excess"), (3, "5/2", 3, "excess")],
+)
+@pytest.mark.parametrize("canonical", [False, True])
+def test_level_search_budget_boundary_is_the_depth_first_one(k, token, cap, mode, canonical):
+    bound = B(token)
+    periods = powerfree._target_periods(bound, cap, mode)
+    visited = sum(1 for _ in free_roots(k, bound, periods, canonical))
+    full = minimal_powers(k, bound, cap, mode, canonical)
+    assert minimal_powers(k, bound, cap, mode, canonical, budget=visited) == full
+    with pytest.raises(BudgetExceededError) as depth_first:
+        list(free_roots(k, bound, periods, canonical, budget=visited - 1))
+    with pytest.raises(BudgetExceededError) as levels:
+        minimal_powers(k, bound, cap, mode, canonical, budget=visited - 1)
+    assert levels.value.period == depth_first.value.period == max(periods)
+    assert str(levels.value) == str(depth_first.value)
 
 
 @st.composite
