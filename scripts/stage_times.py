@@ -4,8 +4,8 @@
 
 The stages are the canonical minimal-power search (the level search
 that ``approximation_bounds`` runs, to one word array per period), the
-quotient build (from the word lists the bounds path makes of those
-arrays), Tarjan's cycle-carrying components, the certified index engine
+quotient build (from those arrays, as the bounds path passes them),
+Tarjan's cycle-carrying components, the certified index engine
 at delta = 1e-7, the lift of the unique component and the lower bound.
 Each case runs ``--runs`` times (default 3), each time in a fresh
 process; the record keeps each stage's best time, the sizes (free words
@@ -55,9 +55,7 @@ def one_run(case: str) -> dict:
         k, bound, range(1, cap + 1), canonical=True
     ))
     words = sum(len(a) for a in arrays.values())
-    trie, graph = stage("quotient", lambda: powerfree._quotient_graph(
-        k, [w for a in arrays.values() for w in a.tolist()]
-    ))
+    trie, graph = stage("quotient", lambda: powerfree._quotient_graph(k, arrays.values()))
     cyclic = stage("tarjan", lambda: powerfree._cyclic_components(graph))
     upper = stage("index", lambda: digraph_index(graph, DELTA, cyclic))
     lifted = stage("lift", lambda: [powerfree._lifted_components(trie, k, c) for c in cyclic])

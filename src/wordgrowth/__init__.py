@@ -44,6 +44,7 @@ from wordgrowth.growth import (
 )
 from wordgrowth.fad import (
     Antidictionary,
+    TrieSizeError,
     extendable_part,
     fad_automaton,
     intermediate_count,
@@ -97,6 +98,7 @@ __all__ = [
     "oscillation_type",
     "polynomial_index_general",
     "Antidictionary",
+    "TrieSizeError",
     "extendable_part",
     "fad_automaton",
     "intermediate_count",

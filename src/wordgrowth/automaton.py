@@ -250,9 +250,19 @@ def tarjan_components(successors: list) -> list:
 
 def scc(dfa: Dfa) -> SccDecomposition:
     """Strong components of the transition graph, topologically sorted."""
-    n = dfa.state_count
-    succ = [sorted(set(row.values())) for row in dfa.transitions]
-    comps_rev = tarjan_components(succ)
+    return graph_scc([sorted(set(row.values())) for row in dfa.transitions])
+
+
+def graph_scc(successors) -> SccDecomposition:
+    """Strong components of a digraph, topologically sorted.
+
+    ``successors[v]`` lists v's distinct targets in increasing order, as
+    ``scc`` builds them from an automaton and as the rows of a
+    ``growth.WeightedDigraph`` are, so one graph serves both this and the
+    index engine.
+    """
+    n = len(successors)
+    comps_rev = tarjan_components(successors)
     m = len(comps_rev)
     # Tarjan pops sinks first; flip so sources come first.
     components = [sorted(comps_rev[m - 1 - i]) for i in range(m)]
@@ -262,9 +272,9 @@ def scc(dfa: Dfa) -> SccDecomposition:
             component_of[v] = cid
     nontrivial = set()
     cond_edges = set()
-    for q, row in enumerate(dfa.transitions):
+    for q in range(n):
         cq = component_of[q]
-        for t in row.values():
+        for t in successors[q]:
             ct = component_of[t]
             if cq == ct:
                 nontrivial.add(cq)

@@ -22,6 +22,7 @@ from wordgrowth.circular import (
     root_table,
 )
 from wordgrowth.fad import (
+    TrieSizeError,
     fad_automaton,
     intermediate_count,
     intermediate_member,
@@ -274,7 +275,7 @@ def cmd_powerfree(obj, k, beta, cap, mode, no_lower):
         else:
             click.echo(f"language     L({k}, {bound})\nfinite       {exc}")
         return
-    except (BudgetExceededError, ValueError) as exc:
+    except (BudgetExceededError, TrieSizeError, ValueError) as exc:
         raise click.ClickException(str(exc)) from None
     elapsed = time.perf_counter() - started
     if obj["fmt"] == "json":

@@ -6,7 +6,12 @@ Such a language is factorial (closed under factors) and is recognized by
 an automaton whose states are the proper prefixes of the forbidden
 words, built here by ``FailureTrie``: failure links and a goto table
 filled once, breadth first.  The same trie, in its letter-canonical
-frame, builds the letter-symmetry quotients of ``powerfree``.
+frame, builds the letter-symmetry quotients of ``powerfree``.  Each frame
+is built its own way: the identity frame's tries, for antidictionaries
+read from files and the Thue-Morse approximations, are small, and a
+Python loop over their nodes is fastest; the letter-canonical tries of
+the power-free bounds reach millions of nodes, and are built with numpy
+one depth at a time, from the word arrays of the minimal-power search.
 
 The module also carries a few concrete language families used to
 exercise the growth machinery: truncated antidictionaries of the
@@ -21,11 +26,14 @@ from array import array
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from wordgrowth.automaton import Dfa, DfaFormatError, empty_dfa, scc, trim
 
 __all__ = [
     "Antidictionary",
     "FailureTrie",
+    "TrieSizeError",
     "extendable_part",
     "fad_automaton",
     "format_antidictionary",
@@ -62,20 +70,33 @@ def word_to_str(w: Iterable[int]) -> str:
     return "".join(chr(ord("a") + x) for x in w)
 
 
+class TrieSizeError(RuntimeError):
+    """A letter-canonical trie would have more nodes than its int32
+    tables can number; raised before any table is allocated."""
+
+    def __init__(self, nodes: int, limit: int):
+        super().__init__(
+            f"the letter-canonical trie needs {nodes} nodes, above the limit "
+            f"of {limit} that 32-bit node ids allow"
+        )
+        self.nodes = nodes
+        self.limit = limit
+
+
 class FailureTrie:
     """Trie of forbidden words with failure links and a goto table: the
     automaton of the language avoiding the words.
 
     Node u reads through a frame of slots.  In the identity frame each
-    slot is its letter.  In the letter-canonical frame (``canonical``),
-    for orbit representatives under letter permutation, slot i below
+    slot is its letter.  In the letter-canonical frame, for orbit
+    representatives under letter permutation, slot i below
     ``nletters[u]`` is the i-th letter, from 0, to occur in u's word, and
     slot ``nletters[u]``, when below k, is the fresh slot for every
     unused letter.  ``fsig[u]`` names u's slots in the frame of
     ``fail[u]``, the longest proper suffix of u's word that is a node,
     with ``FRESH`` for a letter that does not occur there; composing
     these along a failure chain replays the full automaton on a whole
-    orbit at once.
+    orbit at once (``goto``).
 
     Storage is flat, k entries per node: entry u*k + y of ``children``,
     ``fsig`` and ``delta`` belongs to slot y of u.  ``delta`` is filled
@@ -85,39 +106,45 @@ class FailureTrie:
     is stored as ~t, so negative entries are forbidden moves.  ``states``
     lists the other nodes breadth first, children by slot: automaton
     state q is node ``states[q]``, and ``state_of`` maps back (-1 for
-    forbidden words).
+    forbidden words).  A forbidden word's ``fsig`` row is never read.
 
-    A letter-canonical set must be antifactorial.  An identity-frame set
-    need not be: its failure links stay exact, which is what
-    ``Antidictionary`` checks.
+    Two constructors fill the tables, one per frame; they share no code.
+    ``FailureTrie(k, words)`` builds the identity frame in Python, node
+    by node, for ``Antidictionary``, ``fad_automaton`` and the Thue-Morse
+    approximations: small tries, where numpy's per-call cost would
+    dominate.  An identity-frame set need not be antifactorial: its
+    failure links stay exact, which is what ``Antidictionary`` checks;
+    it has no ``nletters`` or ``fsig``.  ``FailureTrie.letter_canonical``
+    builds the frame of the symmetry quotients of ``powerfree`` with
+    numpy, one depth at a time, from the level search's word arrays;
+    those tries reach millions of nodes.  A letter-canonical set must be
+    antifactorial.  Every table reads back plain ints.
     """
 
     FRESH = -1
+    # node ids and ~id must fit the int32 tables
+    NODE_LIMIT = 2**31 - 1
 
     __slots__ = (
         "k", "children", "terminal", "nletters", "fsig", "fail", "delta",
         "states", "state_of",
     )
 
-    def __init__(self, k: int, words: Iterable[Word], canonical: bool = False):
+    def __init__(self, k: int, words: Iterable[Word]):
         self.k = k
         self.children = array("i", [-1]) * k
         self.terminal = bytearray(1)
-        self.nletters = array("i", [0 if canonical else k])
+        self.nletters = self.fsig = None
         self._insert(words)
-        n = len(self.terminal)
-        row = [self.FRESH] * k if canonical else range(k)
-        self.fsig = array("i", row) * n
-        self._link(canonical)
+        self._link()
 
     def _insert(self, words: Iterable[Word]) -> None:
-        k, children, terminal, nletters = self.k, self.children, self.terminal, self.nletters
+        k, children, terminal = self.k, self.children, self.terminal
         blank = array("i", [-1]) * k
         for word in words:
             node = 0
             for x in word:
-                nl = nletters[node]
-                if x > nl or not 0 <= x < k:
+                if not 0 <= x < k:
                     raise ValueError(f"{word_to_str(word)} does not fit the trie's frame")
                 i = node * k + x
                 nxt = children[i]
@@ -125,67 +152,122 @@ class FailureTrie:
                     nxt = children[i] = len(terminal)
                     children += blank
                     terminal.append(0)
-                    nletters.append(nl + 1 if x == nl else nl)
                 node = nxt
             terminal[node] = 1
 
-    def _link(self, canonical: bool) -> None:
-        k, children, terminal, nletters, fsig = (
-            self.k, self.children, self.terminal, self.nletters, self.fsig
-        )
-        FRESH = self.FRESH
+    def _link(self) -> None:
+        k, children, terminal = self.k, self.children, self.terminal
         n = len(terminal)
         fail = self.fail = array("i", [0]) * n
         delta = self.delta = array("i", [0]) * (n * k)
         states = self.states = array("i", [0])
         for u in states:
             base = u * k
-            nl = nletters[u]
-            f = fail[u]
-            fbase = f * k
-            fresh = nletters[f]
-            for y in range(nl + 1 if nl < k else k):
-                if u:
-                    slot = fsig[base + y]
-                    if slot == FRESH:
-                        slot = fresh
-                    t = delta[fbase + slot]
-                else:
-                    t = 0
+            fbase = fail[u] * k
+            for y in range(k):
+                t = delta[fbase + y] if u else 0
                 c = children[base + y]
                 if c < 0:
                     delta[base + y] = t
                     continue
                 # the child's failure link is where u's failure link reads y
-                if t < 0:
-                    if canonical:
-                        raise AssertionError(
-                            "failure chain hit a forbidden word; input set "
-                            "was not antifactorial"
-                        )
-                    t = ~t
-                fail[c] = t
+                fail[c] = ~t if t < 0 else t
                 if terminal[c]:
                     delta[base + y] = ~c
                     continue
                 delta[base + y] = c
                 states.append(c)
-                if not canonical or not u:
-                    continue
-                cbase = c * k
-                if children[fbase + slot] >= 0:
-                    # the link is f's child: u's names carry over to it
-                    fsig[cbase:cbase + k] = fsig[base:base + k]
-                    fsig[cbase + y] = slot
-                else:
-                    tr = fsig[base:base + nl].tolist()
-                    if y == nl:
-                        tr.append(FRESH)
-                    self.goto(f, tr, y)
-                    fsig[cbase:cbase + len(tr)] = array("i", tr)
         self.state_of = array("i", [-1]) * n
         for q, u in enumerate(states):
             self.state_of[u] = q
+
+    @classmethod
+    def letter_canonical(cls, k: int, word_arrays: Iterable) -> "FailureTrie":
+        """The letter-canonical trie of the words, given as 2-D integer
+        arrays, one word per row (one array per word length, say).
+
+        Insertion sorts all words lexicographically, each padded with k,
+        which is no letter.  Word i then adds a node at each depth d with
+        lcp(w_{i-1}, w_i) <= d < len(w_i), and numbering the new nodes by
+        (depth, word index) is breadth-first order, children by slot: the
+        node ids, ``states`` and every table are those of a breadth-first
+        build.  The node count is known before a table is allocated; above
+        ``NODE_LIMIT`` it raises TrieSizeError.
+
+        Linking runs one depth at a time.  fail(u) is shallower than u, so
+        its goto row is complete, and one gather through ``fsig`` and
+        ``delta[fail]`` gives a whole depth's moves, its children's failure
+        links and, when a child's link is the child of fail(u) on the same
+        slot, the child's ``fsig``: u's row, with the read slot renamed.
+        Other children, none in the power-free tries seen, take their
+        ``fsig`` from the translating ``goto`` walk.  Raises ValueError for
+        a word outside the frame and AssertionError for a set that is not
+        antifactorial.
+        """
+        children, terminal, nletters, depth_start = _sorted_insert(
+            k, word_arrays, cls.NODE_LIMIT
+        )
+        n = len(terminal)
+        fsig = np.full((n, k), cls.FRESH, np.intc)
+        fail = np.zeros(n, np.intc)
+        delta = np.zeros((n, k), np.intc)
+        trie = object.__new__(cls)
+        trie.k = k
+        # the Python readers (goto, the lift, the walk below) index these
+        (trie.children, trie.terminal, trie.nletters, trie.fsig, trie.fail,
+         trie.delta) = (
+            memoryview(a.reshape(-1)) for a in (children, terminal, nletters, fsig, fail, delta)
+        )
+        trie._link_by_depth(children, terminal.view(bool), nletters, fsig, fail, delta,
+                            depth_start)
+        states = np.flatnonzero(terminal == 0).astype(np.intc)
+        state_of = np.full(n, -1, np.intc)
+        state_of[states] = np.arange(len(states), dtype=np.intc)
+        trie.states, trie.state_of = memoryview(states), memoryview(state_of)
+        return trie
+
+    def _link_by_depth(self, children, is_end, nletters, fsig, fail, delta, depth_start):
+        k, FRESH = self.k, self.FRESH
+        # the root reads slot 0 only; its children link to it, every letter fresh
+        c = int(children[0, 0])
+        delta[0, 0] = ~c if c >= 0 and is_end[c] else max(c, 0)
+        slots = np.arange(k)
+        for lo, hi, end in zip(depth_start, depth_start[1:], depth_start[2:]):
+            # nodes lo..hi-1 are one depth; their children are hi..end-1
+            f = fail[lo:hi].astype(np.int64)
+            sig = fsig[lo:hi]
+            dead = (slots > nletters[lo:hi, None]) | is_end[lo:hi, None]
+            read = np.where(sig == FRESH, nletters[f][:, None], sig)
+            read[dead] = 0
+            t = delta.reshape(-1)[f[:, None] * k + read]
+            t[dead] = 0
+            # child hi + i is node lo + r[i]'s child on slot y[i]
+            r, y = np.nonzero(children[lo:hi] >= 0)
+            link = t[r, y]
+            if (link < 0).any():
+                raise AssertionError(
+                    "failure chain hit a forbidden word; input set was not antifactorial"
+                )
+            fail[hi:end] = link
+            ids = np.arange(hi, end)
+            t[r, y] = np.where(is_end[hi:end], ~ids, ids)
+            delta[lo:hi] = t
+            # when the link is fail(u)'s child on the read slot, u's names
+            # carry over to it, the read slot renamed
+            s = read[r, y]
+            rows = sig[r]
+            rows[np.arange(len(r)), y] = s
+            fsig[hi:end] = rows
+            walk = (children.reshape(-1)[f[r] * k + s] < 0) & ~is_end[hi:end]
+            for i in np.flatnonzero(walk).tolist():
+                ri, yi = int(r[i]), int(y[i])
+                nl = int(nletters[lo + ri])
+                tr = sig[ri, :nl].tolist()
+                if yi == nl:
+                    tr.append(FRESH)
+                self.goto(int(f[ri]), tr, yi)
+                fsig[hi + i] = FRESH
+                fsig[hi + i, :len(tr)] = tr
 
     def goto(self, node: int, tr: list, r: int) -> Optional[int]:
         """Read slot ``tr[r]`` at ``node`` along the failure chain, and
@@ -213,6 +295,65 @@ class FailureTrie:
             base = node * k
             tr[:] = [v if v == FRESH else fsig[base + v] for v in tr]
             node = self.fail[node]
+
+
+def _sorted_insert(k: int, word_arrays: Iterable, limit: int) -> tuple:
+    """``children``, ``terminal`` and ``nletters`` of the letter-canonical
+    trie of the words, as numpy tables, and each depth's first node id;
+    see ``FailureTrie.letter_canonical``."""
+    blocks = [a for a in map(np.asarray, word_arrays) if len(a)]
+    if any(a.shape[1] == 0 for a in blocks):
+        raise ValueError("the empty word forbids every word")
+    m = sum(len(a) for a in blocks)
+    width = max((a.shape[1] for a in blocks), default=0)
+    # one word per column; key arithmetic below runs in int64
+    cols = np.full((width, m), k, np.min_scalar_type(k))
+    lengths = np.zeros(m, np.intp)
+    at = 0
+    for a in blocks:
+        if a.min() < 0 or a.max() >= k:
+            raise ValueError("a word does not fit the trie's frame")
+        cols[:a.shape[1], at:at + len(a)] = a.T
+        lengths[at:at + len(a)] = a.shape[1]
+        at += len(a)
+    if m:
+        order = np.lexsort(cols[::-1])
+        cols, lengths = cols[:, order], lengths[order]
+    inside = np.arange(width)[:, None] < lengths
+    # a canonical word brings its letters in first-occurrence order
+    seen = np.maximum.accumulate(np.where(inside, cols, 0), axis=0)
+    if (cols[:1] > 0).any() or ((cols[1:] > seen[:-1] + 1) & inside[1:]).any():
+        raise ValueError("a word does not fit the trie's frame")
+    lcp = np.zeros(m, np.intp)
+    if m > 1:
+        differ = cols[:, 1:] != cols[:, :-1]
+        lcp[1:] = np.where(differ.any(0), differ.argmax(0), lengths[1:])
+        if ((lcp[1:] == np.minimum(lengths[1:], lengths[:-1]))
+                & (lengths[1:] != lengths[:-1])).any():
+            raise AssertionError(
+                "a forbidden word is a prefix of another; input set was not antifactorial"
+            )
+    new = inside & (np.arange(width)[:, None] >= lcp)
+    n = 1 + int(np.count_nonzero(new))
+    if n > limit:
+        raise TrieSizeError(n, limit)
+    made = np.flatnonzero(new)  # (depth, word) order: nodes 1..n-1
+    ids = np.arange(1, n, dtype=np.intc)
+    node = np.zeros((width, m), np.intc)
+    node.flat[made] = ids
+    # a word's first lcp nodes are the word before's
+    np.maximum.accumulate(node, axis=1, out=node)
+    top = int(np.count_nonzero(new[:1]))  # the root's children
+    parent = np.zeros(n - 1, np.int64)
+    parent[top:] = node.reshape(-1)[made[top:] - m]
+    children = np.full((n, k), -1, np.intc)
+    children.reshape(-1)[parent * k + cols.reshape(-1)[made]] = ids
+    terminal = np.zeros(n, np.uint8)
+    terminal[node[lengths - 1, np.arange(m)]] = 1
+    nletters = np.zeros(n, np.intc)
+    nletters[1:] = seen.reshape(-1)[made] + 1
+    depth_start = np.concatenate([[1], 1 + np.cumsum(np.count_nonzero(new, axis=1))])
+    return children, terminal, nletters, depth_start.tolist()
 
 
 class Antidictionary:

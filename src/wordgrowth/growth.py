@@ -30,6 +30,7 @@ from wordgrowth.automaton import (
     Dfa,
     SccDecomposition,
     cycle_intersection_bound,
+    graph_scc,
     imprimitivity,
     scc,
     tarjan_components,
@@ -402,12 +403,12 @@ def _analyse(dfa: Dfa, delta: Fraction, runs: dict) -> tuple:
 
     ``runs`` maps a component's local graph to its two intervals and is
     shared by every automaton analysed at the same delta: the engine is
-    deterministic, so a component seen before costs nothing.
+    deterministic, so a component seen before costs nothing.  One
+    transition graph feeds both Tarjan and the components' local graphs.
     """
-    dec = scc(dfa)
-    comps = _component_graphs(
-        _dfa_adjacency(dfa), [dec.components[cid] for cid in dec.nontrivial]
-    )
+    graph = _dfa_adjacency(dfa)
+    dec = graph_scc(graph)
+    comps = _component_graphs(graph, [dec.components[cid] for cid in dec.nontrivial])
     rates, tight = {}, {}
     for cid, comp in zip(dec.nontrivial, comps):
         if comp not in runs:

@@ -24,9 +24,12 @@ free words, so a budget means the same in each.
 Symmetry: the languages are stable under permuting letters, so the walk
 counts of their approximating automata factor through a quotient whose
 states are letter-canonical forbidden-word prefixes.  The quotient is
-built directly by ``fad.FailureTrie`` in its letter-canonical frame,
-with relabeling-aware failure links and a breadth-first goto table, and
-feeds the same interval engine through weighted edges.  The lower
+built directly by ``fad.FailureTrie.letter_canonical``, with
+relabeling-aware failure links and a breadth-first goto table, on numpy,
+one trie depth at a time, from the level search's sorted word arrays;
+no word becomes a Python tuple.  The goto table already groups the
+moves by state, so the compressed sparse rows that feed the interval
+engine, weighted edges and all, need no global sort.  The lower
 bound's condition, a unique cycle-carrying component of the full
 automaton, is decided on the quotient too: the full automaton has
 [S_k : K] such components over each cycle-carrying quotient component,
@@ -512,29 +515,53 @@ def minimal_powers(
 _FRESH = FailureTrie.FRESH
 
 
-def _quotient_graph(k: int, canonical_words: Iterable[tuple]):
-    """The letter-canonical trie and the ``WeightedDigraph`` of the
+def _quotient_graph(k: int, word_arrays: Iterable):
+    """The letter-canonical trie of the words in ``word_arrays`` (2-D
+    arrays, one word per row) and the ``WeightedDigraph`` of the
     letter-permutation quotient of the forbidden-prefix automaton.
 
     State q is trie node ``trie.states[q]``; state 0 is the root.  Its
     moves are read off the trie's goto table, all states at once, with
     numpy.  An existing-letter move has weight 1, the fresh-letter move
     carries the number of unused concrete letters, and the weights of
-    moves to one target add up.
+    moves to one target add up.  The goto table already groups the moves
+    by source, so no global sort is needed: each state's at most k moves,
+    target and weight packed into one key, are sorted in place, and equal
+    targets merged.
     Weighted walk counts from the root equal the word counts of the full
     language, so index and polynomial structure are preserved.
     """
-    trie = FailureTrie(k, canonical_words, canonical=True)
-    states = np.frombuffer(trie.states, dtype=np.intc)
-    moves = np.frombuffer(trie.delta, dtype=np.intc).reshape(-1, k)[states]
-    nl = np.frombuffer(trie.nletters, dtype=np.intc)[states, None]
+    trie = FailureTrie.letter_canonical(k, word_arrays)
+    states = np.asarray(trie.states)
+    n = len(states)
+    nl = np.asarray(trie.nletters)[states, None]
+    moves = np.asarray(trie.delta).reshape(-1, k)[states]
     slot = np.arange(k)
-    # slots past the fresh one are unused; a negative move is forbidden
-    live = (slot <= nl) & (moves >= 0)
-    source = np.nonzero(live)[0]
-    target = np.frombuffer(trie.state_of, dtype=np.intc)[moves[live]]
-    weight = np.where(slot < nl, 1, k - nl)[live]
-    return trie, WeightedDigraph.from_edges(len(states), source, target, weight)
+    # pack target and weight into one key, 32-bit while it fits; slots past
+    # the fresh one are unused, and a negative move is forbidden (its
+    # wrapped state_of read is discarded): both sort last
+    key = np.asarray(trie.state_of)[moves].astype(np.int32 if n * (k + 1) < 2**31 else np.int64)
+    key *= k + 1
+    key += np.where(slot < nl, 1, k - nl)
+    key[(slot > nl) | (moves < 0)] = n * (k + 1)
+    # odd-even transposition sort of each state's k keys
+    for r in range(k):
+        a, b = key[:, r % 2:k - 1:2], key[:, r % 2 + 1:k:2]
+        low = np.minimum(a, b)
+        np.maximum(a, b, out=b)
+        a[...] = low
+    target, weight = np.divmod(key, k + 1)
+    # equal targets are adjacent: each run's weight goes to its first move
+    for j in range(k - 1, 0, -1):
+        same = target[:, j] == target[:, j - 1]
+        weight[:, j - 1] += weight[:, j] * same
+        target[:, j][same] = n
+    keep = target < n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return trie, WeightedDigraph(
+        indptr, target[keep].astype(np.int64), weight[keep].astype(np.int64)
+    )
 
 
 def _edge_voltage(tr: list, k: int) -> tuple:
@@ -762,14 +789,14 @@ def approximation_bounds(
     arrays, _ = _minimal_word_arrays(
         k, bound, _target_periods(bound, cap, mode), canonical=True, budget=budget
     )
-    canon_words = [w for words in arrays.values() for w in words.tolist()]
     ad_size = sum(
         math.perm(k, 1 + top) for words in arrays.values() for top in words.max(1).tolist()
     )
 
     if symmetry:
-        trie, graph = _quotient_graph(k, canon_words)
+        trie, graph = _quotient_graph(k, arrays.values())
     else:
+        canon_words = [w for words in arrays.values() for w in words.tolist()]
         graph = _dfa_adjacency(_full_automaton(k, canon_words))
     cyclic = _cyclic_components(graph)
     upper = digraph_index(graph, dfr, cyclic)

@@ -9,22 +9,34 @@ slow paths built from the library's public functions:
 ``trim_minimal_powers``, the minimal powers from a border-table root
 search and trim check (``suffixes_stay_free``, on
 ``minimal_periods_of_suffixes``); ``per_period_root_complexity``
-and ``per_period_scan``, one root search per period; and
-``goto_loop_quotient_graph``, the quotient read state by state off a
-``FailureTrie``'s goto table into dicts.
+and ``per_period_scan``, one root search per period;
+``goto_loop_quotient_graph``, the quotient read state by state off the
+goto table of ``BreadthFirstTrie``, the library's earlier Python trie;
+and ``successor_list_scc``, the components from Tarjan on successor
+lists built from the automaton's rows.
 """
 
 import itertools
 import math
+from array import array
 from fractions import Fraction
 from math import lcm
+from typing import Iterable, Optional
 
 import numpy as np
 import sympy
 
-from wordgrowth.automaton import Dfa, empty_dfa, imprimitivity, scc, trim
+from wordgrowth.automaton import (
+    Dfa,
+    SccDecomposition,
+    empty_dfa,
+    imprimitivity,
+    scc,
+    tarjan_components,
+    trim,
+)
 from wordgrowth.circular import minimal_roots
-from wordgrowth.fad import FailureTrie, word_to_str
+from wordgrowth.fad import word_to_str
 from wordgrowth.growth import (
     GrowthReport,
     ResidueAsymptotics,
@@ -45,6 +57,32 @@ from wordgrowth.powerfree import (
 
 # ---------------------------------------------------------------------------
 # automata
+
+def successor_list_scc(dfa) -> SccDecomposition:
+    """Strong components of the transition graph, topologically sorted,
+    from successor lists of each row's distinct targets."""
+    n = dfa.state_count
+    succ = [sorted(set(row.values())) for row in dfa.transitions]
+    comps_rev = tarjan_components(succ)
+    m = len(comps_rev)
+    # Tarjan pops sinks first; flip so sources come first.
+    components = [sorted(comps_rev[m - 1 - i]) for i in range(m)]
+    component_of = [0] * n
+    for cid, comp in enumerate(components):
+        for v in comp:
+            component_of[v] = cid
+    nontrivial = set()
+    cond_edges = set()
+    for q, row in enumerate(dfa.transitions):
+        cq = component_of[q]
+        for t in row.values():
+            ct = component_of[t]
+            if cq == ct:
+                nontrivial.add(cq)
+            else:
+                cond_edges.add((cq, ct))
+    return SccDecomposition(component_of, components, nontrivial, cond_edges)
+
 
 def brute_count(dfa, n: int) -> int:
     """Accepted-word count by trying every word of length n."""
@@ -667,12 +705,200 @@ class _QuotientTrie:
             nd = self.fail[nd]
 
 
+# The library's failure-link trie before its letter-canonical frame moved
+# to numpy: one Python construction for both frames, inserting word by word and
+# linking node by node, breadth first.  Its node ids are insertion order.
+
+Word = tuple
+
+
+class BreadthFirstTrie:
+    """Trie of forbidden words with failure links and a goto table: the
+    automaton of the language avoiding the words.
+
+    Node u reads through a frame of slots.  In the identity frame each
+    slot is its letter.  In the letter-canonical frame (``canonical``),
+    for orbit representatives under letter permutation, slot i below
+    ``nletters[u]`` is the i-th letter, from 0, to occur in u's word, and
+    slot ``nletters[u]``, when below k, is the fresh slot for every
+    unused letter.  ``fsig[u]`` names u's slots in the frame of
+    ``fail[u]``, the longest proper suffix of u's word that is a node,
+    with ``FRESH`` for a letter that does not occur there; composing
+    these along a failure chain replays the full automaton on a whole
+    orbit at once.
+
+    Storage is flat, k entries per node: entry u*k + y of ``children``,
+    ``fsig`` and ``delta`` belongs to slot y of u.  ``delta`` is filled
+    once, breadth first (Aho & Corasick, CACM 1975): delta(u, y) is u's
+    child on y, else the root at the root, else delta(fail(u),
+    fsig[u][y]), FRESH going to fail(u)'s fresh slot.  A forbidden word t
+    is stored as ~t, so negative entries are forbidden moves.  ``states``
+    lists the other nodes breadth first, children by slot: automaton
+    state q is node ``states[q]``, and ``state_of`` maps back (-1 for
+    forbidden words).
+
+    A letter-canonical set must be antifactorial.  An identity-frame set
+    need not be: its failure links stay exact, which is what
+    ``Antidictionary`` checks.
+    """
+
+    FRESH = -1
+
+    __slots__ = (
+        "k", "children", "terminal", "nletters", "fsig", "fail", "delta",
+        "states", "state_of",
+    )
+
+    def __init__(self, k: int, words: Iterable[Word], canonical: bool = False):
+        self.k = k
+        self.children = array("i", [-1]) * k
+        self.terminal = bytearray(1)
+        self.nletters = array("i", [0 if canonical else k])
+        self._insert(words)
+        n = len(self.terminal)
+        row = [self.FRESH] * k if canonical else range(k)
+        self.fsig = array("i", row) * n
+        self._link(canonical)
+
+    def _insert(self, words: Iterable[Word]) -> None:
+        k, children, terminal, nletters = self.k, self.children, self.terminal, self.nletters
+        blank = array("i", [-1]) * k
+        for word in words:
+            node = 0
+            for x in word:
+                nl = nletters[node]
+                if x > nl or not 0 <= x < k:
+                    raise ValueError(f"{word_to_str(word)} does not fit the trie's frame")
+                i = node * k + x
+                nxt = children[i]
+                if nxt < 0:
+                    nxt = children[i] = len(terminal)
+                    children += blank
+                    terminal.append(0)
+                    nletters.append(nl + 1 if x == nl else nl)
+                node = nxt
+            terminal[node] = 1
+
+    def _link(self, canonical: bool) -> None:
+        k, children, terminal, nletters, fsig = (
+            self.k, self.children, self.terminal, self.nletters, self.fsig
+        )
+        FRESH = self.FRESH
+        n = len(terminal)
+        fail = self.fail = array("i", [0]) * n
+        delta = self.delta = array("i", [0]) * (n * k)
+        states = self.states = array("i", [0])
+        for u in states:
+            base = u * k
+            nl = nletters[u]
+            f = fail[u]
+            fbase = f * k
+            fresh = nletters[f]
+            for y in range(nl + 1 if nl < k else k):
+                if u:
+                    slot = fsig[base + y]
+                    if slot == FRESH:
+                        slot = fresh
+                    t = delta[fbase + slot]
+                else:
+                    t = 0
+                c = children[base + y]
+                if c < 0:
+                    delta[base + y] = t
+                    continue
+                # the child's failure link is where u's failure link reads y
+                if t < 0:
+                    if canonical:
+                        raise AssertionError(
+                            "failure chain hit a forbidden word; input set "
+                            "was not antifactorial"
+                        )
+                    t = ~t
+                fail[c] = t
+                if terminal[c]:
+                    delta[base + y] = ~c
+                    continue
+                delta[base + y] = c
+                states.append(c)
+                if not canonical or not u:
+                    continue
+                cbase = c * k
+                if children[fbase + slot] >= 0:
+                    # the link is f's child: u's names carry over to it
+                    fsig[cbase:cbase + k] = fsig[base:base + k]
+                    fsig[cbase + y] = slot
+                else:
+                    tr = fsig[base:base + nl].tolist()
+                    if y == nl:
+                        tr.append(FRESH)
+                    self.goto(f, tr, y)
+                    fsig[cbase:cbase + len(tr)] = array("i", tr)
+        self.state_of = array("i", [-1]) * n
+        for q, u in enumerate(states):
+            self.state_of[u] = q
+
+    def goto(self, node: int, tr: list, r: int) -> Optional[int]:
+        """Read slot ``tr[r]`` at ``node`` along the failure chain, and
+        return the target, or None when the move is forbidden.
+
+        ``tr`` lists slots of node's frame, or FRESH, and is rewritten
+        in place into the target's frame: entries composed through
+        ``fsig`` along the chain, the read letter set to its name in the
+        target.  ``delta`` gives the same targets, without the
+        translation.
+        """
+        k, children, nletters, fsig = self.k, self.children, self.nletters, self.fsig
+        FRESH = self.FRESH
+        while True:
+            y = tr[r]
+            slot = nletters[node] if y == FRESH else y
+            t = children[node * k + slot]
+            if t >= 0:
+                if self.terminal[t]:
+                    return None
+                tr[r] = slot
+                return t
+            if node == 0:
+                return 0
+            base = node * k
+            tr[:] = [v if v == FRESH else fsig[base + v] for v in tr]
+            node = self.fail[node]
+
+
+def breadth_first_tables(trie, k: int) -> dict:
+    """A ``BreadthFirstTrie``'s tables, as lists, with its nodes renumbered
+    in breadth-first order, children by slot, forbidden words included.
+    ``fsig`` is kept on the other nodes only: a forbidden word's row is
+    never read."""
+    order = [0]
+    for u in order:
+        order.extend(c for c in trie.children[u * k:u * k + k] if c >= 0)
+    new = {old: i for i, old in enumerate(order)}
+
+    def renumber(t):
+        return new[t] if t >= 0 else ~new[~t]
+
+    tables = {name: [] for name in ("children", "fsig", "delta")}
+    for u in order:
+        row = slice(u * k, u * k + k)
+        tables["children"] += [renumber(c) for c in trie.children[row]]
+        tables["delta"] += [renumber(t) for t in trie.delta[row]]
+        if not trie.terminal[u]:
+            tables["fsig"] += trie.fsig[row].tolist()
+    tables["terminal"] = [trie.terminal[u] for u in order]
+    tables["nletters"] = [trie.nletters[u] for u in order]
+    tables["fail"] = [new[trie.fail[u]] for u in order]
+    tables["states"] = [new[u] for u in trie.states]
+    tables["state_of"] = [trie.state_of[u] for u in order]
+    return tables
+
+
 def goto_loop_quotient_graph(k: int, canonical_words):
-    """The letter-canonical ``FailureTrie`` and the quotient's adjacency
+    """The letter-canonical ``BreadthFirstTrie`` and the quotient's adjacency
     as one dict per state, read state by state off the goto table:
     weight 1 for an existing-letter move, the number of unused letters
     for the fresh-letter move, summed over moves to one target."""
-    trie = FailureTrie(k, canonical_words, canonical=True)
+    trie = BreadthFirstTrie(k, canonical_words, canonical=True)
     delta, state_of, nletters = trie.delta, trie.state_of, trie.nletters
     adjacency: list[dict] = []
     for u in trie.states:

@@ -12,6 +12,7 @@ import builders
 import wordgrowth
 from wordgrowth import powerfree
 from wordgrowth.automaton import format_dfa, parse_dfa
+from wordgrowth.fad import FailureTrie
 from wordgrowth.cli import main
 
 PHI_AD = "ad 2\naaa\nbbb\n"
@@ -226,6 +227,24 @@ def test_powerfree_budget_boundary_is_the_depth_first_count(runner):
     result = runner.invoke(main, ["--budget", str(n - 1), *args])
     assert result.exit_code == 1
     assert f"budget of {n - 1} candidate roots exhausted at period 8" in result.output
+
+
+def test_powerfree_trie_limit_failure(runner, monkeypatch):
+    # node ids are int32: a trie past the limit is a clear error, not a wrap
+    args = ["powerfree", "3", "2", "--cap", "8"]
+    arrays, _ = powerfree._minimal_word_arrays(
+        3, powerfree.ExponentBound(2), range(1, 9), canonical=True
+    )
+    nodes = len(FailureTrie.letter_canonical(3, arrays.values()).terminal)
+    monkeypatch.setattr(FailureTrie, "NODE_LIMIT", nodes)
+    run(runner, args)
+    monkeypatch.setattr(FailureTrie, "NODE_LIMIT", nodes - 1)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output == (
+        f"Error: the letter-canonical trie needs {nodes} nodes, above the limit "
+        f"of {nodes - 1} that 32-bit node ids allow\n"
+    )
 
 
 def test_powerfree_no_symmetry_agrees(runner):

@@ -18,10 +18,11 @@ from oracles import (
     per_slice_profile,
     row_sum_float_vector,
     spectral_radius_root,
+    successor_list_scc,
 )
 from wordgrowth import growth
-from wordgrowth.automaton import Dfa, empty_dfa, tarjan_components, trim
-from wordgrowth.fad import fad_automaton, tm_antidictionary
+from wordgrowth.automaton import Dfa, empty_dfa, graph_scc, scc, tarjan_components, trim
+from wordgrowth.fad import extendable_part, fad_automaton, tm_antidictionary
 from wordgrowth.growth import (
     WeightedDigraph,
     approximate_index,
@@ -452,23 +453,57 @@ def test_profile_certifies_each_component_once(monkeypatch):
     # decomposes the automaton and each nonempty slice once
     runs, decompositions = [], []
     component_interval = growth._component_interval
-    scc = growth.scc
+    decompose = growth.graph_scc
 
     def counting_component_interval(comp, delta):
         runs.append((comp, delta))
         return component_interval(comp, delta)
 
-    def counting_scc(dfa):
-        decompositions.append(dfa)
-        return scc(dfa)
+    def counting_scc(graph):
+        decompositions.append(graph)
+        return decompose(graph)
 
     monkeypatch.setattr(growth, "_component_interval", counting_component_interval)
-    monkeypatch.setattr(growth, "scc", counting_scc)
+    monkeypatch.setattr(growth, "graph_scc", counting_scc)
     rep = asymptotic_profile(fad_automaton(tm_antidictionary(2)))
     assert rep.residue_count == 8
     assert all(pr.alpha_hi > 0 for pr in rep.per_residue)
     assert len(runs) == len(set(runs)) == 14
     assert len(decompositions) == 1 + rep.residue_count
+
+
+def test_one_graph_decomposition_matches_successor_lists(dfa_corpus):
+    # the profile's decomposition, read off the engine's graph, equals
+    # Tarjan on successor lists built from the rows
+    rng = random.Random(1207)
+    tm = [fad_automaton(tm_antidictionary(i)) for i in range(-1, 4)]
+    corpus = tm + [extendable_part(d, side) for d in tm for side in ("right", "two")]
+    corpus += dfa_corpus + [builders.random_dfa(rng, max_states=12, k=3) for _ in range(200)]
+    corpus += [empty_dfa(2)]
+    for d in corpus:
+        expected = successor_list_scc(d)
+        for dec in (scc(d), graph_scc(growth._dfa_adjacency(d))):
+            assert dec.components == expected.components, d
+            assert dec.component_of == expected.component_of, d
+            assert dec.nontrivial == expected.nontrivial, d
+            assert dec.condensation_edges == expected.condensation_edges, d
+
+
+def test_profile_builds_one_graph_per_automaton(monkeypatch):
+    graphs = []
+    adjacency = growth._dfa_adjacency
+
+    def counting_adjacency(dfa):
+        graphs.append(dfa)
+        return adjacency(dfa)
+
+    def refuse(dfa):
+        raise AssertionError("scc built its own successor lists")
+
+    monkeypatch.setattr(growth, "_dfa_adjacency", counting_adjacency)
+    monkeypatch.setattr(growth, "scc", refuse)
+    rep = asymptotic_profile(fad_automaton(tm_antidictionary(1)))
+    assert len(graphs) == 1 + rep.residue_count
 
 
 def test_profile_rate_is_pinned():

@@ -4,12 +4,15 @@ import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import TRIM_TOKENS
 from oracles import (
+    BreadthFirstTrie,
+    breadth_first_tables,
     brute_minimal_powers_by_length,
     brute_minimal_powers_by_period,
     chain_walk_quotient_graph,
@@ -24,7 +27,7 @@ from oracles import (
 )
 from wordgrowth import powerfree
 from wordgrowth.automaton import scc
-from wordgrowth.fad import Antidictionary, parse_word
+from wordgrowth.fad import Antidictionary, FailureTrie, TrieSizeError, parse_word
 from wordgrowth.powerfree import (
     BudgetExceededError,
     ExponentBound,
@@ -45,6 +48,7 @@ from wordgrowth.powerfree import (
 from wordgrowth.powerfree import (
     _cyclic_components,
     _lifted_components,
+    _minimal_word_arrays,
     _quotient_graph,
 )
 
@@ -546,7 +550,7 @@ def test_bounds_serializers():
 def quotient_cycle_components(k, words):
     """Cycle-carrying components of the full automaton, counted from the
     quotient alone."""
-    trie, graph = _quotient_graph(k, words)
+    trie, graph = _quotient_graph(k, by_length(words))
     return sum(_lifted_components(trie, k, c) for c in _cyclic_components(graph))
 
 
@@ -574,8 +578,14 @@ def grid_cases(k):
                 yield bound, mode, cap
 
 
+def by_length(words):
+    """The words as one 2-D array per length, the form in which the
+    level search hands them to the quotient."""
+    return [np.array([w for w in words if len(w) == n]) for n in sorted({*map(len, words)})]
+
+
 def assert_quotient_matches_chain_walk(k, words, case):
-    trie, graph = _quotient_graph(k, words)
+    trie, graph = _quotient_graph(k, by_length(words))
     oracle_trie, expected = chain_walk_quotient_graph(k, words)
     rows = graph.rows()
     assert rows == [sorted(row.items()) for row in expected], case
@@ -627,6 +637,126 @@ def test_quotient_matches_chain_walk_oracle_on_random_sets(case):
     assert_quotient_matches_chain_walk(k, words, case)
 
 
+# ---------------------------------------------------------------------------
+# the letter-canonical trie, depth by depth, against the node-by-node build
+
+
+def assert_trie_matches_oracle(k, words, case, arrays=None):
+    """Every table of the numpy trie, built from ``arrays`` or else from
+    the words grouped by length, equals the Python breadth-first build's,
+    once the oracle's insertion-order nodes are renumbered breadth
+    first."""
+    trie = FailureTrie.letter_canonical(k, by_length(words) if arrays is None else arrays)
+    expected = breadth_first_tables(BreadthFirstTrie(k, words, canonical=True), k)
+    got = {name: list(getattr(trie, name)) for name in expected}
+    got["fsig"] = [v for i, v in enumerate(got["fsig"]) if not trie.terminal[i // k]]
+    for name, table in expected.items():
+        assert got[name] == table, (case, name)
+    return trie
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_canonical_trie_matches_oracle(k):
+    for bound, mode, cap in grid_cases(k):
+        words = [mp.word for mp in minimal_powers(k, bound, cap, mode, canonical=True)]
+        assert_trie_matches_oracle(k, words, (k, str(bound), mode, cap))
+
+
+@pytest.mark.parametrize(
+    "k,token,cap", [(2, "3", 17), (3, "2", 24), (3, "7/3", 9), (4, "2", 10)]
+)
+def test_canonical_trie_matches_oracle_long_chains(k, token, cap):
+    words = [mp.word for mp in minimal_powers(k, B(token), cap, canonical=True)]
+    assert_trie_matches_oracle(k, words, (k, token, cap))
+
+
+@given(canonical_antidictionaries())
+@settings(max_examples=300, deadline=None)
+def test_canonical_trie_matches_oracle_on_random_sets(case):
+    k, words = case
+    assert_trie_matches_oracle(k, words, case)
+
+
+def test_canonical_trie_walks_when_the_link_is_no_child(monkeypatch):
+    # the link of aab is b, a in canonical form, but fail(aa) = a has no
+    # child on its fresh slot, so the translating walk names b's letters
+    walks = []
+    goto = FailureTrie.goto
+
+    def counting_goto(self, *args):
+        walks.append(args)
+        return goto(self, *args)
+
+    monkeypatch.setattr(FailureTrie, "goto", counting_goto)
+    trie = assert_trie_matches_oracle(2, [(0, 0, 1, 1)], "aabb")
+    assert len(walks) == 1
+    assert_quotient_matches_chain_walk(2, [(0, 0, 1, 1)], "aabb")
+    assert list(trie.fail) == [0, 0, 1, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "k,words",
+    [
+        (2, []),  # the root alone
+        (3, []),
+        (1, [(0, 0, 0)]),  # one letter
+        (1, [(0,)]),
+        # 257 letters: words of dtype uint16, keys past 2^16
+        (257, [tuple(range(257)) + (0,), (0, 1, 0, 2)]),
+    ],
+)
+def test_canonical_trie_edge_cases(k, words):
+    assert_trie_matches_oracle(k, words, (k, words))
+    assert_quotient_matches_chain_walk(k, words, (k, words))
+
+
+def test_canonical_trie_reads_periods_with_no_minimal_words():
+    # binary square-free words stop at length 3: periods 3 to 6 give
+    # empty arrays, which the trie skips
+    arrays, _ = _minimal_word_arrays(2, B("2"), range(1, 7), canonical=True)
+    assert [len(a) for a in arrays.values()] == [1, 1, 0, 0, 0, 0]
+    words = [tuple(w) for a in arrays.values() for w in a.tolist()]
+    assert_trie_matches_oracle(2, words, "square-free", arrays.values())
+    _, graph = _quotient_graph(2, arrays.values())
+    assert graph.rows() == [sorted(row.items()) for row in goto_loop_quotient_graph(2, words)[1]]
+
+
+def test_canonical_trie_rejects_what_the_frame_cannot_hold():
+    with pytest.raises(ValueError, match="frame"):
+        FailureTrie.letter_canonical(2, [np.array([[1, 0]])])  # not canonical
+    with pytest.raises(ValueError, match="frame"):
+        FailureTrie.letter_canonical(2, [np.array([[0, 1, 2]])])  # letter 2 of 2
+    with pytest.raises(AssertionError, match="prefix"):
+        FailureTrie.letter_canonical(2, [np.array([[0, 1]]), np.array([[0, 1, 0]])])
+    with pytest.raises(AssertionError, match="failure chain"):
+        # abb ends in bb, of aa's orbit: the link of abb is forbidden
+        FailureTrie.letter_canonical(2, [np.array([[0, 0]]), np.array([[0, 1, 1]])])
+
+
+def test_trie_size_limit_is_checked_before_the_tables(monkeypatch):
+    arrays, _ = _minimal_word_arrays(3, B("2"), range(1, 9), canonical=True)
+    nodes = len(FailureTrie.letter_canonical(3, arrays.values()).terminal)
+    monkeypatch.setattr(FailureTrie, "NODE_LIMIT", nodes)
+    FailureTrie.letter_canonical(3, arrays.values())
+    monkeypatch.setattr(FailureTrie, "NODE_LIMIT", nodes - 1)
+    shapes = []
+
+    def recording(make):
+        def wrapper(shape, *args, **kwargs):
+            shapes.append(shape)
+            return make(shape, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "full", recording(np.full))
+    monkeypatch.setattr(np, "zeros", recording(np.zeros))
+    with pytest.raises(TrieSizeError, match=f"needs {nodes} nodes, above the limit of {nodes - 1}"):
+        FailureTrie.letter_canonical(3, arrays.values())
+    # no table with a row per node was allocated
+    assert shapes and not any(np.ndim(s) and s[0] >= nodes - 1 for s in shapes), shapes
+    with pytest.raises(TrieSizeError):
+        approximation_bounds(3, B("2"), 8)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_lifted_component_count_matches_full_automaton(k):
     for bound, mode, cap in grid_cases(k):
@@ -643,7 +773,7 @@ def test_lifted_component_count_several_components(k, token, cap, count):
     # one quotient component whose letter permutations generate a proper
     # subgroup of S_k: the full automaton splits into [S_k : K] copies
     words = [mp.word for mp in minimal_powers(k, B(token), cap, canonical=True)]
-    _, graph = _quotient_graph(k, words)
+    _, graph = _quotient_graph(k, by_length(words))
     assert len(_cyclic_components(graph)) == 1
     assert quotient_cycle_components(k, words) == count
     assert full_cycle_components(k, words) == count
