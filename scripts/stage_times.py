@@ -51,7 +51,7 @@ def one_run(case: str) -> dict:
         peaks[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         return out
 
-    arrays, visited = stage("minimal_powers", lambda: powerfree._minimal_word_arrays(
+    arrays, visited = stage("minimal_powers", lambda: powerfree.minimal_word_arrays(
         k, bound, range(1, cap + 1), canonical=True
     ))
     words = sum(len(a) for a in arrays.values())

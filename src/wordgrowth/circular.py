@@ -3,12 +3,13 @@
 A circular word is a word up to rotation; it is square-free when no
 factor of length up to the word's own length, read around the circle,
 is a square.  Circular square-free words of length n are exactly the
-roots of the minimal squares of period n.  Everything here reads
-minimal words from ``powerfree.minimal_words``, whose budget error
-``BudgetExceededError`` is re-exported: enumeration searches one
-period, while a root table and a period scan each run one search over
-all their periods, the scan dropping a period at its first witness.
-``circular_is_square_free`` checks the circular definition directly."""
+roots of the minimal squares of period n.  Roots, root tables and
+enumerations read them from one level search,
+``powerfree.minimal_word_arrays``, whose budget error
+``BudgetExceededError`` is re-exported; a period scan runs
+``powerfree.periods_without_minimal_words``, one depth-first walk that
+drops a period at its first minimal word.  ``circular_is_square_free``
+checks the circular definition directly."""
 
 from __future__ import annotations
 
@@ -16,7 +17,12 @@ import math
 from typing import Iterable, Optional
 
 from wordgrowth.fad import word_to_str
-from wordgrowth.powerfree import BudgetExceededError, ExponentBound, minimal_words
+from wordgrowth.powerfree import (
+    BudgetExceededError,
+    ExponentBound,
+    minimal_word_arrays,
+    periods_without_minimal_words,
+)
 
 __all__ = [
     "BudgetExceededError",
@@ -92,12 +98,15 @@ def circular_is_square_free(word, k: Optional[int] = None) -> bool:
     return True
 
 
-def enumerate_circular_square_free(n: int, alphabet_size: int = 3) -> list:
+def enumerate_circular_square_free(
+    n: int, alphabet_size: int = 3, budget: Optional[int] = None
+) -> list:
     """All square-free circular words of length n, sorted.
 
     These are the roots of the minimal squares of period n, deduplicated
-    through least rotations.  An empty alphabet raises ValueError at
-    every n, n = 0 included.
+    through least rotations; ``budget`` caps their search as in
+    ``minimal_roots``.  An empty alphabet raises ValueError at every n,
+    n = 0 included.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
@@ -106,7 +115,7 @@ def enumerate_circular_square_free(n: int, alphabet_size: int = 3) -> list:
     if n == 0:
         return [CircularWord(())]
     square = ExponentBound(2)
-    found = {least_rotation(root) for root in minimal_roots(alphabet_size, square, n)}
+    found = {least_rotation(root) for root in minimal_roots(alphabet_size, square, n, budget)}
     return [CircularWord(w) for w in sorted(found)]
 
 
@@ -130,13 +139,14 @@ def _rotation_renaming_key(word) -> tuple:
 
 
 def minimal_roots(k: int, bound: ExponentBound, n: int, budget: Optional[int] = None) -> list:
-    """All length-n words whose periodic extension is a minimal power;
-    for squares these are exactly the words whose circular closure is
-    square-free.  ``budget`` caps the free words the root search visits;
-    one more raises BudgetExceededError naming period n."""
+    """All length-n words whose periodic extension is a minimal power,
+    sorted; for squares these are exactly the words whose circular
+    closure is square-free.  ``budget`` caps the free words the root
+    search visits; one more raises BudgetExceededError naming period n."""
     if n < 1:
         raise ValueError("period must be at least 1")
-    return sorted(mp.word[:n] for mp in minimal_words(k, bound, [n], budget=budget))
+    arrays, _ = minimal_word_arrays(k, bound, [n], budget=budget)
+    return list(map(tuple, arrays[n][:, :n].tolist()))
 
 
 def root_table(k: int, bound: ExponentBound, n_max: int, budget: Optional[int] = None) -> list:
@@ -155,10 +165,14 @@ def root_table(k: int, bound: ExponentBound, n_max: int, budget: Optional[int] =
     """
     if n_max < 1:
         raise ValueError("period must be at least 1")
-    classes = [set() for _ in range(n_max)]
-    for mp in minimal_words(k, bound, range(1, n_max + 1), canonical=True, budget=budget):
-        classes[mp.period - 1].add(_rotation_renaming_key(mp.word[:mp.period]))
-    return [sum(math.perm(k, 1 + max(key)) for key in keys) for keys in classes]
+    arrays, _ = minimal_word_arrays(
+        k, bound, range(1, n_max + 1), canonical=True, budget=budget
+    )
+    table = []
+    for p, words in arrays.items():
+        keys = {_rotation_renaming_key(root) for root in map(tuple, words[:, :p].tolist())}
+        table.append(sum(math.perm(k, 1 + max(key)) for key in keys))
+    return table
 
 
 def root_complexity(k: int, bound: ExponentBound, n: int, budget: Optional[int] = None) -> int:
@@ -175,18 +189,12 @@ def forbidden_period_scan(
 ) -> set:
     """Periods up to p_max admitting no minimal bound-violating word.
 
-    One letter-canonical search covers every period (permuting letters
+    One letter-canonical walk covers every period (permuting letters
     preserves minimality); a period leaves its targets at its first
-    minimal word, and the search stops when none is left.  ``budget``
+    minimal word, and the walk stops when none is left.  ``budget``
     caps the free words it visits; one more raises BudgetExceededError
     naming the smallest period still open.
     """
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
-    open_periods = set(range(1, p_max + 1))
-    try:
-        for mp in minimal_words(k, bound, open_periods, canonical=True, budget=budget):
-            open_periods.discard(mp.period)
-    except BudgetExceededError:
-        raise BudgetExceededError(min(open_periods), budget) from None
-    return open_periods
+    return periods_without_minimal_words(k, bound, p_max, budget)

@@ -77,8 +77,8 @@ def _no_csv(fmt: str):
 @click.option("--delta", default="1e-6", show_default=True,
               help="Half-width of certified growth-rate intervals.")
 @click.option("--budget", default=20_000_000, show_default=True, type=int,
-              help="Free words the one root search of a powerfree, root or "
-                   "scan query may visit.")
+              help="Free words the one root search of a powerfree, root, "
+                   "circular or scan query may visit.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
               default="text", show_default=True)
 @click.option("--threads", default=1, show_default=True, type=int,
@@ -320,8 +320,8 @@ def cmd_root(obj, k, beta, n_max):
 def cmd_circular(obj, n, k, counts):
     """Square-free circular words of one length."""
     try:
-        words = enumerate_circular_square_free(n, k)
-    except ValueError as exc:
+        words = enumerate_circular_square_free(n, k, obj["budget"])
+    except (BudgetExceededError, ValueError) as exc:
         raise click.ClickException(str(exc)) from None
     if counts:
         if obj["fmt"] == "json":

@@ -9,17 +9,15 @@ and a classical inequality converts a good upper bound into a certified
 lower bound.  Everything numeric here is exact: rates come from the
 certified interval engine, the lower bound from rational bisection.
 
-Minimal words: two searches list them, and both check each new letter
-on the factors that end at it.  ``minimal_powers`` and the bounds
-pipeline need every minimal word up to the cap, so they search level by
-level with numpy (``_minimal_word_arrays``): all free words of one
-length are one array, and a per-row table of the longest suffix with
-each period decides every check.  ``free_roots`` and ``minimal_words``
-walk depth first, one letter at a time.  The circular-word module keeps
-that walk: its period scan stops a period at its first minimal word,
-which a level search, finishing each length first, cannot do.  The walk
-is also the level search's oracle in the tests; both visit the same
-free words, so a budget means the same in each.
+Minimal words: ``minimal_word_arrays`` lists them level by level with
+numpy: all free words of one length are one array, and a per-row table
+of the longest suffix with each period decides every check on the
+factors that end at a new letter.  ``minimal_powers``, the bounds
+pipeline and the circular-word module's root tables and enumerations
+read its sorted word arrays.  Only the period scan walks depth first
+(``periods_without_minimal_words``): it closes a period at its first
+minimal word, which a level search, finishing each length first, cannot
+do.
 
 Symmetry: the languages are stable under permuting letters, so the walk
 counts of their approximating automata factor through a quotient whose
@@ -71,12 +69,12 @@ __all__ = [
     "approximation_bounds",
     "asymptotic_formula",
     "exponent",
-    "free_roots",
     "is_free",
     "lower_bound",
     "minimal_periods_of_suffixes",
     "minimal_powers",
-    "minimal_words",
+    "minimal_word_arrays",
+    "periods_without_minimal_words",
     "violates",
 ]
 
@@ -286,42 +284,41 @@ def _target_periods(bound: ExponentBound, cap: int, mode: str) -> list:
     raise ValueError("mode must be 'period' or 'excess'")
 
 
-def free_roots(
+def periods_without_minimal_words(
     k: int,
     bound: ExponentBound,
-    periods: Iterable[int],
-    canonical: bool = False,
+    p_max: int,
     budget: Optional[int] = None,
-) -> Iterator[tuple]:
-    """Depth-first scan of bound-free words, yielding every one whose
-    length is among ``periods``.
+) -> set:
+    """The periods up to ``p_max`` that admit no minimal bound-violating
+    word, from one depth-first walk over the letter-canonical free words.
 
-    Each letter is checked against the factors it closes, so every
-    yielded word is free; roots of minimal violating words are free, so
-    the scan is complete for them.  ``canonical`` restricts branching to
-    the letter-canonical orbit representatives (first occurrences in
-    increasing order).  A set of ``periods`` is read live: a caller may
-    discard periods between yields, after which the scan skips words
-    longer than the largest period left and stops when none is.
+    Permuting letters preserves minimality, so the letter-canonical
+    words (first occurrences in increasing order) meet every period with
+    a minimal word.  Each new letter is checked on the factors it
+    closes, so every word walked is free, as every root is.  A root of
+    an open period p is extended periodically to L_p: the prefix
+    w[:L_p-1] is checked letter by letter past the root, and w[1:],
+    whose other factors lie in that prefix, only at its last letter; the
+    minimal period is then p (``minimal_word_arrays`` proves it).  A
+    period closes at its first minimal word, the walk descends no deeper
+    than the largest period still open, and it ends when none is.
     ``budget`` caps the free words visited; one more raises
-    BudgetExceededError naming the largest period still searched.  An
+    BudgetExceededError naming the smallest period still open.  An
     empty alphabet or a budget below 1 raises ValueError.
     """
     if k < 1:
         raise ValueError("alphabet must have at least 1 letter")
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
-    targets = periods if isinstance(periods, set) else set(periods)
-    if not targets:
-        return
-    p_max, wanted = max(targets), len(targets)
-    pairs = _suffix_checks(bound, p_max)
+    open_periods = set(range(1, p_max + 1))
+    pairs = _suffix_checks(bound, _target_length(bound, p_max))
     visited = 0
     word: list = []
-    stack = [(0, x) for x in reversed(range(1 if canonical else k))]
-    while stack:  # (length before, letter) pairs, depth first
+    stack = [(0, 0)]  # (length before, letter) pairs, depth first
+    while stack:
         n, x = stack.pop()
-        if n >= p_max:  # pushed before the caller dropped the longest periods
+        if n >= p_max:  # pushed before the longest open periods closed
             continue
         del word[n:]
         word.append(x)
@@ -330,52 +327,25 @@ def free_roots(
             continue
         visited += 1
         if budget is not None and visited > budget:
-            raise BudgetExceededError(p_max, budget)
-        if n in targets:
-            yield tuple(word)
-            if len(targets) < wanted:
-                if not targets:
-                    return
-                p_max, wanted = max(targets), len(targets)
+            raise BudgetExceededError(min(open_periods), budget)
+        if n in open_periods:
+            length = _target_length(bound, n)
+            w = word[:]
+            while len(w) < length - 1:
+                w.append(w[-n])
+                if _ends_in_violation(w, len(w), pairs):
+                    break
+            else:  # w is the free prefix w[:L-1]
+                w.append(w[-n])
+                if not _ends_in_violation(w[1:], length - 1, pairs):
+                    open_periods.discard(n)
+                    p_max = max(open_periods, default=0)
         if n < p_max:
-            letters = min(max(word) + 2, k) if canonical else k
-            stack.extend([(n, y) for y in range(letters - 1, -1, -1)])
+            stack.extend([(n, y) for y in range(min(max(word) + 2, k) - 1, -1, -1)])
+    return open_periods
 
 
-def minimal_words(
-    k: int,
-    bound: ExponentBound,
-    periods: Iterable[int],
-    canonical: bool = False,
-    budget: Optional[int] = None,
-) -> Iterator[MinimalPower]:
-    """Minimal bound-violating words of the given periods, in search
-    order, one per free root of ``free_roots`` (same arguments, and a
-    set of ``periods`` is read live as there) that extends to one.
-
-    The periodic extension w of a root of period p to the target length
-    L violates.  It is minimal when both one-letter trims are free: the
-    prefix w[:L-1] is checked letter by letter past the root, as the
-    search checks the root itself, and w[1:], whose other factors lie in
-    that prefix, only at its last letter.  Its minimal period must be p.
-    """
-    targets = periods if isinstance(periods, set) else set(periods)
-    pairs = _suffix_checks(bound, _target_length(bound, max(targets, default=0)))
-    for root in free_roots(k, bound, targets, canonical, budget):
-        p = len(root)
-        length = _target_length(bound, p)
-        w = list(root)
-        while len(w) < length - 1:
-            w.append(w[-p])
-            if _ends_in_violation(w, len(w), pairs):
-                break
-        else:  # w is the free prefix w[:L-1]
-            w.append(w[-p])
-            if not _ends_in_violation(w[1:], length - 1, pairs) and minimal_period(w) == p:
-                yield MinimalPower(p, tuple(w), Fraction(length, p))
-
-
-def _minimal_word_arrays(
+def minimal_word_arrays(
     k: int,
     bound: ExponentBound,
     periods: Iterable[int],
@@ -388,11 +358,15 @@ def _minimal_word_arrays(
     of its minimal words (one per row, length L_p), and ``visited``
     counts the free words visited.
 
-    The search visits exactly the free words ``free_roots`` visits, of
-    every length up to the largest period, so ``budget`` and
-    ``canonical`` mean what they mean there; the budget is checked
-    before each level is materialised, and the error names the largest
-    period.  All free words of one length form one array, kept in
+    The search visits every free word of every length up to the largest
+    period; with ``canonical``, only the letter-canonical ones (first
+    occurrences of letters in increasing order).  ``budget`` caps the
+    free words visited and is checked before each level is materialised;
+    one more raises BudgetExceededError naming the largest period.  An
+    empty alphabet or a budget below 1 raises ValueError.  The roots of
+    period p are ``arrays[p][:, :p]``, sorted as the rows are.
+
+    All free words of one length form one array, kept in
     lexicographic order; R, one row per word, holds for each period q
     below the largest one R_q, the length of the longest suffix with
     period q.  Appending letter x to a word w of length n sets R_q to
@@ -457,7 +431,7 @@ def _minimal_word_arrays(
 
 def _periodic_extensions(roots, runs, lengths, p: int):
     """The rows of ``roots`` (free words of length p, with their R table;
-    see ``_minimal_word_arrays``) whose periodic extension to L_p is a
+    see ``minimal_word_arrays``) whose periodic extension to L_p is a
     minimal violating word, extended, in their order."""
     length = int(lengths[p - 1])
     words = roots[:, np.arange(length) % p]
@@ -494,12 +468,12 @@ def minimal_powers(
     A minimal violating word of period p has exactly the target length
     for p, so generation searches the free roots of each target period,
     one length at a time, and extends them periodically
-    (``_minimal_word_arrays``).  With ``canonical`` only orbit
+    (``minimal_word_arrays``).  With ``canonical`` only orbit
     representatives under letter permutation are produced.  ``budget``
     caps the free words that one search over all the periods visits, as
-    in ``free_roots``.
+    in ``minimal_word_arrays``.
     """
-    arrays, _ = _minimal_word_arrays(
+    arrays, _ = minimal_word_arrays(
         k, bound, _target_periods(bound, cap, mode), canonical, budget
     )
     out = []
@@ -786,7 +760,7 @@ def approximation_bounds(
     dfr = _as_fraction(delta)
     if dfr <= 0:
         raise ValueError("delta must be positive")
-    arrays, _ = _minimal_word_arrays(
+    arrays, _ = minimal_word_arrays(
         k, bound, _target_periods(bound, cap, mode), canonical=True, budget=budget
     )
     ad_size = sum(

@@ -8,8 +8,11 @@ slow paths built from the library's public functions:
 ``per_slice_profile``, the growth profile from per-automaton calls;
 ``trim_minimal_powers``, the minimal powers from a border-table root
 search and trim check (``suffixes_stay_free``, on
-``minimal_periods_of_suffixes``); ``per_period_root_complexity``
-and ``per_period_scan``, one root search per period;
+``minimal_periods_of_suffixes``); ``free_roots`` and
+``minimal_words``, the library's earlier depth-first walk, whose
+letter check is the library's ``_ends_in_violation`` (tested against
+border tables); ``per_period_root_complexity`` and ``per_period_scan``,
+one such walk per period;
 ``goto_loop_quotient_graph``, the quotient read state by state off the
 goto table of ``BreadthFirstTrie``, the library's earlier Python trie;
 and ``successor_list_scc``, the components from Tarjan on successor
@@ -21,7 +24,7 @@ import math
 from array import array
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 import sympy
@@ -35,7 +38,6 @@ from wordgrowth.automaton import (
     tarjan_components,
     trim,
 )
-from wordgrowth.circular import minimal_roots
 from wordgrowth.fad import word_to_str
 from wordgrowth.growth import (
     GrowthReport,
@@ -47,10 +49,14 @@ from wordgrowth.growth import (
     polynomial_index_general,
 )
 from wordgrowth.powerfree import (
+    BudgetExceededError,
+    ExponentBound,
     MinimalPower,
+    _ends_in_violation,
+    _suffix_checks,
+    _target_length,
     minimal_period,
     minimal_periods_of_suffixes,
-    minimal_words,
     violates,
 )
 
@@ -285,6 +291,99 @@ def trim_minimal_powers(k: int, bound, cap: int, mode: str, canonical: bool):
 
 
 # ---------------------------------------------------------------------------
+# the depth-first minimal-word walk
+
+
+def free_roots(
+    k: int,
+    bound: ExponentBound,
+    periods: Iterable[int],
+    canonical: bool = False,
+    budget: Optional[int] = None,
+) -> Iterator[tuple]:
+    """Depth-first scan of bound-free words, yielding every one whose
+    length is among ``periods``.
+
+    Each letter is checked against the factors it closes, so every
+    yielded word is free; roots of minimal violating words are free, so
+    the scan is complete for them.  ``canonical`` restricts branching to
+    the letter-canonical orbit representatives (first occurrences in
+    increasing order).  A set of ``periods`` is read live: a caller may
+    discard periods between yields, after which the scan skips words
+    longer than the largest period left and stops when none is.
+    ``budget`` caps the free words visited; one more raises
+    BudgetExceededError naming the largest period still searched.  An
+    empty alphabet or a budget below 1 raises ValueError.
+    """
+    if k < 1:
+        raise ValueError("alphabet must have at least 1 letter")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be at least 1")
+    targets = periods if isinstance(periods, set) else set(periods)
+    if not targets:
+        return
+    p_max, wanted = max(targets), len(targets)
+    pairs = _suffix_checks(bound, p_max)
+    visited = 0
+    word: list = []
+    stack = [(0, x) for x in reversed(range(1 if canonical else k))]
+    while stack:  # (length before, letter) pairs, depth first
+        n, x = stack.pop()
+        if n >= p_max:  # pushed before the caller dropped the longest periods
+            continue
+        del word[n:]
+        word.append(x)
+        n += 1
+        if _ends_in_violation(word, n, pairs):
+            continue
+        visited += 1
+        if budget is not None and visited > budget:
+            raise BudgetExceededError(p_max, budget)
+        if n in targets:
+            yield tuple(word)
+            if len(targets) < wanted:
+                if not targets:
+                    return
+                p_max, wanted = max(targets), len(targets)
+        if n < p_max:
+            letters = min(max(word) + 2, k) if canonical else k
+            stack.extend([(n, y) for y in range(letters - 1, -1, -1)])
+
+
+def minimal_words(
+    k: int,
+    bound: ExponentBound,
+    periods: Iterable[int],
+    canonical: bool = False,
+    budget: Optional[int] = None,
+) -> Iterator[MinimalPower]:
+    """Minimal bound-violating words of the given periods, in search
+    order, one per free root of ``free_roots`` (same arguments, and a
+    set of ``periods`` is read live as there) that extends to one.
+
+    The periodic extension w of a root of period p to the target length
+    L violates.  It is minimal when both one-letter trims are free: the
+    prefix w[:L-1] is checked letter by letter past the root, as the
+    search checks the root itself, and w[1:], whose other factors lie in
+    that prefix, only at its last letter.  Its minimal period must be p.
+    """
+    targets = periods if isinstance(periods, set) else set(periods)
+    pairs = _suffix_checks(bound, _target_length(bound, max(targets, default=0)))
+    for root in free_roots(k, bound, targets, canonical, budget):
+        p = len(root)
+        length = _target_length(bound, p)
+        w = list(root)
+        while len(w) < length - 1:
+            w.append(w[-p])
+            if _ends_in_violation(w, len(w), pairs):
+                break
+        else:  # w is the free prefix w[:L-1]
+            w.append(w[-p])
+            if not _ends_in_violation(w[1:], length - 1, pairs) and minimal_period(w) == p:
+                yield MinimalPower(p, tuple(w), Fraction(length, p))
+
+
+# ---------------------------------------------------------------------------
 # circular words
 
 def naive_circular_square_free(word) -> bool:
@@ -317,9 +416,10 @@ def rotation_renaming_class(word):
 
 def per_period_root_complexity(k: int, bound, n: int) -> int:
     """``root_complexity`` by its own search for period n: the rotation
-    and renaming classes of every root from ``minimal_roots``, each
-    counted by its letter assignments k!/(k-used)!."""
-    classes = {rotation_renaming_class(root) for root in minimal_roots(k, bound, n)}
+    and renaming classes of the root of every minimal word from
+    ``minimal_words`` over all letters, each counted by its letter
+    assignments k!/(k-used)!."""
+    classes = {rotation_renaming_class(mp.word[:n]) for mp in minimal_words(k, bound, [n])}
     return sum(math.perm(k, 1 + max(key)) for key in classes)
 
 

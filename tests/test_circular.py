@@ -9,6 +9,8 @@ import pytest
 
 from builders import TRIM_TOKENS
 from oracles import (
+    free_roots,
+    minimal_words,
     naive_circular_square_free,
     naive_min_period,
     per_period_root_complexity,
@@ -311,6 +313,28 @@ def test_scan_matches_per_period_oracle(k, n_max, p_max):
         bound = B(token)
         assert forbidden_period_scan(k, bound, p_max) == per_period_scan(k, bound, p_max), (
             k, token)
+
+
+@pytest.mark.parametrize("k,n_max", [(2, 12), (3, 8), (4, 6)])
+def test_roots_and_budgets_match_depth_first_oracle(k, n_max):
+    # the level search against the depth-first walk: the same roots, and
+    # a budget runs out at the same count of free words visited
+    for token in TRIM_TOKENS:
+        bound = B(token)
+        for n in range(1, n_max + 1):
+            case = (k, token, n)
+            visited = sum(1 for _ in free_roots(k, bound, range(1, n + 1)))
+            expected = sorted(mp.word[:n] for mp in minimal_words(k, bound, [n]))
+            assert minimal_roots(k, bound, n, budget=visited) == expected, case
+            with pytest.raises(BudgetExceededError) as err:
+                minimal_roots(k, bound, n, budget=visited - 1)
+            assert err.value.period == n, case
+        visited = sum(1 for _ in free_roots(k, bound, range(1, n_max + 1), canonical=True))
+        table = root_table(k, bound, n_max)
+        assert root_table(k, bound, n_max, budget=visited) == table, (k, token)
+        with pytest.raises(BudgetExceededError) as err:
+            root_table(k, bound, n_max, budget=visited - 1)
+        assert err.value.period == n_max, (k, token)
 
 
 def test_root_table_rejects_empty_tables_and_alphabets():

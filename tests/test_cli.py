@@ -10,7 +10,8 @@ from click.testing import CliRunner
 
 import builders
 import wordgrowth
-from wordgrowth import powerfree
+from oracles import free_roots
+from wordgrowth import circular, powerfree
 from wordgrowth.automaton import format_dfa, parse_dfa
 from wordgrowth.fad import FailureTrie
 from wordgrowth.cli import main
@@ -217,7 +218,7 @@ def test_powerfree_budget_failure(runner):
 def test_powerfree_budget_boundary_is_the_depth_first_count(runner):
     # the bounds search visits exactly the free words the depth-first walk does
     bound = powerfree.ExponentBound.parse("2")
-    n = sum(1 for _ in powerfree.free_roots(3, bound, range(1, 9), canonical=True))
+    n = sum(1 for _ in free_roots(3, bound, range(1, 9), canonical=True))
     args = ["powerfree", "3", "2", "--cap", "8"]
     docs = [json.loads(run(runner, ["--format", "json", *budget, *args]))
             for budget in ([], ["--budget", str(n)])]
@@ -232,7 +233,7 @@ def test_powerfree_budget_boundary_is_the_depth_first_count(runner):
 def test_powerfree_trie_limit_failure(runner, monkeypatch):
     # node ids are int32: a trie past the limit is a clear error, not a wrap
     args = ["powerfree", "3", "2", "--cap", "8"]
-    arrays, _ = powerfree._minimal_word_arrays(
+    arrays, _ = powerfree.minimal_word_arrays(
         3, powerfree.ExponentBound(2), range(1, 9), canonical=True
     )
     nodes = len(FailureTrie.letter_canonical(3, arrays.values()).terminal)
@@ -300,17 +301,39 @@ def test_root_budget_failure(runner):
 
 
 @pytest.mark.parametrize(
+    "args,visited",
+    [
+        # the canonical ternary square-free words up to length 8
+        (["root", "3", "2", "--n-max", "8"], 42),
+        # every ternary square-free word up to length 8
+        (["circular", "--n", "8", "--k", "3"], 249),
+    ],
+)
+def test_root_and_circular_budget_boundary(runner, args, visited):
+    for fmt in ("text", "json"):
+        full = run(runner, ["--format", fmt, *args])
+        assert run(runner, ["--format", fmt, "--budget", str(visited), *args]) == full
+    result = runner.invoke(main, ["--budget", str(visited - 1), *args])
+    assert result.exit_code == 1
+    assert result.output == (
+        f"Error: budget of {visited - 1} candidate roots exhausted at period 8\n"
+    )
+
+
+@pytest.mark.parametrize(
     "args", [["root", "3", "2", "--n-max", "8"], ["scan", "2", "5/2", "--p-max", "12"]]
 )
 def test_root_and_scan_run_one_search(runner, monkeypatch, args):
     searches = []
-    search = powerfree.free_roots
+    for name in ("minimal_word_arrays", "periods_without_minimal_words"):
+        search = getattr(powerfree, name)
 
-    def counted(*a, **kw):
-        searches.append(a)
-        return search(*a, **kw)
+        def counted(*a, search=search, **kw):
+            searches.append(a)
+            return search(*a, **kw)
 
-    monkeypatch.setattr(powerfree, "free_roots", counted)
+        for module in (powerfree, circular):
+            monkeypatch.setattr(module, name, counted)
     run(runner, args)
     assert len(searches) == 1
 

@@ -16,7 +16,9 @@ from oracles import (
     brute_minimal_powers_by_length,
     brute_minimal_powers_by_period,
     chain_walk_quotient_graph,
+    free_roots,
     goto_loop_quotient_graph,
+    minimal_words,
     naive_exponent,
     naive_min_period,
     naive_violates,
@@ -36,19 +38,18 @@ from wordgrowth.powerfree import (
     approximation_bounds,
     asymptotic_formula,
     exponent,
-    free_roots,
     is_free,
     lower_bound,
     minimal_period,
     minimal_periods_of_suffixes,
     minimal_powers,
-    minimal_words,
+    minimal_word_arrays,
+    periods_without_minimal_words,
     violates,
 )
 from wordgrowth.powerfree import (
     _cyclic_components,
     _lifted_components,
-    _minimal_word_arrays,
     _quotient_graph,
 )
 
@@ -296,7 +297,7 @@ def test_level_search_matches_depth_first_and_trim_oracles(k, cap, tokens):
                 assert levels == trim_minimal_powers(k, bound, cap, mode, canonical), case
                 # the docstring's proof: no minimal-period check is needed
                 assert all(minimal_period(mp.word) == mp.period for mp in levels), case
-                _, visited = powerfree._minimal_word_arrays(k, bound, periods, canonical)
+                _, visited = minimal_word_arrays(k, bound, periods, canonical)
                 assert visited == sum(1 for _ in free_roots(k, bound, periods, canonical)), case
 
 
@@ -374,7 +375,7 @@ def test_root_search_budget_is_exact():
 def test_budgets_below_one_are_rejected():
     for budget in (0, -5):
         with pytest.raises(ValueError, match="budget must be at least 1"):
-            list(free_roots(3, B("2"), [3], budget=budget))
+            periods_without_minimal_words(3, B("2"), 3, budget=budget)
         with pytest.raises(ValueError, match="budget must be at least 1"):
             minimal_powers(3, B("2"), 3, budget=budget)
 
@@ -713,7 +714,7 @@ def test_canonical_trie_edge_cases(k, words):
 def test_canonical_trie_reads_periods_with_no_minimal_words():
     # binary square-free words stop at length 3: periods 3 to 6 give
     # empty arrays, which the trie skips
-    arrays, _ = _minimal_word_arrays(2, B("2"), range(1, 7), canonical=True)
+    arrays, _ = minimal_word_arrays(2, B("2"), range(1, 7), canonical=True)
     assert [len(a) for a in arrays.values()] == [1, 1, 0, 0, 0, 0]
     words = [tuple(w) for a in arrays.values() for w in a.tolist()]
     assert_trie_matches_oracle(2, words, "square-free", arrays.values())
@@ -734,7 +735,7 @@ def test_canonical_trie_rejects_what_the_frame_cannot_hold():
 
 
 def test_trie_size_limit_is_checked_before_the_tables(monkeypatch):
-    arrays, _ = _minimal_word_arrays(3, B("2"), range(1, 9), canonical=True)
+    arrays, _ = minimal_word_arrays(3, B("2"), range(1, 9), canonical=True)
     nodes = len(FailureTrie.letter_canonical(3, arrays.values()).terminal)
     monkeypatch.setattr(FailureTrie, "NODE_LIMIT", nodes)
     FailureTrie.letter_canonical(3, arrays.values())
