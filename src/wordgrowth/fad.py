@@ -23,7 +23,6 @@ between polynomial and exponential.
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -588,25 +587,24 @@ def intermediate_member(word: Sequence[int], alphabet_size: int) -> bool:
     return all(lens[i] <= lens[i + 1] for i in range(len(lens) - 2))
 
 
-@lru_cache(maxsize=None)
-def _staircase_tails(remaining: int, min_block: int) -> int:
-    # one way to stop here (single free final block), plus every way to
-    # lay a constrained block of each admissible size first
-    total = 1
-    for size in range(min_block, remaining):
-        total += _staircase_tails(remaining - size, size)
-    return total
-
-
 def intermediate_count(n: int, alphabet_size: int) -> int:
-    """Number of staircase words of length exactly n, exact integer."""
+    """Number of staircase words of length exactly n, exact integer.
+
+    Over k >= 2 letters a nonempty member is a first letter, the
+    nondecreasing block lengths of some x < n and a final block of n - x
+    letters: k times the partitions of 0 to n - 1.  Over one letter every
+    word is a single block."""
     if alphabet_size < 1:
         raise ValueError("alphabet_size must be at least 1")
     if n < 0:
         raise ValueError("length must be nonnegative")
-    if n == 0:
+    if n == 0 or alphabet_size == 1:
         return 1
-    return alphabet_size * _staircase_tails(n, 1)
+    partitions = [1] + [0] * (n - 1)  # of each x < n, one part size at a time
+    for part in range(1, n):
+        for x in range(part, n):
+            partitions[x] += partitions[x - part]
+    return alphabet_size * sum(partitions)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ evaluates the bounds exactly over integers, so the emitted interval is a
 certificate regardless of how the vector was produced.  On a strongly
 connected component the iteration v <- (A+I)v tightens the bounds to any
 requested width (the +I term makes the matrix primitive, which kills the
-oscillation a periodic component would otherwise sustain).
+oscillation a periodic component would otherwise sustain).  The engine
+yields a stream of nested certificates per component; no step depends
+on the width wanted, so a caller reads up to the first certificate
+narrow enough, and reads two widths from one stream.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isfinite, lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -228,43 +232,39 @@ def _integer_vector(fv) -> list:
     return np.maximum(1, (fv * (1 << 53)).astype(np.int64)).tolist()
 
 
-def _component_interval(comp: WeightedDigraph, delta: Fraction):
-    """Certified index interval of one nontrivial strongly connected
-    component, width at most 2*delta.
+def _certificates(comp: WeightedDigraph):
+    """Certified index intervals of one nontrivial strongly connected
+    component, each nested in the one before: a caller takes the first
+    one narrow enough, and one stream serves every width.
 
     ``comp`` is the component's local graph (every row nonempty, so the
     lower bound from all-ones is already >= 1, and exact for a single
-    state's loops).  Strategy: float acceleration, integerize, certify
-    exactly; if the certified gap is still too wide, continue the
-    iteration in exact integer arithmetic with renormalization at
-    doubling precision.  Successive certificates are intersected, which
-    only ever tightens the answer.
+    state's loops).  The stream yields the all-ones certificate, the
+    float vector's (float acceleration, integerized, certified exactly),
+    then every 16th step of the iteration continued in exact integer
+    arithmetic at doubling precision, each intersected with those before.
+    The 2,000,000-step cap covers all the widths read from one stream.
     """
-    n = len(comp)
     rows = comp.rows()
-    ones = [1] * n
-    best_lo, best_hi = _exact_bounds(rows, ones)
-    if best_hi - best_lo <= 2 * delta:
-        return IndexInterval(best_lo, best_hi)
+    ones = [1] * len(comp)
+    lo, hi = _exact_bounds(rows, ones)
+    yield IndexInterval(lo, hi)
 
     fv = _float_vector(comp, max_iters=20000)
     if fv is not None:
         v = _integer_vector(fv)
-        lo, hi = _exact_bounds(rows, v)
-        best_lo = max(best_lo, lo)
-        best_hi = min(best_hi, hi)
-        if best_hi - best_lo <= 2 * delta:
-            return IndexInterval(best_lo, best_hi)
+        a, b = _exact_bounds(rows, v)
+        lo, hi = max(lo, a), min(hi, b)
+        yield IndexInterval(lo, hi)
     else:
-        v = list(ones)
+        v = ones
 
     # Exact continuation: v <- (A+I)v over the integers, renormalized by
     # right shift so entries stay near `prec` bits.  Flooring keeps every
     # entry >= 1, so each checkpoint is still a valid certificate; if
     # truncation noise stalls progress, precision doubles.
     prec = 96
-    check_every = 16
-    prev_gap = best_hi - best_lo
+    prev_gap = hi - lo
     stall = 0
     for step in range(1, 2_000_001):
         new = []
@@ -278,13 +278,11 @@ def _component_interval(comp: WeightedDigraph, delta: Fraction):
         if top > prec:
             shift = top - prec
             v = [max(1, x >> shift) for x in v]
-        if step % check_every == 0:
-            lo, hi = _exact_bounds(rows, v)
-            best_lo = max(best_lo, lo)
-            best_hi = min(best_hi, hi)
-            gap = best_hi - best_lo
-            if gap <= 2 * delta:
-                return IndexInterval(best_lo, best_hi)
+        if step % 16 == 0:
+            a, b = _exact_bounds(rows, v)
+            lo, hi = max(lo, a), min(hi, b)
+            yield IndexInterval(lo, hi)
+            gap = hi - lo
             if gap > prev_gap * Fraction(49, 50):
                 stall += 1
                 if stall >= 3:
@@ -349,7 +347,8 @@ def digraph_index(
     The index is the spectral radius of the weight matrix, equivalently
     the growth rate of weighted walk counts; it equals the maximum over
     strongly connected components.  A graph with no cycles has index 0.
-    The returned interval has width at most ``2*delta``.
+    The returned interval has width at most ``2*delta``: each component
+    gives the first certificate of its stream that narrow.
 
     ``components`` are the graph's strongly connected components when
     the caller already has them; those without a cycle may be left out.
@@ -362,7 +361,8 @@ def digraph_index(
     if components is None:
         components = tarjan_components(graph)
     comps = _component_graphs(graph, components)
-    return _rate(_component_interval(c, dfr) for c in comps if c is not None)
+    streams = (_certificates(c) for c in comps if c is not None)
+    return _rate(next(iv for iv in s if iv.width <= 2 * dfr) for s in streams)
 
 
 def _dfa_adjacency(dfa: Dfa) -> WeightedDigraph:
@@ -398,8 +398,9 @@ def count_words(dfa: Dfa, n: int) -> int:
 def _analyse(dfa: Dfa, delta: Fraction, runs: dict) -> tuple:
     """Strong components of a trimmed automaton and two certified
     intervals for each nontrivial one, keyed by component id: ``rates``
-    at delta, and ``tight``, intersected with a second run at delta/4
-    (both enclose the index, so the intersection does too).
+    of width at most 2*delta, and ``tight``, at most delta/2, read from
+    the same stream of nested certificates (``rates`` when it is narrow
+    enough, the stream read further otherwise).
 
     ``runs`` maps a component's local graph to its two intervals and is
     shared by every automaton analysed at the same delta: the engine is
@@ -412,9 +413,9 @@ def _analyse(dfa: Dfa, delta: Fraction, runs: dict) -> tuple:
     rates, tight = {}, {}
     for cid, comp in zip(dec.nontrivial, comps):
         if comp not in runs:
-            at = _component_interval(comp, delta)
-            lo, hi = _component_interval(comp, delta / 4)
-            runs[comp] = (at, IndexInterval(max(at.lo, lo), min(at.hi, hi)))
+            stream = _certificates(comp)
+            at = next(iv for iv in stream if iv.width <= 2 * delta)
+            runs[comp] = at, next(iv for iv in chain([at], stream) if iv.width <= delta / 2)
         rates[cid], tight[cid] = runs[comp]
     return dec, rates, tight
 

@@ -12,7 +12,10 @@ search and trim check (``suffixes_stay_free``, on
 ``minimal_words``, the library's earlier depth-first walk, whose
 letter check is the library's ``_ends_in_violation`` (tested against
 border tables); ``per_period_root_complexity`` and ``per_period_scan``,
-one such walk per period;
+one such walk per period; ``component_interval``, the library's
+earlier index engine, one run per width, on its ``_exact_bounds``,
+``_float_vector`` and ``_integer_vector``;
+``recursive_intermediate_count``, the earlier staircase count;
 ``goto_loop_quotient_graph``, the quotient read state by state off the
 goto table of ``BreadthFirstTrie``, the library's earlier Python trie;
 and ``successor_list_scc``, the components from Tarjan on successor
@@ -23,6 +26,7 @@ import itertools
 import math
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, Iterator, Optional
 
@@ -41,7 +45,11 @@ from wordgrowth.automaton import (
 from wordgrowth.fad import word_to_str
 from wordgrowth.growth import (
     GrowthReport,
+    IndexInterval,
     ResidueAsymptotics,
+    _exact_bounds,
+    _float_vector,
+    _integer_vector,
     approximate_index,
     classify,
     digraph_index,
@@ -494,6 +502,24 @@ def staircase_factors(k: int, n: int):
     return seen
 
 
+@lru_cache(maxsize=None)
+def _staircase_tails(remaining: int, min_block: int) -> int:
+    # one way to stop here (single free final block), plus every way to
+    # lay a constrained block of each admissible size first
+    total = 1
+    for size in range(min_block, remaining):
+        total += _staircase_tails(remaining - size, size)
+    return total
+
+
+def recursive_intermediate_count(n: int, alphabet_size: int) -> int:
+    """The library's earlier staircase count, one recursion level per
+    block: right for k >= 2 letters and n below the recursion limit."""
+    if n == 0:
+        return 1
+    return alphabet_size * _staircase_tails(n, 1)
+
+
 # ---------------------------------------------------------------------------
 # extendable parts
 
@@ -623,7 +649,8 @@ def per_slice_profile(dfa, delta: Fraction):
 #
 # The library's engine compares row ratios by cross-multiplication and
 # takes its float product from ``np.bincount``.  These are the earlier
-# versions, kept as the reference.
+# versions, kept as the reference.  ``component_interval`` is the earlier
+# engine, one run per width, before it became a stream of certificates.
 
 
 def dict_component_rows(adjacency, comp):
@@ -691,6 +718,74 @@ def row_sum_float_vector(rows, n, max_iters):
                 break
             prev_gap = gap
     return v
+
+
+def component_interval(comp, delta: Fraction):
+    """Certified index interval of one nontrivial strongly connected
+    component, width at most 2*delta.
+
+    ``comp`` is the component's local graph (every row nonempty, so the
+    lower bound from all-ones is already >= 1, and exact for a single
+    state's loops).  Strategy: float acceleration, integerize, certify
+    exactly; if the certified gap is still too wide, continue the
+    iteration in exact integer arithmetic with renormalization at
+    doubling precision.  Successive certificates are intersected, which
+    only ever tightens the answer.
+    """
+    n = len(comp)
+    rows = comp.rows()
+    ones = [1] * n
+    best_lo, best_hi = _exact_bounds(rows, ones)
+    if best_hi - best_lo <= 2 * delta:
+        return IndexInterval(best_lo, best_hi)
+
+    fv = _float_vector(comp, max_iters=20000)
+    if fv is not None:
+        v = _integer_vector(fv)
+        lo, hi = _exact_bounds(rows, v)
+        best_lo = max(best_lo, lo)
+        best_hi = min(best_hi, hi)
+        if best_hi - best_lo <= 2 * delta:
+            return IndexInterval(best_lo, best_hi)
+    else:
+        v = list(ones)
+
+    # Exact continuation: v <- (A+I)v over the integers, renormalized by
+    # right shift so entries stay near `prec` bits.  Flooring keeps every
+    # entry >= 1, so each checkpoint is still a valid certificate; if
+    # truncation noise stalls progress, precision doubles.
+    prec = 96
+    check_every = 16
+    prev_gap = best_hi - best_lo
+    stall = 0
+    for step in range(1, 2_000_001):
+        new = []
+        for i, row in enumerate(rows):
+            s = v[i]
+            for j, w in row:
+                s += w * v[j]
+            new.append(s)
+        v = new
+        top = max(v).bit_length()
+        if top > prec:
+            shift = top - prec
+            v = [max(1, x >> shift) for x in v]
+        if step % check_every == 0:
+            lo, hi = _exact_bounds(rows, v)
+            best_lo = max(best_lo, lo)
+            best_hi = min(best_hi, hi)
+            gap = best_hi - best_lo
+            if gap <= 2 * delta:
+                return IndexInterval(best_lo, best_hi)
+            if gap > prev_gap * Fraction(49, 50):
+                stall += 1
+                if stall >= 3:
+                    prec *= 2
+                    stall = 0
+            else:
+                stall = 0
+            prev_gap = gap
+    raise RuntimeError("index iteration failed to converge")
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,13 @@ def test_intermediate_count(runner):
     assert out.splitlines() == ["n,count", "4,14"]
 
 
+def test_intermediate_count_of_long_words(runner):
+    # n = 2000 is past the interpreter's recursion limit: the count must not recurse per letter
+    out = run(runner, ["intermediate", "2000", "--k", "2"]).strip()
+    assert int(out) > 0
+    assert run(runner, ["intermediate", "2000", "--k", "1"]).strip() == "1"
+
+
 def test_intermediate_membership(runner):
     assert run(runner, ["intermediate", "0", "--word", "abaa"]).strip() == "True"
     assert run(runner, ["intermediate", "0", "--word", "aaba"]).strip() == "False"

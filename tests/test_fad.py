@@ -10,6 +10,7 @@ import builders
 from oracles import (
     brute_right_extendable,
     brute_two_extendable,
+    recursive_intermediate_count,
     staircase_factors,
     theta_pow,
     thue_morse_prefix,
@@ -361,7 +362,7 @@ def test_intermediate_member_matches_generated_factors():
 
 
 def test_intermediate_count_matches_enumeration():
-    for k, max_n in ((2, 11), (3, 8)):
+    for k, max_n in ((1, 8), (2, 11), (3, 8)):
         for n in range(max_n + 1):
             direct = sum(
                 1
@@ -369,6 +370,13 @@ def test_intermediate_count_matches_enumeration():
                 if intermediate_member(w, k)
             )
             assert intermediate_count(n, k) == direct
+
+
+def test_intermediate_count_matches_recursive_count():
+    # the block-by-block recursion holds for two letters or more
+    for k, max_n in ((2, 400), (3, 60), (5, 60)):
+        for n in range(max_n + 1):
+            assert intermediate_count(n, k) == recursive_intermediate_count(n, k)
 
 
 def test_intermediate_count_small_values():

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import builders
 from oracles import (
     brute_count,
+    component_interval,
+    counter_slice,
     dfa_adjacency_rows,
     dict_component_rows,
     fraction_exact_bounds,
@@ -187,18 +189,18 @@ def test_exact_continuation_certifies_thue_morse(monkeypatch):
     # tight enough, so the integer continuation loop has to finish the job
     calls = []
     exact_bounds = growth._exact_bounds
-    component_interval = growth._component_interval
+    certificates = growth._certificates
 
     def counting_exact_bounds(rows, v):
         calls[-1] += 1
         return exact_bounds(rows, v)
 
-    def counting_component_interval(rows, delta):
+    def counting_certificates(comp):
         calls.append(0)
-        return component_interval(rows, delta)
+        return certificates(comp)
 
     monkeypatch.setattr(growth, "_exact_bounds", counting_exact_bounds)
-    monkeypatch.setattr(growth, "_component_interval", counting_component_interval)
+    monkeypatch.setattr(growth, "_certificates", counting_certificates)
     delta = Fraction(1, 10**20)
     iv = approximate_index(fad_automaton(tm_antidictionary(3)), delta)
     assert max(calls) > 2
@@ -215,6 +217,75 @@ def component_rows(draw, max_n=9, max_weight=5):
     targets = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
     weight = st.integers(1, max_weight)
     return [[(j, draw(weight)) for j in sorted(draw(targets))] for _ in range(n)]
+
+
+DELTAS = [Fraction(1, 10**6), Fraction(1, 10**12), Fraction(1, 10**20)]
+
+
+def weighted_rows_dfa(rows):
+    """An automaton whose transition graph has the given local rows: an
+    edge of weight w is w letters."""
+    alphabet = max(sum(w for _, w in row) for row in rows)
+    transitions = [dict(enumerate(t for t, w in row for _ in range(w))) for row in rows]
+    return Dfa(alphabet, transitions, 0, range(len(rows)))
+
+
+def assert_one_stream_matches_two_runs(comp, delta) -> bool:
+    """One component's stream, and the profile's analysis of an automaton
+    made of that component alone, against two runs of the earlier engine,
+    at delta and delta/4; true when ``tight`` read the stream further."""
+    at, quarter = component_interval(comp, delta), component_interval(comp, delta / 4)
+    assert digraph_index(comp, delta) == at
+    _, rates, tight = growth._analyse(weighted_rows_dfa(comp.rows()), delta, {})
+    assert list(rates.values()) == [at]
+    (narrow,) = tight.values()
+    assert narrow == (max(at.lo, quarter.lo), min(at.hi, quarter.hi))
+    previous = None
+    for iv in growth._certificates(comp):
+        assert previous is None or previous.lo <= iv.lo <= iv.hi <= previous.hi
+        if iv.width <= delta / 2:
+            break
+        previous = iv
+    assert iv == narrow
+    return narrow != at
+
+
+def local_graphs(dfa):
+    """The local graphs of an automaton's nontrivial components."""
+    graph = growth._dfa_adjacency(dfa)
+    dec = graph_scc(graph)
+    return growth._component_graphs(graph, [dec.components[c] for c in dec.nontrivial])
+
+
+def test_certificate_stream_matches_two_engine_runs_on_thue_morse():
+    # the distinct components of the Thue-Morse level 1 to 3 automata and
+    # of their residue slices
+    comps = set()
+    for level in (1, 2, 3):
+        d = fad_automaton(tm_antidictionary(level))
+        r = asymptotic_profile(d).residue_count
+        for piece in [d] + [counter_slice(d, r, j) for j in range(r)]:
+            comps.update(local_graphs(piece))
+    assert len(comps) == 19
+    further = [assert_one_stream_matches_two_runs(c, delta) for c in comps for delta in DELTAS]
+    assert any(further)
+
+
+@given(component_rows())
+@settings(max_examples=60, deadline=None)
+def test_certificate_stream_matches_two_engine_runs(rows):
+    for comp in local_graphs(weighted_rows_dfa(rows)):
+        for delta in DELTAS:
+            assert_one_stream_matches_two_runs(comp, delta)
+
+
+def test_certificate_stream_reuses_an_exact_first_certificate():
+    # a plain cycle's all-ones certificate is exact, width 0: tight is
+    # rates, with no step of the stream past it
+    (comp,) = local_graphs(builders.cycle_dfa(5))
+    assert next(growth._certificates(comp)) == (1, 1)
+    for delta in DELTAS:
+        assert not assert_one_stream_matches_two_runs(comp, delta)
 
 
 @st.composite
@@ -449,26 +520,26 @@ def test_profile_residue_count_below_period_lcm():
 
 def test_profile_certifies_each_component_once(monkeypatch):
     # Thue-Morse level 2 has r = 8 slices whose components repeat: the
-    # profile runs the engine once per distinct (local rows, delta) and
-    # decomposes the automaton and each nonempty slice once
-    runs, decompositions = [], []
-    component_interval = growth._component_interval
+    # profile reads both widths from one stream per distinct local graph
+    # and decomposes the automaton and each nonempty slice once
+    streams, decompositions = [], []
+    certificates = growth._certificates
     decompose = growth.graph_scc
 
-    def counting_component_interval(comp, delta):
-        runs.append((comp, delta))
-        return component_interval(comp, delta)
+    def counting_certificates(comp):
+        streams.append(comp)
+        return certificates(comp)
 
     def counting_scc(graph):
         decompositions.append(graph)
         return decompose(graph)
 
-    monkeypatch.setattr(growth, "_component_interval", counting_component_interval)
+    monkeypatch.setattr(growth, "_certificates", counting_certificates)
     monkeypatch.setattr(growth, "graph_scc", counting_scc)
     rep = asymptotic_profile(fad_automaton(tm_antidictionary(2)))
     assert rep.residue_count == 8
     assert all(pr.alpha_hi > 0 for pr in rep.per_residue)
-    assert len(runs) == len(set(runs)) == 14
+    assert len(streams) == len(set(streams)) == 7
     assert len(decompositions) == 1 + rep.residue_count
 
 
