@@ -5,8 +5,9 @@
 The stages are the canonical minimal-power search (the level search
 that ``approximation_bounds`` runs, to one word array per period), the
 quotient build (from those arrays, as the bounds path passes them),
-Tarjan's cycle-carrying components, the certified index engine
-at delta = 1e-7, the lift of the unique component and the lower bound.
+the cycle-carrying components (``growth.cyclic_components``; older
+records call this stage ``tarjan``), the certified index engine at
+delta = 1e-7, the lift of the unique component and the lower bound.
 Each case runs ``--runs`` times (default 3), each time in a fresh
 process; the record keeps each stage's best time, the sizes (free words
 visited, minimal words, states, edges, states in cyclic components),
@@ -38,7 +39,7 @@ def one_run(case: str) -> dict:
     sys.path.append(str(ROOT / "src"))
     import numpy
     from wordgrowth import powerfree
-    from wordgrowth.growth import digraph_index
+    from wordgrowth.growth import cyclic_components, digraph_index
 
     k, token, cap = case.split(",")
     k, cap, bound = int(k), int(cap), powerfree.ExponentBound.parse(token)
@@ -56,7 +57,7 @@ def one_run(case: str) -> dict:
     ))
     words = sum(len(a) for a in arrays.values())
     trie, graph = stage("quotient", lambda: powerfree._quotient_graph(k, arrays.values()))
-    cyclic = stage("tarjan", lambda: powerfree._cyclic_components(graph))
+    cyclic = stage("components", lambda: cyclic_components(graph))
     upper = stage("index", lambda: digraph_index(graph, DELTA, cyclic))
     lifted = stage("lift", lambda: [powerfree._lifted_components(trie, k, c) for c in cyclic])
     lower = None

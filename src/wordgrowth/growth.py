@@ -16,7 +16,14 @@ requested width (the +I term makes the matrix primitive, which kills the
 oscillation a periodic component would otherwise sustain).  The engine
 yields a stream of nested certificates per component; no step depends
 on the width wanted, so a caller reads up to the first certificate
-narrow enough, and reads two widths from one stream.
+narrow enough, and reads two widths from one stream.  Its first two
+certificates are exact in int64; the continuation runs on Python ints.
+
+The components come from ``cyclic_components``, a forward-backward
+search with trimming on numpy, when only the cycle-carrying ones are
+wanted in any order (the power-free bounds), and from Tarjan's
+algorithm (``automaton.graph_scc``) when a growth profile needs them in
+topological order.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ __all__ = [
     "asymptotic_profile",
     "classify",
     "count_words",
+    "cyclic_components",
     "decimal_lower",
     "decimal_upper",
     "digraph_index",
@@ -101,8 +109,10 @@ class WeightedDigraph:
     ``indices``, their targets, and ``weights``; the three are flat int64
     arrays, and targets strictly increase within each row.
     ``len(graph)`` is the vertex count and ``graph[v]`` v's targets, as
-    plain ints, so ``automaton.tarjan_components`` reads the graph as it
-    is.  Graphs with equal arrays are equal and hash alike.
+    plain ints, so ``automaton.graph_scc`` and
+    ``automaton.tarjan_components`` read the graph as it is;
+    ``cyclic_components`` and the index engine read the arrays.  Graphs
+    with equal arrays are equal and hash alike.
     """
 
     __slots__ = ("indptr", "indices", "weights", "_ptr", "_targets")
@@ -165,29 +175,197 @@ class WeightedDigraph:
         return [pairs[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
+def _row_entries(indptr, vertices):
+    """Positions of the entries of ``vertices``' rows in a compressed
+    sparse row table, row after row, and for each entry the index in
+    ``vertices`` of its row."""
+    start = indptr[vertices]
+    count = indptr[vertices + 1] - start
+    offset = np.cumsum(count) - count
+    entry = np.arange(int(count.sum())) + np.repeat(start - offset, count)
+    return entry, np.repeat(np.arange(len(vertices)), count)
+
+
+# ---------------------------------------------------------------------------
+# cycle-carrying strong components
+
+
+class _ForwardBackward:
+    """The state of one forward-backward search for strong components.
+
+    Every vertex has a label: the part of the graph it is still searched
+    in, or -1 once it is peeled or placed in a component.  ``live_in``
+    and ``live_out`` count each vertex's edges from and to live vertices
+    of its own part.  ``slot`` serves ``distinct``: every vertex list is
+    reduced to distinct vertices by claiming slots, in time linear in
+    the list, with no sort.
+    """
+
+    def __init__(self, graph: WeightedDigraph):
+        n = len(graph)
+        self.succ = graph.indptr, graph.indices
+        source = np.repeat(np.arange(n), np.diff(graph.indptr))
+        pred_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(graph.indices, minlength=n), out=pred_ptr[1:])
+        self.pred = pred_ptr, source[np.argsort(graph.indices, kind="stable")]
+        self.label = np.zeros(n, dtype=np.int64)
+        self.live_in = np.diff(pred_ptr)
+        self.live_out = np.diff(graph.indptr)
+        self.slot = np.empty(n, dtype=np.int64)
+        self.fresh = 1  # the next unused label
+
+    def distinct(self, vertices):
+        """``vertices`` without repeats.  Each position writes itself to
+        its vertex's slot; one write per vertex survives, whichever it
+        is, and keeps its position."""
+        position = np.arange(len(vertices))
+        self.slot[vertices] = position
+        return vertices[self.slot[vertices] == position]
+
+    def _cut(self, csr, vertices, part, live):
+        """Take ``vertices`` (of parts ``part``) out of ``live``, the
+        count of the neighbours their rows of ``csr`` reach in the same
+        part; return those neighbours, with repeats."""
+        entry, row = _row_entries(csr[0], vertices)
+        neighbour = csr[1][entry]
+        neighbour = neighbour[self.label[neighbour] == part[row]]
+        np.subtract.at(live, neighbour, 1)
+        return neighbour
+
+    def peel(self, seeds) -> None:
+        """Peel the vertices with no live predecessor or no live successor
+        in their part, starting from ``seeds`` and going on from the
+        vertices each round of removals exposes: a round reads only the
+        edges of the vertices it removes."""
+        label, live_in, live_out = self.label, self.live_in, self.live_out
+        dead = seeds[(label[seeds] >= 0) & ((live_in[seeds] == 0) | (live_out[seeds] == 0))]
+        while len(dead):
+            dead = self.distinct(dead)
+            part = label[dead]
+            label[dead] = -1
+            exposed = np.concatenate([
+                self._cut(self.succ, dead, part, live_in),
+                self._cut(self.pred, dead, part, live_out),
+            ])
+            dead = exposed[(live_in[exposed] == 0) | (live_out[exposed] == 0)]
+
+    def reach(self, csr, pivot: int, old: tuple, new: tuple) -> list:
+        """The vertices reachable from ``pivot`` along ``csr`` through
+        vertices labelled ``old[0]`` or ``old[-1]``, breadth first, as
+        arrays; each is relabelled ``new[0]`` or ``new[-1]``, after its
+        old label.  The labels are the seen mask: a relabelled vertex is
+        not entered again."""
+        label = self.label
+        frontier = np.array([pivot])
+        label[frontier] = np.where(label[frontier] == old[0], new[0], new[-1])
+        reached = [frontier]
+        while len(frontier):
+            entry, _ = _row_entries(csr[0], frontier)
+            step = csr[1][entry]
+            mark = label[step]
+            step = self.distinct(step[(mark == old[0]) | (mark == old[-1])])
+            label[step] = np.where(label[step] == old[0], new[0], new[-1])
+            reached.append(step)
+            frontier = step
+        return reached
+
+    def split(self, members):
+        """One forward-backward step on a part, given its members: the
+        strong component C of ``members[0]``, and the parts left, F - C,
+        B - C and the rest, trimmed, as member arrays.
+
+        F and B are the part's vertices that the pivot reaches and that
+        reach it; C is F & B.  No edge leaves F or enters B, so an edge
+        between two of the new parts either starts in B or runs from the
+        rest into F - C; those edges leave the live counts before the new
+        parts are peeled.
+        """
+        label = self.label
+        pivot = int(members[0])
+        part = label[pivot]
+        f, b, c = self.fresh, self.fresh + 1, self.fresh + 2
+        self.fresh += 3
+        forward = np.concatenate(self.reach(self.succ, pivot, (part,), (f,)))
+        backward = np.concatenate(self.reach(self.pred, pivot, (f, part), (c, b)))
+        # the edges out of B to another new part
+        entry, row = _row_entries(self.succ[0], backward)
+        source, target = backward[row], self.succ[1][entry]
+        mark = label[target]
+        cross = (mark != label[source]) & ((mark >= f) | (mark == part))
+        # the edges into F from the rest
+        entry, row = _row_entries(self.pred[0], forward)
+        into_f, from_rest = forward[row], self.pred[1][entry]
+        rest = label[from_rest] == part
+        source = np.concatenate([source[cross], from_rest[rest]])
+        target = np.concatenate([target[cross], into_f[rest]])
+        np.subtract.at(self.live_out, source, 1)
+        np.subtract.at(self.live_in, target, 1)
+        component = backward[label[backward] == c]
+        label[component] = -1
+        self.peel(np.concatenate([source, target]))
+        parts = [forward[label[forward] == f], backward[label[backward] == b],
+                 members[label[members] == part]]
+        return component, [p for p in parts if len(p)]
+
+
+def cyclic_components(graph: WeightedDigraph) -> list:
+    """The strongly connected components of ``graph`` that carry a cycle,
+    each as an int64 array of its members, in no particular order.
+
+    The search runs on numpy, part by part (Fleischer, Hendrickson &
+    Pinar 2000, with trimming as in McLendon et al. 2005).  It first
+    peels every vertex with no live predecessor or no live successor;
+    none of them lies on a cycle.  Then it takes a pivot of a part, the
+    set F of the part's vertices the pivot reaches and the set B of
+    those that reach it: F & B is the pivot's component, and every other
+    component lies inside F - C, B - C or the rest, which are peeled and
+    searched in turn.  The component is kept when it has two vertices or
+    a loop.  Unlike ``automaton.tarjan_components``, it gives no
+    topological order.
+    """
+    search = _ForwardBackward(graph)
+    search.peel(np.arange(len(graph)))
+    live = np.flatnonzero(search.label == 0)
+    parts = [live] if len(live) else []
+    found = []
+    while parts:
+        component, rest = search.split(parts.pop())
+        q = int(component[0])
+        if len(component) > 1 or q in graph[q]:
+            found.append(component)
+        parts.extend(rest)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # certified index engine
 
 
-def _exact_bounds(rows, v):
-    """Exact min/max of (Av)_i / v_i for a positive integer vector v.
+def _extreme_ratios(sums, v):
+    """Exact min/max of sums[i] / v[i] over positive ints.
 
-    ``rows[i]`` lists (j, weight) pairs.  Every row is nonempty inside a
-    nontrivial strongly connected component, which keeps lo >= 0 finite.
-    A ratio s / v_i is kept as the pair (s, v_i), pairs are compared by
-    cross-multiplication, and only the two extremes become ``Fraction``s.
+    A ratio is kept as the pair (sums[i], v[i]), pairs are compared by
+    cross-multiplication, and only the two extremes become
+    ``Fraction``s.  Equal ratios give equal ``Fraction``s, so which pair
+    wins a tie never shows.
     """
     lo_s, lo_v, hi_s, hi_v = 1, 0, 0, 1  # 1/0 above every ratio, 0/1 below: sums are >= 1
-    for i, row in enumerate(rows):
-        s = 0
-        for j, w in row:
-            s += w * v[j]
-        vi = v[i]
+    for s, vi in zip(sums, v):
         if s * lo_v < lo_s * vi:
             lo_s, lo_v = s, vi
         if s * hi_v > hi_s * vi:
             hi_s, hi_v = s, vi
     return Fraction(lo_s, lo_v), Fraction(hi_s, hi_v)
+
+
+def _exact_bounds(rows, v):
+    """Exact min/max of (Av)_i / v_i for a positive integer vector v, in
+    Python ints.
+
+    ``rows[i]`` lists (j, weight) pairs.  Every row is nonempty inside a
+    nontrivial strongly connected component, which keeps lo >= 0 finite.
+    """
+    return _extreme_ratios([sum([w * v[j] for j, w in row]) for row in rows], v)
 
 
 def _float_vector(comp: WeightedDigraph, max_iters):
@@ -225,11 +403,12 @@ def _float_vector(comp: WeightedDigraph, max_iters):
     return v
 
 
-def _integer_vector(fv) -> list:
+def _integer_vector(fv):
     """max(1, floor(x * 2^53)) for each entry x of a vector in [0, 1], as
-    Python ints.  Scaling by 2^53 is exact and the int64 cast truncates
-    toward zero, as ``int`` does, so this equals the per-entry loop."""
-    return np.maximum(1, (fv * (1 << 53)).astype(np.int64)).tolist()
+    an int64 array of entries at most 2^53.  Scaling by 2^53 is exact and
+    the int64 cast truncates toward zero, as ``int`` does, so this equals
+    the per-entry loop."""
+    return np.maximum(1, (fv * (1 << 53)).astype(np.int64))
 
 
 def _certificates(comp: WeightedDigraph):
@@ -244,20 +423,39 @@ def _certificates(comp: WeightedDigraph):
     then every 16th step of the iteration continued in exact integer
     arithmetic at doubling precision, each intersected with those before.
     The 2,000,000-step cap covers all the widths read from one stream.
+
+    The first two certificates are exact in int64.  All-ones gives the
+    least and the largest row weight sum.  The float vector's integer
+    entries are at most 2^53, so while the largest row weight sum W is
+    below 2^10, every row sum s_i = sum of w * v_j is below 2^63, and
+    one ``np.add.reduceat`` gives them all; one pass over the (s_i, v_i)
+    pairs picks the extreme ratios.  For W >= 2^10, and for the
+    continuation, whose precision doubles past 64 bits, the rows are
+    read as Python ints, built only when needed.
     """
-    rows = comp.rows()
-    ones = [1] * len(comp)
-    lo, hi = _exact_bounds(rows, ones)
+    starts = comp.indptr[:-1]
+    row_weight = np.add.reduceat(comp.weights, starts)
+    top = int(row_weight.max())
+    lo, hi = Fraction(int(row_weight.min())), Fraction(top)
     yield IndexInterval(lo, hi)
 
+    rows = None
     fv = _float_vector(comp, max_iters=20000)
     if fv is not None:
-        v = _integer_vector(fv)
-        a, b = _exact_bounds(rows, v)
+        iv = _integer_vector(fv)
+        v = iv.tolist()
+        if top < 1 << 10:
+            sums = np.add.reduceat(comp.weights * iv[comp.indices], starts)
+            a, b = _extreme_ratios(sums.tolist(), v)
+        else:
+            rows = comp.rows()
+            a, b = _exact_bounds(rows, v)
         lo, hi = max(lo, a), min(hi, b)
         yield IndexInterval(lo, hi)
     else:
-        v = ones
+        v = [1] * len(comp)
+    if rows is None:
+        rows = comp.rows()
 
     # Exact continuation: v <- (A+I)v over the integers, renormalized by
     # right shift so entries stay near `prec` bits.  Flooring keeps every
@@ -311,18 +509,16 @@ def _component_graphs(graph: WeightedDigraph, components):
             if q not in graph[q]:
                 yield None
                 continue
+        if not isinstance(comp, np.ndarray):
+            comp = np.fromiter(comp, dtype=np.int64, count=n)
         # the sort that from_edges runs: numpy's default one adds its own code pages
-        members = np.sort(np.fromiter(comp, dtype=np.int64, count=n), kind="stable")
+        members = np.sort(comp, kind="stable")
         local[members] = np.arange(n)
-        start = graph.indptr[members]
-        count = graph.indptr[members + 1] - start
-        # positions of the members' edges, row after row
-        offset = np.cumsum(count) - count
-        edge = np.arange(count.sum()) + np.repeat(start - offset, count)
+        edge, row = _row_entries(graph.indptr, members)
         col = local[graph.indices[edge]]
         local[members] = -1
         inside = col >= 0
-        row = np.repeat(np.arange(n), count)[inside]
+        row = row[inside]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
         yield WeightedDigraph(indptr, col[inside], graph.weights[edge[inside]])
@@ -350,8 +546,11 @@ def digraph_index(
     The returned interval has width at most ``2*delta``: each component
     gives the first certificate of its stream that narrow.
 
-    ``components`` are the graph's strongly connected components when
-    the caller already has them; those without a cycle may be left out.
+    ``components`` are the graph's strongly connected components, as
+    iterables of vertices (``cyclic_components`` gives arrays), when the
+    caller already has them; those without a cycle may be left out.
+    When it is None, Tarjan's algorithm finds them: the graphs that come
+    without components are small.
     """
     dfr = _as_fraction(delta)
     if dfr <= 0:

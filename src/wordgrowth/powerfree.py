@@ -47,13 +47,14 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from wordgrowth.automaton import Dfa, tarjan_components
+from wordgrowth.automaton import Dfa
 from wordgrowth.fad import Antidictionary, FailureTrie, fad_automaton, word_to_str
 from wordgrowth.growth import (
     IndexInterval,
     WeightedDigraph,
     _as_fraction,
     _dfa_adjacency,
+    cyclic_components,
     decimal_lower,
     decimal_upper,
     digraph_index,
@@ -370,8 +371,10 @@ def minimal_word_arrays(
     lexicographic order; R, one row per word, holds for each period q
     below the largest one R_q, the length of the longest suffix with
     period q.  Appending letter x to a word w of length n sets R_q to
-    R_q + 1 when w[n-q] = x, else to min(q, n + 1).  Everything is read
-    from R:
+    R_q + 1 when w[n-q] = x, else to min(q, n + 1).  A word no longer
+    than q has R_q = its length, so at length n R keeps only the columns
+    q <= min(n, p_max - 1), and each level appends the column of q = n + 1.
+    Everything is read from R:
 
     - a factor ending at the new letter violates exactly when some q has
       L_q <= n + 1 and R_q >= L_q after the append (the statement
@@ -402,7 +405,7 @@ def minimal_word_arrays(
     run_type = np.min_scalar_type(int(lengths[-1]))
     qs = np.arange(1, p_max, dtype=run_type)  # the periods R keeps
     words = np.zeros((1, 0), np.min_scalar_type(k - 1))
-    runs = np.zeros((1, p_max - 1), run_type)
+    runs = np.zeros((1, 0), run_type)
     used = np.zeros(1, np.intp)  # letters a canonical word has used
     arrays, visited = {}, 0
     for n in range(p_max):
@@ -418,10 +421,14 @@ def minimal_word_arrays(
             raise BudgetExceededError(p_max, budget)
         parent, letter = np.nonzero(free)  # row-major: lexicographic order
         words = np.concatenate([words[parent], letter[:, None].astype(words.dtype)], 1)
-        runs = runs[parent]
-        back = words[:, :n][:, ::-1][:, :p_max - 1]  # w[n-q] for the q <= n kept
-        runs[:, :n] = np.where(back == words[:, n, None], runs[:, :n] + 1, qs[:n])
-        runs[:, n:] = n + 1
+        back = words[:, :n][:, ::-1][:, :p_max - 1]  # w[n-q] for the q kept
+        # R_q + 1 where w[n-q] = x, else q; then the new column q = n + 1
+        kept = runs.shape[1]
+        grown = np.empty((len(words), min(n + 1, p_max - 1)), run_type)
+        np.add(runs[parent], 1, out=grown[:, :kept])
+        np.copyto(grown[:, :kept], qs[:kept], where=back != words[:, n, None])
+        grown[:, kept:] = n + 1
+        runs = grown
         if canonical:
             used = np.maximum(used[parent], letter + 1)
         if n + 1 in targets:
@@ -432,20 +439,23 @@ def minimal_word_arrays(
 def _periodic_extensions(roots, runs, lengths, p: int):
     """The rows of ``roots`` (free words of length p, with their R table;
     see ``minimal_word_arrays``) whose periodic extension to L_p is a
-    minimal violating word, extended, in their order."""
+    minimal violating word, extended, in their order.  The letters of
+    the extension are read off the roots, so only the rows kept are
+    ever extended."""
     length = int(lengths[p - 1])
-    words = roots[:, np.arange(length) % p]
     runs = runs[:, :p - 1]
     qs = np.arange(1, p, dtype=runs.dtype)
-    keep = np.arange(len(words))
+    keep = np.arange(len(roots))
+    # the extension repeats the root: w[n-q] = root[(n-q) % p], q = 1..p-1
+    cols = (np.arange(p, length)[:, None] - np.arange(1, p)) % p
     for n in range(p, length):
-        back = words[keep, n - p + 1:n][:, ::-1]  # w[n-q] for q = 1..p-1
-        runs = np.where(back == words[keep, n][:, None], runs + 1, qs)
+        back = roots.take(keep, 0).take(cols[n - p], 1)
+        runs = np.where(back == roots[keep, n % p][:, None], runs + 1, qs)
         # the prefix w[:L_p-1] stays free; then w[1:] is free
         qn = int(np.searchsorted(lengths[:p - 1], min(n + 1, length - 1), "right"))
         ok = ~(runs[:, :qn] >= lengths[:qn]).any(1)
         keep, runs = keep[ok], runs[ok]
-    return words[keep]
+    return roots.take(keep, 0).take(np.arange(length) % p, 1)
 
 
 def _expand_orbit(word, k: int) -> Iterator[tuple]:
@@ -554,20 +564,10 @@ def _edge_voltage(tr: list, k: int) -> tuple:
     return tuple(i if i != _FRESH else next(spare) for i in pi)
 
 
-def _cyclic_components(graph: WeightedDigraph) -> list:
-    """Strongly connected components of a weighted digraph that carry a
-    cycle."""
-    return [
-        comp
-        for comp in tarjan_components(graph)
-        if len(comp) > 1 or comp[0] in graph[comp[0]]
-    ]
-
-
 def _lifted_components(trie: FailureTrie, k: int, comp) -> int:
     """Number of cycle-carrying strongly connected components of the full
     automaton that lie over one cycle-carrying component C of the
-    quotient built by ``_quotient_graph``, given by its states.
+    quotient built by ``_quotient_graph``, given by an array of its states.
 
     A full state is a pair (u, phi): a quotient state u and an injection
     phi of u's ``nletters[u]`` frame letters into the alphabet.  Reading
@@ -617,7 +617,7 @@ def _lifted_components(trie: FailureTrie, k: int, comp) -> int:
     a small part of C; otherwise it takes O(|C| k) permutation steps,
     plus the orbit closures.
     """
-    members = {trie.states[q] for q in comp}
+    members = set(np.asarray(trie.states)[comp].tolist())
     nletters = trie.nletters
     u0 = min(members, key=nletters.__getitem__)
     identity = tuple(range(k))
@@ -772,7 +772,7 @@ def approximation_bounds(
     else:
         canon_words = [w for words in arrays.values() for w in words.tolist()]
         graph = _dfa_adjacency(_full_automaton(k, canon_words))
-    cyclic = _cyclic_components(graph)
+    cyclic = cyclic_components(graph)
     upper = digraph_index(graph, dfr, cyclic)
     if upper.hi == 0:
         raise FiniteApproximationError(
@@ -823,6 +823,10 @@ def lower_bound(upper_lo, m: int) -> Fraction:
     shrinks as m grows, so small caps get NoLowerBoundError however
     tight the upper bound is: at m = 20 the minimum is about 1.30739
     (near g = 1.2549), above the ternary square-free rate 1.30176.
+
+    The bisection points are ``Fraction``s; f is evaluated as an
+    unreduced numerator and denominator of ints, and compared by
+    cross-multiplication, with no ``Fraction`` arithmetic inside f.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -834,9 +838,17 @@ def lower_bound(upper_lo, m: int) -> Fraction:
     if target <= 1:
         raise NoLowerBoundError("upper bound does not exceed 1")
 
-    def f(g: Fraction) -> Fraction:
-        return g + Fraction(1, 1) / (g ** (m - 1) * (g - 1))
+    def f(g: Fraction) -> tuple:
+        # with g = p/q > 1: f(g) = (p^m (p-q) + q^(m+1)) / (q p^(m-1) (p-q)),
+        # an unreduced fraction with a positive denominator
+        p, q = g.numerator, g.denominator
+        head = p ** (m - 1) * (p - q)
+        return p * head + q ** (m + 1), q * head
 
+    def at_most(a: tuple, b: tuple) -> bool:
+        return a[0] * b[1] <= b[0] * a[1]
+
+    limit = target.numerator, target.denominator
     # the function is strictly convex on (1, target]: bracket its
     # minimum with a dyadic quarter-point search
     lo = 1 + (target - 1) / (1 << 20)
@@ -846,14 +858,14 @@ def lower_bound(upper_lo, m: int) -> Fraction:
             break
         mid = (lo + hi) / 2
         quarter = (mid + hi) / 2
-        if f(mid) <= f(quarter):
+        if at_most(f(mid), f(quarter)):
             hi = quarter
         else:
             lo = mid
     candidates = [lo, (lo + hi) / 2, hi]
     feasible = None
     for g in candidates:
-        if 1 < g <= target and f(g) <= target:
+        if 1 < g <= target and at_most(f(g), limit):
             feasible = g
     if feasible is None:
         raise NoLowerBoundError(
@@ -862,7 +874,7 @@ def lower_bound(upper_lo, m: int) -> Fraction:
     left, right = feasible, target
     while right - left > Fraction(1, 10**12):
         mid = (left + right) / 2
-        if f(mid) <= target:
+        if at_most(f(mid), limit):
             left = mid
         else:
             right = mid

@@ -18,8 +18,12 @@ earlier index engine, one run per width, on its ``_exact_bounds``,
 ``recursive_intermediate_count``, the earlier staircase count;
 ``goto_loop_quotient_graph``, the quotient read state by state off the
 goto table of ``BreadthFirstTrie``, the library's earlier Python trie;
-and ``successor_list_scc``, the components from Tarjan on successor
-lists built from the automaton's rows.
+``successor_list_scc``, the components from Tarjan on successor
+lists built from the automaton's rows; ``tarjan_cyclic_components``,
+the cycle-carrying components filtered from Tarjan's;
+``row_list_certificates``, the engine's first two certificates over
+``rows()``, one ``Fraction`` per row; and ``fraction_lower_bound``, the
+analytic lower bound in ``Fraction`` arithmetic.
 """
 
 import itertools
@@ -47,6 +51,7 @@ from wordgrowth.growth import (
     GrowthReport,
     IndexInterval,
     ResidueAsymptotics,
+    _as_fraction,
     _exact_bounds,
     _float_vector,
     _integer_vector,
@@ -60,6 +65,7 @@ from wordgrowth.powerfree import (
     BudgetExceededError,
     ExponentBound,
     MinimalPower,
+    NoLowerBoundError,
     _ends_in_violation,
     _suffix_checks,
     _target_length,
@@ -96,6 +102,16 @@ def successor_list_scc(dfa) -> SccDecomposition:
             else:
                 cond_edges.add((cq, ct))
     return SccDecomposition(component_of, components, nontrivial, cond_edges)
+
+
+def tarjan_cyclic_components(graph) -> list:
+    """The strongly connected components of a weighted digraph that carry
+    a cycle, as lists: Tarjan's components with two vertices or a loop."""
+    return [
+        comp
+        for comp in tarjan_components(graph)
+        if len(comp) > 1 or comp[0] in graph[comp[0]]
+    ]
 
 
 def brute_count(dfa, n: int) -> int:
@@ -688,6 +704,20 @@ def fraction_exact_bounds(rows, v):
     return lo, hi
 
 
+def row_list_certificates(comp) -> list:
+    """The engine's first two certificates of a component's local graph,
+    read over ``rows()``: the all-ones one, then the float vector's,
+    intersected with it (only the first when the float pass fails)."""
+    rows = comp.rows()
+    lo, hi = fraction_exact_bounds(rows, [1] * len(rows))
+    out = [IndexInterval(lo, hi)]
+    fv = _float_vector(comp, max_iters=20000)
+    if fv is not None:
+        a, b = fraction_exact_bounds(rows, _integer_vector(fv).tolist())
+        out.append(IndexInterval(max(lo, a), min(hi, b)))
+    return out
+
+
 def row_sum_float_vector(rows, n, max_iters):
     """Floating-point power iteration with (A+I), its product a plain
     float sum of each row's terms in index order."""
@@ -741,7 +771,7 @@ def component_interval(comp, delta: Fraction):
 
     fv = _float_vector(comp, max_iters=20000)
     if fv is not None:
-        v = _integer_vector(fv)
+        v = _integer_vector(fv).tolist()
         lo, hi = _exact_bounds(rows, v)
         best_lo = max(best_lo, lo)
         best_hi = min(best_hi, hi)
@@ -1247,3 +1277,52 @@ def trie_fad_automaton(ad) -> Dfa:
             if not trie.terminal[t]:
                 rows[q][x] = state_of[t]
     return trim(Dfa(k, rows, 0, range(n)))
+
+
+# ---------------------------------------------------------------------------
+# the analytic lower bound
+
+
+def fraction_lower_bound(upper_lo, m: int) -> Fraction:
+    """``powerfree.lower_bound`` with f evaluated in ``Fraction``
+    arithmetic, as the library did before it compared unreduced integer
+    fractions."""
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    g_target = _as_fraction(upper_lo)
+    grid = 10**15
+    target = Fraction((g_target.numerator * grid) // g_target.denominator, grid)
+    if target <= 1:
+        raise NoLowerBoundError("upper bound does not exceed 1")
+
+    def f(g: Fraction) -> Fraction:
+        return g + Fraction(1, 1) / (g ** (m - 1) * (g - 1))
+
+    lo = 1 + (target - 1) / (1 << 20)
+    hi = target
+    for _ in range(80):
+        if hi - lo <= Fraction(1, 10**10):
+            break
+        mid = (lo + hi) / 2
+        quarter = (mid + hi) / 2
+        if f(mid) <= f(quarter):
+            hi = quarter
+        else:
+            lo = mid
+    candidates = [lo, (lo + hi) / 2, hi]
+    feasible = None
+    for g in candidates:
+        if 1 < g <= target and f(g) <= target:
+            feasible = g
+    if feasible is None:
+        raise NoLowerBoundError(
+            "no solution: the penalty term exceeds the upper bound everywhere"
+        )
+    left, right = feasible, target
+    while right - left > Fraction(1, 10**12):
+        mid = (left + right) / 2
+        if f(mid) <= target:
+            left = mid
+        else:
+            right = mid
+    return left

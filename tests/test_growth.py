@@ -1,5 +1,6 @@
 """Growth classification, certified index intervals, residue profiles."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,9 +19,11 @@ from oracles import (
     fraction_exact_bounds,
     interval_contains,
     per_slice_profile,
+    row_list_certificates,
     row_sum_float_vector,
     spectral_radius_root,
     successor_list_scc,
+    tarjan_cyclic_components,
 )
 from wordgrowth import growth
 from wordgrowth.automaton import Dfa, empty_dfa, graph_scc, scc, tarjan_components, trim
@@ -31,6 +34,7 @@ from wordgrowth.growth import (
     asymptotic_profile,
     classify,
     count_words,
+    cyclic_components,
     decimal_lower,
     decimal_upper,
     digraph_index,
@@ -184,6 +188,95 @@ def test_component_graphs_match_dict_rows_oracle(case):
         assert (None if local is None else local.rows()) == expected, comp
 
 
+@st.composite
+def block_digraphs(draw, max_blocks=6):
+    """A weighted digraph built from blocks of 1 to 4 vertices, each a
+    cycle (a loop, for one vertex) or edgeless, joined by edges from
+    earlier blocks to later ones, so that chains run into and out of
+    cycles, plus up to two arbitrary edges, which may merge blocks; the
+    vertices are shuffled."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=max_blocks))
+    n = sum(sizes)
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    edges = []
+    start = 0
+    for size in sizes:
+        if draw(st.booleans()):
+            edges += [(start + i, start + (i + 1) % size) for i in range(size)]
+        start += size
+    vertex = st.integers(0, n - 1)
+    joins = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    edges += [(u, t) for u, t in joins if block[u] < block[t]]
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=2))
+    perm = draw(st.permutations(range(n)))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
+    return WeightedDigraph.from_edges(
+        n, [perm[u] for u, _ in edges], [perm[t] for _, t in edges], weights
+    )
+
+
+def edge_graph(n, edges):
+    return WeightedDigraph.from_edges(
+        n, [u for u, _ in edges], [t for _, t in edges], [1] * len(edges)
+    )
+
+
+def assert_components_match_tarjan(graph):
+    found = cyclic_components(graph)
+    assert all(c.dtype == np.int64 and len(set(c.tolist())) == len(c) for c in found)
+    got = {frozenset(c.tolist()) for c in found}
+    assert len(got) == len(found)
+    assert got == {frozenset(c) for c in tarjan_cyclic_components(graph)}
+
+
+@given(block_digraphs())
+# a vertex between two loops, first in vertex order, is the first pivot
+@example(edge_graph(3, [(1, 1), (1, 0), (0, 2), (2, 2)]))
+# a loop that reaches the first pivot's loop, found only in B - C
+@example(edge_graph(2, [(0, 0), (1, 1), (1, 0)]))
+# a loop that the first pivot's cycle reaches, found only in F - C
+@example(edge_graph(3, [(0, 1), (1, 0), (1, 2), (2, 2)]))
+# an edgeless graph, and a loopless singleton
+@example(edge_graph(3, []))
+@example(edge_graph(1, []))
+@settings(max_examples=400, deadline=None)
+def test_cyclic_components_match_tarjan_filter(graph):
+    assert_components_match_tarjan(graph)
+
+
+def between_cycles(graph) -> set:
+    """The vertices that a cycle reaches and that reach a cycle, by
+    depth-first search from Tarjan's cycle-carrying components."""
+    cyclic = {v for comp in tarjan_cyclic_components(graph) for v in comp}
+    pred = [[] for _ in range(len(graph))]
+    for u in range(len(graph)):
+        for t in graph[u]:
+            pred[t].append(u)
+
+    def closure(step):
+        seen, todo = set(cyclic), list(cyclic)
+        while todo:
+            for t in step(todo.pop()):
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return seen
+
+    return closure(lambda u: graph[u]) & closure(lambda u: pred[u])
+
+
+@given(block_digraphs())
+@example(edge_graph(2, [(0, 0), (0, 1)]))
+@example(edge_graph(2, [(0, 1), (1, 1)]))
+@settings(max_examples=300, deadline=None)
+def test_peeling_keeps_the_vertices_between_cycles(graph):
+    # every peeled vertex lacks a live predecessor or successor, and what
+    # is left is what a cycle reaches and what reaches a cycle
+    search = growth._ForwardBackward(graph)
+    search.peel(np.arange(len(graph)))
+    assert set(np.flatnonzero(search.label == 0).tolist()) == between_cycles(graph)
+
+
 def test_exact_continuation_certifies_thue_morse(monkeypatch):
     # at delta = 1e-20 neither the all-ones nor the float certificate is
     # tight enough, so the integer continuation loop has to finish the job
@@ -288,6 +381,36 @@ def test_certificate_stream_reuses_an_exact_first_certificate():
         assert not assert_one_stream_matches_two_runs(comp, delta)
 
 
+@given(st.one_of(component_rows(), component_rows(max_n=4, max_weight=2000)))
+@settings(max_examples=300, deadline=None)
+def test_first_certificates_match_row_list_oracle(rows):
+    # weights up to 2000 give row weight sums of 2^10 and more, which the
+    # engine sums in Python ints rather than int64
+    comp = WeightedDigraph.from_rows([dict(row) for row in rows])
+    expected = row_list_certificates(comp)
+    assert list(itertools.islice(growth._certificates(comp), len(expected))) == expected
+
+
+@pytest.mark.parametrize(
+    "rows,python_sums", [([{0: 5000}], 1), ([{1: 2000}, {0: 2000}], 1), ([{1: 1023}, {0: 1023}], 0)]
+)
+def test_first_certificates_sum_large_rows_in_python_ints(monkeypatch, rows, python_sums):
+    calls = []
+    exact_bounds = growth._exact_bounds
+
+    def counting_exact_bounds(rows, v):
+        calls.append(v)
+        return exact_bounds(rows, v)
+
+    monkeypatch.setattr(growth, "_exact_bounds", counting_exact_bounds)
+    comp = WeightedDigraph.from_rows(rows)
+    first, second = itertools.islice(growth._certificates(comp), 2)
+    assert len(calls) == python_sums
+    rate = max(rows[0].values())
+    assert first == second == (rate, rate) == digraph_index(rows)
+    assert [first, second] == row_list_certificates(comp)
+
+
 @st.composite
 def rows_and_vector(draw):
     rows = draw(component_rows())
@@ -322,7 +445,7 @@ def test_float_vector_matches_row_sum_oracle_bit_for_bit(rows):
 @settings(max_examples=300, deadline=None)
 def test_integer_vector_matches_per_entry_loop(xs):
     fv = np.array(xs, dtype=float)
-    got = growth._integer_vector(fv)
+    got = growth._integer_vector(fv).tolist()
     assert got == [max(1, int(x * (1 << 53))) for x in fv.tolist()]
     assert all(type(x) is int for x in got)
 

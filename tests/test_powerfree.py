@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from builders import TRIM_TOKENS
@@ -16,6 +16,7 @@ from oracles import (
     brute_minimal_powers_by_length,
     brute_minimal_powers_by_period,
     chain_walk_quotient_graph,
+    fraction_lower_bound,
     free_roots,
     goto_loop_quotient_graph,
     minimal_words,
@@ -23,6 +24,7 @@ from oracles import (
     naive_min_period,
     naive_violates,
     suffixes_stay_free,
+    tarjan_cyclic_components,
     thue_morse_prefix,
     trie_fad_automaton,
     trim_minimal_powers,
@@ -47,11 +49,8 @@ from wordgrowth.powerfree import (
     periods_without_minimal_words,
     violates,
 )
-from wordgrowth.powerfree import (
-    _cyclic_components,
-    _lifted_components,
-    _quotient_graph,
-)
+from wordgrowth.growth import _dfa_adjacency, cyclic_components
+from wordgrowth.powerfree import _lifted_components, _quotient_graph
 
 B = ExponentBound.parse
 
@@ -548,11 +547,19 @@ def test_bounds_serializers():
 # cycle components certified from the symmetry quotient
 
 
+def assert_components_match_tarjan(graph, case):
+    got = [frozenset(c.tolist()) for c in cyclic_components(graph)]
+    assert len(set(got)) == len(got), case
+    assert set(got) == {frozenset(c) for c in tarjan_cyclic_components(graph)}, case
+
+
 def quotient_cycle_components(k, words):
     """Cycle-carrying components of the full automaton, counted from the
-    quotient alone."""
+    quotient alone; the quotient's own components are checked against
+    Tarjan's on the way."""
     trie, graph = _quotient_graph(k, by_length(words))
-    return sum(_lifted_components(trie, k, c) for c in _cyclic_components(graph))
+    assert_components_match_tarjan(graph, (k, words))
+    return sum(_lifted_components(trie, k, c) for c in cyclic_components(graph))
 
 
 def full_cycle_components(k, words):
@@ -775,9 +782,21 @@ def test_lifted_component_count_several_components(k, token, cap, count):
     # subgroup of S_k: the full automaton splits into [S_k : K] copies
     words = [mp.word for mp in minimal_powers(k, B(token), cap, canonical=True)]
     _, graph = _quotient_graph(k, by_length(words))
-    assert len(_cyclic_components(graph)) == 1
+    assert len(cyclic_components(graph)) == 1
     assert quotient_cycle_components(k, words) == count
     assert full_cycle_components(k, words) == count
+
+
+@pytest.mark.parametrize(
+    "k,token,cap,count",
+    [(3, "5/3", 4, 3), (3, "7/4", 8, 2), (3, "3/2", 2, 2)],
+)
+def test_full_automaton_components_match_tarjan(k, token, cap, count):
+    # the --no-symmetry path: the full automaton, with several components
+    words = [mp.word for mp in minimal_powers(k, B(token), cap, canonical=True)]
+    graph = _dfa_adjacency(powerfree._full_automaton(k, words))
+    assert_components_match_tarjan(graph, (k, token, cap))
+    assert len(cyclic_components(graph)) == count
 
 
 def test_symmetry_path_never_builds_full_automaton(monkeypatch):
@@ -811,6 +830,33 @@ def test_lower_bound_is_the_largest_solution():
 def test_lower_bound_monotone():
     assert lower_bound(2, 12) > lower_bound(2, 10)
     assert lower_bound(Fraction("2.02"), 10) > lower_bound(2, 10)
+
+
+def lower_bound_outcome(solve, upper_lo, m):
+    try:
+        return solve(upper_lo, m)
+    except (NoLowerBoundError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.one_of(
+        st.fractions(1, 3, max_denominator=10**30).filter(lambda x: 1 < x < 3),
+        st.floats(1, 3, exclude_min=True, exclude_max=True),
+    ),
+    st.integers(1, 40),
+)
+@example(Fraction(1), 5)  # the target does not exceed 1
+@example(1 + Fraction(1, 10**16), 5)  # nor once rounded down to the grid
+@example(Fraction("1.2"), 3)  # the penalty term exceeds the bound everywhere
+@example(Fraction(2), 0)  # m below 1
+@example(Fraction("1.3017619"), 20)
+@example(Fraction("1.3017619"), 24)
+@settings(max_examples=200, deadline=None)
+def test_lower_bound_matches_fraction_oracle(upper_lo, m):
+    got = lower_bound_outcome(lower_bound, upper_lo, m)
+    assert got == lower_bound_outcome(fraction_lower_bound, upper_lo, m)
+    assert type(got) in (Fraction, tuple)
 
 
 def test_lower_bound_errors():
