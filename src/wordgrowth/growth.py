@@ -16,8 +16,9 @@ requested width (the +I term makes the matrix primitive, which kills the
 oscillation a periodic component would otherwise sustain).  The engine
 yields a stream of nested certificates per component; no step depends
 on the width wanted, so a caller reads up to the first certificate
-narrow enough, and reads two widths from one stream.  Its first two
-certificates are exact in int64; the continuation runs on Python ints.
+narrow enough, and reads two widths from one stream.  Its exact
+products run in int64 while they fit, else on object-dtype arrays of
+Python ints.
 
 The components come from ``cyclic_components``, a forward-backward
 search with trimming on numpy, when only the cycle-carrying ones are
@@ -358,16 +359,6 @@ def _extreme_ratios(sums, v):
     return Fraction(lo_s, lo_v), Fraction(hi_s, hi_v)
 
 
-def _exact_bounds(rows, v):
-    """Exact min/max of (Av)_i / v_i for a positive integer vector v, in
-    Python ints.
-
-    ``rows[i]`` lists (j, weight) pairs.  Every row is nonempty inside a
-    nontrivial strongly connected component, which keeps lo >= 0 finite.
-    """
-    return _extreme_ratios([sum([w * v[j] for j, w in row]) for row in rows], v)
-
-
 def _float_vector(comp: WeightedDigraph, max_iters):
     """Floating-point power iteration with (A+I); returns v or None.
 
@@ -424,14 +415,18 @@ def _certificates(comp: WeightedDigraph):
     arithmetic at doubling precision, each intersected with those before.
     The 2,000,000-step cap covers all the widths read from one stream.
 
-    The first two certificates are exact in int64.  All-ones gives the
-    least and the largest row weight sum.  The float vector's integer
-    entries are at most 2^53, so while the largest row weight sum W is
-    below 2^10, every row sum s_i = sum of w * v_j is below 2^63, and
-    one ``np.add.reduceat`` gives them all; one pass over the (s_i, v_i)
-    pairs picks the extreme ratios.  For W >= 2^10, and for the
-    continuation, whose precision doubles past 64 bits, the rows are
-    read as Python ints, built only when needed.
+    Every exact product is one ``np.add.reduceat`` of the terms w * v_j
+    over the rows.  All-ones gives the least and the largest row weight
+    sum.  The float vector's integer entries are at most 2^53, so while
+    the largest row weight sum W is below 2^10, every row sum is below
+    2^63 and the product runs in int64.  For W >= 2^10, and for the
+    continuation, whose precision doubles past 64 bits, it runs on numpy
+    arrays of dtype object, whose entries are Python ints: exact at any
+    size, with the loop over the entries in C.  Exact integer sums do not
+    depend on the order of their terms, so any summation order gives the
+    same vector; the float pass, whose rounding does depend on it, keeps
+    its own order (see ``_float_vector``).  One pass over the
+    (s_i, v_i) pairs picks the extreme ratios.
     """
     starts = comp.indptr[:-1]
     row_weight = np.add.reduceat(comp.weights, starts)
@@ -439,23 +434,24 @@ def _certificates(comp: WeightedDigraph):
     lo, hi = Fraction(int(row_weight.min())), Fraction(top)
     yield IndexInterval(lo, hi)
 
-    rows = None
+    col, weights = comp.indices, comp.weights
+    unit = bool((weights == 1).all())
+
+    def av(v):
+        """(Av)_i for every row i, exact in v's dtype."""
+        return np.add.reduceat(v[col] if unit else v[col] * weights, starts)
+
     fv = _float_vector(comp, max_iters=20000)
-    if fv is not None:
-        iv = _integer_vector(fv)
-        v = iv.tolist()
-        if top < 1 << 10:
-            sums = np.add.reduceat(comp.weights * iv[comp.indices], starts)
-            a, b = _extreme_ratios(sums.tolist(), v)
-        else:
-            rows = comp.rows()
-            a, b = _exact_bounds(rows, v)
+    if fv is None:
+        v = np.ones(len(comp), dtype=object)
+    else:
+        v = _integer_vector(fv)
+        if top >= 1 << 10:
+            v = v.astype(object)
+        a, b = _extreme_ratios(av(v).tolist(), v.tolist())
         lo, hi = max(lo, a), min(hi, b)
         yield IndexInterval(lo, hi)
-    else:
-        v = [1] * len(comp)
-    if rows is None:
-        rows = comp.rows()
+        v = v.astype(object)
 
     # Exact continuation: v <- (A+I)v over the integers, renormalized by
     # right shift so entries stay near `prec` bits.  Flooring keeps every
@@ -465,19 +461,12 @@ def _certificates(comp: WeightedDigraph):
     prev_gap = hi - lo
     stall = 0
     for step in range(1, 2_000_001):
-        new = []
-        for i, row in enumerate(rows):
-            s = v[i]
-            for j, w in row:
-                s += w * v[j]
-            new.append(s)
-        v = new
-        top = max(v).bit_length()
+        v = av(v) + v
+        top = v.max().bit_length()
         if top > prec:
-            shift = top - prec
-            v = [max(1, x >> shift) for x in v]
+            v = np.maximum(v >> (top - prec), 1)
         if step % 16 == 0:
-            a, b = _exact_bounds(rows, v)
+            a, b = _extreme_ratios(av(v).tolist(), v.tolist())
             lo, hi = max(lo, a), min(hi, b)
             yield IndexInterval(lo, hi)
             gap = hi - lo

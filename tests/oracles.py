@@ -13,8 +13,11 @@ search and trim check (``suffixes_stay_free``, on
 letter check is the library's ``_ends_in_violation`` (tested against
 border tables); ``per_period_root_complexity`` and ``per_period_scan``,
 one such walk per period; ``component_interval``, the library's
-earlier index engine, one run per width, on its ``_exact_bounds``,
-``_float_vector`` and ``_integer_vector``;
+earlier index engine, one run per width, and
+``python_int_certificates``, its earlier certificate stream, whose
+continuation loops over Python int lists, both on ``exact_bounds``
+(over the library's ``_extreme_ratios``), ``_float_vector`` and
+``_integer_vector``;
 ``recursive_intermediate_count``, the earlier staircase count;
 ``goto_loop_quotient_graph``, the quotient read state by state off the
 goto table of ``BreadthFirstTrie``, the library's earlier Python trie;
@@ -52,7 +55,7 @@ from wordgrowth.growth import (
     IndexInterval,
     ResidueAsymptotics,
     _as_fraction,
-    _exact_bounds,
+    _extreme_ratios,
     _float_vector,
     _integer_vector,
     approximate_index,
@@ -666,7 +669,9 @@ def per_slice_profile(dfa, delta: Fraction):
 # The library's engine compares row ratios by cross-multiplication and
 # takes its float product from ``np.bincount``.  These are the earlier
 # versions, kept as the reference.  ``component_interval`` is the earlier
-# engine, one run per width, before it became a stream of certificates.
+# engine, one run per width, before it became a stream of certificates;
+# ``python_int_certificates`` is that stream before its exact products ran
+# on numpy.
 
 
 def dict_component_rows(adjacency, comp):
@@ -687,6 +692,16 @@ def dict_component_rows(adjacency, comp):
             if t in members:
                 rows[local[q]].append((local[t], adjacency[q][t]))
     return rows
+
+
+def exact_bounds(rows, v):
+    """Exact min/max of (Av)_i / v_i for a positive integer vector v, in
+    Python ints.
+
+    ``rows[i]`` lists (j, weight) pairs.  Every row is nonempty inside a
+    nontrivial strongly connected component, which keeps lo >= 0 finite.
+    """
+    return _extreme_ratios([sum([w * v[j] for j, w in row]) for row in rows], v)
 
 
 def fraction_exact_bounds(rows, v):
@@ -750,6 +765,54 @@ def row_sum_float_vector(rows, n, max_iters):
     return v
 
 
+def python_int_certificates(comp):
+    """The engine's certificate stream of a component's local graph, with
+    every exact product a loop over ``rows()`` in Python ints: the
+    all-ones certificate, the float vector's, then every 16th step of the
+    exact continuation, each intersected with those before."""
+    rows = comp.rows()
+    lo, hi = exact_bounds(rows, [1] * len(rows))
+    yield IndexInterval(lo, hi)
+    fv = _float_vector(comp, max_iters=20000)
+    if fv is not None:
+        v = _integer_vector(fv).tolist()
+        a, b = exact_bounds(rows, v)
+        lo, hi = max(lo, a), min(hi, b)
+        yield IndexInterval(lo, hi)
+    else:
+        v = [1] * len(rows)
+
+    prec = 96
+    prev_gap = hi - lo
+    stall = 0
+    for step in range(1, 2_000_001):
+        new = []
+        for i, row in enumerate(rows):
+            s = v[i]
+            for j, w in row:
+                s += w * v[j]
+            new.append(s)
+        v = new
+        top = max(v).bit_length()
+        if top > prec:
+            shift = top - prec
+            v = [max(1, x >> shift) for x in v]
+        if step % 16 == 0:
+            a, b = exact_bounds(rows, v)
+            lo, hi = max(lo, a), min(hi, b)
+            yield IndexInterval(lo, hi)
+            gap = hi - lo
+            if gap > prev_gap * Fraction(49, 50):
+                stall += 1
+                if stall >= 3:
+                    prec *= 2
+                    stall = 0
+            else:
+                stall = 0
+            prev_gap = gap
+    raise RuntimeError("index iteration failed to converge")
+
+
 def component_interval(comp, delta: Fraction):
     """Certified index interval of one nontrivial strongly connected
     component, width at most 2*delta.
@@ -765,14 +828,14 @@ def component_interval(comp, delta: Fraction):
     n = len(comp)
     rows = comp.rows()
     ones = [1] * n
-    best_lo, best_hi = _exact_bounds(rows, ones)
+    best_lo, best_hi = exact_bounds(rows, ones)
     if best_hi - best_lo <= 2 * delta:
         return IndexInterval(best_lo, best_hi)
 
     fv = _float_vector(comp, max_iters=20000)
     if fv is not None:
         v = _integer_vector(fv).tolist()
-        lo, hi = _exact_bounds(rows, v)
+        lo, hi = exact_bounds(rows, v)
         best_lo = max(best_lo, lo)
         best_hi = min(best_hi, hi)
         if best_hi - best_lo <= 2 * delta:
@@ -801,7 +864,7 @@ def component_interval(comp, delta: Fraction):
             shift = top - prec
             v = [max(1, x >> shift) for x in v]
         if step % check_every == 0:
-            lo, hi = _exact_bounds(rows, v)
+            lo, hi = exact_bounds(rows, v)
             best_lo = max(best_lo, lo)
             best_hi = min(best_hi, hi)
             gap = best_hi - best_lo

@@ -99,6 +99,21 @@ def test_tm_approx_levels(runner):
     assert result.exit_code == 1
 
 
+TM_APPROX_JSON = {
+    3: '{\n  "level": 3,\n  "forbidden_words": 18,\n  "automaton_states": 127,\n  "rate": {\n'
+       '    "lo": "1.030532582573",\n    "hi": "1.030532582574"\n  }\n}\n',
+    4: '{\n  "level": 4,\n  "forbidden_words": 22,\n  "automaton_states": 255,\n  "rate": {\n'
+       '    "lo": "1.015151507201",\n    "hi": "1.015151507202"\n  }\n}\n',
+}
+
+
+@pytest.mark.parametrize("level", sorted(TM_APPROX_JSON))
+def test_tm_approx_json_is_pinned(runner, level):
+    # at delta = 1e-20 the exact continuation certifies these rates
+    args = ["--format", "json", "--delta", "1e-20", "tm-approx", str(level)]
+    assert run(runner, args) == TM_APPROX_JSON[level]
+
+
 # ---------------------------------------------------------------------------
 # extendable parts
 

@@ -16,9 +16,11 @@ from oracles import (
     counter_slice,
     dfa_adjacency_rows,
     dict_component_rows,
+    exact_bounds,
     fraction_exact_bounds,
     interval_contains,
     per_slice_profile,
+    python_int_certificates,
     row_list_certificates,
     row_sum_float_vector,
     spectral_radius_root,
@@ -281,18 +283,14 @@ def test_exact_continuation_certifies_thue_morse(monkeypatch):
     # at delta = 1e-20 neither the all-ones nor the float certificate is
     # tight enough, so the integer continuation loop has to finish the job
     calls = []
-    exact_bounds = growth._exact_bounds
     certificates = growth._certificates
-
-    def counting_exact_bounds(rows, v):
-        calls[-1] += 1
-        return exact_bounds(rows, v)
 
     def counting_certificates(comp):
         calls.append(0)
-        return certificates(comp)
+        for iv in certificates(comp):
+            calls[-1] += 1
+            yield iv
 
-    monkeypatch.setattr(growth, "_exact_bounds", counting_exact_bounds)
     monkeypatch.setattr(growth, "_certificates", counting_certificates)
     delta = Fraction(1, 10**20)
     iv = approximate_index(fad_automaton(tm_antidictionary(3)), delta)
@@ -392,23 +390,79 @@ def test_first_certificates_match_row_list_oracle(rows):
 
 
 @pytest.mark.parametrize(
-    "rows,python_sums", [([{0: 5000}], 1), ([{1: 2000}, {0: 2000}], 1), ([{1: 1023}, {0: 1023}], 0)]
+    "rows,past_int64",
+    [([{0: 5000}], 1), ([{1: 2000}, {0: 2000}], 1), ([{1: 1023}, {0: 1023}], 0)],
 )
-def test_first_certificates_sum_large_rows_in_python_ints(monkeypatch, rows, python_sums):
-    calls = []
-    exact_bounds = growth._exact_bounds
+def test_first_certificates_sum_large_rows_in_python_ints(monkeypatch, rows, past_int64):
+    # the float certificate's row sums are 5000 * 2^53 and 2000 * 2^53,
+    # past int64, where an int64 sum would wrap; 1023 * 2^53 fits
+    sums = []
+    extreme_ratios = growth._extreme_ratios
 
-    def counting_exact_bounds(rows, v):
-        calls.append(v)
-        return exact_bounds(rows, v)
+    def recording_extreme_ratios(s, v):
+        sums.append(s)
+        return extreme_ratios(s, v)
 
-    monkeypatch.setattr(growth, "_exact_bounds", counting_exact_bounds)
+    monkeypatch.setattr(growth, "_extreme_ratios", recording_extreme_ratios)
     comp = WeightedDigraph.from_rows(rows)
     first, second = itertools.islice(growth._certificates(comp), 2)
-    assert len(calls) == python_sums
+    (float_sums,) = sums
+    assert int(max(float_sums) >= 2**63) == past_int64
     rate = max(rows[0].values())
     assert first == second == (rate, rate) == digraph_index(rows)
     assert [first, second] == row_list_certificates(comp)
+
+
+@given(st.one_of(component_rows(), component_rows(max_n=4, max_weight=2000)))
+@example([[(0, 1), (1, 2), (2, 3)], [(0, 2)], [(1, 1), (2, 4)]])
+@example([[(1, 5)], [(0, 1), (2, 3)], [(0, 2), (1, 1), (2, 1)]])
+@example([[(0, 1), (1, 1)], [(1, 1)]])
+@settings(max_examples=100, deadline=None)
+def test_certificate_stream_matches_python_int_oracle(rows):
+    # exact integer sums are the same in any order, so the object-dtype
+    # products give the Python-int loop's stream, certificate for
+    # certificate; on a graph that is not strongly connected, such as the
+    # last example, the gap stalls and the precision doubles every third
+    # checkpoint
+    comp = WeightedDigraph.from_rows([dict(row) for row in rows])
+    n = 60
+    expected = list(itertools.islice(python_int_certificates(comp), n))
+    assert list(itertools.islice(growth._certificates(comp), n)) == expected
+
+
+@pytest.mark.parametrize(
+    "level,places,length,widest", [(3, 20, 44, 96), (4, 20, 172, 96), (3, 40, 201, 192)]
+)
+def test_certificate_stream_matches_python_int_oracle_on_thue_morse(
+    monkeypatch, level, places, length, widest
+):
+    # the whole stream to width 2 * 10^-places of the one nontrivial
+    # component; the entries pass 2^63 by the first checkpoint, and they
+    # grow past 96 bits only once the precision doubles, which at level 3
+    # happens after the 122nd certificate
+    entries = []
+    extreme_ratios = growth._extreme_ratios
+
+    def recording_extreme_ratios(s, v):
+        entries.extend(v)
+        return extreme_ratios(s, v)
+
+    monkeypatch.setattr(growth, "_extreme_ratios", recording_extreme_ratios)
+    (comp,) = local_graphs(fad_automaton(tm_antidictionary(level)))
+    delta = Fraction(1, 10**places)
+
+    def stream(certificates):
+        out = []
+        for iv in certificates:
+            out.append(iv)
+            if iv.width <= 2 * delta:
+                return out
+
+    got = stream(growth._certificates(comp))
+    assert len(got) == length
+    assert got == stream(python_int_certificates(comp))
+    assert max(entries) >= 2**63
+    assert widest - 96 < max(entries).bit_length() <= widest
 
 
 @st.composite
@@ -426,7 +480,7 @@ def rows_and_vector(draw):
 @settings(max_examples=300, deadline=None)
 def test_exact_bounds_match_fraction_oracle(case):
     rows, v = case
-    lo, hi = growth._exact_bounds(rows, v)
+    lo, hi = exact_bounds(rows, v)
     assert (lo, hi) == fraction_exact_bounds(rows, v)
     assert type(lo) is type(hi) is Fraction
 
