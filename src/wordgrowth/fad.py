@@ -6,12 +6,11 @@ Such a language is factorial (closed under factors) and is recognized by
 an automaton whose states are the proper prefixes of the forbidden
 words, built here by ``FailureTrie``: failure links and a goto table
 filled once, breadth first.  The same trie, in its letter-canonical
-frame, builds the letter-symmetry quotients of ``powerfree``.  Each frame
-is built its own way: the identity frame's tries, for antidictionaries
-read from files and the Thue-Morse approximations, are small, and a
-Python loop over their nodes is fastest; the letter-canonical tries of
-the power-free bounds reach millions of nodes, and are built with numpy
-one depth at a time, from the word arrays of the minimal-power search.
+frame, builds the letter-symmetry quotients of ``powerfree``.  One numpy
+build, one depth at a time, serves both frames: the small identity-frame
+tries of antidictionaries read from files and of the Thue-Morse
+approximations, and the letter-canonical tries of the power-free bounds,
+which reach millions of nodes.
 
 The module also carries a few concrete language families used to
 exercise the growth machinery: truncated antidictionaries of the
@@ -22,7 +21,6 @@ between polynomial and exponential.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -70,8 +68,8 @@ def word_to_str(w: Iterable[int]) -> str:
 
 
 class TrieSizeError(RuntimeError):
-    """A letter-canonical trie would have more nodes than its int32
-    tables can number; raised before any table is allocated."""
+    """A trie would have more nodes than its int32 tables can number;
+    raised before any table is allocated."""
 
     def __init__(self, nodes: int, limit: int):
         super().__init__(
@@ -105,19 +103,21 @@ class FailureTrie:
     is stored as ~t, so negative entries are forbidden moves.  ``states``
     lists the other nodes breadth first, children by slot: automaton
     state q is node ``states[q]``, and ``state_of`` maps back (-1 for
-    forbidden words).  A forbidden word's ``fsig`` row is never read.
+    forbidden words and the nodes below one).  A forbidden word's
+    ``fsig`` row is never read.
 
-    Two constructors fill the tables, one per frame; they share no code.
-    ``FailureTrie(k, words)`` builds the identity frame in Python, node
-    by node, for ``Antidictionary``, ``fad_automaton`` and the Thue-Morse
-    approximations: small tries, where numpy's per-call cost would
-    dominate.  An identity-frame set need not be antifactorial: its
-    failure links stay exact, which is what ``Antidictionary`` checks;
-    it has no ``nletters`` or ``fsig``.  ``FailureTrie.letter_canonical``
-    builds the frame of the symmetry quotients of ``powerfree`` with
-    numpy, one depth at a time, from the level search's word arrays;
-    those tries reach millions of nodes.  A letter-canonical set must be
-    antifactorial.  Every table reads back plain ints.
+    One build fills the tables in either frame; the frame is data, the
+    first ``nletters`` and ``fsig``.  ``FailureTrie(k, words)`` builds the
+    identity frame, where ``nletters`` is k and ``fsig`` the identity, for
+    ``Antidictionary``, ``fad_automaton`` and the Thue-Morse
+    approximations.  Its set need not be antifactorial: a forbidden word
+    that is a prefix of another keeps its descendants as nodes that are
+    no states, and a failure link that lands on a forbidden word follows
+    it, so the links stay exact, which is what ``Antidictionary`` checks.
+    ``FailureTrie.letter_canonical`` builds the frame of the symmetry
+    quotients of ``powerfree`` from the level search's word arrays; those
+    tries reach millions of nodes, and their sets must be antifactorial.
+    Every table reads back plain ints.
     """
 
     FRESH = -1
@@ -130,60 +130,24 @@ class FailureTrie:
     )
 
     def __init__(self, k: int, words: Iterable[Word]):
-        self.k = k
-        self.children = array("i", [-1]) * k
-        self.terminal = bytearray(1)
-        self.nletters = self.fsig = None
-        self._insert(words)
-        self._link()
-
-    def _insert(self, words: Iterable[Word]) -> None:
-        k, children, terminal = self.k, self.children, self.terminal
-        blank = array("i", [-1]) * k
-        for word in words:
-            node = 0
-            for x in word:
-                if not 0 <= x < k:
-                    raise ValueError(f"{word_to_str(word)} does not fit the trie's frame")
-                i = node * k + x
-                nxt = children[i]
-                if nxt < 0:
-                    nxt = children[i] = len(terminal)
-                    children += blank
-                    terminal.append(0)
-                node = nxt
-            terminal[node] = 1
-
-    def _link(self) -> None:
-        k, children, terminal = self.k, self.children, self.terminal
-        n = len(terminal)
-        fail = self.fail = array("i", [0]) * n
-        delta = self.delta = array("i", [0]) * (n * k)
-        states = self.states = array("i", [0])
-        for u in states:
-            base = u * k
-            fbase = fail[u] * k
-            for y in range(k):
-                t = delta[fbase + y] if u else 0
-                c = children[base + y]
-                if c < 0:
-                    delta[base + y] = t
-                    continue
-                # the child's failure link is where u's failure link reads y
-                fail[c] = ~t if t < 0 else t
-                if terminal[c]:
-                    delta[base + y] = ~c
-                    continue
-                delta[base + y] = c
-                states.append(c)
-        self.state_of = array("i", [-1]) * n
-        for q, u in enumerate(states):
-            self.state_of[u] = q
+        by_length: dict = {}
+        for w in words:
+            by_length.setdefault(len(w), []).append(w)
+        self._build(k, [np.array(ws) for _, ws in sorted(by_length.items())], False)
 
     @classmethod
     def letter_canonical(cls, k: int, word_arrays: Iterable) -> "FailureTrie":
         """The letter-canonical trie of the words, given as 2-D integer
-        arrays, one word per row (one array per word length, say).
+        arrays, one word per row (one array per word length, say).  Each
+        word must bring its letters in first-occurrence order
+        (ValueError otherwise), and the set must be antifactorial
+        (AssertionError otherwise)."""
+        trie = object.__new__(cls)
+        trie._build(k, word_arrays, True)
+        return trie
+
+    def _build(self, k: int, word_arrays: Iterable, canonical: bool) -> None:
+        """Fill the tables from 2-D word arrays, one word per row.
 
         Insertion sorts all words lexicographically, each padded with k,
         which is no letter.  Word i then adds a node at each depth d with
@@ -198,58 +162,71 @@ class FailureTrie:
         ``delta[fail]`` gives a whole depth's moves, its children's failure
         links and, when a child's link is the child of fail(u) on the same
         slot, the child's ``fsig``: u's row, with the read slot renamed.
-        Other children, none in the power-free tries seen, take their
-        ``fsig`` from the translating ``goto`` walk.  Raises ValueError for
-        a word outside the frame and AssertionError for a set that is not
-        antifactorial.
+        Other children take their ``fsig`` from the translating ``goto``
+        walk, which in the identity frame leaves the identity.  Raises
+        ValueError for a word outside the frame and, in the letter-canonical
+        frame, AssertionError for a set that is not antifactorial.
         """
         children, terminal, nletters, depth_start = _sorted_insert(
-            k, word_arrays, cls.NODE_LIMIT
+            k, word_arrays, self.NODE_LIMIT, canonical
         )
         n = len(terminal)
-        fsig = np.full((n, k), cls.FRESH, np.intc)
+        if canonical:
+            fsig = np.full((n, k), self.FRESH, np.intc)
+        else:
+            fsig = np.tile(np.arange(k, dtype=np.intc), (n, 1))
         fail = np.zeros(n, np.intc)
         delta = np.zeros((n, k), np.intc)
-        trie = object.__new__(cls)
-        trie.k = k
+        self.k = k
         # the Python readers (goto, the lift, the walk below) index these
-        (trie.children, trie.terminal, trie.nletters, trie.fsig, trie.fail,
-         trie.delta) = (
+        (self.children, self.terminal, self.nletters, self.fsig, self.fail,
+         self.delta) = (
             memoryview(a.reshape(-1)) for a in (children, terminal, nletters, fsig, fail, delta)
         )
-        trie._link_by_depth(children, terminal.view(bool), nletters, fsig, fail, delta,
-                            depth_start)
-        states = np.flatnonzero(terminal == 0).astype(np.intc)
+        # forbidden words, and in the identity frame the nodes below one
+        no_state = terminal.astype(bool)
+        self._link_by_depth(children, no_state, nletters, fsig, fail, delta, depth_start,
+                            canonical)
+        states = np.flatnonzero(~no_state).astype(np.intc)
         state_of = np.full(n, -1, np.intc)
         state_of[states] = np.arange(len(states), dtype=np.intc)
-        trie.states, trie.state_of = memoryview(states), memoryview(state_of)
-        return trie
+        self.states, self.state_of = memoryview(states), memoryview(state_of)
 
-    def _link_by_depth(self, children, is_end, nletters, fsig, fail, delta, depth_start):
+    def _link_by_depth(self, children, no_state, nletters, fsig, fail, delta, depth_start,
+                       canonical):
         k, FRESH = self.k, self.FRESH
-        # the root reads slot 0 only; its children link to it, every letter fresh
-        c = int(children[0, 0])
-        delta[0, 0] = ~c if c >= 0 and is_end[c] else max(c, 0)
+        # the root moves to its children and stays on every other slot;
+        # its children link to it
+        c = children[0]
+        delta[0] = np.where(c < 0, 0, np.where(no_state[c], ~c, c))
         slots = np.arange(k)
+        flat_children, flat_delta = children.reshape(-1), delta.reshape(-1)
         for lo, hi, end in zip(depth_start, depth_start[1:], depth_start[2:]):
             # nodes lo..hi-1 are one depth; their children are hi..end-1
             f = fail[lo:hi].astype(np.int64)
             sig = fsig[lo:hi]
-            dead = (slots > nletters[lo:hi, None]) | is_end[lo:hi, None]
+            dead = (slots > nletters[lo:hi, None]) | no_state[lo:hi, None]
             read = np.where(sig == FRESH, nletters[f][:, None], sig)
-            read[dead] = 0
-            t = delta.reshape(-1)[f[:, None] * k + read]
+            # a dead slot reads itself, so that the children of a forbidden
+            # word, in the identity frame, keep the identity
+            np.copyto(read, slots, where=dead)
+            at = f[:, None] * k + read
+            t = flat_delta[at]
             t[dead] = 0
             # child hi + i is node lo + r[i]'s child on slot y[i]
             r, y = np.nonzero(children[lo:hi] >= 0)
             link = t[r, y]
-            if (link < 0).any():
+            if canonical and (link < 0).any():
                 raise AssertionError(
                     "failure chain hit a forbidden word; input set was not antifactorial"
                 )
-            fail[hi:end] = link
+            # a link that lands on a forbidden word follows it
+            fail[hi:end] = np.maximum(link, ~link)
+            # a node below a forbidden word is no state
+            no_state[hi:end] |= no_state[lo:hi][r]
             ids = np.arange(hi, end)
-            t[r, y] = np.where(is_end[hi:end], ~ids, ids)
+            t[r, y] = np.where(no_state[hi:end], ~ids, ids)
+            t[dead] = 0
             delta[lo:hi] = t
             # when the link is fail(u)'s child on the read slot, u's names
             # carry over to it, the read slot renamed
@@ -257,7 +234,7 @@ class FailureTrie:
             rows = sig[r]
             rows[np.arange(len(r)), y] = s
             fsig[hi:end] = rows
-            walk = (children.reshape(-1)[f[r] * k + s] < 0) & ~is_end[hi:end]
+            walk = (flat_children[at[r, y]] < 0) & ~no_state[hi:end]
             for i in np.flatnonzero(walk).tolist():
                 ri, yi = int(r[i]), int(y[i])
                 nl = int(nletters[lo + ri])
@@ -296,10 +273,10 @@ class FailureTrie:
             node = self.fail[node]
 
 
-def _sorted_insert(k: int, word_arrays: Iterable, limit: int) -> tuple:
-    """``children``, ``terminal`` and ``nletters`` of the letter-canonical
-    trie of the words, as numpy tables, and each depth's first node id;
-    see ``FailureTrie.letter_canonical``."""
+def _sorted_insert(k: int, word_arrays: Iterable, limit: int, canonical: bool) -> tuple:
+    """``children``, ``terminal`` and ``nletters`` of the trie of the
+    words, in the letter-canonical or the identity frame, as numpy tables,
+    and each depth's first node id; see ``FailureTrie._build``."""
     blocks = [a for a in map(np.asarray, word_arrays) if len(a)]
     if any(a.shape[1] == 0 for a in blocks):
         raise ValueError("the empty word forbids every word")
@@ -319,16 +296,17 @@ def _sorted_insert(k: int, word_arrays: Iterable, limit: int) -> tuple:
         order = np.lexsort(cols[::-1])
         cols, lengths = cols[:, order], lengths[order]
     inside = np.arange(width)[:, None] < lengths
-    # a canonical word brings its letters in first-occurrence order
-    seen = np.maximum.accumulate(np.where(inside, cols, 0), axis=0)
-    if (cols[:1] > 0).any() or ((cols[1:] > seen[:-1] + 1) & inside[1:]).any():
-        raise ValueError("a word does not fit the trie's frame")
+    if canonical:
+        # a canonical word brings its letters in first-occurrence order
+        seen = np.maximum.accumulate(np.where(inside, cols, 0), axis=0)
+        if (cols[:1] > 0).any() or ((cols[1:] > seen[:-1] + 1) & inside[1:]).any():
+            raise ValueError("a word does not fit the trie's frame")
     lcp = np.zeros(m, np.intp)
     if m > 1:
         differ = cols[:, 1:] != cols[:, :-1]
         lcp[1:] = np.where(differ.any(0), differ.argmax(0), lengths[1:])
-        if ((lcp[1:] == np.minimum(lengths[1:], lengths[:-1]))
-                & (lengths[1:] != lengths[:-1])).any():
+        if canonical and ((lcp[1:] == np.minimum(lengths[1:], lengths[:-1]))
+                          & (lengths[1:] != lengths[:-1])).any():
             raise AssertionError(
                 "a forbidden word is a prefix of another; input set was not antifactorial"
             )
@@ -349,8 +327,10 @@ def _sorted_insert(k: int, word_arrays: Iterable, limit: int) -> tuple:
     children.reshape(-1)[parent * k + cols.reshape(-1)[made]] = ids
     terminal = np.zeros(n, np.uint8)
     terminal[node[lengths - 1, np.arange(m)]] = 1
-    nletters = np.zeros(n, np.intc)
-    nletters[1:] = seen.reshape(-1)[made] + 1
+    nletters = np.full(n, k, np.intc)
+    if canonical:
+        nletters[0] = 0
+        nletters[1:] = seen.reshape(-1)[made] + 1
     depth_start = np.concatenate([[1], 1 + np.cumsum(np.count_nonzero(new, axis=1))])
     return children, terminal, nletters, depth_start.tolist()
 

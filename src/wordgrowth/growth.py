@@ -169,12 +169,6 @@ class WeightedDigraph:
     def _key(self) -> tuple:
         return self.indptr.tobytes(), self.indices.tobytes(), self.weights.tobytes()
 
-    def rows(self) -> list:
-        """Each vertex's (target, weight) pairs, in target order."""
-        pairs = list(zip(self.indices.tolist(), self.weights.tolist()))
-        ptr = self.indptr.tolist()
-        return [pairs[a:b] for a, b in zip(ptr, ptr[1:])]
-
 
 def _row_entries(indptr, vertices):
     """Positions of the entries of ``vertices``' rows in a compressed

@@ -1,6 +1,8 @@
 """Automata, antidictionaries and exponent bounds shared across the test
 modules."""
 
+from hypothesis import strategies as st
+
 from wordgrowth.automaton import Dfa, trim
 from wordgrowth.fad import Antidictionary, fad_automaton, parse_word, tm_antidictionary
 
@@ -14,6 +16,27 @@ TRIM_TOKENS = (
 
 def ad(k, words):
     return Antidictionary(k, [parse_word(w) for w in words])
+
+
+# (k, words): up to 12 nonempty words over 1 to 3 letters, not always
+# antifactorial
+word_sets = st.integers(1, 3).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=7).map(tuple),
+                 max_size=12),
+    )
+)
+
+
+def antifactorial(words):
+    """The shortest words that contain no shorter kept word: an
+    antifactorial set."""
+    kept = []
+    for w in sorted(set(words), key=lambda w: (len(w), w)):
+        if not any(v == w[i:i + len(v)] for v in kept for i in range(len(w))):
+            kept.append(w)
+    return kept
 
 
 def random_dfa(rng, max_states=6, k=2, density=0.8, accept_all=False):

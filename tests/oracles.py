@@ -25,7 +25,7 @@ goto table of ``BreadthFirstTrie``, the library's earlier Python trie;
 lists built from the automaton's rows; ``tarjan_cyclic_components``,
 the cycle-carrying components filtered from Tarjan's;
 ``row_list_certificates``, the engine's first two certificates over
-``rows()``, one ``Fraction`` per row; and ``fraction_lower_bound``, the
+``digraph_rows``, one ``Fraction`` per row; and ``fraction_lower_bound``, the
 analytic lower bound in ``Fraction`` arithmetic.
 """
 
@@ -719,11 +719,19 @@ def fraction_exact_bounds(rows, v):
     return lo, hi
 
 
+def digraph_rows(graph) -> list:
+    """Each vertex's (target, weight) pairs of a ``WeightedDigraph``, in
+    target order."""
+    pairs = list(zip(graph.indices.tolist(), graph.weights.tolist()))
+    ptr = graph.indptr.tolist()
+    return [pairs[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
 def row_list_certificates(comp) -> list:
     """The engine's first two certificates of a component's local graph,
-    read over ``rows()``: the all-ones one, then the float vector's,
+    read over ``digraph_rows``: the all-ones one, then the float vector's,
     intersected with it (only the first when the float pass fails)."""
-    rows = comp.rows()
+    rows = digraph_rows(comp)
     lo, hi = fraction_exact_bounds(rows, [1] * len(rows))
     out = [IndexInterval(lo, hi)]
     fv = _float_vector(comp, max_iters=20000)
@@ -767,10 +775,10 @@ def row_sum_float_vector(rows, n, max_iters):
 
 def python_int_certificates(comp):
     """The engine's certificate stream of a component's local graph, with
-    every exact product a loop over ``rows()`` in Python ints: the
+    every exact product a loop over ``digraph_rows`` in Python ints: the
     all-ones certificate, the float vector's, then every 16th step of the
     exact continuation, each intersected with those before."""
-    rows = comp.rows()
+    rows = digraph_rows(comp)
     lo, hi = exact_bounds(rows, [1] * len(rows))
     yield IndexInterval(lo, hi)
     fv = _float_vector(comp, max_iters=20000)
@@ -826,7 +834,7 @@ def component_interval(comp, delta: Fraction):
     only ever tightens the answer.
     """
     n = len(comp)
-    rows = comp.rows()
+    rows = digraph_rows(comp)
     ones = [1] * n
     best_lo, best_hi = exact_bounds(rows, ones)
     if best_hi - best_lo <= 2 * delta:
@@ -993,9 +1001,9 @@ class _QuotientTrie:
             nd = self.fail[nd]
 
 
-# The library's failure-link trie before its letter-canonical frame moved
-# to numpy: one Python construction for both frames, inserting word by word and
-# linking node by node, breadth first.  Its node ids are insertion order.
+# The library's failure-link trie before it moved to numpy: one Python
+# construction for both frames, inserting word by word and linking node by
+# node, breadth first.  Its node ids are insertion order.
 
 Word = tuple
 

@@ -3,8 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
 import builders
 from oracles import (
@@ -158,25 +157,11 @@ def test_fad_automaton_builds_one_trie(monkeypatch, fad_corpus):
         assert len(built) == 1, a
 
 
-word_sets = st.integers(1, 3).flatmap(
-    lambda k: st.tuples(
-        st.just(k),
-        st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=7).map(tuple),
-                 max_size=12),
-    )
-)
-
-
-@given(word_sets)
+@given(builders.word_sets)
 @settings(max_examples=300, deadline=None)
 def test_fad_matches_chain_walk_oracle_on_random_sets(case):
-    # keep the shortest words that contain no kept word, an antifactorial set
     k, words = case
-    kept = []
-    for w in sorted(set(words), key=lambda w: (len(w), w)):
-        if not contains_factor(w, kept):
-            kept.append(w)
-    a = Antidictionary(k, kept)
+    a = Antidictionary(k, builders.antifactorial(words))
     assert fad_automaton(a) == trie_fad_automaton(a)
 
 
@@ -188,7 +173,9 @@ def antifactorial_error(check, *args):
     return None
 
 
-@given(word_sets)
+@given(builders.word_sets)
+@example((2, [(0, 0), (0, 0, 1)]))  # a prefix pair: the forbidden aa has a child
+@example((2, [(1,), (0, 1, 0)]))  # the link of ab is the forbidden b
 @settings(max_examples=400, deadline=None)
 def test_antifactorial_check_matches_chain_walk_oracle(case):
     # same decision, and the same first offending word in the message
@@ -196,6 +183,15 @@ def test_antifactorial_check_matches_chain_walk_oracle(case):
     normalized = sorted(set(words), key=lambda w: (len(w), w))
     expected = antifactorial_error(trie_check_antifactorial, normalized)
     assert antifactorial_error(Antidictionary, k, words) == expected
+    # the identity-frame trie takes any set; the check runs after it
+    fad.FailureTrie(k, words)
+    text = "\n".join([f"ad {k}", *map(word_to_str, words)])
+    if expected is None:
+        parse_antidictionary(text)
+    else:
+        with pytest.raises(DfaFormatError) as err:
+            parse_antidictionary(text)
+        assert str(err.value) == f"line 1: {expected}"
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +409,13 @@ def test_parse_antidictionary_errors():
     with pytest.raises(DfaFormatError) as err:
         parse_antidictionary("ad 2\naa bb cc")
     assert err.value.line_no == 2
-    with pytest.raises(DfaFormatError):
-        parse_antidictionary("ad 2\naa\naab")  # not antifactorial
+    # not antifactorial: a prefix pair, and a link onto a forbidden word
+    with pytest.raises(DfaFormatError, match="^line 1: not antifactorial: a forbidden "
+                       "word occurs inside aab$"):
+        parse_antidictionary("ad 2\naa\naab")
+    with pytest.raises(DfaFormatError, match="^line 1: not antifactorial: a forbidden "
+                       "word occurs inside aba$"):
+        parse_antidictionary("ad 2\nb\naba")
 
 
 def test_format_antidictionary_roundtrip(fad_corpus):

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import TRIM_TOKENS
+from builders import TRIM_TOKENS, antifactorial, word_sets
 from oracles import (
     BreadthFirstTrie,
     breadth_first_tables,
     brute_minimal_powers_by_length,
     brute_minimal_powers_by_period,
     chain_walk_quotient_graph,
+    digraph_rows,
     fraction_lower_bound,
     free_roots,
     goto_loop_quotient_graph,
@@ -31,7 +32,13 @@ from oracles import (
 )
 from wordgrowth import powerfree
 from wordgrowth.automaton import scc
-from wordgrowth.fad import Antidictionary, FailureTrie, TrieSizeError, parse_word
+from wordgrowth.fad import (
+    Antidictionary,
+    FailureTrie,
+    TrieSizeError,
+    parse_word,
+    tm_antidictionary,
+)
 from wordgrowth.powerfree import (
     BudgetExceededError,
     ExponentBound,
@@ -595,7 +602,7 @@ def by_length(words):
 def assert_quotient_matches_chain_walk(k, words, case):
     trie, graph = _quotient_graph(k, by_length(words))
     oracle_trie, expected = chain_walk_quotient_graph(k, words)
-    rows = graph.rows()
+    rows = digraph_rows(graph)
     assert rows == [sorted(row.items()) for row in expected], case
     assert rows == [sorted(row.items()) for row in goto_loop_quotient_graph(k, words)[1]], case
     # Tarjan and the engine read each row in target order
@@ -629,10 +636,7 @@ def canonical_antidictionaries(draw):
     words = draw(st.lists(
         st.lists(st.integers(0, k - 1), min_size=1, max_size=8).map(tuple), max_size=10
     ))
-    kept = []
-    for w in sorted(set().union(*(orbit(w, k) for w in words)), key=lambda w: (len(w), w)):
-        if not any(v == w[i:i + len(v)] for v in kept for i in range(len(w))):
-            kept.append(w)
+    kept = antifactorial(set().union(*(orbit(w, k) for w in words)))
     return k, sorted({canonical_form(w) for w in kept})
 
 
@@ -646,16 +650,21 @@ def test_quotient_matches_chain_walk_oracle_on_random_sets(case):
 
 
 # ---------------------------------------------------------------------------
-# the letter-canonical trie, depth by depth, against the node-by-node build
+# the trie, depth by depth, against the node-by-node build
 
 
-def assert_trie_matches_oracle(k, words, case, arrays=None):
-    """Every table of the numpy trie, built from ``arrays`` or else from
-    the words grouped by length, equals the Python breadth-first build's,
-    once the oracle's insertion-order nodes are renumbered breadth
-    first."""
-    trie = FailureTrie.letter_canonical(k, by_length(words) if arrays is None else arrays)
-    expected = breadth_first_tables(BreadthFirstTrie(k, words, canonical=True), k)
+def assert_trie_matches_oracle(k, words, case, arrays=None, canonical=True):
+    """Every table of the numpy trie equals the Python breadth-first
+    build's, once the oracle's insertion-order nodes are renumbered
+    breadth first.  The letter-canonical trie is built from ``arrays``,
+    or else from the words grouped by length; the identity-frame trie
+    (``canonical`` false), whose ``nletters`` is k and ``fsig`` the
+    identity, from the words."""
+    if canonical:
+        trie = FailureTrie.letter_canonical(k, by_length(words) if arrays is None else arrays)
+    else:
+        trie = FailureTrie(k, words)
+    expected = breadth_first_tables(BreadthFirstTrie(k, words, canonical=canonical), k)
     got = {name: list(getattr(trie, name)) for name in expected}
     got["fsig"] = [v for i, v in enumerate(got["fsig"]) if not trie.terminal[i // k]]
     for name, table in expected.items():
@@ -683,6 +692,31 @@ def test_canonical_trie_matches_oracle_long_chains(k, token, cap):
 def test_canonical_trie_matches_oracle_on_random_sets(case):
     k, words = case
     assert_trie_matches_oracle(k, words, case)
+
+
+@given(word_sets)
+@settings(max_examples=300, deadline=None)
+def test_identity_trie_matches_oracle_on_random_sets(case):
+    # antifactorial or not: a prefix pair keeps its nodes, and a link onto
+    # a forbidden word follows it
+    k, words = case
+    assert_trie_matches_oracle(k, antifactorial(words), case, canonical=False)
+    assert_trie_matches_oracle(k, words, case, canonical=False)
+
+
+@pytest.mark.parametrize("level", range(-1, 6))
+def test_identity_trie_matches_oracle_on_thue_morse(level):
+    assert_trie_matches_oracle(2, tm_antidictionary(level).words, level, canonical=False)
+
+
+@pytest.mark.parametrize("k,token,top", [(2, "3", 12), (3, "2", 8)])
+def test_identity_trie_matches_oracle_on_full_orbits(k, token, top):
+    # the orbits of the canonical minimal powers, as the full automaton
+    # of --no-symmetry reads them
+    for cap in range(1, top + 1):
+        words = [w for mp in minimal_powers(k, B(token), cap, canonical=True)
+                 for w in orbit(mp.word, k)]
+        assert_trie_matches_oracle(k, words, (k, token, cap), canonical=False)
 
 
 def test_canonical_trie_walks_when_the_link_is_no_child(monkeypatch):
@@ -726,7 +760,8 @@ def test_canonical_trie_reads_periods_with_no_minimal_words():
     words = [tuple(w) for a in arrays.values() for w in a.tolist()]
     assert_trie_matches_oracle(2, words, "square-free", arrays.values())
     _, graph = _quotient_graph(2, arrays.values())
-    assert graph.rows() == [sorted(row.items()) for row in goto_loop_quotient_graph(2, words)[1]]
+    expected = goto_loop_quotient_graph(2, words)[1]
+    assert digraph_rows(graph) == [sorted(row.items()) for row in expected]
 
 
 def test_canonical_trie_rejects_what_the_frame_cannot_hold():
