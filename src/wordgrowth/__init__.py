@@ -34,6 +34,7 @@ from wordgrowth.growth import (
     ComplexityClass,
     GrowthReport,
     IndexInterval,
+    ProfileSizeError,
     approximate_index,
     asymptotic_profile,
     classify,
@@ -90,6 +91,7 @@ __all__ = [
     "ComplexityClass",
     "GrowthReport",
     "IndexInterval",
+    "ProfileSizeError",
     "approximate_index",
     "asymptotic_profile",
     "classify",

@@ -334,6 +334,12 @@ def cycle_intersection_bound(
         return 0
     if dec is None:
         dec = scc(dfa)
+    return path_intersection_bound(dec, eligible, dec.component_of[dfa.initial])
+
+
+def path_intersection_bound(dec: SccDecomposition, eligible: Iterable[int], start: int) -> int:
+    """Most ``eligible`` components of ``dec`` one condensation path from
+    component ``start`` can meet, ``start`` included."""
     elig = set(eligible)
     m = len(dec.components)
     succ: list[set] = [set() for _ in range(m)]
@@ -343,7 +349,7 @@ def cycle_intersection_bound(
     for c in range(m - 1, -1, -1):
         follow = max((best[d] for d in succ[c]), default=0)
         best[c] = (1 if c in elig else 0) + follow
-    return best[dec.component_of[dfa.initial]]
+    return best[start]
 
 
 def parse_dfa(text: str) -> Dfa:

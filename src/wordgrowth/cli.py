@@ -33,6 +33,7 @@ from wordgrowth.fad import (
     extendable_part,
 )
 from wordgrowth.growth import (
+    ProfileSizeError,
     approximate_index,
     asymptotic_profile,
     decimal_lower,
@@ -100,6 +101,13 @@ def main(ctx, delta, budget, fmt, threads, no_symmetry):
     }
 
 
+def _profile(dfa, delta):
+    try:
+        return asymptotic_profile(dfa, delta)
+    except ProfileSizeError as exc:
+        raise click.ClickException(str(exc)) from None
+
+
 @main.command("dfa-report")
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.pass_obj
@@ -110,7 +118,7 @@ def cmd_dfa_report(obj, path):
         dfa = parse_dfa(_read(path))
     except DfaFormatError as exc:
         raise click.ClickException(str(exc)) from None
-    report = asymptotic_profile(trim(dfa), obj["delta"])
+    report = _profile(trim(dfa), obj["delta"])
     click.echo(report.to_json_text() if obj["fmt"] == "json" else report.to_text(), nl=False)
     if obj["fmt"] == "json":
         click.echo()
@@ -127,7 +135,7 @@ def cmd_fad(obj, path):
     except DfaFormatError as exc:
         raise click.ClickException(str(exc)) from None
     dfa = fad_automaton(ad)
-    report = asymptotic_profile(dfa, obj["delta"])
+    report = _profile(dfa, obj["delta"])
     if obj["fmt"] == "json":
         doc = json.loads(report.to_json_text())
         doc = {

@@ -401,6 +401,18 @@ def fad_automaton(ad: Antidictionary) -> Dfa:
     matching suffix.  A move whose longest matching suffix is a
     forbidden word is dropped, so the automaton is partial.  All states
     accept.
+
+    The automaton is trimmed as built, in ``trim``'s numbering.  The set
+    is antifactorial, so a state's word, a proper prefix of a forbidden
+    word, has no forbidden factor: each of its prefixes is a state, and
+    from the root the word's letters follow trie edges to it.  Every
+    state is reachable, and every state accepts.  ``trim``'s breadth-first
+    search from the root, letters in order, then numbers the states as
+    ``trie.states`` lists them, breadth first with children by slot,
+    which in the identity frame is by letter: a move from a state at
+    depth d lands at depth d + 1 only on the state's own child, so each
+    depth is discovered whole, parent by parent and letter by letter,
+    before the next.
     """
     k = ad.alphabet_size
     if () in ad.words:
@@ -410,7 +422,7 @@ def fad_automaton(ad: Antidictionary) -> Dfa:
     for u in trie.states:
         targets = trie.delta[u * k:u * k + k]
         rows.append({x: trie.state_of[t] for x, t in enumerate(targets) if t >= 0})
-    return trim(Dfa(k, rows, 0, range(len(rows))))
+    return Dfa(k, rows, 0, range(len(rows)))
 
 
 # ---------------------------------------------------------------------------

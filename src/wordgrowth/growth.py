@@ -24,7 +24,10 @@ The components come from ``cyclic_components``, a forward-backward
 search with trimming on numpy, when only the cycle-carrying ones are
 wanted in any order (the power-free bounds), and from Tarjan's
 algorithm (``automaton.graph_scc``) when a growth profile needs them in
-topological order.
+topological order.  A profile decomposes two graphs: the automaton's,
+and the automaton times a length counter mod r, numbered breadth first.
+Every residue slice is read off the product's one decomposition, since
+each product component lies wholly inside or wholly outside a slice.
 """
 
 from __future__ import annotations
@@ -44,15 +47,16 @@ from wordgrowth.automaton import (
     cycle_intersection_bound,
     graph_scc,
     imprimitivity,
+    path_intersection_bound,
     scc,
     tarjan_components,
-    trim,
 )
 
 __all__ = [
     "ComplexityClass",
     "GrowthReport",
     "IndexInterval",
+    "ProfileSizeError",
     "WeightedDigraph",
     "approximate_index",
     "asymptotic_profile",
@@ -577,19 +581,18 @@ def count_words(dfa: Dfa, n: int) -> int:
     return sum(counts[q] for q in dfa.accepting)
 
 
-def _analyse(dfa: Dfa, delta: Fraction, runs: dict) -> tuple:
-    """Strong components of a trimmed automaton and two certified
+def _analyse(graph: WeightedDigraph, delta: Fraction, runs: dict) -> tuple:
+    """Strong components of a transition graph and two certified
     intervals for each nontrivial one, keyed by component id: ``rates``
     of width at most 2*delta, and ``tight``, at most delta/2, read from
     the same stream of nested certificates (``rates`` when it is narrow
     enough, the stream read further otherwise).
 
     ``runs`` maps a component's local graph to its two intervals and is
-    shared by every automaton analysed at the same delta: the engine is
+    shared by every graph analysed at the same delta: the engine is
     deterministic, so a component seen before costs nothing.  One
     transition graph feeds both Tarjan and the components' local graphs.
     """
-    graph = _dfa_adjacency(dfa)
     dec = graph_scc(graph)
     comps = _component_graphs(graph, [dec.components[cid] for cid in dec.nontrivial])
     rates, tight = {}, {}
@@ -655,16 +658,18 @@ def polynomial_index_general(dfa: Dfa, delta=Fraction(1, 10**6)) -> int:
     dfr = _as_fraction(delta)
     if dfr <= 0:
         raise ValueError("delta must be positive")
-    dec, _, tight = _analyse(dfa, dfr, {})
+    dec, _, tight = _analyse(_dfa_adjacency(dfa), dfr, {})
     if not dec.nontrivial:
         raise ValueError("polynomial index undefined for a finite language")
-    return _polynomial_index(dfa, dec, tight)
+    return _polynomial_index(dec, tight, dec.component_of[dfa.initial])
 
 
-def _polynomial_index(dfa: Dfa, dec: SccDecomposition, tight: dict) -> int:
+def _polynomial_index(dec: SccDecomposition, tight: dict, start: int) -> int:
+    """One less than the most components of maximal rate among ``tight``'s
+    that one condensation path from component ``start`` meets."""
     gr_lo = max(iv.lo for iv in tight.values())
     maximal = {cid for cid, iv in tight.items() if iv.hi >= gr_lo}
-    return cycle_intersection_bound(dfa, maximal, dec) - 1
+    return path_intersection_bound(dec, maximal, start) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +751,39 @@ class GrowthReport:
         return "\n".join(lines) + "\n"
 
 
+def _rotate(bits: int, c: int, modulus: int) -> int:
+    """``bits`` as a set of residues mod ``modulus``, each plus c."""
+    return ((bits << c) | (bits >> (modulus - c))) & ((1 << modulus) - 1)
+
+
+def _length_masks(edges, seeds, modulus: int) -> list:
+    """For each vertex v, the lengths mod ``modulus`` of the walks along
+    ``edges`` from a seed to v, as a bitmask: the least fixed point,
+    grown from the seeds at length 0."""
+    bits = [0] * len(edges)
+    for q in seeds:
+        bits[q] = 1
+    queue = list(seeds)
+    while queue:
+        q = queue.pop()
+        b = _rotate(bits[q], 1, modulus)
+        for t in edges[q]:
+            if b | bits[t] != bits[t]:
+                bits[t] |= b
+                queue.append(t)
+    return bits
+
+
+def _tails(dfa: Dfa, modulus: int) -> list:
+    """``tail[q]``: the lengths mod ``modulus`` of the walks from q to an
+    accepting state, as a bitmask."""
+    pred = [[] for _ in dfa.transitions]
+    for q, row in enumerate(dfa.transitions):
+        for t in set(row.values()):
+            pred[t].append(q)
+    return _length_masks(pred, dfa.accepting, modulus)
+
+
 def _residue_sets(dfa: Dfa, dec: SccDecomposition, modulus: int) -> dict:
     """For each nontrivial component C, the set of length residues mod
     ``modulus`` realized by accepting walks through C, as a bitmask.
@@ -758,40 +796,98 @@ def _residue_sets(dfa: Dfa, dec: SccDecomposition, modulus: int) -> dict:
     so these sets capture exactly the residues with unboundedly many
     accepting walk lengths through C.
     """
-    full = (1 << modulus) - 1
-
-    def rotate(bits, c):
-        return ((bits << c) | (bits >> (modulus - c))) & full
-
-    def closure(edges, seeds):
-        bits = [0] * len(edges)
-        for q in seeds:
-            bits[q] = 1
-        queue = list(seeds)
-        while queue:
-            q = queue.pop()
-            b = rotate(bits[q], 1)
-            for t in edges[q]:
-                if b | bits[t] != bits[t]:
-                    bits[t] |= b
-                    queue.append(t)
-        return bits
-
-    succ = [set(row.values()) for row in dfa.transitions]
-    pred = [[] for _ in succ]
-    for q, targets in enumerate(succ):
-        for t in targets:
-            pred[t].append(q)
-    head = closure(succ, [dfa.initial])
-    tail = closure(pred, dfa.accepting)
+    head = _length_masks(
+        [set(row.values()) for row in dfa.transitions], [dfa.initial], modulus
+    )
+    tail = _tails(dfa, modulus)
     masks = {}
     for cid in dec.nontrivial:
         masks[cid] = 0
         for q in dec.components[cid]:
             for c in range(modulus):
                 if head[q] >> c & 1:
-                    masks[cid] |= rotate(tail[q], c)
+                    masks[cid] |= _rotate(tail[q], c, modulus)
     return masks
+
+
+class ProfileSizeError(RuntimeError):
+    """A growth profile's counter product reaches more pairs than
+    ``_CounterProduct.PAIR_LIMIT``; raised during its breadth-first
+    search, before any graph array is allocated."""
+
+    def __init__(self, modulus: int, limit: int):
+        super().__init__(
+            f"the growth profile needs the pairs of a state and a word length "
+            f"mod {modulus} that words reach; more than {limit} are reachable, "
+            f"the limit a profile may hold in memory"
+        )
+        self.modulus = modulus
+        self.limit = limit
+
+
+class _CounterProduct:
+    """The reachable part of an automaton times a length counter mod r.
+
+    Pair i is ``(states[i], counters[i])``: the state a word leads to and
+    the word's length mod r.  The pairs are numbered breadth first from
+    (initial, 0), each pair's letters read in increasing order, and
+    ``graph`` is the transition graph on these numbers, each edge
+    weighted by its number of letters.
+
+    Slice j, the words of length j mod r, is the part of the product that
+    reaches a pair (accepting q, j).  A predecessor of such a pair reaches
+    it too, so no pair outside slice j leads into it: the breadth-first
+    order restricted to slice j is the order ``automaton.trim`` numbers
+    the slice's own automaton in, and each strong component of the
+    product lies wholly inside or wholly outside the slice.  Every
+    component of a slice therefore has the local graph of the product
+    component it is, and the product's decomposition serves all r slices.
+
+    The search raises ProfileSizeError as soon as more than
+    ``PAIR_LIMIT`` pairs are reachable.
+    """
+
+    # a profile takes at most about 1 kB per pair (0.3 kB on the Thue-Morse
+    # products, 1.0 kB where every pair is a component of its own), so a
+    # product at the limit peaks near 1 GB
+    PAIR_LIMIT = 1 << 20
+
+    __slots__ = ("modulus", "states", "counters", "graph")
+
+    def __init__(self, dfa: Dfa, modulus: int):
+        limit = self.PAIR_LIMIT
+        rows = [sorted(row.items()) for row in dfa.transitions]
+        number = {(dfa.initial, 0): 0}
+        states, counters = [dfa.initial], [0]
+        source, target = [], []
+        # the lists are the queue: the loop reads the pairs appended to them
+        for i, (q, c) in enumerate(zip(states, counters)):
+            c = (c + 1) % modulus
+            for _, t in rows[q]:
+                j = number.get((t, c))
+                if j is None:
+                    j = number[t, c] = len(states)
+                    if j == limit:
+                        raise ProfileSizeError(modulus, limit)
+                    states.append(t)
+                    counters.append(c)
+                source.append(i)
+                target.append(j)
+        self.modulus, self.states, self.counters = modulus, states, counters
+        self.graph = WeightedDigraph.from_edges(len(states), source, target, [1] * len(target))
+
+
+def _product_slices(dfa: Dfa, product: _CounterProduct, dec: SccDecomposition) -> dict:
+    """For each nontrivial component of the counter product, the slices
+    it lies in, as a bitmask: with (q, c) any of its pairs, slice j when
+    some walk from q reaches acceptance in j - c letters mod r."""
+    r = product.modulus
+    tail = _tails(dfa, r)
+    slices = {}
+    for cid in dec.nontrivial:
+        i = min(dec.components[cid])
+        slices[cid] = _rotate(tail[product.states[i]], product.counters[i], r)
+    return slices
 
 
 def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
@@ -804,10 +900,18 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
     components: those whose accepting-walk residues are not already
     covered by components of strictly larger certified rate.
 
-    The automaton and each residue slice are analysed once (components,
-    class, rate and polynomial index from one pass), the slices share
-    one counter product, and a component that recurs across slices is
-    certified once.
+    Two graphs are decomposed: the automaton's, and the reachable part
+    of the automaton times a length counter mod r (``_CounterProduct``).
+    Each residue slice is read off the product's one decomposition: a
+    product component holding the pair (q, c) lies in slice j when some
+    walk from q reaches acceptance in j - c letters mod r.  The slice's
+    rate is the largest of its components', and its degree counts
+    maximal ones
+    along condensation paths of the product from the start, which meet
+    slice j's components only inside slice j.  A slice without a
+    nontrivial component, empty or not, has rate 0 and degree 0.  Every
+    distinct component local graph is certified once.  Raises
+    ProfileSizeError when the product is too large.
     """
     dfr = _as_fraction(delta)
     if dfr <= 0:
@@ -824,14 +928,14 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
             dfr,
         )
     runs: dict = {}
-    dec, rates, tight = _analyse(dfa, dfr, runs)
+    dec, rates, tight = _analyse(_dfa_adjacency(dfa), dfr, runs)
     cls = _classify(dfa, dec)
     gr = _rate(rates.values())
     if not dec.nontrivial:
         finite = ResidueAsymptotics(0, Fraction(0), Fraction(0), 0)
         return GrowthReport(cls, gr, 0, 1, (finite,), "NonOscillating", dfr)
 
-    pd = _polynomial_index(dfa, dec, tight)
+    pd = _polynomial_index(dec, tight, dec.component_of[dfa.initial])
     periods = {c: imprimitivity(dfa, dec.components[c]) for c in dec.nontrivial}
     rho = lcm(*periods.values())
     masks = _residue_sets(dfa, dec, rho)
@@ -846,23 +950,19 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
             important.append(c)
     r = lcm(*(periods[c] for c in important)) if important else 1
 
-    # the automaton times a length counter mod r, (q, c) numbered q * r + c;
-    # slice j accepts the pairs (accepting q, j)
-    product = [
-        {x: t * r + (c + 1) % r for x, t in row.items()}
-        for row in dfa.transitions
-        for c in range(r)
-    ]
+    product = _CounterProduct(dfa, r)
+    pdec, prates, ptight = _analyse(product.graph, dfr, runs)
+    slices = _product_slices(dfa, product, pdec)
+    start = pdec.component_of[0]
+    # slices with the same components have the same rate and degree
+    seen = {}
     per_residue = []
     for j in range(r):
-        accepting = [q * r + j for q in dfa.accepting]
-        piece = trim(Dfa(dfa.alphabet_size, product, dfa.initial * r, accepting))
-        if piece.state_count == 0:
-            per_residue.append(ResidueAsymptotics(j, Fraction(0), Fraction(0), 0))
-            continue
-        piece_dec, piece_rates, piece_tight = _analyse(piece, dfr, runs)
-        alpha = _rate(piece_rates.values())
-        m = _polynomial_index(piece, piece_dec, piece_tight) if piece_dec.nontrivial else 0
+        inside = frozenset(cid for cid in pdec.nontrivial if slices[cid] >> j & 1)
+        if inside not in seen:
+            m = _polynomial_index(pdec, {c: ptight[c] for c in inside}, start) if inside else 0
+            seen[inside] = _rate(prates[c] for c in inside), m
+        alpha, m = seen[inside]
         per_residue.append(ResidueAsymptotics(j, alpha.lo, alpha.hi, m))
 
     report = GrowthReport(cls, gr, pd, r, tuple(per_residue), "Indeterminate", dfr)

@@ -177,6 +177,23 @@ def oscillating_dfa():
     return Dfa(3, rows, 0, [0, 1, 2])
 
 
+def three_target_cycle_dfa():
+    """A trimmed ternary automaton of one component with period 2, and
+    rows of three distinct targets: letters a, b, c lead from the even
+    states 0 and 4 to the three odd ones.  Only states 0 and 1 accept.
+    The float sum of such a row adds three terms, and their order moves
+    its last bits."""
+    rows = [
+        {0: 1, 1: 2, 2: 3},
+        {0: 0, 1: 4},
+        {0: 4},
+        {0: 0, 2: 5},
+        {0: 1, 1: 2, 2: 3},
+        {0: 1, 1: 3},
+    ]
+    return Dfa(3, rows, 0, [0, 1])
+
+
 def corpus_antidictionaries():
     """Ten assorted antidictionaries for extendable-part exercises."""
     return [

@@ -6,6 +6,9 @@ None of it shares code with the library beyond the public data
 containers, so agreement is meaningful evidence.  The exceptions are
 slow paths built from the library's public functions:
 ``per_slice_profile``, the growth profile from per-automaton calls;
+``trimmed_slice_rows``, the library's earlier per-residue loop over its
+private ``_analyse``, one trimmed automaton per slice, decomposed and
+analysed alone;
 ``trim_minimal_powers``, the minimal powers from a border-table root
 search and trim check (``suffixes_stay_free``, on
 ``minimal_periods_of_suffixes``); ``free_roots`` and
@@ -54,10 +57,14 @@ from wordgrowth.growth import (
     GrowthReport,
     IndexInterval,
     ResidueAsymptotics,
+    _analyse,
     _as_fraction,
+    _dfa_adjacency,
     _extreme_ratios,
     _float_vector,
     _integer_vector,
+    _polynomial_index,
+    _rate,
     approximate_index,
     classify,
     digraph_index,
@@ -661,6 +668,26 @@ def per_slice_profile(dfa, delta: Fraction):
     return GrowthReport(
         cls, gr, pd, r, tuple(per_residue), oscillation_type(report), delta
     )
+
+
+def trimmed_slice_rows(dfa, r: int, delta: Fraction) -> tuple:
+    """The per-residue rows of a profile with residue count r, the
+    library's earlier way: each slice's automaton trimmed out of the
+    counter product (``counter_slice``), decomposed and analysed on its
+    own, with one certificate stream per distinct local graph across the
+    slices."""
+    runs: dict = {}
+    per_residue = []
+    for j in range(r):
+        piece = counter_slice(dfa, r, j)
+        if piece.state_count == 0:
+            per_residue.append(ResidueAsymptotics(j, Fraction(0), Fraction(0), 0))
+            continue
+        dec, rates, tight = _analyse(_dfa_adjacency(piece), delta, runs)
+        alpha = _rate(rates.values())
+        m = _polynomial_index(dec, tight, dec.component_of[0]) if dec.nontrivial else 0
+        per_residue.append(ResidueAsymptotics(j, alpha.lo, alpha.hi, m))
+    return tuple(per_residue)
 
 
 # ---------------------------------------------------------------------------

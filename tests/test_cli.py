@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -11,12 +12,14 @@ from click.testing import CliRunner
 import builders
 import wordgrowth
 from oracles import free_roots
-from wordgrowth import circular, powerfree
+from wordgrowth import circular, growth, powerfree
 from wordgrowth.automaton import format_dfa, parse_dfa
 from wordgrowth.fad import FailureTrie
 from wordgrowth.cli import main
 
 PHI_AD = "ad 2\naaa\nbbb\n"
+PINNED = Path(__file__).parent / "pinned"
+DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 @pytest.fixture()
@@ -112,6 +115,28 @@ def test_tm_approx_json_is_pinned(runner, level):
     # at delta = 1e-20 the exact continuation certifies these rates
     args = ["--format", "json", "--delta", "1e-20", "tm-approx", str(level)]
     assert run(runner, args) == TM_APPROX_JSON[level]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command, path", [
+    ("dfa-report", "tm1.dfa"), ("dfa-report", "tm2.dfa"), ("fad", "tm1.ad"), ("fad", "tm2.ad"),
+])
+def test_profile_output_is_pinned(runner, command, path, fmt):
+    # the bytes the per-slice loop printed, before the slices were read
+    # off one decomposition of the counter product
+    out = run(runner, ["--format", fmt, command, str(DATA / path)])
+    stem = path.split(".")[0]
+    assert out == (PINNED / f"{command}-{stem}.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("command, path", [("dfa-report", "tm1.dfa"), ("fad", "tm1.ad")])
+def test_profile_size_error_is_a_message(runner, monkeypatch, command, path):
+    monkeypatch.setattr(growth._CounterProduct, "PAIR_LIMIT", 10)
+    result = runner.invoke(main, [command, str(DATA / path)])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: the growth profile needs")
+    assert "length mod 4 " in result.output and "more than 10 " in result.output
+    assert "Traceback" not in result.output
 
 
 # ---------------------------------------------------------------------------

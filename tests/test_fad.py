@@ -118,10 +118,21 @@ def test_fad_empty_word_kills_everything():
 
 
 def test_fad_is_trimmed_and_factorial(fad_corpus):
-    for a in fad_corpus:
+    # fad_automaton does not trim: every state is reachable and accepts,
+    # and the trie numbers the states breadth first, letter by letter, as
+    # trim does
+    for a in fad_corpus + [tm_antidictionary(i) for i in range(-1, 6)]:
         d = fad_automaton(a)
-        assert trim(d) == d
+        assert trim(d) == d, a
         assert d.accepting == frozenset(range(d.state_count))
+
+
+@given(builders.word_sets)
+@settings(max_examples=300, deadline=None)
+def test_fad_automaton_is_its_own_trim_on_random_sets(case):
+    k, words = case
+    d = fad_automaton(Antidictionary(k, builders.antifactorial(words)))
+    assert trim(d) == d
 
 
 def test_fad_accepts_iff_no_forbidden_factor(fad_corpus):

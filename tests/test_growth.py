@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,11 +28,13 @@ from oracles import (
     spectral_radius_root,
     successor_list_scc,
     tarjan_cyclic_components,
+    trimmed_slice_rows,
 )
 from wordgrowth import growth
 from wordgrowth.automaton import Dfa, empty_dfa, graph_scc, scc, tarjan_components, trim
 from wordgrowth.fad import extendable_part, fad_automaton, tm_antidictionary
 from wordgrowth.growth import (
+    ProfileSizeError,
     WeightedDigraph,
     approximate_index,
     asymptotic_profile,
@@ -43,6 +46,8 @@ from wordgrowth.growth import (
     digraph_index,
     polynomial_index_general,
 )
+
+PINNED = Path(__file__).parent / "pinned"
 
 
 def contains_root_of(lo, hi, a, b, c):
@@ -328,7 +333,8 @@ def assert_one_stream_matches_two_runs(comp, delta) -> bool:
     at delta and delta/4; true when ``tight`` read the stream further."""
     at, quarter = component_interval(comp, delta), component_interval(comp, delta / 4)
     assert digraph_index(comp, delta) == at
-    _, rates, tight = growth._analyse(weighted_rows_dfa(digraph_rows(comp)), delta, {})
+    graph = growth._dfa_adjacency(weighted_rows_dfa(digraph_rows(comp)))
+    _, rates, tight = growth._analyse(graph, delta, {})
     assert list(rates.values()) == [at]
     (narrow,) = tight.values()
     assert narrow == (max(at.lo, quarter.lo), min(at.hi, quarter.hi))
@@ -661,24 +667,74 @@ def test_profile_gr_agrees_with_approximate_index(dfa_corpus):
         assert rep.gr.lo <= iv.hi and iv.lo <= rep.gr.hi
 
 
+PROFILE_BUILDERS = (
+    builders.oscillating_dfa,
+    builders.parity_split_dfa,
+    builders.even_only_dfa,
+    builders.chained_phi_dfa,
+    builders.dominated_cycle_dfa,
+    builders.three_target_cycle_dfa,
+)
+
+
+def profile_automata(dfa_corpus, levels):
+    """The corpus, the builders' profile automata and the Thue-Morse
+    automata of ``levels``."""
+    automata = list(dfa_corpus) + [trim(build()) for build in PROFILE_BUILDERS]
+    return automata + [fad_automaton(tm_antidictionary(i)) for i in levels]
+
+
+def local_graphs_of(graph, dec, cids=None):
+    """The local graphs of components ``cids`` of ``dec`` (default the
+    nontrivial ones), in the order of their least members."""
+    cids = dec.nontrivial if cids is None else cids
+    members = sorted((dec.components[c] for c in cids), key=min)
+    return list(growth._component_graphs(graph, members))
+
+
+def test_three_target_rows_reach_the_float_pass():
+    # the product component of the ternary builder has rows of three
+    # terms, whose float sum depends on their order
+    d = builders.three_target_cycle_dfa()
+    r = asymptotic_profile(d).residue_count
+    assert r == 2
+    product = growth._CounterProduct(d, r)
+    (comp,) = local_graphs_of(product.graph, graph_scc(product.graph))
+    assert int(np.diff(comp.indptr).max()) == 3
+
+
 @pytest.mark.parametrize("delta", [Fraction(1, 10**6), Fraction(1, 10**9)])
 def test_profile_matches_per_slice_oracle(dfa_corpus, delta):
     """The shared component analysis gives exactly the report of the
     per-slice pipeline, every field and every Fraction."""
-    automata = list(dfa_corpus)
-    automata += [
-        trim(build())
-        for build in (
-            builders.oscillating_dfa,
-            builders.parity_split_dfa,
-            builders.even_only_dfa,
-            builders.chained_phi_dfa,
-            builders.dominated_cycle_dfa,
-        )
-    ]
-    automata += [fad_automaton(tm_antidictionary(i)) for i in range(3)]
-    for d in automata:
+    for d in profile_automata(dfa_corpus, range(4)):
         assert asymptotic_profile(d, delta) == per_slice_profile(d, delta)
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 10**6), Fraction(1, 10**12)])
+def test_profile_rows_match_trimmed_slices(dfa_corpus, delta):
+    # the rows read off the product's one decomposition are the rows of
+    # the earlier loop, which trimmed, decomposed and analysed each slice
+    for d in profile_automata(dfa_corpus, range(-1, 4)):
+        rep = asymptotic_profile(d, delta)
+        assert rep.per_residue == trimmed_slice_rows(d, rep.residue_count, delta), d
+
+
+def test_slice_components_are_product_components(dfa_corpus):
+    """The restriction lemma: the nontrivial components of each trimmed
+    slice have, in order, the local graphs of the product components the
+    profile assigns to that slice."""
+    for d in profile_automata(dfa_corpus, range(-1, 4)):
+        r = asymptotic_profile(d).residue_count
+        product = growth._CounterProduct(d, r)
+        dec = graph_scc(product.graph)
+        slices = growth._product_slices(d, product, dec)
+        for j in range(r):
+            piece = counter_slice(d, r, j)
+            graph = growth._dfa_adjacency(piece)
+            inside = [c for c in dec.nontrivial if slices[c] >> j & 1]
+            expected = local_graphs_of(graph, graph_scc(graph))
+            assert local_graphs_of(product.graph, dec, inside) == expected, (d, j)
 
 
 def test_profile_residue_count_below_period_lcm():
@@ -699,7 +755,7 @@ def test_profile_residue_count_below_period_lcm():
 def test_profile_certifies_each_component_once(monkeypatch):
     # Thue-Morse level 2 has r = 8 slices whose components repeat: the
     # profile reads both widths from one stream per distinct local graph
-    # and decomposes the automaton and each nonempty slice once
+    # and decomposes two graphs, the automaton's and the counter product's
     streams, decompositions = [], []
     certificates = growth._certificates
     decompose = growth.graph_scc
@@ -718,7 +774,7 @@ def test_profile_certifies_each_component_once(monkeypatch):
     assert rep.residue_count == 8
     assert all(pr.alpha_hi > 0 for pr in rep.per_residue)
     assert len(streams) == len(set(streams)) == 7
-    assert len(decompositions) == 1 + rep.residue_count
+    assert len(decompositions) == 2
 
 
 def test_one_graph_decomposition_matches_successor_lists(dfa_corpus):
@@ -739,20 +795,61 @@ def test_one_graph_decomposition_matches_successor_lists(dfa_corpus):
 
 
 def test_profile_builds_one_graph_per_automaton(monkeypatch):
-    graphs = []
+    graphs, products = [], []
     adjacency = growth._dfa_adjacency
 
     def counting_adjacency(dfa):
         graphs.append(dfa)
         return adjacency(dfa)
 
+    class CountingProduct(growth._CounterProduct):
+        def __init__(self, dfa, modulus):
+            products.append(modulus)
+            super().__init__(dfa, modulus)
+
     def refuse(dfa):
         raise AssertionError("scc built its own successor lists")
 
     monkeypatch.setattr(growth, "_dfa_adjacency", counting_adjacency)
+    monkeypatch.setattr(growth, "_CounterProduct", CountingProduct)
     monkeypatch.setattr(growth, "scc", refuse)
     rep = asymptotic_profile(fad_automaton(tm_antidictionary(1)))
-    assert len(graphs) == 1 + rep.residue_count
+    assert len(graphs) == 1
+    assert products == [rep.residue_count] == [4]
+
+
+def test_profile_size_error_at_the_pair_limit(monkeypatch):
+    # Thue-Morse level 2's product mod 8 reaches `pairs` pairs: a limit of
+    # exactly that many passes, one fewer raises before the product's graph
+    # is built
+    d = fad_automaton(tm_antidictionary(2))
+    pairs = len(growth._CounterProduct(d, 8).states)
+    expected = asymptotic_profile(d)
+    monkeypatch.setattr(growth._CounterProduct, "PAIR_LIMIT", pairs)
+    assert asymptotic_profile(d) == expected
+    built = []
+    from_edges = WeightedDigraph.from_edges.__func__
+
+    def counting_from_edges(cls, n, *edges):
+        built.append(n)
+        return from_edges(cls, n, *edges)
+
+    monkeypatch.setattr(WeightedDigraph, "from_edges", classmethod(counting_from_edges))
+    monkeypatch.setattr(growth._CounterProduct, "PAIR_LIMIT", pairs - 1)
+    with pytest.raises(ProfileSizeError) as err:
+        asymptotic_profile(d)
+    assert (err.value.modulus, err.value.limit) == (8, pairs - 1)
+    assert f"more than {pairs - 1} " in str(err.value)
+    assert built == [d.state_count]
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_profile_is_pinned(level):
+    # the report the per-slice loop gave, every Fraction (repr) and every
+    # byte of JSON
+    rep = asymptotic_profile(fad_automaton(tm_antidictionary(level)), Fraction(1, 10**6))
+    assert rep.to_json_text() + "\n" == (PINNED / f"tm{level}-profile.json").read_text()
+    assert repr(rep) + "\n" == (PINNED / f"tm{level}-profile.repr").read_text()
 
 
 def test_profile_rate_is_pinned():
