@@ -1,20 +1,28 @@
 """Time the stages of ``powerfree.approximation_bounds`` one by one.
 
     python scripts/stage_times.py LABEL [--runs N] [K,BETA,CAP ...]
+    python scripts/stage_times.py --tm-tries
 
 The stages are the canonical minimal-power search (the level search
 that ``approximation_bounds`` runs, to one word array per period), the
 quotient build (from those arrays, as the bounds path passes them),
 the cycle-carrying components (``growth.cyclic_components``; older
 records call this stage ``tarjan``), the certified index engine at
-delta = 1e-7, the lift of the unique component and the lower bound.
+delta = 1e-7, the lift of the unique component (from the quotient's
+move and voltage tables) and the lower bound.
 Each case runs ``--runs`` times (default 3), each time in a fresh
 process; the record keeps each stage's best time, the sizes (free words
 visited, minimal words, states, edges, states in cyclic components),
-each run's peak RSS, and the process's peak RSS as each stage ended.
+``held_mb_after_quotient``, the ``nbytes`` of the arrays the quotient
+stage hands on (the graph and the lift's tables), each run's peak RSS,
+and the process's peak RSS as each stage ended.  The record also keeps
+``tm_trie_build_us``, the best of 101 builds, in one fresh process, of
+the identity-frame trie of each Thue-Morse antidictionary level -1..5;
+``--tm-tries`` prints just these.
 The result goes to ``BENCH_stages_<LABEL>.json`` at the repository
 root.  The package on ``PYTHONPATH`` is measured, else this checkout's
-``src``; an older tree is measured with the script of its own commit.
+``src``; an older tree is measured with the script of its own commit
+(``--tm-tries`` runs on any tree that has ``fad.FailureTrie``).
 """
 
 import json
@@ -31,7 +39,10 @@ ROOT = Path(__file__).resolve().parent.parent
 CASES = ["2,3,17", "2,3,20", "3,2,32", "2,3,24", "3,2,36", "3,2,40"]
 DELTA = Fraction(1, 10**7)
 # what every run of a case must agree on
-SAME = ("visited", "words", "states", "edges", "cyclic_states", "upper", "lower")
+SAME = (
+    "visited", "words", "states", "edges", "cyclic_states", "held_mb_after_quotient", "upper",
+    "lower",
+)
 
 
 def one_run(case: str) -> dict:
@@ -56,10 +67,11 @@ def one_run(case: str) -> dict:
         k, bound, range(1, cap + 1), canonical=True
     ))
     words = sum(len(a) for a in arrays.values())
-    trie, graph = stage("quotient", lambda: powerfree._quotient_graph(k, arrays.values()))
+    graph, moves = stage("quotient", lambda: powerfree._quotient_graph(k, arrays.values()))
+    held = (graph.indptr, graph.indices, graph.weights, *moves)
     cyclic = stage("components", lambda: cyclic_components(graph))
     upper = stage("index", lambda: digraph_index(graph, DELTA, cyclic))
-    lifted = stage("lift", lambda: [powerfree._lifted_components(trie, k, c) for c in cyclic])
+    lifted = stage("lift", lambda: [powerfree._lifted_components(moves, k, c) for c in cyclic])
     lower = None
     if len(cyclic) == 1 and lifted == [1]:
         try:
@@ -74,12 +86,30 @@ def one_run(case: str) -> dict:
         "states": len(graph),
         "edges": sum(len(graph[q]) for q in range(len(graph))),
         "cyclic_states": sorted(len(c) for c in cyclic),
+        "held_mb_after_quotient": round(sum(a.nbytes for a in held) / 2**20, 1),
         "upper": [str(upper.lo), str(upper.hi)],
         "lower": None if lower is None else str(lower),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
     }
+
+
+def tm_trie_times(builds: int = 101) -> dict:
+    """Best identity-frame trie build of each Thue-Morse level, in µs."""
+    sys.path.append(str(ROOT / "src"))
+    from wordgrowth.fad import FailureTrie, tm_antidictionary
+
+    best = {}
+    for level in range(-1, 6):
+        words = tm_antidictionary(level).words
+        times = []
+        for _ in range(builds):
+            start = time.perf_counter()
+            FailureTrie(2, words)
+            times.append(time.perf_counter() - start)
+        best[str(level)] = round(min(times) * 1e6, 1)
+    return best
 
 
 def cpu_model() -> str:
@@ -98,6 +128,9 @@ def main(argv: list) -> None:
         raise SystemExit(__doc__)
     if argv[:1] == ["--one"]:
         print(json.dumps(one_run(argv[1])))
+        return
+    if argv[:1] == ["--tm-tries"]:
+        print(json.dumps(tm_trie_times()))
         return
     label, rest = argv[0], argv[1:]
     runs = 3
@@ -136,6 +169,10 @@ def main(argv: list) -> None:
         }
         print(case, record["cases"][case]["best_s"], record["cases"][case]["peak_rss_mb"],
               flush=True)
+    record["tm_trie_build_us"] = json.loads(subprocess.run(
+        [sys.executable, __file__, "--tm-tries"], check=True, capture_output=True, text=True,
+    ).stdout)
+    print("tm tries", record["tm_trie_build_us"], flush=True)
     path = ROOT / f"BENCH_stages_{label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     print("wrote", path.name)

@@ -176,15 +176,26 @@ class SccDecomposition:
     ``components[i]`` is a frozenset of states; every condensation edge
     goes from a lower component id to a higher one.  ``nontrivial``
     holds the ids of components containing at least one edge (a cycle).
+    ``successors[i]``, the set of components one condensation edge from
+    component i, is built from ``condensation_edges`` on first use.
     """
 
-    __slots__ = ("component_of", "components", "nontrivial", "condensation_edges")
+    __slots__ = ("component_of", "components", "nontrivial", "condensation_edges", "_successors")
 
     def __init__(self, component_of, components, nontrivial, condensation_edges):
         self.component_of = tuple(component_of)
         self.components = tuple(frozenset(c) for c in components)
         self.nontrivial = frozenset(nontrivial)
         self.condensation_edges = frozenset(condensation_edges)
+        self._successors = None
+
+    @property
+    def successors(self) -> list:
+        if self._successors is None:
+            self._successors = [set() for _ in self.components]
+            for a, b in self.condensation_edges:
+                self._successors[a].add(b)
+        return self._successors
 
     def __repr__(self):
         return (
@@ -341,14 +352,9 @@ def path_intersection_bound(dec: SccDecomposition, eligible: Iterable[int], star
     """Most ``eligible`` components of ``dec`` one condensation path from
     component ``start`` can meet, ``start`` included."""
     elig = set(eligible)
-    m = len(dec.components)
-    succ: list[set] = [set() for _ in range(m)]
-    for a, b in dec.condensation_edges:
-        succ[a].add(b)
-    best = [0] * m
-    for c in range(m - 1, -1, -1):
-        follow = max((best[d] for d in succ[c]), default=0)
-        best[c] = (1 if c in elig else 0) + follow
+    best = [0] * len(dec.components)
+    for c in reversed(range(len(best))):
+        best[c] = (c in elig) + max((best[d] for d in dec.successors[c]), default=0)
     return best[start]
 
 

@@ -4,9 +4,9 @@ An antidictionary is an antifactorial set of words: none is a factor of
 another.  The language it defines is every word containing none of them.
 Such a language is factorial (closed under factors) and is recognized by
 an automaton whose states are the proper prefixes of the forbidden
-words, built here by ``FailureTrie``: failure links and a goto table
+words, built here by ``FailureTrie``: failure links and a move table
 filled once, breadth first.  The same trie, in its letter-canonical
-frame, builds the letter-symmetry quotients of ``powerfree``.  One numpy
+frame, builds ``powerfree``'s symmetry quotients and their voltages.  One numpy
 build, one depth at a time, serves both frames: the small identity-frame
 tries of antidictionaries read from files and of the Thue-Morse
 approximations, and the letter-canonical tries of the power-free bounds,
@@ -21,7 +21,7 @@ between polynomial and exponential.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class TrieSizeError(RuntimeError):
 
 
 class FailureTrie:
-    """Trie of forbidden words with failure links and a goto table: the
+    """Trie of forbidden words with failure links and a move table: the
     automaton of the language avoiding the words.
 
     Node u reads through a frame of slots.  In the identity frame each
@@ -93,7 +93,7 @@ class FailureTrie:
     ``fail[u]``, the longest proper suffix of u's word that is a node,
     with ``FRESH`` for a letter that does not occur there; composing
     these along a failure chain replays the full automaton on a whole
-    orbit at once (``goto``).
+    orbit at once.
 
     Storage is flat, k entries per node: entry u*k + y of ``children``,
     ``fsig`` and ``delta`` belongs to slot y of u.  ``delta`` is filled
@@ -105,6 +105,11 @@ class FailureTrie:
     state q is node ``states[q]``, and ``state_of`` maps back (-1 for
     forbidden words and the nodes below one).  A forbidden word's
     ``fsig`` row is never read.
+
+    In the letter-canonical frame, ``voltage`` row u*k + y, k entries,
+    is H(u, y), the renaming that reading y applies: u's slots, and y
+    when it is the fresh one, named in the frame of delta(u, y), FRESH
+    past them (see ``_build``).  The identity frame keeps none (None).
 
     One build fills the tables in either frame; the frame is data, the
     first ``nletters`` and ``fsig``.  ``FailureTrie(k, words)`` builds the
@@ -126,7 +131,7 @@ class FailureTrie:
 
     __slots__ = (
         "k", "children", "terminal", "nletters", "fsig", "fail", "delta",
-        "states", "state_of",
+        "voltage", "states", "state_of",
     )
 
     def __init__(self, k: int, words: Iterable[Word]):
@@ -158,14 +163,16 @@ class FailureTrie:
         ``NODE_LIMIT`` it raises TrieSizeError.
 
         Linking runs one depth at a time.  fail(u) is shallower than u, so
-        its goto row is complete, and one gather through ``fsig`` and
-        ``delta[fail]`` gives a whole depth's moves, its children's failure
-        links and, when a child's link is the child of fail(u) on the same
-        slot, the child's ``fsig``: u's row, with the read slot renamed.
-        Other children take their ``fsig`` from the translating ``goto``
-        walk, which in the identity frame leaves the identity.  Raises
-        ValueError for a word outside the frame and, in the letter-canonical
-        frame, AssertionError for a set that is not antifactorial.
+        its rows are complete: one gather through ``fsig`` and
+        ``delta[fail]`` gives a whole depth's moves and its children's
+        links, and in the letter-canonical frame one through
+        ``voltage[fail]`` gives H by the same recurrence: H(u, y) names u's
+        slots and y themselves when u has a child on y, and else is H(fail(u),
+        read) o ``fsig[u]`` with slot y renamed read, the slot that
+        delta(fail(u), .) reads.  The child u.y takes that second form as
+        its ``fsig``.  Raises ValueError for a word outside the frame and,
+        in the letter-canonical frame, AssertionError for a set that is not
+        antifactorial.
         """
         children, terminal, nletters, depth_start = _sorted_insert(
             k, word_arrays, self.NODE_LIMIT, canonical
@@ -173,49 +180,70 @@ class FailureTrie:
         n = len(terminal)
         if canonical:
             fsig = np.full((n, k), self.FRESH, np.intc)
+            # one FRESH entry past the last row, for the build's reads
+            voltage = np.full(n * k * k + 1, self.FRESH, np.min_scalar_type(-k))
         else:
             fsig = np.tile(np.arange(k, dtype=np.intc), (n, 1))
+            voltage = None
         fail = np.zeros(n, np.intc)
         delta = np.zeros((n, k), np.intc)
         self.k = k
-        # the Python readers (goto, the lift, the walk below) index these
+        # Python readers (the antidictionary check, fad_automaton) index these
         (self.children, self.terminal, self.nletters, self.fsig, self.fail,
          self.delta) = (
             memoryview(a.reshape(-1)) for a in (children, terminal, nletters, fsig, fail, delta)
         )
         # forbidden words, and in the identity frame the nodes below one
         no_state = terminal.astype(bool)
-        self._link_by_depth(children, no_state, nletters, fsig, fail, delta, depth_start,
-                            canonical)
+        self._link_by_depth(children, no_state, nletters, fsig, fail, delta, voltage,
+                            depth_start)
+        self.voltage = None if voltage is None else memoryview(voltage[:-1])
         states = np.flatnonzero(~no_state).astype(np.intc)
         state_of = np.full(n, -1, np.intc)
         state_of[states] = np.arange(len(states), dtype=np.intc)
         self.states, self.state_of = memoryview(states), memoryview(state_of)
 
-    def _link_by_depth(self, children, no_state, nletters, fsig, fail, delta, depth_start,
-                       canonical):
+    def _link_by_depth(self, children, no_state, nletters, fsig, fail, delta, voltage,
+                       depth_start):
         k, FRESH = self.k, self.FRESH
+        canonical = voltage is not None
         # the root moves to its children and stays on every other slot;
         # its children link to it
         c = children[0]
         delta[0] = np.where(c < 0, 0, np.where(no_state[c], ~c, c))
-        slots = np.arange(k)
-        flat_children, flat_delta = children.reshape(-1), delta.reshape(-1)
+        slots = np.arange(k)[:, None]
+        flat_delta = delta.reshape(-1)
+        if canonical:
+            # the root's one live slot is its fresh one; a child there names it
+            if c[0] >= 0:
+                voltage[0] = 0
+            rows = voltage[:-1].reshape(-1, k)
+            # row nl: a move to a child of nl letters names each of them itself
+            own = np.where(slots.T < np.arange(k + 1)[:, None], slots.T, FRESH).astype(voltage.dtype)
+            # the same rows as single items, so that np.put moves whole rows
+            item = np.dtype((np.void, k * voltage.itemsize))
+            row_items, own_items = rows.view(item).reshape(-1), own.view(item).reshape(-1)
         for lo, hi, end in zip(depth_start, depth_start[1:], depth_start[2:]):
-            # nodes lo..hi-1 are one depth; their children are hi..end-1
+            # nodes lo..hi-1 are one depth; their children are hi..end-1.
+            # Entry (y, i) of the depth's arrays is slot y of node lo + i, so
+            # that every pass runs along the depth
             f = fail[lo:hi].astype(np.int64)
-            sig = fsig[lo:hi]
-            dead = (slots > nletters[lo:hi, None]) | no_state[lo:hi, None]
-            read = np.where(sig == FRESH, nletters[f][:, None], sig)
+            sig = fsig[lo:hi].T.copy()
+            fresh = sig == FRESH
+            dead = (slots > nletters[lo:hi]) | no_state[lo:hi]
+            read = np.where(fresh, nletters[f], sig)
             # a dead slot reads itself, so that the children of a forbidden
             # word, in the identity frame, keep the identity
             np.copyto(read, slots, where=dead)
-            at = f[:, None] * k + read
+            at = f * k + read
             t = flat_delta[at]
             t[dead] = 0
-            # child hi + i is node lo + r[i]'s child on slot y[i]
-            r, y = np.nonzero(children[lo:hi] >= 0)
-            link = t[r, y]
+            # child hi + i is node lo + r[i]'s child on slot y[i], at link_at
+            moved = np.flatnonzero(children[lo:hi] >= 0)
+            r = moved // k
+            y = moved - r * k
+            link_at = y * (hi - lo) + r
+            link = t.reshape(-1)[link_at]
             if canonical and (link < 0).any():
                 raise AssertionError(
                     "failure chain hit a forbidden word; input set was not antifactorial"
@@ -225,52 +253,22 @@ class FailureTrie:
             # a node below a forbidden word is no state
             no_state[hi:end] |= no_state[lo:hi][r]
             ids = np.arange(hi, end)
-            t[r, y] = np.where(no_state[hi:end], ~ids, ids)
+            t.reshape(-1)[link_at] = np.where(no_state[hi:end], ~ids, ids)
             t[dead] = 0
-            delta[lo:hi] = t
-            # when the link is fail(u)'s child on the read slot, u's names
-            # carry over to it, the read slot renamed
-            s = read[r, y]
-            rows = sig[r]
-            rows[np.arange(len(r)), y] = s
-            fsig[hi:end] = rows
-            walk = (flat_children[at[r, y]] < 0) & ~no_state[hi:end]
-            for i in np.flatnonzero(walk).tolist():
-                ri, yi = int(r[i]), int(y[i])
-                nl = int(nletters[lo + ri])
-                tr = sig[ri, :nl].tolist()
-                if yi == nl:
-                    tr.append(FRESH)
-                self.goto(int(f[ri]), tr, yi)
-                fsig[hi + i] = FRESH
-                fsig[hi + i, :len(tr)] = tr
-
-    def goto(self, node: int, tr: list, r: int) -> Optional[int]:
-        """Read slot ``tr[r]`` at ``node`` along the failure chain, and
-        return the target, or None when the move is forbidden.
-
-        ``tr`` lists slots of node's frame, or FRESH, and is rewritten
-        in place into the target's frame: entries composed through
-        ``fsig`` along the chain, the read letter set to its name in the
-        target.  ``delta`` gives the same targets, without the
-        translation.
-        """
-        k, children, nletters, fsig = self.k, self.children, self.nletters, self.fsig
-        FRESH = self.FRESH
-        while True:
-            y = tr[r]
-            slot = nletters[node] if y == FRESH else y
-            t = children[node * k + slot]
-            if t >= 0:
-                if self.terminal[t]:
-                    return None
-                tr[r] = slot
-                return t
-            if node == 0:
-                return 0
-            base = node * k
-            tr[:] = [v if v == FRESH else fsig[base + v] for v in tr]
-            node = self.fail[node]
+            delta[lo:hi] = t.T
+            if not canonical:
+                continue
+            # H(u, y) = H(f, read) o fsig[u], y renamed read: entry (y, j, i)
+            # reads name j's image off the flat table, a FRESH name clipped
+            # onto the FRESH entry past the last row
+            start = at * k
+            names = start[:, None] + np.where(fresh, len(voltage), sig)
+            names.reshape(k * k, -1)[::k + 1] = start + read
+            rows.reshape(-1, k, k)[lo:hi] = voltage.take(names, mode="clip").transpose(2, 0, 1)
+            # a child's names are those of the move it would be without it
+            moved += lo * k
+            fsig[hi:end] = rows.take(moved, axis=0)
+            np.put(row_items, moved, own_items.take(nletters[hi:end]))
 
 
 def _sorted_insert(k: int, word_arrays: Iterable, limit: int, canonical: bool) -> tuple:
@@ -492,12 +490,9 @@ def extendable_part(dfa: Dfa, side: str = "right") -> Dfa:
         raise ValueError("every state must accept")
     dec = scc(d)
     m = len(dec.components)
-    succ: list[set] = [set() for _ in range(m)]
-    for a, b in dec.condensation_edges:
-        succ[a].add(b)
     reaches_cycle = [False] * m
     for c in range(m - 1, -1, -1):
-        reaches_cycle[c] = c in dec.nontrivial or any(reaches_cycle[t] for t in succ[c])
+        reaches_cycle[c] = c in dec.nontrivial or any(reaches_cycle[t] for t in dec.successors[c])
     ext = {q for q in range(d.state_count) if reaches_cycle[dec.component_of[q]]}
     if side == "right":
         if d.initial not in ext:

@@ -23,16 +23,17 @@ Symmetry: the languages are stable under permuting letters, so the walk
 counts of their approximating automata factor through a quotient whose
 states are letter-canonical forbidden-word prefixes.  The quotient is
 built directly by ``fad.FailureTrie.letter_canonical``, with
-relabeling-aware failure links and a breadth-first goto table, on numpy,
+relabeling-aware failure links and a breadth-first move table, on numpy,
 one trie depth at a time, from the level search's sorted word arrays;
-no word becomes a Python tuple.  The goto table already groups the
+no word becomes a Python tuple.  The move table already groups the
 moves by state, so the compressed sparse rows that feed the interval
 engine, weighted edges and all, need no global sort.  The lower
 bound's condition, a unique cycle-carrying component of the full
 automaton, is decided on the quotient too: the full automaton has
 [S_k : K] such components over each cycle-carrying quotient component,
-K being generated by the letter permutations read around its cycles and
-by its states' stabilizers (``_lifted_components``).  The full automaton is built only without
+K being generated by its states' stabilizers and the letter permutations
+read around its cycles, the voltages the trie fills with its moves
+(``_lifted_components``).  The full automaton is built only without
 symmetry (``--no-symmetry``), the path tests use as the oracle.
 """
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -499,17 +501,23 @@ def minimal_powers(
 _FRESH = FailureTrie.FRESH
 
 
-def _quotient_graph(k: int, word_arrays: Iterable):
-    """The letter-canonical trie of the words in ``word_arrays`` (2-D
-    arrays, one word per row) and the ``WeightedDigraph`` of the
-    letter-permutation quotient of the forbidden-prefix automaton.
+QuotientMoves = namedtuple("QuotientMoves", "nletters targets voltages")
 
-    State q is trie node ``trie.states[q]``; state 0 is the root.  Its
-    moves are read off the trie's goto table, all states at once, with
-    numpy.  An existing-letter move has weight 1, the fresh-letter move
-    carries the number of unused concrete letters, and the weights of
-    moves to one target add up.  The goto table already groups the moves
-    by source, so no global sort is needed: each state's at most k moves,
+
+def _quotient_graph(k: int, word_arrays: Iterable):
+    """The ``WeightedDigraph`` of the letter-permutation quotient of the
+    forbidden-prefix automaton of the words in ``word_arrays`` (2-D
+    arrays, one word per row), and the ``QuotientMoves`` the lift reads,
+    per state: ``nletters``, the ``targets`` of its slots (-1 for none)
+    and its moves' ``voltages`` rows, the trie's H (see ``fad.FailureTrie``).
+
+    State q is node ``states[q]`` of the words' letter-canonical trie;
+    state 0 is the root.  Its moves are read off the trie's move table,
+    all states at once, with numpy, and the trie is dropped on return.
+    An existing-letter move has weight 1, the fresh-letter move carries
+    the number of unused concrete letters, and the weights of moves to
+    one target add up.  The move table already groups the moves by
+    source, so no global sort is needed: each state's at most k moves,
     target and weight packed into one key, are sorted in place, and equal
     targets merged.
     Weighted walk counts from the root equal the word counts of the full
@@ -518,16 +526,19 @@ def _quotient_graph(k: int, word_arrays: Iterable):
     trie = FailureTrie.letter_canonical(k, word_arrays)
     states = np.asarray(trie.states)
     n = len(states)
-    nl = np.asarray(trie.nletters)[states, None]
-    moves = np.asarray(trie.delta).reshape(-1, k)[states]
+    nl = np.asarray(trie.nletters)[states].astype(np.min_scalar_type(k))
+    moves = np.asarray(trie.delta).reshape(-1, k).take(states, axis=0)
     slot = np.arange(k)
-    # pack target and weight into one key, 32-bit while it fits; slots past
-    # the fresh one are unused, and a negative move is forbidden (its
-    # wrapped state_of read is discarded): both sort last
-    key = np.asarray(trie.state_of)[moves].astype(np.int32 if n * (k + 1) < 2**31 else np.int64)
+    # a negative move is forbidden (its wrapped state_of read is discarded)
+    targets = np.where((slot > nl[:, None]) | (moves < 0), -1, np.asarray(trie.state_of)[moves])
+    voltages = np.asarray(trie.voltage).reshape(-1, k, k).take(states, axis=0)
+    del trie, moves
+    # pack target and weight into one key, 32-bit while it fits; the moves
+    # that go nowhere sort last
+    key = targets.astype(np.int32 if n * (k + 1) < 2**31 else np.int64)
     key *= k + 1
-    key += np.where(slot < nl, 1, k - nl)
-    key[(slot > nl) | (moves < 0)] = n * (k + 1)
+    key += np.where(slot < nl[:, None], 1, k - nl[:, None])
+    key[targets < 0] = n * (k + 1)
     # odd-even transposition sort of each state's k keys
     for r in range(k):
         a, b = key[:, r % 2:k - 1:2], key[:, r % 2 + 1:k:2]
@@ -543,41 +554,24 @@ def _quotient_graph(k: int, word_arrays: Iterable):
     keep = target < n
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return trie, WeightedDigraph(
-        indptr, target[keep].astype(np.int64), weight[keep].astype(np.int64)
-    )
+    graph = WeightedDigraph(indptr, target[keep].astype(np.int64), weight[keep].astype(np.int64))
+    return graph, QuotientMoves(nl, targets, voltages)
 
 
-def _edge_voltage(tr: list, k: int) -> tuple:
-    """The permutation pi of range(k) that sends each letter of an edge's
-    target frame to the source slot it came from.
-
-    ``tr`` is the source slots' translation into the target frame, as
-    ``FailureTrie.goto`` leaves it.  Target letters outside the frame
-    take the unused slots in increasing order.
-    """
-    pi = [_FRESH] * k
-    for i, j in enumerate(tr):
-        if j != _FRESH:
-            pi[j] = i
-    spare = iter([i for i in range(k) if i not in pi])
-    return tuple(i if i != _FRESH else next(spare) for i in pi)
-
-
-def _lifted_components(trie: FailureTrie, k: int, comp) -> int:
+def _lifted_components(moves: QuotientMoves, k: int, comp) -> int:
     """Number of cycle-carrying strongly connected components of the full
-    automaton that lie over one cycle-carrying component C of the
-    quotient built by ``_quotient_graph``, given by an array of its states.
+    automaton that lie over one cycle-carrying component C, an array of
+    states of the quotient whose ``QuotientMoves`` is ``moves``.
 
     A full state is a pair (u, phi): a quotient state u and an injection
     phi of u's ``nletters[u]`` frame letters into the alphabet.  Reading
     letter a moves (u, phi) to (t, phi o pi) along the quotient edge e
     for frame letter phi^-1(a), or for the fresh slot nletters[u] when a
-    is not in phi's image; pi (``_edge_voltage``) sends t's letters to
-    the slots of u they came from.  Every quotient edge lifts from every
-    state over its source, so each component of the full automaton over
-    C projects onto all of C, and none lies over a quotient component
-    without a cycle.
+    is not in phi's image; pi, the inverse of the move's voltage row,
+    sends t's letters to the slots of u they came from.  Every
+    quotient edge lifts from every state over its source, so each
+    component of the full automaton over C projects onto all of C, and
+    none lies over a quotient component without a cycle.
 
     Proof of the count.  Lift further to the frame bundle P, whose
     states are (u, g) with g in S_k, and whose edges (u, g) -> (t, g pi_e)
@@ -617,9 +611,10 @@ def _lifted_components(trie: FailureTrie, k: int, comp) -> int:
     a small part of C; otherwise it takes O(|C| k) permutation steps,
     plus the orbit closures.
     """
-    members = set(np.asarray(trie.states)[comp].tolist())
-    nletters = trie.nletters
-    u0 = min(members, key=nletters.__getitem__)
+    nletters, targets, voltages = moves
+    inside = np.zeros(len(nletters), bool)
+    inside[comp] = True
+    u0 = int(comp[np.argmin(nletters[comp])])
     identity = tuple(range(k))
     iota = identity[: nletters[u0]]
     fibre = math.perm(k, len(iota))
@@ -644,19 +639,23 @@ def _lifted_components(trie: FailureTrie, k: int, comp) -> int:
         if len(orbit) == fibre:
             return 1
         tu = transport[u]
-        nl = nletters[u]
+        nl = int(nletters[u])
         for i in range(nl, k - 1):
             # conjugating the transposition (i i+1) by T_u
             g = list(identity)
             g[tu[i]], g[tu[i + 1]] = tu[i + 1], tu[i]
             generate(tuple(g))
-        for x in range(min(nl + 1, k)):
-            tr = list(range(nl)) if x < nl else [*range(nl), _FRESH]
-            t = trie.goto(u, tr, x)
-            if t not in members:
+        for x, t in enumerate(targets[u].tolist()):
+            if t < 0 or not inside[t]:
                 continue
-            pi = _edge_voltage(tr, k)
-            moved = tuple(tu[j] for j in pi)
+            # pi: the voltage row, inverted; letters outside t's frame
+            # take the unused slots in increasing order
+            pi = [_FRESH] * k
+            for i, j in enumerate(voltages[u, x].tolist()):
+                if j != _FRESH:
+                    pi[j] = i
+            spare = iter([i for i in range(k) if i not in pi])
+            moved = tuple(tu[i if i != _FRESH else next(spare)] for i in pi)
             tt = transport.get(t)
             if tt is None:
                 transport[t] = moved
@@ -768,7 +767,7 @@ def approximation_bounds(
     )
 
     if symmetry:
-        trie, graph = _quotient_graph(k, arrays.values())
+        graph, moves = _quotient_graph(k, arrays.values())
     else:
         canon_words = [w for words in arrays.values() for w in words.tolist()]
         graph = _dfa_adjacency(_full_automaton(k, canon_words))
@@ -790,7 +789,7 @@ def approximation_bounds(
         note = "lower bound needs a period-capped antidictionary"
     else:
         unique = len(cyclic) == 1 and (
-            not symmetry or _lifted_components(trie, k, cyclic[0]) == 1
+            not symmetry or _lifted_components(moves, k, cyclic[0]) == 1
         )
         if not unique:
             note = "automaton has several cycle components"

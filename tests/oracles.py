@@ -24,6 +24,9 @@ continuation loops over Python int lists, both on ``exact_bounds``
 ``recursive_intermediate_count``, the earlier staircase count;
 ``goto_loop_quotient_graph``, the quotient read state by state off the
 goto table of ``BreadthFirstTrie``, the library's earlier Python trie;
+``goto_move_voltages`` and ``goto_lifted_components``, every move's
+letter renaming and the library's earlier lift, both from the failure-chain
+walk of that trie's ``goto``;
 ``successor_list_scc``, the components from Tarjan on successor
 lists built from the automaton's rows; ``tarjan_cyclic_components``,
 the cycle-carrying components filtered from Tarjan's;
@@ -920,7 +923,7 @@ def component_interval(comp, delta: Fraction):
 # failure-link tries, by chain walks
 #
 # The library builds the symmetry quotient, the forbidden-prefix automaton
-# and the antifactorial check from one trie with a breadth-first goto table
+# and the antifactorial check from one trie with a breadth-first move table
 # (``fad.FailureTrie``).  These are the earlier builders that walk the
 # failure chain for every move, kept as the reference.
 
@@ -1236,6 +1239,91 @@ def goto_loop_quotient_graph(k: int, canonical_words):
             row[tq] = row.get(tq, 0) + (1 if x < nl else k - nl)
         adjacency.append(row)
     return trie, adjacency
+
+
+def goto_move_voltages(trie, k: int) -> list:
+    """For each state of a letter-canonical ``BreadthFirstTrie`` and each
+    slot it reads (its letters, then its fresh slot while below k), the
+    target state and the translation that ``goto`` leaves in ``tr``, the
+    state's slots named in the target's frame, padded with FRESH to
+    length k; None for a forbidden move."""
+    out = []
+    for u in trie.states:
+        nl = trie.nletters[u]
+        row = []
+        for x in range(min(nl + 1, k)):
+            tr = list(range(nl)) if x < nl else [*range(nl), _FRESH]
+            t = trie.goto(u, tr, x)
+            row.append(None if t is None else (trie.state_of[t], tr + [_FRESH] * (k - len(tr))))
+        out.append(row)
+    return out
+
+
+def goto_lifted_components(trie, k: int, comp) -> int:
+    """The library's earlier lift: the number of cycle-carrying
+    components of the full automaton over the quotient component
+    ``comp`` (state ids), with every move's letter permutation read off
+    a ``goto`` walk on the letter-canonical ``BreadthFirstTrie``.  The
+    count is [S_k : K], K generated by the permutations around the
+    component's cycles and by its states' stabilizers, as proved in
+    ``powerfree._lifted_components``."""
+    members = {trie.states[q] for q in comp}
+    nletters = trie.nletters
+    u0 = min(members, key=nletters.__getitem__)
+    identity = tuple(range(k))
+    iota = identity[: nletters[u0]]
+    fibre = math.perm(k, len(iota))
+    orbit = {iota}
+    gens: set = set()
+
+    def generate(g: tuple) -> None:
+        if g in gens:
+            return
+        gens.add(g)
+        todo = [tuple(g[a] for a in p) for p in orbit]
+        while todo:
+            p = todo.pop()
+            if p in orbit:
+                continue
+            orbit.add(p)
+            todo.extend(tuple(h[a] for a in p) for h in gens)
+
+    transport = {u0: identity}
+    queue = [u0]
+    for u in queue:
+        if len(orbit) == fibre:
+            return 1
+        tu = transport[u]
+        nl = nletters[u]
+        for i in range(nl, k - 1):
+            # conjugating the transposition (i i+1) by T_u
+            g = list(identity)
+            g[tu[i]], g[tu[i + 1]] = tu[i + 1], tu[i]
+            generate(tuple(g))
+        for x in range(min(nl + 1, k)):
+            tr = list(range(nl)) if x < nl else [*range(nl), _FRESH]
+            t = trie.goto(u, tr, x)
+            if t not in members:
+                continue
+            # pi sends each target letter to the source slot it came from;
+            # letters outside the target frame take the unused slots in order
+            pi = [_FRESH] * k
+            for i, j in enumerate(tr):
+                if j != _FRESH:
+                    pi[j] = i
+            spare = iter([i for i in range(k) if i not in pi])
+            moved = tuple(tu[i if i != _FRESH else next(spare)] for i in pi)
+            tt = transport.get(t)
+            if tt is None:
+                transport[t] = moved
+                queue.append(t)
+            else:
+                # moved o tt^-1
+                g = [0] * k
+                for j in range(k):
+                    g[tt[j]] = moved[j]
+                generate(tuple(g))
+    return fibre // len(orbit)
 
 
 def chain_walk_quotient_graph(k: int, canonical_words):

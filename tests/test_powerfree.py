@@ -19,7 +19,9 @@ from oracles import (
     digraph_rows,
     fraction_lower_bound,
     free_roots,
+    goto_lifted_components,
     goto_loop_quotient_graph,
+    goto_move_voltages,
     minimal_words,
     naive_exponent,
     naive_min_period,
@@ -564,9 +566,9 @@ def quotient_cycle_components(k, words):
     """Cycle-carrying components of the full automaton, counted from the
     quotient alone; the quotient's own components are checked against
     Tarjan's on the way."""
-    trie, graph = _quotient_graph(k, by_length(words))
+    graph, moves = _quotient_graph(k, by_length(words))
     assert_components_match_tarjan(graph, (k, words))
-    return sum(_lifted_components(trie, k, c) for c in cyclic_components(graph))
+    return sum(_lifted_components(moves, k, c) for c in cyclic_components(graph))
 
 
 def full_cycle_components(k, words):
@@ -600,16 +602,14 @@ def by_length(words):
 
 
 def assert_quotient_matches_chain_walk(k, words, case):
-    trie, graph = _quotient_graph(k, by_length(words))
+    graph, moves = _quotient_graph(k, by_length(words))
     oracle_trie, expected = chain_walk_quotient_graph(k, words)
     rows = digraph_rows(graph)
     assert rows == [sorted(row.items()) for row in expected], case
     assert rows == [sorted(row.items()) for row in goto_loop_quotient_graph(k, words)[1]], case
     # Tarjan and the engine read each row in target order
     assert all(list(graph[q]) == sorted(set(graph[q])) for q in range(len(graph))), case
-    assert [trie.nletters[u] for u in trie.states] == [
-        oracle_trie.nletters[u] for u in oracle_trie.order
-    ], case
+    assert moves.nletters.tolist() == [oracle_trie.nletters[u] for u in oracle_trie.order], case
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -649,6 +649,38 @@ def test_quotient_matches_chain_walk_oracle_on_random_sets(case):
     assert_quotient_matches_chain_walk(k, words, case)
 
 
+def assert_voltages_match_goto(k, words, case):
+    """Every move the lift reads, its target state and its voltage row H,
+    equals what the oracle's failure-chain walk gives, state by state and
+    slot by slot; a forbidden move has target -1."""
+    _, moves = _quotient_graph(k, by_length(words))
+    expected = goto_move_voltages(BreadthFirstTrie(k, words, canonical=True), k)
+    assert len(expected) == len(moves.nletters), case
+    for q, row in enumerate(expected):
+        assert len(row) == min(int(moves.nletters[q]) + 1, k), (case, q)
+        for x, move in enumerate(row):
+            t = int(moves.targets[q, x])
+            got = None if t < 0 else (t, moves.voltages[q, x].tolist())
+            assert got == move, (case, q, x)
+        assert (moves.targets[q, len(row):] == -1).all(), (case, q)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_move_voltages_match_goto_oracle(k):
+    for bound, mode, cap in grid_cases(k):
+        words = [mp.word for mp in minimal_powers(k, bound, cap, mode, canonical=True)]
+        assert_voltages_match_goto(k, words, (k, str(bound), mode, cap))
+
+
+@given(canonical_antidictionaries())
+@settings(max_examples=300, deadline=None)
+def test_move_voltages_match_goto_oracle_on_random_sets(case):
+    # links that are no child of the parent's link compose more than one
+    # level of H
+    k, words = case
+    assert_voltages_match_goto(k, words, case)
+
+
 # ---------------------------------------------------------------------------
 # the trie, depth by depth, against the node-by-node build
 
@@ -669,6 +701,7 @@ def assert_trie_matches_oracle(k, words, case, arrays=None, canonical=True):
     got["fsig"] = [v for i, v in enumerate(got["fsig"]) if not trie.terminal[i // k]]
     for name, table in expected.items():
         assert got[name] == table, (case, name)
+    assert (trie.voltage is None) == (not canonical), case
     return trie
 
 
@@ -719,21 +752,14 @@ def test_identity_trie_matches_oracle_on_full_orbits(k, token, top):
         assert_trie_matches_oracle(k, words, (k, token, cap), canonical=False)
 
 
-def test_canonical_trie_walks_when_the_link_is_no_child(monkeypatch):
+def test_canonical_trie_walks_when_the_link_is_no_child():
     # the link of aab is b, a in canonical form, but fail(aa) = a has no
-    # child on its fresh slot, so the translating walk names b's letters
-    walks = []
-    goto = FailureTrie.goto
-
-    def counting_goto(self, *args):
-        walks.append(args)
-        return goto(self, *args)
-
-    monkeypatch.setattr(FailureTrie, "goto", counting_goto)
+    # child on its fresh slot, so aab's names come from H(a, fresh), which
+    # composes one level further, through the root
     trie = assert_trie_matches_oracle(2, [(0, 0, 1, 1)], "aabb")
-    assert len(walks) == 1
     assert_quotient_matches_chain_walk(2, [(0, 0, 1, 1)], "aabb")
     assert list(trie.fail) == [0, 0, 1, 1, 2]
+    assert_voltages_match_goto(2, [(0, 0, 1, 1)], "aabb")
 
 
 @pytest.mark.parametrize(
@@ -759,7 +785,7 @@ def test_canonical_trie_reads_periods_with_no_minimal_words():
     assert [len(a) for a in arrays.values()] == [1, 1, 0, 0, 0, 0]
     words = [tuple(w) for a in arrays.values() for w in a.tolist()]
     assert_trie_matches_oracle(2, words, "square-free", arrays.values())
-    _, graph = _quotient_graph(2, arrays.values())
+    graph, _ = _quotient_graph(2, arrays.values())
     expected = goto_loop_quotient_graph(2, words)[1]
     assert digraph_rows(graph) == [sorted(row.items()) for row in expected]
 
@@ -816,10 +842,46 @@ def test_lifted_component_count_several_components(k, token, cap, count):
     # one quotient component whose letter permutations generate a proper
     # subgroup of S_k: the full automaton splits into [S_k : K] copies
     words = [mp.word for mp in minimal_powers(k, B(token), cap, canonical=True)]
-    _, graph = _quotient_graph(k, by_length(words))
+    graph, _ = _quotient_graph(k, by_length(words))
     assert len(cyclic_components(graph)) == 1
     assert quotient_cycle_components(k, words) == count
     assert full_cycle_components(k, words) == count
+
+
+def assert_lift_matches_goto_oracle(k, words, case) -> list:
+    """The lift from the voltage tables counts what the oracle's
+    goto-walk lift counts, over every cycle-carrying quotient component;
+    returns the counts."""
+    graph, moves = _quotient_graph(k, by_length(words))
+    trie = BreadthFirstTrie(k, words, canonical=True)
+    counts = []
+    for c in cyclic_components(graph):
+        counts.append(_lifted_components(moves, k, c))
+        assert counts[-1] == goto_lifted_components(trie, k, c.tolist()), case
+    return counts
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_lift_matches_goto_oracle(k):
+    for bound, mode, cap in grid_cases(k):
+        words = [mp.word for mp in minimal_powers(k, bound, cap, mode, canonical=True)]
+        assert_lift_matches_goto_oracle(k, words, (k, str(bound), mode, cap))
+
+
+@pytest.mark.parametrize(
+    "k,token,cap,counts",
+    [
+        (3, "5/3", 4, [3]),
+        (3, "7/4", 8, [2]),
+        (3, "3/2", 2, [2]),
+        # the unique component of the lower bound, over larger quotients
+        (3, "2", 32, [1]),
+        (2, "3", 20, [1]),
+    ],
+)
+def test_lift_matches_goto_oracle_on_larger_cases(k, token, cap, counts):
+    words = [mp.word for mp in minimal_powers(k, B(token), cap, canonical=True)]
+    assert assert_lift_matches_goto_oracle(k, words, (k, token, cap)) == counts
 
 
 @pytest.mark.parametrize(
