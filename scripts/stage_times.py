@@ -51,9 +51,10 @@ def one_run(case: str) -> dict:
     import numpy
     from wordgrowth import powerfree
     from wordgrowth.growth import cyclic_components, digraph_index
+    from wordgrowth.words import ExponentBound, minimal_word_arrays
 
     k, token, cap = case.split(",")
-    k, cap, bound = int(k), int(cap), powerfree.ExponentBound.parse(token)
+    k, cap, bound = int(k), int(cap), ExponentBound.parse(token)
     times, peaks = {}, {}
 
     def stage(name, call):
@@ -63,7 +64,7 @@ def one_run(case: str) -> dict:
         peaks[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         return out
 
-    arrays, visited = stage("minimal_powers", lambda: powerfree.minimal_word_arrays(
+    arrays, visited = stage("minimal_powers", lambda: minimal_word_arrays(
         k, bound, range(1, cap + 1), canonical=True
     ))
     words = sum(len(a) for a in arrays.values())

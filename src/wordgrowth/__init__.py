@@ -4,6 +4,8 @@ The package measures how fast formal languages grow.  Its core is a
 certified interval engine for the index (spectral radius) of a
 nonnegative integer matrix; everything else is built on top of it:
 
+* ``words``      -- words written, measured and searched: periods,
+  exponents, exponent bounds, freeness and the minimal-word searches;
 * ``automaton``  -- partial DFAs, trimming, strong components,
   imprimitivity, walk bounds over the condensation;
 * ``growth``     -- complexity classes, growth-rate intervals,
@@ -51,24 +53,26 @@ from wordgrowth.fad import (
     intermediate_count,
     intermediate_member,
     parse_antidictionary,
-    parse_word,
     tm_antidictionary,
+)
+from wordgrowth.words import (
+    BudgetExceededError,
+    ExponentBound,
+    MinimalPower,
+    exponent,
+    is_free,
+    minimal_powers,
+    parse_word,
+    violates,
     word_to_str,
 )
 from wordgrowth.powerfree import (
-    ExponentBound,
-    MinimalPower,
     PowerFreeBounds,
     approximation_bounds,
     asymptotic_formula,
-    exponent,
-    is_free,
     lower_bound,
-    minimal_powers,
-    violates,
 )
 from wordgrowth.circular import (
-    BudgetExceededError,
     CircularWord,
     circular_is_square_free,
     enumerate_circular_square_free,

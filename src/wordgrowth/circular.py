@@ -4,44 +4,32 @@ A circular word is a word up to rotation; it is square-free when no
 factor of length up to the word's own length, read around the circle,
 is a square.  Circular square-free words of length n are exactly the
 roots of the minimal squares of period n.  Roots, root tables and
-enumerations read them from one level search,
-``powerfree.minimal_word_arrays``, whose budget error
-``BudgetExceededError`` is re-exported; a period scan runs
-``powerfree.periods_without_minimal_words``, one depth-first walk that
-drops a period at its first minimal word.  ``circular_is_square_free``
-checks the circular definition directly."""
+enumerations read them from the level search of ``words``, and a period
+scan runs its depth-first walk."""
 
 from __future__ import annotations
 
 import math
 from typing import Iterable, Optional
 
-from wordgrowth.fad import word_to_str
-from wordgrowth.powerfree import (
-    BudgetExceededError,
+from wordgrowth.words import (
     ExponentBound,
+    is_free,
+    least_rotation,
     minimal_word_arrays,
     periods_without_minimal_words,
+    word_to_str,
 )
 
 __all__ = [
-    "BudgetExceededError",
     "CircularWord",
     "circular_is_square_free",
     "enumerate_circular_square_free",
     "forbidden_period_scan",
-    "least_rotation",
     "minimal_roots",
     "root_complexity",
     "root_table",
 ]
-
-
-def least_rotation(word) -> tuple:
-    w = tuple(word)
-    if not w:
-        return w
-    return min(w[i:] + w[:i] for i in range(len(w)))
 
 
 class CircularWord:
@@ -79,7 +67,7 @@ def circular_is_square_free(word, k: Optional[int] = None) -> bool:
     """No factor of length <= n read around the circle is a square.
 
     Accepts a plain word or a CircularWord; rotation-invariant by
-    construction (every window of the doubled word is checked).  When
+    construction (every factor of w + w up to length n is checked).  When
     an alphabet size k is supplied the letters are range-checked.
     """
     w = word.representative if isinstance(word, CircularWord) else tuple(word)
@@ -87,15 +75,7 @@ def circular_is_square_free(word, k: Optional[int] = None) -> bool:
         codes = [x if isinstance(x, int) else ord(x) - ord("a") for x in w]
         if any(not 0 <= x < k for x in codes):
             raise ValueError("letter out of range for the given alphabet size")
-    n = len(w)
-    if n == 0:
-        return True
-    doubled = w + w
-    for half in range(1, n // 2 + 1):
-        for start in range(n):
-            if doubled[start : start + half] == doubled[start + half : start + 2 * half]:
-                return False
-    return True
+    return is_free(w + w, ExponentBound(2), len(w))
 
 
 def enumerate_circular_square_free(
@@ -141,8 +121,8 @@ def _rotation_renaming_key(word) -> tuple:
 def minimal_roots(k: int, bound: ExponentBound, n: int, budget: Optional[int] = None) -> list:
     """All length-n words whose periodic extension is a minimal power,
     sorted; for squares these are exactly the words whose circular
-    closure is square-free.  ``budget`` caps the free words the root
-    search visits; one more raises BudgetExceededError naming period n."""
+    closure is square-free.  ``budget`` caps the search as in
+    ``words.minimal_word_arrays``."""
     if n < 1:
         raise ValueError("period must be at least 1")
     arrays, _ = minimal_word_arrays(k, bound, [n], budget=budget)
@@ -159,9 +139,8 @@ def root_table(k: int, bound: ExponentBound, n_max: int, budget: Optional[int] =
     of one representative, k!/(k-used)!: a lone one-letter class counts
     k, a lone class using all letters counts k!.  Renaming a root to
     first-occurrence form keeps it minimal and in its class, so the
-    letter-canonical roots meet every class.  ``budget`` caps the free
-    words the search visits; one more raises BudgetExceededError naming
-    n_max.
+    letter-canonical roots meet every class.  ``budget`` caps the search
+    as in ``words.minimal_word_arrays``.
     """
     if n_max < 1:
         raise ValueError("period must be at least 1")
@@ -187,14 +166,9 @@ def forbidden_period_scan(
     p_max: int,
     budget: int = 20_000_000,
 ) -> set:
-    """Periods up to p_max admitting no minimal bound-violating word.
-
-    One letter-canonical walk covers every period (permuting letters
-    preserves minimality); a period leaves its targets at its first
-    minimal word, and the walk stops when none is left.  ``budget``
-    caps the free words it visits; one more raises BudgetExceededError
-    naming the smallest period still open.
-    """
+    """Periods up to p_max admitting no minimal bound-violating word,
+    from the walk of ``words.periods_without_minimal_words``, which
+    ``budget`` caps as there."""
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
     return periods_without_minimal_words(k, bound, p_max, budget)

@@ -16,7 +16,6 @@ import click
 
 from wordgrowth.automaton import DfaFormatError, parse_dfa, format_dfa, trim
 from wordgrowth.circular import (
-    BudgetExceededError,
     enumerate_circular_square_free,
     forbidden_period_scan,
     root_table,
@@ -27,9 +26,7 @@ from wordgrowth.fad import (
     intermediate_count,
     intermediate_member,
     parse_antidictionary,
-    parse_word,
     tm_antidictionary,
-    word_to_str,
     extendable_part,
 )
 from wordgrowth.growth import (
@@ -40,11 +37,11 @@ from wordgrowth.growth import (
     decimal_upper,
 )
 from wordgrowth.powerfree import (
-    ExponentBound,
     FiniteApproximationError,
     approximation_bounds,
     asymptotic_formula,
 )
+from wordgrowth.words import BudgetExceededError, ExponentBound, parse_word, word_to_str
 
 
 def _parse_delta(text: str) -> Fraction:

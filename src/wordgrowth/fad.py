@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from wordgrowth.automaton import Dfa, DfaFormatError, empty_dfa, scc, trim
+from wordgrowth.words import parse_word, word_to_str
 
 __all__ = [
     "Antidictionary",
@@ -37,34 +38,10 @@ __all__ = [
     "intermediate_count",
     "intermediate_member",
     "parse_antidictionary",
-    "parse_word",
     "tm_antidictionary",
-    "word_to_str",
 ]
 
 Word = tuple
-
-
-def parse_word(s: str) -> Word:
-    """ASCII word over a..z into letter indices; 'eps' is the empty word."""
-    if s == "eps":
-        return ()
-    out = []
-    for ch in s:
-        x = ord(ch) - ord("a")
-        if not 0 <= x < 26:
-            raise ValueError(f"letter {ch!r} outside a..z")
-        out.append(x)
-    return tuple(out)
-
-
-def word_to_str(w: Iterable[int]) -> str:
-    w = tuple(w)
-    if not w:
-        return "eps"
-    if any(not 0 <= x < 26 for x in w):
-        return " ".join(str(x) for x in w)
-    return "".join(chr(ord("a") + x) for x in w)
 
 
 class TrieSizeError(RuntimeError):
@@ -95,8 +72,10 @@ class FailureTrie:
     these along a failure chain replays the full automaton on a whole
     orbit at once.
 
-    Storage is flat, k entries per node: entry u*k + y of ``children``,
-    ``fsig`` and ``delta`` belongs to slot y of u.  ``delta`` is filled
+    Storage is flat, ``width`` entries per node: entry u*width + y of
+    ``children``, ``fsig`` and ``delta`` belongs to slot y of u.  The
+    width is k, or min(k, m + 1) in the letter-canonical frame, m the most
+    letters a word uses, past which no node has a slot.  ``delta`` is filled
     once, breadth first (Aho & Corasick, CACM 1975): delta(u, y) is u's
     child on y, else the root at the root, else delta(fail(u),
     fsig[u][y]), FRESH going to fail(u)'s fresh slot.  A forbidden word t
@@ -106,8 +85,8 @@ class FailureTrie:
     forbidden words and the nodes below one).  A forbidden word's
     ``fsig`` row is never read.
 
-    In the letter-canonical frame, ``voltage`` row u*k + y, k entries,
-    is H(u, y), the renaming that reading y applies: u's slots, and y
+    In the letter-canonical frame, ``voltage`` row u*width + y, width
+    entries, is H(u, y), the renaming that reading y applies: u's slots, and y
     when it is the fresh one, named in the frame of delta(u, y), FRESH
     past them (see ``_build``).  The identity frame keeps none (None).
 
@@ -130,7 +109,7 @@ class FailureTrie:
     NODE_LIMIT = 2**31 - 1
 
     __slots__ = (
-        "k", "children", "terminal", "nletters", "fsig", "fail", "delta",
+        "k", "width", "children", "terminal", "nletters", "fsig", "fail", "delta",
         "voltage", "states", "state_of",
     )
 
@@ -177,17 +156,17 @@ class FailureTrie:
         children, terminal, nletters, depth_start = _sorted_insert(
             k, word_arrays, self.NODE_LIMIT, canonical
         )
-        n = len(terminal)
+        n, w = children.shape
         if canonical:
-            fsig = np.full((n, k), self.FRESH, np.intc)
+            fsig = np.full((n, w), self.FRESH, np.intc)
             # one FRESH entry past the last row, for the build's reads
-            voltage = np.full(n * k * k + 1, self.FRESH, np.min_scalar_type(-k))
+            voltage = np.full(n * w * w + 1, self.FRESH, np.min_scalar_type(-w))
         else:
-            fsig = np.tile(np.arange(k, dtype=np.intc), (n, 1))
+            fsig = np.tile(np.arange(w, dtype=np.intc), (n, 1))
             voltage = None
         fail = np.zeros(n, np.intc)
-        delta = np.zeros((n, k), np.intc)
-        self.k = k
+        delta = np.zeros((n, w), np.intc)
+        self.k, self.width = k, w
         # Python readers (the antidictionary check, fad_automaton) index these
         (self.children, self.terminal, self.nletters, self.fsig, self.fail,
          self.delta) = (
@@ -205,23 +184,23 @@ class FailureTrie:
 
     def _link_by_depth(self, children, no_state, nletters, fsig, fail, delta, voltage,
                        depth_start):
-        k, FRESH = self.k, self.FRESH
+        w, FRESH = self.width, self.FRESH
         canonical = voltage is not None
         # the root moves to its children and stays on every other slot;
         # its children link to it
         c = children[0]
         delta[0] = np.where(c < 0, 0, np.where(no_state[c], ~c, c))
-        slots = np.arange(k)[:, None]
+        slots = np.arange(w)[:, None]
         flat_delta = delta.reshape(-1)
         if canonical:
             # the root's one live slot is its fresh one; a child there names it
             if c[0] >= 0:
                 voltage[0] = 0
-            rows = voltage[:-1].reshape(-1, k)
+            rows = voltage[:-1].reshape(-1, w)
             # row nl: a move to a child of nl letters names each of them itself
-            own = np.where(slots.T < np.arange(k + 1)[:, None], slots.T, FRESH).astype(voltage.dtype)
+            own = np.where(slots.T < np.arange(w + 1)[:, None], slots.T, FRESH).astype(voltage.dtype)
             # the same rows as single items, so that np.put moves whole rows
-            item = np.dtype((np.void, k * voltage.itemsize))
+            item = np.dtype((np.void, w * voltage.itemsize))
             row_items, own_items = rows.view(item).reshape(-1), own.view(item).reshape(-1)
         for lo, hi, end in zip(depth_start, depth_start[1:], depth_start[2:]):
             # nodes lo..hi-1 are one depth; their children are hi..end-1.
@@ -235,13 +214,13 @@ class FailureTrie:
             # a dead slot reads itself, so that the children of a forbidden
             # word, in the identity frame, keep the identity
             np.copyto(read, slots, where=dead)
-            at = f * k + read
+            at = f * w + read
             t = flat_delta[at]
             t[dead] = 0
             # child hi + i is node lo + r[i]'s child on slot y[i], at link_at
             moved = np.flatnonzero(children[lo:hi] >= 0)
-            r = moved // k
-            y = moved - r * k
+            r = moved // w
+            y = moved - r * w
             link_at = y * (hi - lo) + r
             link = t.reshape(-1)[link_at]
             if canonical and (link < 0).any():
@@ -261,12 +240,12 @@ class FailureTrie:
             # H(u, y) = H(f, read) o fsig[u], y renamed read: entry (y, j, i)
             # reads name j's image off the flat table, a FRESH name clipped
             # onto the FRESH entry past the last row
-            start = at * k
+            start = at * w
             names = start[:, None] + np.where(fresh, len(voltage), sig)
-            names.reshape(k * k, -1)[::k + 1] = start + read
-            rows.reshape(-1, k, k)[lo:hi] = voltage.take(names, mode="clip").transpose(2, 0, 1)
+            names.reshape(w * w, -1)[::w + 1] = start + read
+            rows.reshape(-1, w, w)[lo:hi] = voltage.take(names, mode="clip").transpose(2, 0, 1)
             # a child's names are those of the move it would be without it
-            moved += lo * k
+            moved += lo * w
             fsig[hi:end] = rows.take(moved, axis=0)
             np.put(row_items, moved, own_items.take(nletters[hi:end]))
 
@@ -321,14 +300,15 @@ def _sorted_insert(k: int, word_arrays: Iterable, limit: int, canonical: bool) -
     top = int(np.count_nonzero(new[:1]))  # the root's children
     parent = np.zeros(n - 1, np.int64)
     parent[top:] = node.reshape(-1)[made[top:] - m]
-    children = np.full((n, k), -1, np.intc)
-    children.reshape(-1)[parent * k + cols.reshape(-1)[made]] = ids
-    terminal = np.zeros(n, np.uint8)
-    terminal[node[lengths - 1, np.arange(m)]] = 1
     nletters = np.full(n, k, np.intc)
     if canonical:
         nletters[0] = 0
         nletters[1:] = seen.reshape(-1)[made] + 1
+    w = min(k, int(nletters.max()) + 1)
+    children = np.full((n, w), -1, np.intc)
+    children.reshape(-1)[parent * w + cols.reshape(-1)[made]] = ids
+    terminal = np.zeros(n, np.uint8)
+    terminal[node[lengths - 1, np.arange(m)]] = 1
     depth_start = np.concatenate([[1], 1 + np.cumsum(np.count_nonzero(new, axis=1))])
     return children, terminal, nletters, depth_start.tolist()
 

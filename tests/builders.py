@@ -4,7 +4,8 @@ modules."""
 from hypothesis import strategies as st
 
 from wordgrowth.automaton import Dfa, trim
-from wordgrowth.fad import Antidictionary, fad_automaton, parse_word, tm_antidictionary
+from wordgrowth.fad import Antidictionary, fad_automaton, tm_antidictionary
+from wordgrowth.words import parse_word
 
 
 # exponent-bound tokens: plain and plus, above and below 2

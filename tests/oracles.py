@@ -11,9 +11,10 @@ private ``_analyse``, one trimmed automaton per slice, decomposed and
 analysed alone;
 ``trim_minimal_powers``, the minimal powers from a border-table root
 search and trim check (``suffixes_stay_free``, on
-``minimal_periods_of_suffixes``); ``free_roots`` and
+``minimal_periods_of_suffixes``, the library's earlier suffix-period
+table); ``free_roots`` and
 ``minimal_words``, the library's earlier depth-first walk, whose
-letter check is the library's ``_ends_in_violation`` (tested against
+letter check is the library's ``ends_in_violation`` (tested against
 border tables); ``per_period_root_complexity`` and ``per_period_scan``,
 one such walk per period; ``component_interval``, the library's
 earlier index engine, one run per width, and
@@ -55,7 +56,6 @@ from wordgrowth.automaton import (
     tarjan_components,
     trim,
 )
-from wordgrowth.fad import word_to_str
 from wordgrowth.growth import (
     GrowthReport,
     IndexInterval,
@@ -74,17 +74,17 @@ from wordgrowth.growth import (
     oscillation_type,
     polynomial_index_general,
 )
-from wordgrowth.powerfree import (
+from wordgrowth.powerfree import NoLowerBoundError
+from wordgrowth.words import (
     BudgetExceededError,
     ExponentBound,
     MinimalPower,
-    NoLowerBoundError,
-    _ends_in_violation,
-    _suffix_checks,
-    _target_length,
+    ends_in_violation,
     minimal_period,
-    minimal_periods_of_suffixes,
+    suffix_checks,
+    target_length,
     violates,
+    word_to_str,
 )
 
 
@@ -247,6 +247,31 @@ def brute_minimal_powers_by_period(k: int, beta: Fraction, plus: bool, cap: int)
     return sorted(out, key=lambda w: (naive_min_period(w), w))
 
 
+def minimal_periods_of_suffixes(word) -> list:
+    """Minimal periods of every suffix; entry i is for word[i:].
+
+    Computed from one border table of the reversed word: reversal maps
+    suffixes to prefixes and preserves periods.
+    """
+    w = tuple(word)[::-1]
+    n = len(w)
+    # border[i] = length of the longest proper border of w[:i]
+    border = [0] * (n + 1)
+    j = 0
+    for i in range(1, n):
+        while j and w[i] != w[j]:
+            j = border[j]
+        if w[i] == w[j]:
+            j += 1
+        else:
+            j = 0
+        border[i + 1] = j
+    out = [0] * n
+    for length in range(1, n + 1):
+        out[n - length] = length - border[length]
+    return out
+
+
 def suffixes_stay_free(word, bound) -> bool:
     """No suffix of the word violates the bound, read off the minimal
     period of every suffix (one border table of the reversed word)."""
@@ -360,7 +385,7 @@ def free_roots(
     if not targets:
         return
     p_max, wanted = max(targets), len(targets)
-    pairs = _suffix_checks(bound, p_max)
+    pairs = suffix_checks(bound, p_max)
     visited = 0
     word: list = []
     stack = [(0, x) for x in reversed(range(1 if canonical else k))]
@@ -371,7 +396,7 @@ def free_roots(
         del word[n:]
         word.append(x)
         n += 1
-        if _ends_in_violation(word, n, pairs):
+        if ends_in_violation(word, n, pairs):
             continue
         visited += 1
         if budget is not None and visited > budget:
@@ -405,18 +430,18 @@ def minimal_words(
     that prefix, only at its last letter.  Its minimal period must be p.
     """
     targets = periods if isinstance(periods, set) else set(periods)
-    pairs = _suffix_checks(bound, _target_length(bound, max(targets, default=0)))
+    pairs = suffix_checks(bound, target_length(bound, max(targets, default=0)))
     for root in free_roots(k, bound, targets, canonical, budget):
         p = len(root)
-        length = _target_length(bound, p)
+        length = target_length(bound, p)
         w = list(root)
         while len(w) < length - 1:
             w.append(w[-p])
-            if _ends_in_violation(w, len(w), pairs):
+            if ends_in_violation(w, len(w), pairs):
                 break
         else:  # w is the free prefix w[:L-1]
             w.append(w[-p])
-            if not _ends_in_violation(w[1:], length - 1, pairs) and minimal_period(w) == p:
+            if not ends_in_violation(w[1:], length - 1, pairs) and minimal_period(w) == p:
                 yield MinimalPower(p, tuple(w), Fraction(length, p))
 
 

@@ -31,13 +31,12 @@ from wordgrowth.growth import (
     polynomial_index_general,
 )
 from wordgrowth.powerfree import (
-    ExponentBound,
     NoLowerBoundError,
     approximation_bounds,
     asymptotic_formula,
     lower_bound,
-    minimal_powers,
 )
+from wordgrowth.words import ExponentBound, minimal_powers
 
 B = ExponentBound.parse
 DELTA6 = Fraction(1, 10**6)

@@ -19,18 +19,15 @@ from oracles import (
 )
 import wordgrowth
 from wordgrowth.circular import (
-    BudgetExceededError,
     CircularWord,
     circular_is_square_free,
     enumerate_circular_square_free,
     forbidden_period_scan,
-    least_rotation,
     minimal_roots,
     root_complexity,
     root_table,
 )
-from wordgrowth.fad import parse_word
-from wordgrowth.powerfree import ExponentBound
+from wordgrowth.words import BudgetExceededError, ExponentBound, least_rotation, parse_word
 
 B = ExponentBound.parse
 SQ = B("2")
@@ -376,3 +373,49 @@ def test_no_new_private_cross_imports():
     found = private_cross_imports()
     assert ("growth", "_as_fraction", "powerfree") in found  # the scan sees imports
     assert {(m, name) for m, name, _ in found} <= ALLOWED_PRIVATE_IMPORTS, sorted(found)
+
+
+def package_imports(path):
+    """(module, name) for every import of a ``wordgrowth`` module in a
+    file: ``from m import n`` gives (m, n) and ``import m`` gives (m, None),
+    with relative imports resolved inside the package and ``from
+    wordgrowth import n`` read as the module wordgrowth.n."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update((alias.name, None) for alias in node.names)
+            continue
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level:
+            module = "wordgrowth" + ("." + module if module else "")
+        for alias in node.names:
+            if module == "wordgrowth":
+                found.add((f"wordgrowth.{alias.name}", None))
+            else:
+                found.add((module, alias.name))
+    return {(m, n) for m, n in found if m == "wordgrowth" or m.startswith("wordgrowth.")}
+
+
+def test_words_is_the_bottom_layer():
+    src = Path(wordgrowth.__file__).parent
+    assert package_imports(src / "words.py") == set()
+    assert {m for m, _ in package_imports(src / "circular.py")} == {"wordgrowth.words"}
+    # tests and scripts read words through its public names only
+    root = Path(__file__).resolve().parent.parent
+    files = sorted([*(root / "tests").glob("*.py"), *(root / "scripts").glob("*.py")])
+    taken = set()
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private_attributes = {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "words" and node.attr.startswith("_")
+        }
+        assert not private_attributes, (path.name, private_attributes)
+        for module, name in package_imports(path):
+            if module == "wordgrowth.words" and name is not None:
+                taken.add(name)
+                assert not name.startswith("_"), (path.name, name)
+    assert {"ends_in_violation", "suffix_checks", "target_length"} <= taken  # the scan sees imports

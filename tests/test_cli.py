@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import builders
 import wordgrowth
 from oracles import free_roots
-from wordgrowth import circular, growth, powerfree
+from wordgrowth import circular, growth, words
 from wordgrowth.automaton import format_dfa, parse_dfa
 from wordgrowth.fad import FailureTrie
 from wordgrowth.cli import main
@@ -264,7 +264,7 @@ def test_powerfree_budget_failure(runner):
 
 def test_powerfree_budget_boundary_is_the_depth_first_count(runner):
     # the bounds search visits exactly the free words the depth-first walk does
-    bound = powerfree.ExponentBound.parse("2")
+    bound = words.ExponentBound.parse("2")
     n = sum(1 for _ in free_roots(3, bound, range(1, 9), canonical=True))
     args = ["powerfree", "3", "2", "--cap", "8"]
     docs = [json.loads(run(runner, ["--format", "json", *budget, *args]))
@@ -280,8 +280,8 @@ def test_powerfree_budget_boundary_is_the_depth_first_count(runner):
 def test_powerfree_trie_limit_failure(runner, monkeypatch):
     # node ids are int32: a trie past the limit is a clear error, not a wrap
     args = ["powerfree", "3", "2", "--cap", "8"]
-    arrays, _ = powerfree.minimal_word_arrays(
-        3, powerfree.ExponentBound(2), range(1, 9), canonical=True
+    arrays, _ = words.minimal_word_arrays(
+        3, words.ExponentBound(2), range(1, 9), canonical=True
     )
     nodes = len(FailureTrie.letter_canonical(3, arrays.values()).terminal)
     monkeypatch.setattr(FailureTrie, "NODE_LIMIT", nodes)
@@ -373,13 +373,13 @@ def test_root_and_circular_budget_boundary(runner, args, visited):
 def test_root_and_scan_run_one_search(runner, monkeypatch, args):
     searches = []
     for name in ("minimal_word_arrays", "periods_without_minimal_words"):
-        search = getattr(powerfree, name)
+        search = getattr(words, name)
 
         def counted(*a, search=search, **kw):
             searches.append(a)
             return search(*a, **kw)
 
-        for module in (powerfree, circular):
+        for module in (words, circular):
             monkeypatch.setattr(module, name, counted)
     run(runner, args)
     assert len(searches) == 1

@@ -26,11 +26,10 @@ from wordgrowth.fad import (
     intermediate_count,
     intermediate_member,
     parse_antidictionary,
-    parse_word,
     tm_antidictionary,
-    word_to_str,
 )
 from wordgrowth.growth import approximate_index, count_words
+from wordgrowth.words import parse_word, word_to_str
 
 
 def contains_factor(word, forbidden):

@@ -22,6 +22,7 @@ from oracles import (
     goto_lifted_components,
     goto_loop_quotient_graph,
     goto_move_voltages,
+    minimal_periods_of_suffixes,
     minimal_words,
     naive_exponent,
     naive_min_period,
@@ -38,24 +39,29 @@ from wordgrowth.fad import (
     Antidictionary,
     FailureTrie,
     TrieSizeError,
-    parse_word,
     tm_antidictionary,
 )
 from wordgrowth.powerfree import (
-    BudgetExceededError,
-    ExponentBound,
     FiniteApproximationError,
     NoLowerBoundError,
     approximation_bounds,
     asymptotic_formula,
+    lower_bound,
+)
+from wordgrowth.words import (
+    BudgetExceededError,
+    ExponentBound,
+    MinimalPower,
+    ends_in_violation,
     exponent,
     is_free,
-    lower_bound,
     minimal_period,
-    minimal_periods_of_suffixes,
     minimal_powers,
     minimal_word_arrays,
+    parse_word,
     periods_without_minimal_words,
+    suffix_checks,
+    target_periods,
     violates,
 )
 from wordgrowth.growth import _dfa_adjacency, cyclic_components
@@ -195,7 +201,7 @@ def test_letters_beyond_a_byte():
     assert not is_free((256, 300, 256, 300), B("2"))
     powers = minimal_powers(300, B("2"), 2)
     assert len(powers) == 300 + 300 * 299
-    assert powerfree.MinimalPower(2, (43, 299, 43, 299), Fraction(2)) in powers
+    assert MinimalPower(2, (43, 299, 43, 299), Fraction(2)) in powers
     assert powers[-1].word == (299, 298, 299, 298)
 
 
@@ -297,7 +303,7 @@ def test_level_search_matches_depth_first_and_trim_oracles(k, cap, tokens):
     for token in tokens:
         bound = B(token)
         for mode in ("period", "excess"):
-            periods = powerfree._target_periods(bound, cap, mode)
+            periods = target_periods(bound, cap, mode)
             for canonical in (False, True):
                 case = (k, token, cap, mode, canonical)
                 levels = minimal_powers(k, bound, cap, mode, canonical)
@@ -313,7 +319,7 @@ def test_level_search_matches_depth_first_and_trim_oracles(k, cap, tokens):
 def test_level_search_takes_letters_beyond_a_signed_byte(k):
     for token, cap, canonical in (("2", 2, False), ("2+", 6, True), ("3/2", 3, True)):
         bound = B(token)
-        periods = powerfree._target_periods(bound, cap, "period")
+        periods = target_periods(bound, cap, "period")
         levels = minimal_powers(k, bound, cap, canonical=canonical)
         assert levels == sorted(minimal_words(k, bound, periods, canonical))
         assert all(minimal_period(mp.word) == mp.period for mp in levels)
@@ -328,7 +334,7 @@ def test_level_search_takes_letters_beyond_a_signed_byte(k):
 @pytest.mark.parametrize("canonical", [False, True])
 def test_level_search_budget_boundary_is_the_depth_first_one(k, token, cap, mode, canonical):
     bound = B(token)
-    periods = powerfree._target_periods(bound, cap, mode)
+    periods = target_periods(bound, cap, mode)
     visited = sum(1 for _ in free_roots(k, bound, periods, canonical))
     full = minimal_powers(k, bound, cap, mode, canonical)
     assert minimal_powers(k, bound, cap, mode, canonical, budget=visited) == full
@@ -351,9 +357,9 @@ def words_over_k(draw):
 def test_slice_check_matches_border_table(w, token):
     # one slice comparison per period against the minimal period of every suffix
     bound = B(token)
-    pairs = powerfree._suffix_checks(bound, len(w))
+    pairs = suffix_checks(bound, len(w))
     for end in range(1, len(w) + 1):
-        slice_says = powerfree._ends_in_violation(w, end, pairs)
+        slice_says = ends_in_violation(w, end, pairs)
         assert slice_says == (not suffixes_stay_free(w[:end], bound)), (w[:end], token)
 
 
@@ -656,11 +662,13 @@ def assert_voltages_match_goto(k, words, case):
     _, moves = _quotient_graph(k, by_length(words))
     expected = goto_move_voltages(BreadthFirstTrie(k, words, canonical=True), k)
     assert len(expected) == len(moves.nletters), case
+    # the rows are as wide as the trie, padded to k with FRESH
+    pad = [FailureTrie.FRESH] * (k - moves.voltages.shape[2])
     for q, row in enumerate(expected):
         assert len(row) == min(int(moves.nletters[q]) + 1, k), (case, q)
         for x, move in enumerate(row):
             t = int(moves.targets[q, x])
-            got = None if t < 0 else (t, moves.voltages[q, x].tolist())
+            got = None if t < 0 else (t, moves.voltages[q, x].tolist() + pad)
             assert got == move, (case, q, x)
         assert (moves.targets[q, len(row):] == -1).all(), (case, q)
 
@@ -698,7 +706,14 @@ def assert_trie_matches_oracle(k, words, case, arrays=None, canonical=True):
         trie = FailureTrie(k, words)
     expected = breadth_first_tables(BreadthFirstTrie(k, words, canonical=canonical), k)
     got = {name: list(getattr(trie, name)) for name in expected}
-    got["fsig"] = [v for i, v in enumerate(got["fsig"]) if not trie.terminal[i // k]]
+    w = trie.width
+    assert w == min(k, max(expected["nletters"]) + 1), case
+    got["fsig"] = [v for i, v in enumerate(got["fsig"]) if not trie.terminal[i // w]]
+    # the oracle's rows are k wide: past the trie's width, no child, a
+    # move to the root, a FRESH name
+    for name, fill in (("children", -1), ("delta", 0), ("fsig", trie.FRESH)):
+        rows = [got[name][i:i + w] for i in range(0, len(got[name]), w)]
+        got[name] = [v for row in rows for v in row + [fill] * (k - w)]
     for name, table in expected.items():
         assert got[name] == table, (case, name)
     assert (trie.voltage is None) == (not canonical), case
@@ -776,6 +791,18 @@ def test_canonical_trie_walks_when_the_link_is_no_child():
 def test_canonical_trie_edge_cases(k, words):
     assert_trie_matches_oracle(k, words, (k, words))
     assert_quotient_matches_chain_walk(k, words, (k, words))
+
+
+def test_canonical_tables_are_as_wide_as_the_most_letters_plus_one():
+    # the minimal squares of period <= 4 use at most 4 of the 400 letters,
+    # so every table is 5 slots wide, not 400
+    k = 400
+    words = [mp.word for mp in minimal_powers(k, B("2"), 4, canonical=True)]
+    assert max(max(w) for w in words) + 1 == 4
+    trie = assert_trie_matches_oracle(k, words, k)
+    assert len(trie.voltage) == len(trie.terminal) * 5**2
+    assert_quotient_matches_chain_walk(k, words, k)
+    assert_voltages_match_goto(k, words, k)
 
 
 def test_canonical_trie_reads_periods_with_no_minimal_words():
