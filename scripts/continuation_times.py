@@ -54,9 +54,9 @@ def one_run(src: str, level: int) -> dict:
     from wordgrowth.automaton import graph_scc
     from wordgrowth.fad import fad_automaton, tm_antidictionary
 
-    graph = growth._dfa_adjacency(fad_automaton(tm_antidictionary(level)))
+    graph = growth.transition_graph(fad_automaton(tm_antidictionary(level)))
     dec = graph_scc(graph)
-    (comp,) = growth._component_graphs(graph, [dec.components[c] for c in dec.nontrivial])
+    (comp,) = growth._component_graphs(graph, [dec.members_of(c) for c in dec.nontrivial])
     float_vector = growth._float_vector
     float_s = []
 

@@ -7,13 +7,18 @@ every operation accepts it.
 
 Most analyses here treat the automaton as a labeled multigraph: two
 letters driving the same state pair count as two edges.  That
-multiplicity is what separates exponential from polynomial growth.
+multiplicity is what separates exponential from polynomial growth.  The
+graph is a ``WeightedDigraph``, each edge weighted by its letters, and
+its strong components are one ``SccDecomposition`` of int64 arrays.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 
 class DfaFormatError(ValueError):
@@ -170,128 +175,180 @@ def trim(dfa: Dfa) -> Dfa:
     return Dfa(dfa.alphabet_size, new_trans, 0, new_acc)
 
 
-class SccDecomposition:
-    """Strong components of an automaton graph, topologically ordered.
+def _csr(row, n: int):
+    """The row pointer of a compressed sparse row table whose entries
+    belong, in order, to rows ``row`` of 0..n-1."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
+    return ptr
 
-    ``components[i]`` is a frozenset of states; every condensation edge
-    goes from a lower component id to a higher one.  ``nontrivial``
-    holds the ids of components containing at least one edge (a cycle).
-    ``successors[i]``, the set of components one condensation edge from
-    component i, is built from ``condensation_edges`` on first use.
+
+class WeightedDigraph:
+    """A digraph with positive integer edge weights, held as compressed
+    sparse rows.
+
+    Vertex v's edges are entries ``indptr[v]`` to ``indptr[v + 1]`` of
+    ``indices``, their targets, and ``weights``; the three are flat int64
+    arrays, and targets strictly increase within each row.
+    ``len(graph)`` is the vertex count and ``graph[v]`` v's targets, as
+    plain ints.  ``graph_scc`` walks the rows one target at a time;
+    ``growth.cyclic_components`` and the index engine read the arrays.
+    Graphs with equal arrays are equal and hash alike.
     """
 
-    __slots__ = ("component_of", "components", "nontrivial", "condensation_edges", "_successors")
+    __slots__ = ("indptr", "indices", "weights", "_ptr", "_targets")
 
-    def __init__(self, component_of, components, nontrivial, condensation_edges):
-        self.component_of = tuple(component_of)
-        self.components = tuple(frozenset(c) for c in components)
-        self.nontrivial = frozenset(nontrivial)
-        self.condensation_edges = frozenset(condensation_edges)
-        self._successors = None
+    def __init__(self, indptr, indices, weights):
+        self.indptr = indptr
+        self.indices = indices
+        self.weights = weights
+        # memoryviews index and slice to plain ints: the fastest rows for Tarjan
+        self._ptr = memoryview(indptr)
+        self._targets = memoryview(indices)
 
-    @property
-    def successors(self) -> list:
-        if self._successors is None:
-            self._successors = [set() for _ in self.components]
-            for a, b in self.condensation_edges:
-                self._successors[a].add(b)
-        return self._successors
-
-    def __repr__(self):
-        return (
-            f"SccDecomposition(components={len(self.components)}, "
-            f"nontrivial={sorted(self.nontrivial)})"
+    @classmethod
+    def from_edges(cls, n: int, source, target, weight) -> "WeightedDigraph":
+        """The graph on vertices 0..n-1 with the given edges, listed as
+        three equally long sequences; the weights of edges with the same
+        source and target are summed."""
+        source, target, weight = (
+            np.asarray(a, dtype=np.int64) for a in (source, target, weight)
         )
+        key = source * n + target
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        weights = np.add.reduceat(weight[order], first)
+        key = key[first]
+        return cls(_csr(key // n, n), key % n, weights)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[dict]) -> "WeightedDigraph":
+        """The graph whose ``rows[u]`` maps u's targets to their weights."""
+        source = [u for u, row in enumerate(rows) for _ in row]
+        target = [t for row in rows for t in row]
+        weight = [w for row in rows for w in row.values()]
+        return cls.from_edges(len(rows), source, target, weight)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, v: int):
+        return self._targets[self._ptr[v]:self._ptr[v + 1]]
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightedDigraph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.indptr.tobytes(), self.indices.tobytes(), self.weights.tobytes()
 
 
-def tarjan_components(successors: list) -> list:
-    """Strongly connected components, emitted in reverse topological order.
+def transition_graph(dfa: Dfa) -> WeightedDigraph:
+    """Transition graph, each edge weighted by its number of letters."""
+    rows = dfa.transitions
+    source = [q for q, row in enumerate(rows) for _ in row]
+    target = [t for row in rows for t in row.values()]
+    return WeightedDigraph.from_edges(len(rows), source, target, [1] * len(target))
 
-    ``successors[v]`` is an iterable of targets.  Iterative so that deep
-    graphs do not hit the recursion limit.
+
+@dataclass(frozen=True, eq=False, slots=True)
+class SccDecomposition:
+    """Strong components of a digraph, topologically ordered, as int64
+    arrays.
+
+    ``component_of[v]`` is vertex v's component id, and every
+    condensation edge goes from a lower id to a higher one.  Component
+    c's members are ``members[member_ptr[c]:member_ptr[c + 1]]``, in
+    increasing order.  ``nontrivial`` lists, ascending, the ids of the
+    components with an internal edge (a cycle).  The condensation's
+    edges out of c go to ``successors[successor_ptr[c]:successor_ptr[c + 1]]``,
+    distinct and increasing.
     """
-    n = len(successors)
+
+    component_of: np.ndarray
+    member_ptr: np.ndarray
+    members: np.ndarray
+    nontrivial: np.ndarray
+    successor_ptr: np.ndarray
+    successors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.member_ptr) - 1
+
+    def members_of(self, c: int):
+        return self.members[self.member_ptr[c]:self.member_ptr[c + 1]]
+
+
+def scc(dfa: Dfa) -> SccDecomposition:
+    """Strong components of the transition graph, topologically sorted."""
+    return graph_scc(transition_graph(dfa))
+
+
+def graph_scc(graph: WeightedDigraph) -> SccDecomposition:
+    """Strong components of a digraph, topologically sorted.
+
+    One iterative pass of Tarjan's algorithm (1972) numbers the
+    components in the order it pops them, sinks first, so flipping that
+    order makes every edge run from a lower id to a higher one or stay
+    inside; the rest of the record is read off the graph's arrays.
+    """
+    n = len(graph)
+    ptr, targets = graph._ptr, graph._targets
     index_of = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    # the pop order of v's component; -1 while v is unseen or on the stack
+    popped = [-1] * n
     stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
+    count = counter = 0
     for root in range(n):
         if index_of[root] != -1:
             continue
-        work = [(root, iter(successors[root]))]
         index_of[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
+        work = [(root, iter(targets[ptr[root]:ptr[root + 1]]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if index_of[w] == -1:
                     index_of[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(successors[w])))
-                    advanced = True
+                    work.append((w, iter(targets[ptr[w]:ptr[w + 1]])))
                     break
-                if on_stack[w]:
-                    if index_of[w] < low[v]:
-                        low[v] = index_of[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
-def scc(dfa: Dfa) -> SccDecomposition:
-    """Strong components of the transition graph, topologically sorted."""
-    return graph_scc([sorted(set(row.values())) for row in dfa.transitions])
-
-
-def graph_scc(successors) -> SccDecomposition:
-    """Strong components of a digraph, topologically sorted.
-
-    ``successors[v]`` lists v's distinct targets in increasing order, as
-    ``scc`` builds them from an automaton and as the rows of a
-    ``growth.WeightedDigraph`` are, so one graph serves both this and the
-    index engine.
-    """
-    n = len(successors)
-    comps_rev = tarjan_components(successors)
-    m = len(comps_rev)
-    # Tarjan pops sinks first; flip so sources come first.
-    components = [sorted(comps_rev[m - 1 - i]) for i in range(m)]
-    component_of = [0] * n
-    for cid, comp in enumerate(components):
-        for v in comp:
-            component_of[v] = cid
-    nontrivial = set()
-    cond_edges = set()
-    for q in range(n):
-        cq = component_of[q]
-        for t in successors[q]:
-            ct = component_of[t]
-            if cq == ct:
-                nontrivial.add(cq)
+                if popped[w] == -1 and index_of[w] < low[v]:
+                    low[v] = index_of[w]
             else:
-                cond_edges.add((cq, ct))
-    return SccDecomposition(component_of, components, nontrivial, cond_edges)
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index_of[v]:
+                    while True:
+                        w = stack.pop()
+                        popped[w] = count
+                        if w == v:
+                            break
+                    count += 1
+    component_of = (count - 1) - np.array(popped, dtype=np.int64)
+    source = component_of[np.repeat(np.arange(n), np.diff(graph.indptr))]
+    target = component_of[graph.indices]
+    inside = source == target
+    nontrivial = np.flatnonzero(np.bincount(source[inside], minlength=count))
+    cross = np.sort(source[~inside] * count + target[~inside], kind="stable")
+    cross = cross[np.diff(cross, prepend=-1) != 0]
+    return SccDecomposition(
+        component_of,
+        _csr(component_of, count),
+        np.argsort(component_of, kind="stable"),
+        nontrivial,
+        _csr(cross // count, count),
+        cross % count,
+    )
 
 
 def imprimitivity(dfa: Dfa, component: Iterable[int]) -> int:
@@ -352,9 +409,10 @@ def path_intersection_bound(dec: SccDecomposition, eligible: Iterable[int], star
     """Most ``eligible`` components of ``dec`` one condensation path from
     component ``start`` can meet, ``start`` included."""
     elig = set(eligible)
-    best = [0] * len(dec.components)
+    ptr, succ = dec.successor_ptr.tolist(), dec.successors.tolist()
+    best = [0] * len(dec)
     for c in reversed(range(len(best))):
-        best[c] = (c in elig) + max((best[d] for d in dec.successors[c]), default=0)
+        best[c] = (c in elig) + max((best[d] for d in succ[ptr[c]:ptr[c + 1]]), default=0)
     return best[start]
 
 

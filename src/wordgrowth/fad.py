@@ -469,11 +469,16 @@ def extendable_part(dfa: Dfa, side: str = "right") -> Dfa:
     if any(q not in d.accepting for q in range(d.state_count)):
         raise ValueError("every state must accept")
     dec = scc(d)
-    m = len(dec.components)
+    m = len(dec)
+    ptr, succ = dec.successor_ptr.tolist(), dec.successors.tolist()
+    cyclic = [False] * m
+    for c in dec.nontrivial.tolist():
+        cyclic[c] = True
+    component_of = dec.component_of.tolist()
     reaches_cycle = [False] * m
     for c in range(m - 1, -1, -1):
-        reaches_cycle[c] = c in dec.nontrivial or any(reaches_cycle[t] for t in dec.successors[c])
-    ext = {q for q in range(d.state_count) if reaches_cycle[dec.component_of[q]]}
+        reaches_cycle[c] = cyclic[c] or any(reaches_cycle[t] for t in succ[ptr[c]:ptr[c + 1]])
+    ext = {q for q in range(d.state_count) if reaches_cycle[component_of[q]]}
     if side == "right":
         if d.initial not in ext:
             return empty_dfa(d.alphabet_size)
@@ -485,10 +490,12 @@ def extendable_part(dfa: Dfa, side: str = "right") -> Dfa:
         return trim(Dfa(d.alphabet_size, rows, index[d.initial], range(len(states))))
 
     # two-sided: left extendability means being reachable from a cycle
-    from_cycle = [c in dec.nontrivial for c in range(m)]
-    for a, b in sorted(dec.condensation_edges):
-        from_cycle[b] = from_cycle[b] or from_cycle[a]
-    entry = {q for q in range(d.state_count) if from_cycle[dec.component_of[q]]}
+    from_cycle = list(cyclic)
+    for c in range(m):
+        if from_cycle[c]:
+            for t in succ[ptr[c]:ptr[c + 1]]:
+                from_cycle[t] = True
+    entry = {q for q in range(d.state_count) if from_cycle[component_of[q]]}
     if not entry:
         return empty_dfa(d.alphabet_size)
     # subset construction: start from every entry state at once, accept

@@ -22,12 +22,16 @@ Python ints.
 
 The components come from ``cyclic_components``, a forward-backward
 search with trimming on numpy, when only the cycle-carrying ones are
-wanted in any order (the power-free bounds), and from Tarjan's
-algorithm (``automaton.graph_scc``) when a growth profile needs them in
-topological order.  A profile decomposes two graphs: the automaton's,
-and the automaton times a length counter mod r, numbered breadth first.
-Every residue slice is read off the product's one decomposition, since
-each product component lies wholly inside or wholly outside a slice.
+wanted in any order (the power-free bounds, whose quotients hold a few
+large cyclic components, where that search is faster), and from
+``automaton.graph_scc``, one pass of Tarjan's algorithm, when a growth
+profile needs every component in topological order (its graphs are
+chains of many small components, where the forward-backward search is
+over ten times slower).  A profile decomposes two graphs: the
+automaton's, and the automaton times a length counter mod r, numbered
+breadth first.  Every residue slice is read off the product's one
+decomposition, since each product component lies wholly inside or
+wholly outside a slice.
 """
 
 from __future__ import annotations
@@ -44,12 +48,11 @@ import numpy as np
 from wordgrowth.automaton import (
     Dfa,
     SccDecomposition,
-    cycle_intersection_bound,
+    WeightedDigraph,
     graph_scc,
     imprimitivity,
     path_intersection_bound,
-    scc,
-    tarjan_components,
+    transition_graph,
 )
 
 __all__ = [
@@ -104,74 +107,6 @@ def _as_fraction(delta) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # weighted digraphs
-
-
-class WeightedDigraph:
-    """A digraph with positive integer edge weights, held as compressed
-    sparse rows.
-
-    Vertex v's edges are entries ``indptr[v]`` to ``indptr[v + 1]`` of
-    ``indices``, their targets, and ``weights``; the three are flat int64
-    arrays, and targets strictly increase within each row.
-    ``len(graph)`` is the vertex count and ``graph[v]`` v's targets, as
-    plain ints, so ``automaton.graph_scc`` and
-    ``automaton.tarjan_components`` read the graph as it is;
-    ``cyclic_components`` and the index engine read the arrays.  Graphs
-    with equal arrays are equal and hash alike.
-    """
-
-    __slots__ = ("indptr", "indices", "weights", "_ptr", "_targets")
-
-    def __init__(self, indptr, indices, weights):
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
-        # memoryviews index and slice to plain ints: the fastest rows for Tarjan
-        self._ptr = memoryview(indptr)
-        self._targets = memoryview(indices)
-
-    @classmethod
-    def from_edges(cls, n: int, source, target, weight) -> "WeightedDigraph":
-        """The graph on vertices 0..n-1 with the given edges, listed as
-        three equally long sequences; the weights of edges with the same
-        source and target are summed."""
-        source, target, weight = (
-            np.asarray(a, dtype=np.int64) for a in (source, target, weight)
-        )
-        key = source * n + target
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        weights = np.add.reduceat(weight[order], first)
-        key = key[first]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
-        return cls(indptr, key % n, weights)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[dict]) -> "WeightedDigraph":
-        """The graph whose ``rows[u]`` maps u's targets to their weights."""
-        source = [u for u, row in enumerate(rows) for _ in row]
-        target = [t for row in rows for t in row]
-        weight = [w for row in rows for w in row.values()]
-        return cls.from_edges(len(rows), source, target, weight)
-
-    def __len__(self) -> int:
-        return len(self.indptr) - 1
-
-    def __getitem__(self, v: int):
-        return self._targets[self._ptr[v]:self._ptr[v + 1]]
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightedDigraph):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def _key(self) -> tuple:
-        return self.indptr.tobytes(), self.indices.tobytes(), self.weights.tobytes()
 
 
 def _row_entries(indptr, vertices):
@@ -319,8 +254,8 @@ def cyclic_components(graph: WeightedDigraph) -> list:
     those that reach it: F & B is the pivot's component, and every other
     component lies inside F - C, B - C or the rest, which are peeled and
     searched in turn.  The component is kept when it has two vertices or
-    a loop.  Unlike ``automaton.tarjan_components``, it gives no
-    topological order.
+    a loop.  Unlike ``automaton.graph_scc``, it gives no topological
+    order.
     """
     search = _ForwardBackward(graph)
     search.peel(np.arange(len(graph)))
@@ -536,8 +471,8 @@ def digraph_index(
     ``components`` are the graph's strongly connected components, as
     iterables of vertices (``cyclic_components`` gives arrays), when the
     caller already has them; those without a cycle may be left out.
-    When it is None, Tarjan's algorithm finds them: the graphs that come
-    without components are small.
+    When it is None, ``automaton.graph_scc`` finds them: the graphs that
+    come without components are small.
     """
     dfr = _as_fraction(delta)
     if dfr <= 0:
@@ -545,18 +480,11 @@ def digraph_index(
     if not isinstance(graph, WeightedDigraph):
         graph = WeightedDigraph.from_rows(graph)
     if components is None:
-        components = tarjan_components(graph)
+        dec = graph_scc(graph)
+        components = [dec.members_of(c) for c in dec.nontrivial.tolist()]
     comps = _component_graphs(graph, components)
     streams = (_certificates(c) for c in comps if c is not None)
     return _rate(next(iv for iv in s if iv.width <= 2 * dfr) for s in streams)
-
-
-def _dfa_adjacency(dfa: Dfa) -> WeightedDigraph:
-    """Transition graph, each edge weighted by its number of letters."""
-    rows = dfa.transitions
-    source = [q for q, row in enumerate(rows) for _ in row]
-    target = [t for row in rows for t in row.values()]
-    return WeightedDigraph.from_edges(len(rows), source, target, [1] * len(target))
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +519,14 @@ def _analyse(graph: WeightedDigraph, delta: Fraction, runs: dict) -> tuple:
     ``runs`` maps a component's local graph to its two intervals and is
     shared by every graph analysed at the same delta: the engine is
     deterministic, so a component seen before costs nothing.  One
-    transition graph feeds both Tarjan and the components' local graphs.
+    transition graph feeds both ``graph_scc`` and the components' local
+    graphs.
     """
     dec = graph_scc(graph)
-    comps = _component_graphs(graph, [dec.components[cid] for cid in dec.nontrivial])
+    nontrivial = dec.nontrivial.tolist()
+    comps = _component_graphs(graph, [dec.members_of(cid) for cid in nontrivial])
     rates, tight = {}, {}
-    for cid, comp in zip(dec.nontrivial, comps):
+    for cid, comp in zip(nontrivial, comps):
         if comp not in runs:
             stream = _certificates(comp)
             at = next(iv for iv in stream if iv.width <= 2 * delta)
@@ -615,23 +545,22 @@ def classify(dfa: Dfa) -> ComplexityClass:
     the count grows polynomially; the degree is one less than the
     largest number of cycle components a single walk can visit.
     """
-    return _classify(dfa, scc(dfa))
+    graph = transition_graph(dfa)
+    return _classify(graph, graph_scc(graph), dfa.initial)
 
 
-def _classify(dfa: Dfa, dec: SccDecomposition) -> ComplexityClass:
-    if not dec.nontrivial:
+def _classify(graph: WeightedDigraph, dec: SccDecomposition, initial) -> ComplexityClass:
+    """``classify`` of the automaton whose transition graph is ``graph``,
+    decomposed as ``dec``, with initial state ``initial``."""
+    if not len(dec.nontrivial):
         return ComplexityClass("Finite")
-    edge_count = {c: 0 for c in dec.nontrivial}
-    for q, row in enumerate(dfa.transitions):
-        cq = dec.component_of[q]
-        for t in row.values():
-            if dec.component_of[t] == cq:
-                edge_count[cq] += 1
-    for c in dec.nontrivial:
-        if edge_count[c] > len(dec.components[c]):
-            return ComplexityClass("Exponential")
-    degree = cycle_intersection_bound(dfa, dec.nontrivial, dec) - 1
-    return ComplexityClass("Polynomial", degree)
+    source = dec.component_of[np.repeat(np.arange(len(graph)), np.diff(graph.indptr))]
+    inside = source == dec.component_of[graph.indices]
+    letters = np.bincount(source[inside], weights=graph.weights[inside], minlength=len(dec))
+    if (letters > np.diff(dec.member_ptr)).any():
+        return ComplexityClass("Exponential")
+    degree = path_intersection_bound(dec, dec.nontrivial.tolist(), dec.component_of[initial])
+    return ComplexityClass("Polynomial", degree - 1)
 
 
 def approximate_index(dfa: Dfa, delta=Fraction(1, 10**6)) -> IndexInterval:
@@ -642,7 +571,7 @@ def approximate_index(dfa: Dfa, delta=Fraction(1, 10**6)) -> IndexInterval:
     """
     if dfa.state_count == 0:
         raise ValueError("growth rate of the empty automaton is undefined")
-    return digraph_index(_dfa_adjacency(dfa), delta)
+    return digraph_index(transition_graph(dfa), delta)
 
 
 def polynomial_index_general(dfa: Dfa, delta=Fraction(1, 10**6)) -> int:
@@ -658,8 +587,8 @@ def polynomial_index_general(dfa: Dfa, delta=Fraction(1, 10**6)) -> int:
     dfr = _as_fraction(delta)
     if dfr <= 0:
         raise ValueError("delta must be positive")
-    dec, _, tight = _analyse(_dfa_adjacency(dfa), dfr, {})
-    if not dec.nontrivial:
+    dec, _, tight = _analyse(transition_graph(dfa), dfr, {})
+    if not tight:
         raise ValueError("polynomial index undefined for a finite language")
     return _polynomial_index(dec, tight, dec.component_of[dfa.initial])
 
@@ -801,9 +730,9 @@ def _residue_sets(dfa: Dfa, dec: SccDecomposition, modulus: int) -> dict:
     )
     tail = _tails(dfa, modulus)
     masks = {}
-    for cid in dec.nontrivial:
+    for cid in dec.nontrivial.tolist():
         masks[cid] = 0
-        for q in dec.components[cid]:
+        for q in dec.members_of(cid).tolist():
             for c in range(modulus):
                 if head[q] >> c & 1:
                     masks[cid] |= _rotate(tail[q], c, modulus)
@@ -847,9 +776,9 @@ class _CounterProduct:
     ``PAIR_LIMIT`` pairs are reachable.
     """
 
-    # a profile takes at most about 1 kB per pair (0.3 kB on the Thue-Morse
-    # products, 1.0 kB where every pair is a component of its own), so a
-    # product at the limit peaks near 1 GB
+    # a profile's peak is this breadth-first search, about 0.35 kB per pair
+    # where nearly every pair is a component of its own (0.3 kB on the
+    # Thue-Morse products), so a product at the limit peaks near 400 MB
     PAIR_LIMIT = 1 << 20
 
     __slots__ = ("modulus", "states", "counters", "graph")
@@ -883,11 +812,11 @@ def _product_slices(dfa: Dfa, product: _CounterProduct, dec: SccDecomposition) -
     some walk from q reaches acceptance in j - c letters mod r."""
     r = product.modulus
     tail = _tails(dfa, r)
-    slices = {}
-    for cid in dec.nontrivial:
-        i = min(dec.components[cid])
-        slices[cid] = _rotate(tail[product.states[i]], product.counters[i], r)
-    return slices
+    first = dec.members[dec.member_ptr[dec.nontrivial]]
+    return {
+        cid: _rotate(tail[product.states[i]], product.counters[i], r)
+        for cid, i in zip(dec.nontrivial.tolist(), first.tolist())
+    }
 
 
 def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
@@ -928,22 +857,23 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
             dfr,
         )
     runs: dict = {}
-    dec, rates, tight = _analyse(_dfa_adjacency(dfa), dfr, runs)
-    cls = _classify(dfa, dec)
+    graph = transition_graph(dfa)
+    dec, rates, tight = _analyse(graph, dfr, runs)
+    cls = _classify(graph, dec, dfa.initial)
     gr = _rate(rates.values())
-    if not dec.nontrivial:
+    if not rates:
         finite = ResidueAsymptotics(0, Fraction(0), Fraction(0), 0)
         return GrowthReport(cls, gr, 0, 1, (finite,), "NonOscillating", dfr)
 
     pd = _polynomial_index(dec, tight, dec.component_of[dfa.initial])
-    periods = {c: imprimitivity(dfa, dec.components[c]) for c in dec.nontrivial}
+    periods = {c: imprimitivity(dfa, dec.members_of(c).tolist()) for c in rates}
     rho = lcm(*periods.values())
     masks = _residue_sets(dfa, dec, rho)
 
     important = []
-    for c in dec.nontrivial:
+    for c in rates:
         higher = 0
-        for d in dec.nontrivial:
+        for d in rates:
             if d != c and tight[d].lo > tight[c].hi:
                 higher |= masks[d]
         if masks[c] & ~higher:
@@ -958,7 +888,7 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
     seen = {}
     per_residue = []
     for j in range(r):
-        inside = frozenset(cid for cid in pdec.nontrivial if slices[cid] >> j & 1)
+        inside = frozenset(cid for cid, bits in slices.items() if bits >> j & 1)
         if inside not in seen:
             m = _polynomial_index(pdec, {c: ptight[c] for c in inside}, start) if inside else 0
             seen[inside] = _rate(prates[c] for c in inside), m

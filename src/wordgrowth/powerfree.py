@@ -39,13 +39,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from wordgrowth.automaton import Dfa
+from wordgrowth.automaton import Dfa, WeightedDigraph, transition_graph
 from wordgrowth.fad import Antidictionary, FailureTrie, fad_automaton
 from wordgrowth.growth import (
     IndexInterval,
-    WeightedDigraph,
     _as_fraction,
-    _dfa_adjacency,
     cyclic_components,
     decimal_lower,
     decimal_upper,
@@ -348,7 +346,7 @@ def approximation_bounds(
         graph, moves = _quotient_graph(k, arrays.values())
     else:
         canon_words = [w for words in arrays.values() for w in words.tolist()]
-        graph = _dfa_adjacency(_full_automaton(k, canon_words))
+        graph = transition_graph(_full_automaton(k, canon_words))
     cyclic = cyclic_components(graph)
     upper = digraph_index(graph, dfr, cyclic)
     if upper.hi == 0:

@@ -28,9 +28,11 @@ goto table of ``BreadthFirstTrie``, the library's earlier Python trie;
 ``goto_move_voltages`` and ``goto_lifted_components``, every move's
 letter renaming and the library's earlier lift, both from the failure-chain
 walk of that trie's ``goto``;
-``successor_list_scc``, the components from Tarjan on successor
-lists built from the automaton's rows; ``tarjan_cyclic_components``,
-the cycle-carrying components filtered from Tarjan's;
+``tarjan_components``, the library's earlier list-of-lists Tarjan, and
+``tarjan_scc``, its earlier record of one frozenset per component
+(``FrozensetScc``), read by ``successor_list_scc`` off successor lists
+built from the automaton's rows; ``tarjan_cyclic_components``, the
+cycle-carrying components filtered from Tarjan's;
 ``row_list_certificates``, the engine's first two certificates over
 ``digraph_rows``, one ``Fraction`` per row; and ``fraction_lower_bound``, the
 analytic lower bound in ``Fraction`` arithmetic.
@@ -49,11 +51,9 @@ import sympy
 
 from wordgrowth.automaton import (
     Dfa,
-    SccDecomposition,
     empty_dfa,
     imprimitivity,
-    scc,
-    tarjan_components,
+    transition_graph,
     trim,
 )
 from wordgrowth.growth import (
@@ -62,7 +62,6 @@ from wordgrowth.growth import (
     ResidueAsymptotics,
     _analyse,
     _as_fraction,
-    _dfa_adjacency,
     _extreme_ratios,
     _float_vector,
     _integer_vector,
@@ -91,12 +90,103 @@ from wordgrowth.words import (
 # ---------------------------------------------------------------------------
 # automata
 
-def successor_list_scc(dfa) -> SccDecomposition:
-    """Strong components of the transition graph, topologically sorted,
-    from successor lists of each row's distinct targets."""
-    n = dfa.state_count
-    succ = [sorted(set(row.values())) for row in dfa.transitions]
-    comps_rev = tarjan_components(succ)
+class FrozensetScc:
+    """Strong components of a graph, topologically ordered: the library's
+    earlier record, one Python object per vertex and per component.
+
+    ``components[i]`` is a frozenset of states; every condensation edge
+    goes from a lower component id to a higher one.  ``nontrivial``
+    holds the ids of components containing at least one edge (a cycle).
+    ``successors[i]``, the set of components one condensation edge from
+    component i, is built from ``condensation_edges`` on first use.
+    """
+
+    __slots__ = ("component_of", "components", "nontrivial", "condensation_edges", "_successors")
+
+    def __init__(self, component_of, components, nontrivial, condensation_edges):
+        self.component_of = tuple(component_of)
+        self.components = tuple(frozenset(c) for c in components)
+        self.nontrivial = frozenset(nontrivial)
+        self.condensation_edges = frozenset(condensation_edges)
+        self._successors = None
+
+    @property
+    def successors(self) -> list:
+        if self._successors is None:
+            self._successors = [set() for _ in self.components]
+            for a, b in self.condensation_edges:
+                self._successors[a].add(b)
+        return self._successors
+
+    def __repr__(self):
+        return (
+            f"FrozensetScc(components={len(self.components)}, "
+            f"nontrivial={sorted(self.nontrivial)})"
+        )
+
+
+def tarjan_components(successors: list) -> list:
+    """Strongly connected components, emitted in reverse topological order.
+
+    ``successors[v]`` is an iterable of targets.  Iterative so that deep
+    graphs do not hit the recursion limit.
+    """
+    n = len(successors)
+    index_of = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        work = [(root, iter(successors[root]))]
+        index_of[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if index_of[w] == -1:
+                    index_of[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(successors[w])))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    if index_of[w] < low[v]:
+                        low[v] = index_of[w]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+            if low[v] == index_of[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+    return comps
+
+
+def tarjan_scc(successors) -> FrozensetScc:
+    """Strong components of a digraph, topologically sorted, as the
+    library's earlier ``graph_scc`` found them: Tarjan on
+    ``successors[v]``, v's distinct targets in increasing order (a
+    ``WeightedDigraph`` serves as it is)."""
+    n = len(successors)
+    comps_rev = tarjan_components(successors)
     m = len(comps_rev)
     # Tarjan pops sinks first; flip so sources come first.
     components = [sorted(comps_rev[m - 1 - i]) for i in range(m)]
@@ -106,15 +196,21 @@ def successor_list_scc(dfa) -> SccDecomposition:
             component_of[v] = cid
     nontrivial = set()
     cond_edges = set()
-    for q, row in enumerate(dfa.transitions):
+    for q in range(n):
         cq = component_of[q]
-        for t in row.values():
+        for t in successors[q]:
             ct = component_of[t]
             if cq == ct:
                 nontrivial.add(cq)
             else:
                 cond_edges.add((cq, ct))
-    return SccDecomposition(component_of, components, nontrivial, cond_edges)
+    return FrozensetScc(component_of, components, nontrivial, cond_edges)
+
+
+def successor_list_scc(dfa) -> FrozensetScc:
+    """Strong components of the transition graph, topologically sorted,
+    from successor lists of each row's distinct targets."""
+    return tarjan_scc([sorted(set(row.values())) for row in dfa.transitions])
 
 
 def tarjan_cyclic_components(graph) -> list:
@@ -652,7 +748,7 @@ def per_slice_profile(dfa, delta: Fraction):
     off an explicit search of the counter product."""
     cls = classify(dfa)
     gr = approximate_index(dfa, delta)
-    dec = scc(dfa)
+    dec = successor_list_scc(dfa)
     if not dec.nontrivial:
         finite = ResidueAsymptotics(0, Fraction(0), Fraction(0), 0)
         return GrowthReport(cls, gr, 0, 1, (finite,), "NonOscillating", delta)
@@ -711,9 +807,9 @@ def trimmed_slice_rows(dfa, r: int, delta: Fraction) -> tuple:
         if piece.state_count == 0:
             per_residue.append(ResidueAsymptotics(j, Fraction(0), Fraction(0), 0))
             continue
-        dec, rates, tight = _analyse(_dfa_adjacency(piece), delta, runs)
+        dec, rates, tight = _analyse(transition_graph(piece), delta, runs)
         alpha = _rate(rates.values())
-        m = _polynomial_index(dec, tight, dec.component_of[0]) if dec.nontrivial else 0
+        m = _polynomial_index(dec, tight, dec.component_of[0]) if tight else 0
         per_residue.append(ResidueAsymptotics(j, alpha.lo, alpha.hi, m))
     return tuple(per_residue)
 

@@ -9,13 +9,14 @@ import builders
 from wordgrowth.automaton import (
     Dfa,
     DfaFormatError,
+    WeightedDigraph,
     cycle_intersection_bound,
     empty_dfa,
     format_dfa,
+    graph_scc,
     imprimitivity,
     parse_dfa,
     scc,
-    tarjan_components,
     trim,
 )
 
@@ -161,9 +162,16 @@ def test_trim_keeps_all_states_of_consistent_automata():
 # strongly connected components
 
 
+def condensation_edges(dec):
+    """The condensation's edges, as (component, component) pairs."""
+    ptr = dec.successor_ptr.tolist()
+    return [(c, t) for c in range(len(dec)) for t in dec.successors[ptr[c]:ptr[c + 1]].tolist()]
+
+
 def test_tarjan_known_graph():
     # 0 <-> 1, 2 alone with a loop, 3 trivial sink
-    comps = tarjan_components([[1], [0, 2], [2, 3], []])
+    dec = graph_scc(WeightedDigraph.from_rows([{1: 1}, {0: 1, 2: 1}, {2: 1, 3: 1}, {}]))
+    comps = [dec.members_of(c).tolist() for c in range(len(dec))]
     as_sets = sorted(map(frozenset, comps), key=min)
     assert as_sets == [frozenset({0, 1}), frozenset({2}), frozenset({3})]
 
@@ -172,45 +180,40 @@ def test_tarjan_reports_reverse_topological_order():
     rng = random.Random(7)
     for _ in range(50):
         rows = builders.random_digraph(rng, max_vertices=7)
-        succ = [list(r.keys()) for r in rows]
-        comps = tarjan_components(succ)
-        position = {}
-        for i, comp in enumerate(comps):
-            for v in comp:
-                position[v] = i
-        # every edge leaving a component goes to one already emitted
-        for u in range(len(succ)):
-            for v in succ[u]:
-                if position[u] != position[v]:
-                    assert position[v] < position[u]
+        position = graph_scc(WeightedDigraph.from_rows(rows)).component_of.tolist()
+        # no edge runs to a component numbered earlier
+        for u, row in enumerate(rows):
+            for v in row:
+                assert position[v] >= position[u]
 
 
 def test_scc_partition_and_nontrivial(dfa_corpus):
     for d in dfa_corpus:
         dec = scc(d)
+        components = [set(dec.members_of(c).tolist()) for c in range(len(dec))]
         seen = set()
-        for i, comp in enumerate(dec.components):
+        for i, comp in enumerate(components):
             assert comp, "empty component"
             for q in comp:
                 assert dec.component_of[q] == i
                 assert q not in seen
                 seen.add(q)
         assert seen == set(range(d.state_count))
-        for i, comp in enumerate(dec.components):
+        for i, comp in enumerate(components):
             internal = any(
                 t in comp for q in comp for t in d.transitions[q].values()
             )
             assert (i in dec.nontrivial) == internal
-        for a, b in dec.condensation_edges:
+        for a, b in condensation_edges(dec):
             assert a != b
 
 
 def test_scc_condensation_acyclic(dfa_corpus):
     for d in dfa_corpus:
         dec = scc(d)
-        m = len(dec.components)
+        m = len(dec)
         succ = [set() for _ in range(m)]
-        for a, b in dec.condensation_edges:
+        for a, b in condensation_edges(dec):
             succ[a].add(b)
         color = [0] * m
 
@@ -267,7 +270,7 @@ def test_phi_component_is_primitive():
     d = builders.phi_dfa()
     dec = scc(d)
     (c,) = dec.nontrivial
-    assert imprimitivity(d, dec.components[c]) == 1
+    assert imprimitivity(d, dec.members_of(c).tolist()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +280,9 @@ def test_phi_component_is_primitive():
 def brute_best_path(dfa, eligible):
     """Maximum number of eligible components on one condensation path."""
     dec = scc(dfa)
-    m = len(dec.components)
+    m = len(dec)
     succ = [set() for _ in range(m)]
-    for a, b in dec.condensation_edges:
+    for a, b in condensation_edges(dec):
         succ[a].add(b)
     elig = set(eligible)
 
@@ -304,7 +307,7 @@ def test_cycle_intersection_bound_fixed():
 def test_cycle_intersection_bound_matches_brute(dfa_corpus):
     for d in dfa_corpus:
         dec = scc(d)
-        for eligible in (dec.nontrivial, set(), set(range(len(dec.components))))[:3]:
+        for eligible in (dec.nontrivial, set(), set(range(len(dec))))[:3]:
             assert cycle_intersection_bound(d, eligible, dec) == brute_best_path(
                 d, eligible
             )

@@ -27,11 +27,13 @@ from oracles import (
     row_sum_float_vector,
     spectral_radius_root,
     successor_list_scc,
+    tarjan_components,
     tarjan_cyclic_components,
+    tarjan_scc,
     trimmed_slice_rows,
 )
-from wordgrowth import growth
-from wordgrowth.automaton import Dfa, empty_dfa, graph_scc, scc, tarjan_components, trim
+from wordgrowth import automaton, growth
+from wordgrowth.automaton import Dfa, empty_dfa, graph_scc, scc, trim
 from wordgrowth.fad import extendable_part, fad_automaton, tm_antidictionary
 from wordgrowth.growth import (
     ProfileSizeError,
@@ -333,7 +335,7 @@ def assert_one_stream_matches_two_runs(comp, delta) -> bool:
     at delta and delta/4; true when ``tight`` read the stream further."""
     at, quarter = component_interval(comp, delta), component_interval(comp, delta / 4)
     assert digraph_index(comp, delta) == at
-    graph = growth._dfa_adjacency(weighted_rows_dfa(digraph_rows(comp)))
+    graph = growth.transition_graph(weighted_rows_dfa(digraph_rows(comp)))
     _, rates, tight = growth._analyse(graph, delta, {})
     assert list(rates.values()) == [at]
     (narrow,) = tight.values()
@@ -350,9 +352,9 @@ def assert_one_stream_matches_two_runs(comp, delta) -> bool:
 
 def local_graphs(dfa):
     """The local graphs of an automaton's nontrivial components."""
-    graph = growth._dfa_adjacency(dfa)
+    graph = growth.transition_graph(dfa)
     dec = graph_scc(graph)
-    return growth._component_graphs(graph, [dec.components[c] for c in dec.nontrivial])
+    return growth._component_graphs(graph, [dec.members_of(c) for c in dec.nontrivial])
 
 
 def test_certificate_stream_matches_two_engine_runs_on_thue_morse():
@@ -688,7 +690,7 @@ def local_graphs_of(graph, dec, cids=None):
     """The local graphs of components ``cids`` of ``dec`` (default the
     nontrivial ones), in the order of their least members."""
     cids = dec.nontrivial if cids is None else cids
-    members = sorted((dec.components[c] for c in cids), key=min)
+    members = sorted((dec.members_of(c).tolist() for c in cids), key=min)
     return list(growth._component_graphs(graph, members))
 
 
@@ -731,7 +733,7 @@ def test_slice_components_are_product_components(dfa_corpus):
         slices = growth._product_slices(d, product, dec)
         for j in range(r):
             piece = counter_slice(d, r, j)
-            graph = growth._dfa_adjacency(piece)
+            graph = growth.transition_graph(piece)
             inside = [c for c in dec.nontrivial if slices[c] >> j & 1]
             expected = local_graphs_of(graph, graph_scc(graph))
             assert local_graphs_of(product.graph, dec, inside) == expected, (d, j)
@@ -777,6 +779,22 @@ def test_profile_certifies_each_component_once(monkeypatch):
     assert len(decompositions) == 2
 
 
+def assert_same_decomposition(dec, expected, case):
+    """Every field of the array record ``dec`` holds what the reference
+    record ``expected`` holds: members and condensation successors
+    increasing, and every array int64."""
+    fields = (dec.component_of, dec.member_ptr, dec.members, dec.nontrivial,
+              dec.successor_ptr, dec.successors)
+    assert all(a.dtype == np.int64 for a in fields), case
+    assert dec.component_of.tolist() == list(expected.component_of), case
+    members = [dec.members_of(c).tolist() for c in range(len(dec))]
+    assert members == [sorted(c) for c in expected.components], case
+    assert dec.nontrivial.tolist() == sorted(expected.nontrivial), case
+    ptr = dec.successor_ptr.tolist()
+    edges = [(c, t) for c in range(len(dec)) for t in dec.successors[ptr[c]:ptr[c + 1]].tolist()]
+    assert edges == sorted(expected.condensation_edges), case
+
+
 def test_one_graph_decomposition_matches_successor_lists(dfa_corpus):
     # the profile's decomposition, read off the engine's graph, equals
     # Tarjan on successor lists built from the rows
@@ -787,16 +805,36 @@ def test_one_graph_decomposition_matches_successor_lists(dfa_corpus):
     corpus += [empty_dfa(2)]
     for d in corpus:
         expected = successor_list_scc(d)
-        for dec in (scc(d), graph_scc(growth._dfa_adjacency(d))):
-            assert dec.components == expected.components, d
-            assert dec.component_of == expected.component_of, d
-            assert dec.nontrivial == expected.nontrivial, d
-            assert dec.condensation_edges == expected.condensation_edges, d
+        for dec in (scc(d), graph_scc(growth.transition_graph(d))):
+            assert_same_decomposition(dec, expected, d)
+    # and so does the decomposition of each Thue-Morse counter product
+    for level in range(-1, 5):
+        d = fad_automaton(tm_antidictionary(level))
+        graph = growth._CounterProduct(d, asymptotic_profile(d).residue_count).graph
+        assert_same_decomposition(graph_scc(graph), tarjan_scc(graph), level)
+
+
+@st.composite
+def random_digraph_rows(draw):
+    """The rows of ``builders.random_digraph``, from a drawn generator
+    and edge density."""
+    rng = draw(st.randoms(use_true_random=False))
+    return builders.random_digraph(rng, max_vertices=12, density=draw(st.floats(0, 0.6)))
+
+
+@given(random_digraph_rows())
+@example([])
+@example([{0: 1}, {}, {0: 2, 2: 1}])
+@settings(max_examples=300, deadline=None)
+def test_graph_decomposition_matches_tarjan_oracle(rows):
+    # includes the empty graph, self-loops and edgeless vertices
+    graph = WeightedDigraph.from_rows(rows)
+    assert_same_decomposition(graph_scc(graph), tarjan_scc(graph), rows)
 
 
 def test_profile_builds_one_graph_per_automaton(monkeypatch):
     graphs, products = [], []
-    adjacency = growth._dfa_adjacency
+    adjacency = growth.transition_graph
 
     def counting_adjacency(dfa):
         graphs.append(dfa)
@@ -810,9 +848,9 @@ def test_profile_builds_one_graph_per_automaton(monkeypatch):
     def refuse(dfa):
         raise AssertionError("scc built its own successor lists")
 
-    monkeypatch.setattr(growth, "_dfa_adjacency", counting_adjacency)
+    monkeypatch.setattr(growth, "transition_graph", counting_adjacency)
     monkeypatch.setattr(growth, "_CounterProduct", CountingProduct)
-    monkeypatch.setattr(growth, "scc", refuse)
+    monkeypatch.setattr(automaton, "scc", refuse)
     rep = asymptotic_profile(fad_automaton(tm_antidictionary(1)))
     assert len(graphs) == 1
     assert products == [rep.residue_count] == [4]

@@ -64,7 +64,8 @@ from wordgrowth.words import (
     target_periods,
     violates,
 )
-from wordgrowth.growth import _dfa_adjacency, cyclic_components
+from wordgrowth.automaton import transition_graph
+from wordgrowth.growth import cyclic_components
 from wordgrowth.powerfree import _lifted_components, _quotient_graph
 
 B = ExponentBound.parse
@@ -918,7 +919,7 @@ def test_lift_matches_goto_oracle_on_larger_cases(k, token, cap, counts):
 def test_full_automaton_components_match_tarjan(k, token, cap, count):
     # the --no-symmetry path: the full automaton, with several components
     words = [mp.word for mp in minimal_powers(k, B(token), cap, canonical=True)]
-    graph = _dfa_adjacency(powerfree._full_automaton(k, words))
+    graph = transition_graph(powerfree._full_automaton(k, words))
     assert_components_match_tarjan(graph, (k, token, cap))
     assert len(cyclic_components(graph)) == count
 
