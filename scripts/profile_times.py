@@ -11,15 +11,15 @@ Each ``SRC`` is the ``src`` directory of a checkout (this one's is
 automaton of 9,400 states, so that nearly every pair of its counter
 product is a component of its own.  For each,
 ``asymptotic_profile`` runs at delta = 1e-6 and is timed alone.  The
-record gives the best time, the automaton's states, the residue count,
-the pairs of the counter product mod that count, the calls the profile
-made to ``graph_scc`` and to ``trim`` (counted through the names
-``growth`` imports; 0 when it imports none), a hash of the report's
-``repr``, which holds every certified ``Fraction``, and each run's peak
-RSS, next to the peak before the profile started (the automaton built).
-Each case runs ``--runs`` times (default 3), each in a fresh process.
-The result goes to ``BENCH_profile_<LABEL>.json`` at the repository
-root.
+record gives the best and the median time, the automaton's states, the
+residue count, the pairs of the counter product mod that count, the
+calls the profile made to ``graph_scc`` and to ``trim`` (counted
+through the names ``growth`` imports; 0 when it imports none), a hash
+of the report's ``repr``, which holds every certified ``Fraction``, and
+each run's time and peak RSS, next to the peak before the profile
+started (the automaton built).  Each case runs ``--runs`` times
+(default 3), each in a fresh process, the sides taking turns.  The
+result goes to ``BENCH_profile_<LABEL>.json`` at the repository root.
 """
 
 import hashlib
@@ -28,6 +28,7 @@ import os
 import platform
 import random
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -141,18 +142,21 @@ def main(argv: list) -> None:
     }
     for name in CASES:
         cases = {}
-        for side, src in sides.items():
-            results = [
-                json.loads(subprocess.run(
+        # the sides take turns, so a slow spell of the machine hits them alike
+        all_results = {side: [] for side in sides}
+        for _ in range(runs):
+            for side, src in sides.items():
+                all_results[side].append(json.loads(subprocess.run(
                     [sys.executable, __file__, "--one", str(Path(src).resolve()), name],
                     check=True, capture_output=True, text=True,
-                ).stdout)
-                for _ in range(runs)
-            ]
+                ).stdout))
+        for side, results in all_results.items():
             first = results[0]
             cases[side] = {
                 "best_profile_s": round(min(r["profile_s"] for r in results), 4),
+                "median_profile_s": round(statistics.median(r["profile_s"] for r in results), 4),
                 **{key: first[key] for key in ("graph_scc_calls", "trim_calls") + SAME},
+                "profile_s": [round(r["profile_s"], 4) for r in results],
                 "peak_rss_mb": [round(r["peak_rss_mb"], 1) for r in results],
                 "start_rss_mb": [round(r["start_rss_mb"], 1) for r in results],
             }

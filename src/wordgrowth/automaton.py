@@ -335,8 +335,7 @@ def graph_scc(graph: WeightedDigraph) -> SccDecomposition:
                             break
                     count += 1
     component_of = (count - 1) - np.array(popped, dtype=np.int64)
-    source = component_of[np.repeat(np.arange(n), np.diff(graph.indptr))]
-    target = component_of[graph.indices]
+    source, target = edge_components(graph, component_of)
     inside = source == target
     nontrivial = np.flatnonzero(np.bincount(source[inside], minlength=count))
     cross = np.sort(source[~inside] * count + target[~inside], kind="stable")
@@ -349,6 +348,12 @@ def graph_scc(graph: WeightedDigraph) -> SccDecomposition:
         _csr(cross // count, count),
         cross % count,
     )
+
+
+def edge_components(graph: WeightedDigraph, component_of):
+    """The components of each edge's source and target, in edge order."""
+    source = np.repeat(np.arange(len(graph)), np.diff(graph.indptr))
+    return component_of[source], component_of[graph.indices]
 
 
 def imprimitivity(dfa: Dfa, component: Iterable[int]) -> int:

@@ -49,6 +49,7 @@ from wordgrowth.automaton import (
     Dfa,
     SccDecomposition,
     WeightedDigraph,
+    edge_components,
     graph_scc,
     imprimitivity,
     path_intersection_bound,
@@ -554,8 +555,8 @@ def _classify(graph: WeightedDigraph, dec: SccDecomposition, initial) -> Complex
     decomposed as ``dec``, with initial state ``initial``."""
     if not len(dec.nontrivial):
         return ComplexityClass("Finite")
-    source = dec.component_of[np.repeat(np.arange(len(graph)), np.diff(graph.indptr))]
-    inside = source == dec.component_of[graph.indices]
+    source, target = edge_components(graph, dec.component_of)
+    inside = source == target
     letters = np.bincount(source[inside], weights=graph.weights[inside], minlength=len(dec))
     if (letters > np.diff(dec.member_ptr)).any():
         return ComplexityClass("Exponential")

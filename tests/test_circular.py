@@ -345,7 +345,7 @@ def test_root_table_rejects_empty_tables_and_alphabets():
 # module boundaries
 
 # (module, name): the private helpers another package module may import
-ALLOWED_PRIVATE_IMPORTS = {("growth", "_as_fraction"), ("growth", "_dfa_adjacency")}
+ALLOWED_PRIVATE_IMPORTS = {("growth", "_as_fraction")}
 
 
 def private_cross_imports():

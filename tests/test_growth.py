@@ -848,9 +848,11 @@ def test_profile_builds_one_graph_per_automaton(monkeypatch):
     def refuse(dfa):
         raise AssertionError("scc built its own successor lists")
 
+    # both names count, so a graph that scc(dfa) builds is counted too
     monkeypatch.setattr(growth, "transition_graph", counting_adjacency)
+    monkeypatch.setattr(automaton, "transition_graph", counting_adjacency)
     monkeypatch.setattr(growth, "_CounterProduct", CountingProduct)
-    monkeypatch.setattr(automaton, "scc", refuse)
+    monkeypatch.setattr(growth, "scc", refuse, raising=False)
     rep = asymptotic_profile(fad_automaton(tm_antidictionary(1)))
     assert len(graphs) == 1
     assert products == [rep.residue_count] == [4]
