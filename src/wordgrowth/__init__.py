@@ -35,6 +35,7 @@ from wordgrowth.automaton import (
 from wordgrowth.growth import (
     ComplexityClass,
     GrowthReport,
+    IndexBudgetError,
     IndexInterval,
     ProfileSizeError,
     approximate_index,
@@ -94,6 +95,7 @@ __all__ = [
     "trim",
     "ComplexityClass",
     "GrowthReport",
+    "IndexBudgetError",
     "IndexInterval",
     "ProfileSizeError",
     "approximate_index",

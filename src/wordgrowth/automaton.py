@@ -356,41 +356,77 @@ def edge_components(graph: WeightedDigraph, component_of):
     return component_of[source], component_of[graph.indices]
 
 
+def graph_period(graph: WeightedDigraph) -> int:
+    """Cyclic period of a strongly connected digraph: the gcd of its
+    cycle lengths.
+
+    With level[v] the breadth-first distance of v from vertex 0, the
+    period is the gcd of level[u] + 1 - level[v] over the edges u -> v:
+    the length of every closed walk is the sum of these terms over its
+    edges, and each term is the length of a closed walk through 0 less
+    that of another.  The result is 1 for a graph with no cycle and for
+    a graph that is not strongly connected (some vertex is not reached
+    from vertex 0, or does not reach it), so such a graph takes the index
+    engine's aperiodic path.
+
+    Both searches walk the rows one vertex at a time, as ``graph_scc``
+    does, and the gcd is taken as the search meets each edge.  Profile
+    components are a few dozen to a few hundred states, mostly long
+    cycles, where a numpy search would pay its fixed cost once per level.
+    """
+    n = len(graph)
+    if n == 0:
+        return 1
+    ptr, targets = graph._ptr, graph._targets
+    level = [-1] * n
+    level[0] = 0
+    queue = [0]
+    period = 0
+    # the list is the queue: the loop reads the vertices appended to it
+    for q in queue:
+        depth = level[q] + 1
+        for t in targets[ptr[q]:ptr[q + 1]]:
+            if level[t] < 0:
+                level[t] = depth
+                queue.append(t)
+            else:
+                period = gcd(period, depth - level[t])
+    if len(queue) < n:
+        return 1
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for q in range(n):
+        for t in targets[ptr[q]:ptr[q + 1]]:
+            pred[t].append(q)
+    seen = [False] * n
+    seen[0] = True
+    queue = [0]
+    for q in queue:
+        for t in pred[q]:
+            if not seen[t]:
+                seen[t] = True
+                queue.append(t)
+    return max(period, 1) if len(queue) == n else 1
+
+
 def imprimitivity(dfa: Dfa, component: Iterable[int]) -> int:
-    """Cyclic period of a strongly connected component.
+    """Cyclic period of a strongly connected component: ``graph_period``
+    of the component's own transition graph.
 
     The gcd of all cycle lengths inside the component: 1 when walks of
     every large length exist between any two member states, d > 1 when
     internal walk lengths are fixed modulo d.  Raises on a component
     with no internal edge.
     """
-    members = set(component)
-    internal: dict[int, list[int]] = {q: [] for q in members}
-    edges = []
-    for q in members:
+    local = {q: i for i, q in enumerate(sorted(set(component)))}
+    source, target = [], []
+    for q, i in local.items():
         for t in dfa.transitions[q].values():
-            if t in members:
-                internal[q].append(t)
-                edges.append((q, t))
-    if not edges:
+            if t in local:
+                source.append(i)
+                target.append(local[t])
+    if not source:
         raise ValueError("imprimitivity undefined for a trivial component")
-    start = min(members)
-    level = {start: 0}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        q = queue[head]
-        head += 1
-        for t in internal[q]:
-            if t not in level:
-                level[t] = level[q] + 1
-                queue.append(t)
-    g = 0
-    for q, t in edges:
-        g = gcd(g, abs(level[q] + 1 - level[t]))
-    if g == 0:
-        raise AssertionError("strongly connected component with no closed walk")
-    return g
+    return graph_period(WeightedDigraph.from_edges(len(local), source, target, [1] * len(source)))
 
 
 def cycle_intersection_bound(

@@ -30,6 +30,7 @@ from wordgrowth.fad import (
     extendable_part,
 )
 from wordgrowth.growth import (
+    IndexBudgetError,
     ProfileSizeError,
     approximate_index,
     asymptotic_profile,
@@ -71,7 +72,18 @@ def _no_csv(fmt: str):
         raise click.ClickException("csv output is not defined for this command")
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; the engine's resource limits, which any command
+    that certifies a rate may reach, end in a one-line message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (IndexBudgetError, ProfileSizeError) as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_Main)
 @click.option("--delta", default="1e-6", show_default=True,
               help="Half-width of certified growth-rate intervals.")
 @click.option("--budget", default=20_000_000, show_default=True, type=int,
@@ -98,13 +110,6 @@ def main(ctx, delta, budget, fmt, threads, no_symmetry):
     }
 
 
-def _profile(dfa, delta):
-    try:
-        return asymptotic_profile(dfa, delta)
-    except ProfileSizeError as exc:
-        raise click.ClickException(str(exc)) from None
-
-
 @main.command("dfa-report")
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.pass_obj
@@ -115,7 +120,7 @@ def cmd_dfa_report(obj, path):
         dfa = parse_dfa(_read(path))
     except DfaFormatError as exc:
         raise click.ClickException(str(exc)) from None
-    report = _profile(trim(dfa), obj["delta"])
+    report = asymptotic_profile(trim(dfa), obj["delta"])
     click.echo(report.to_json_text() if obj["fmt"] == "json" else report.to_text(), nl=False)
     if obj["fmt"] == "json":
         click.echo()
@@ -132,7 +137,7 @@ def cmd_fad(obj, path):
     except DfaFormatError as exc:
         raise click.ClickException(str(exc)) from None
     dfa = fad_automaton(ad)
-    report = _profile(dfa, obj["delta"])
+    report = asymptotic_profile(dfa, obj["delta"])
     if obj["fmt"] == "json":
         doc = json.loads(report.to_json_text())
         doc = {

@@ -11,14 +11,17 @@ Any positive v gives rigorous two-sided bounds; a good v makes them
 tight.  A numpy-only float pass finds good vectors fast, and the engine
 evaluates the bounds exactly over integers, so the emitted interval is a
 certificate regardless of how the vector was produced.  On a strongly
-connected component the iteration v <- (A+I)v tightens the bounds to any
-requested width (the +I term makes the matrix primitive, which kills the
-oscillation a periodic component would otherwise sustain).  The engine
-yields a stream of nested certificates per component; no step depends
-on the width wanted, so a caller reads up to the first certificate
-narrow enough, and reads two widths from one stream.  Its exact
-products run in int64 while they fit, else on object-dtype arrays of
-Python ints.
+connected component of period 1 the iteration v <- (A+I)v tightens the
+bounds to any requested width.  A component of period p > 1 has p
+eigenvalues of the largest modulus, which A+I damps by at best cos(pi/p)
+per step; there the engine iterates A, scaled by an estimate of the
+index, and certifies the sum of the last p vectors, over which those
+eigenvalues' parts cancel.  The engine yields a stream of nested
+certificates per component; no step depends on the width wanted, so a
+caller reads up to the first certificate narrow enough, and reads two
+widths from one stream, within a budget of ``CONTINUATION_STEPS`` exact
+steps.  Its exact products run in int64 while they fit, else on
+object-dtype arrays of Python ints.
 
 The components come from ``cyclic_components``, a forward-backward
 search with trimming on numpy, when only the cycle-carrying ones are
@@ -50,8 +53,8 @@ from wordgrowth.automaton import (
     SccDecomposition,
     WeightedDigraph,
     edge_components,
+    graph_period,
     graph_scc,
-    imprimitivity,
     path_intersection_bound,
     transition_graph,
 )
@@ -59,6 +62,7 @@ from wordgrowth.automaton import (
 __all__ = [
     "ComplexityClass",
     "GrowthReport",
+    "IndexBudgetError",
     "IndexInterval",
     "ProfileSizeError",
     "WeightedDigraph",
@@ -299,7 +303,10 @@ def _float_vector(comp: WeightedDigraph, max_iters):
     Only a convergence accelerator: nothing it returns is trusted
     without the exact pass that follows.  The product adds each row's
     terms in index order, as a CSR kernel does: another order moves the
-    vector's last bits, and with them the certified intervals.
+    vector's last bits, and with them the certified intervals.  A gap
+    that is not finite (an entry of v underflowed to 0, which only a
+    graph that is not strongly connected allows) stops the pass as a
+    stall does.
     """
     n = len(comp)
     row = np.repeat(np.arange(n), np.diff(comp.indptr))
@@ -311,20 +318,22 @@ def _float_vector(comp: WeightedDigraph, max_iters):
 
     v = np.ones(n)
     prev_gap = None
-    for it in range(max_iters):
-        v = product(v) + v
-        m = float(v.max())
-        if not isfinite(m) or m <= 0:
-            return None
-        v /= m
-        if it % 32 == 31:
-            ratios = product(v) / v
-            gap = float(ratios.max() - ratios.min())
-            if gap < 1e-14:
-                break
-            if prev_gap is not None and gap >= prev_gap * 0.999:
-                break
-            prev_gap = gap
+    # the ratios' 0/0 and x/0 make the gap not finite, which ends the pass
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(max_iters):
+            v = product(v) + v
+            m = float(v.max())
+            if not isfinite(m) or m <= 0:
+                return None
+            v /= m
+            if it % 32 == 31:
+                ratios = product(v) / v
+                gap = float(ratios.max() - ratios.min())
+                if gap < 1e-14:
+                    break
+                if not isfinite(gap) or (prev_gap is not None and gap >= prev_gap * 0.999):
+                    break
+                prev_gap = gap
     return v
 
 
@@ -336,6 +345,26 @@ def _integer_vector(fv):
     return np.maximum(1, (fv * (1 << 53)).astype(np.int64))
 
 
+# exact continuation steps one certificate stream may take, over every
+# width read from it
+CONTINUATION_STEPS = 1 << 16
+
+
+class IndexBudgetError(RuntimeError):
+    """A certificate stream took ``CONTINUATION_STEPS`` steps of its exact
+    continuation, and the width asked for was still not reached."""
+
+    def __init__(self, states: int, width: Fraction, steps: int):
+        super().__init__(
+            f"the certified index of a {states}-state component is still "
+            f"{float(width):.3g} wide after {steps} exact iteration steps, "
+            f"the budget of one component; ask for a larger delta"
+        )
+        self.states = states
+        self.width = width
+        self.steps = steps
+
+
 def _certificates(comp: WeightedDigraph):
     """Certified index intervals of one nontrivial strongly connected
     component, each nested in the one before: a caller takes the first
@@ -345,9 +374,30 @@ def _certificates(comp: WeightedDigraph):
     lower bound from all-ones is already >= 1, and exact for a single
     state's loops).  The stream yields the all-ones certificate, the
     float vector's (float acceleration, integerized, certified exactly),
-    then every 16th step of the iteration continued in exact integer
+    then the checkpoints of an iteration continued in exact integer
     arithmetic at doubling precision, each intersected with those before.
-    The 2,000,000-step cap covers all the widths read from one stream.
+    Past the float certificate the stream reads the component's period p
+    (``automaton.graph_period``), and the continuation depends on it:
+
+    - p = 1: v <- (A+I)v, renormalized by right shift so entries stay
+      near ``prec`` bits, certified every 16th step.  A+I is primitive
+      and contracts the error at every step.
+    - p > 1: A has p eigenvalues rho * omega^j of the largest modulus,
+      omega a primitive p-th root of unity.  A+I damps the rotating ones
+      (j != 0) by at best cos(pi/p) per step, so the iteration runs on
+      A itself, v <- max(1, floor((Av) * 2^prec / num)), with num / 2^prec
+      the middle of the current interval, an estimate of rho; each
+      checkpoint certifies the sum of the last p vectors, over which the
+      rotating parts cancel.  The vector is rescaled to ``prec`` bits
+      before each period, exactly, by a shift.
+
+    Flooring keeps every entry >= 1, and any positive vector certifies,
+    so every checkpoint is valid whatever the estimate of rho: it only
+    sets the speed.  When a checkpoint narrows the width by less than
+    2 %, truncation noise is taken to stall progress: the precision
+    doubles after three such checkpoints in a row for p = 1, and after
+    one (a whole period) for p > 1.  Either continuation takes at most
+    ``CONTINUATION_STEPS`` steps, then raises IndexBudgetError.
 
     Every exact product is one ``np.add.reduceat`` of the terms w * v_j
     over the rows.  All-ones gives the least and the largest row weight
@@ -387,32 +437,42 @@ def _certificates(comp: WeightedDigraph):
         yield IndexInterval(lo, hi)
         v = v.astype(object)
 
-    # Exact continuation: v <- (A+I)v over the integers, renormalized by
-    # right shift so entries stay near `prec` bits.  Flooring keeps every
-    # entry >= 1, so each checkpoint is still a valid certificate; if
-    # truncation noise stalls progress, precision doubles.
+    p = graph_period(comp)
+    every, patience = (16, 3) if p == 1 else (p, 1)
     prec = 96
     prev_gap = hi - lo
     stall = 0
-    for step in range(1, 2_000_001):
-        v = av(v) + v
-        top = v.max().bit_length()
-        if top > prec:
-            v = np.maximum(v >> (top - prec), 1)
-        if step % 16 == 0:
-            a, b = _extreme_ratios(av(v).tolist(), v.tolist())
-            lo, hi = max(lo, a), min(hi, b)
-            yield IndexInterval(lo, hi)
-            gap = hi - lo
-            if gap > prev_gap * Fraction(49, 50):
-                stall += 1
-                if stall >= 3:
-                    prec *= 2
-                    stall = 0
-            else:
+    for _ in range(CONTINUATION_STEPS // every):
+        if p == 1:
+            # 16 steps of A+I, renormalized by right shift
+            for _ in range(16):
+                v = av(v) + v
+                top = v.max().bit_length()
+                if top > prec:
+                    v = np.maximum(v >> (top - prec), 1)
+            w = v
+        else:
+            # one period of A / rho', rho' = num / 2^prec, from prec-bit entries
+            top = v.max().bit_length()
+            v = v << (prec - top) if top < prec else np.maximum(v >> (top - prec), 1)
+            num = (lo + hi) * (1 << prec) // 2
+            w = 0
+            for _ in range(p):
+                v = np.maximum((av(v) << prec) // num, 1)
+                w = w + v
+        a, b = _extreme_ratios(av(w).tolist(), w.tolist())
+        lo, hi = max(lo, a), min(hi, b)
+        yield IndexInterval(lo, hi)
+        gap = hi - lo
+        if gap > prev_gap * Fraction(49, 50):
+            stall += 1
+            if stall >= patience:
+                prec *= 2
                 stall = 0
-            prev_gap = gap
-    raise RuntimeError("index iteration failed to converge")
+        else:
+            stall = 0
+        prev_gap = gap
+    raise IndexBudgetError(len(comp), hi - lo, CONTINUATION_STEPS // every * every)
 
 
 def _component_graphs(graph: WeightedDigraph, components):
@@ -867,7 +927,8 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
         return GrowthReport(cls, gr, 0, 1, (finite,), "NonOscillating", dfr)
 
     pd = _polynomial_index(dec, tight, dec.component_of[dfa.initial])
-    periods = {c: imprimitivity(dfa, dec.members_of(c).tolist()) for c in rates}
+    comps = _component_graphs(graph, [dec.members_of(c) for c in rates])
+    periods = {c: graph_period(comp) for c, comp in zip(rates, comps)}
     rho = lcm(*periods.values())
     masks = _residue_sets(dfa, dec, rho)
 

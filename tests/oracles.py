@@ -33,6 +33,7 @@ walk of that trie's ``goto``;
 (``FrozensetScc``), read by ``successor_list_scc`` off successor lists
 built from the automaton's rows; ``tarjan_cyclic_components``, the
 cycle-carrying components filtered from Tarjan's;
+``bfs_imprimitivity``, the library's earlier period search over dicts;
 ``row_list_certificates``, the engine's first two certificates over
 ``digraph_rows``, one ``Fraction`` per row; and ``fraction_lower_bound``, the
 analytic lower bound in ``Fraction`` arithmetic.
@@ -221,6 +222,37 @@ def tarjan_cyclic_components(graph) -> list:
         for comp in tarjan_components(graph)
         if len(comp) > 1 or comp[0] in graph[comp[0]]
     ]
+
+
+def bfs_imprimitivity(dfa, component) -> int:
+    """The gcd of the cycle lengths inside a strongly connected component,
+    from breadth-first levels over dicts of its internal edges: the
+    library's earlier ``imprimitivity``."""
+    members = set(component)
+    internal = {q: [] for q in members}
+    edges = []
+    for q in members:
+        for t in dfa.transitions[q].values():
+            if t in members:
+                internal[q].append(t)
+                edges.append((q, t))
+    if not edges:
+        raise ValueError("imprimitivity undefined for a trivial component")
+    start = min(members)
+    level = {start: 0}
+    queue = [start]
+    head = 0
+    while head < len(queue):
+        q = queue[head]
+        head += 1
+        for t in internal[q]:
+            if t not in level:
+                level[t] = level[q] + 1
+                queue.append(t)
+    g = 0
+    for q, t in edges:
+        g = math.gcd(g, abs(level[q] + 1 - level[t]))
+    return g
 
 
 def brute_count(dfa, n: int) -> int:
@@ -894,7 +926,8 @@ def row_list_certificates(comp) -> list:
 
 def row_sum_float_vector(rows, n, max_iters):
     """Floating-point power iteration with (A+I), its product a plain
-    float sum of each row's terms in index order."""
+    float sum of each row's terms in index order; a gap that is not
+    finite stops it, as a stall does."""
 
     def product(v):
         out = np.zeros(n)
@@ -914,11 +947,12 @@ def row_sum_float_vector(rows, n, max_iters):
             return None
         v /= m
         if it % 32 == 31:
-            ratios = product(v) / v
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = product(v) / v
             gap = float(ratios.max() - ratios.min())
             if gap < 1e-14:
                 break
-            if prev_gap is not None and gap >= prev_gap * 0.999:
+            if not np.isfinite(gap) or (prev_gap is not None and gap >= prev_gap * 0.999):
                 break
             prev_gap = gap
     return v
@@ -928,7 +962,9 @@ def python_int_certificates(comp):
     """The engine's certificate stream of a component's local graph, with
     every exact product a loop over ``digraph_rows`` in Python ints: the
     all-ones certificate, the float vector's, then every 16th step of the
-    exact continuation, each intersected with those before."""
+    exact continuation v <- (A+I)v, each intersected with those before.
+    The engine still runs this continuation on components of period 1;
+    on the others it now iterates A over whole periods."""
     rows = digraph_rows(comp)
     lo, hi = exact_bounds(rows, [1] * len(rows))
     yield IndexInterval(lo, hi)

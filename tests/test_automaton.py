@@ -4,8 +4,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import builders
+from oracles import bfs_imprimitivity
 from wordgrowth.automaton import (
     Dfa,
     DfaFormatError,
@@ -13,10 +16,12 @@ from wordgrowth.automaton import (
     cycle_intersection_bound,
     empty_dfa,
     format_dfa,
+    graph_period,
     graph_scc,
     imprimitivity,
     parse_dfa,
     scc,
+    transition_graph,
     trim,
 )
 
@@ -264,6 +269,38 @@ def test_imprimitivity_trivial_component_raises():
     d = builders.chain_dfa(2)
     with pytest.raises(ValueError):
         imprimitivity(d, [0])
+
+
+@st.composite
+def layered_dfas(draw, max_states=14):
+    """Automata whose letters mostly lead from state q to a state of class
+    q + 1 mod p, with a few edges to any state: strong components of many
+    periods, and graphs that are not strongly connected."""
+    n = draw(st.integers(1, max_states))
+    p = draw(st.integers(1, 5))
+    rows = []
+    for q in range(n):
+        layer = [t for t in range(n) if t % p == (q + 1) % p]
+        targets = draw(st.lists(st.sampled_from(layer), max_size=3, unique=True)) if layer else []
+        if draw(st.integers(0, 7)) == 0:
+            targets.append(draw(st.integers(0, n - 1)))
+        rows.append(dict(enumerate(targets)))
+    return Dfa(4, rows, 0, range(n))
+
+
+@given(layered_dfas())
+@settings(max_examples=200, deadline=None)
+def test_graph_period_matches_dict_search(dfa):
+    graph = transition_graph(dfa)
+    dec = graph_scc(graph)
+    for c in dec.nontrivial.tolist():
+        members = dec.members_of(c).tolist()
+        assert imprimitivity(dfa, members) == bfs_imprimitivity(dfa, members)
+    # the whole graph: its period when it is one strong component with a
+    # cycle, else 1
+    whole = len(dec) == 1 and len(dec.nontrivial) == 1
+    expected = bfs_imprimitivity(dfa, range(dfa.state_count)) if whole else 1
+    assert graph_period(graph) == expected
 
 
 def test_phi_component_is_primitive():

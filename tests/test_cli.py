@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,27 @@ def test_tm_approx_json_is_pinned(runner, level):
     # at delta = 1e-20 the exact continuation certifies these rates
     args = ["--format", "json", "--delta", "1e-20", "tm-approx", str(level)]
     assert run(runner, args) == TM_APPROX_JSON[level]
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_tm_approx_certifies_periodic_levels(runner, level):
+    # the level-i component has period 2^(i+1) and the rate phi^(1/2^(i+1));
+    # phi is the positive root of x^2 - x - 1
+    args = ["--format", "json", "--delta", "1e-20", "tm-approx", str(level)]
+    rate = json.loads(run(runner, args))["rate"]
+    lo, hi = (Fraction(rate[end]) ** 2 ** (level + 1) for end in ("lo", "hi"))
+    assert lo * lo - lo - 1 <= 0 <= hi * hi - hi - 1
+    assert Fraction(rate["hi"]) - Fraction(rate["lo"]) == Fraction(1, 10**12)
+
+
+def test_index_budget_error_is_a_message(runner, monkeypatch):
+    # Thue-Morse level 3 needs 160 exact steps to reach 2e-20
+    monkeypatch.setattr(growth, "CONTINUATION_STEPS", 64)
+    result = runner.invoke(main, ["--delta", "1e-20", "tm-approx", "3"])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: the certified index of a 64-state component")
+    assert "after 64 exact iteration steps" in result.output
+    assert result.output.count("\n") == 1 and "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

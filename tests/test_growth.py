@@ -2,16 +2,18 @@
 
 import itertools
 import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import builders
 from oracles import (
+    bfs_imprimitivity,
     brute_count,
     component_interval,
     counter_slice,
@@ -33,9 +35,10 @@ from oracles import (
     trimmed_slice_rows,
 )
 from wordgrowth import automaton, growth
-from wordgrowth.automaton import Dfa, empty_dfa, graph_scc, scc, trim
+from wordgrowth.automaton import Dfa, empty_dfa, graph_period, graph_scc, scc, trim
 from wordgrowth.fad import extendable_part, fad_automaton, tm_antidictionary
 from wordgrowth.growth import (
+    IndexBudgetError,
     ProfileSizeError,
     WeightedDigraph,
     approximate_index,
@@ -329,25 +332,41 @@ def weighted_rows_dfa(rows):
     return Dfa(alphabet, transitions, 0, range(len(rows)))
 
 
+def overlap(a, b) -> bool:
+    return a[0] <= b[1] and b[0] <= a[1]
+
+
 def assert_one_stream_matches_two_runs(comp, delta) -> bool:
     """One component's stream, and the profile's analysis of an automaton
     made of that component alone, against two runs of the earlier engine,
-    at delta and delta/4; true when ``tight`` read the stream further."""
+    at delta and delta/4; true when ``tight`` read the stream further.
+
+    The earlier engine iterated A+I past the float certificate, as the
+    stream still does on a component of period 1: there the intervals are
+    equal.  On a periodic component the stream iterates A over whole
+    periods, and its intervals only overlap the earlier ones, since both
+    contain the index."""
     at, quarter = component_interval(comp, delta), component_interval(comp, delta / 4)
-    assert digraph_index(comp, delta) == at
-    graph = growth.transition_graph(weighted_rows_dfa(digraph_rows(comp)))
-    _, rates, tight = growth._analyse(graph, delta, {})
-    assert list(rates.values()) == [at]
-    (narrow,) = tight.values()
-    assert narrow == (max(at.lo, quarter.lo), min(at.hi, quarter.hi))
-    previous = None
+    previous = got_at = None
     for iv in growth._certificates(comp):
         assert previous is None or previous.lo <= iv.lo <= iv.hi <= previous.hi
+        if got_at is None and iv.width <= 2 * delta:
+            got_at = iv
         if iv.width <= delta / 2:
             break
         previous = iv
-    assert iv == narrow
-    return narrow != at
+    narrow = iv
+    assert digraph_index(comp, delta) == got_at
+    graph = growth.transition_graph(weighted_rows_dfa(digraph_rows(comp)))
+    _, rates, tight = growth._analyse(graph, delta, {})
+    assert list(rates.values()) == [got_at]
+    assert list(tight.values()) == [narrow]
+    if graph_period(comp) == 1:
+        assert got_at == at
+        assert narrow == (max(at.lo, quarter.lo), min(at.hi, quarter.hi))
+    else:
+        assert overlap(got_at, at) and overlap(narrow, quarter)
+    return narrow != got_at
 
 
 def local_graphs(dfa):
@@ -430,35 +449,73 @@ def test_first_certificates_sum_large_rows_in_python_ints(monkeypatch, rows, pas
 def test_certificate_stream_matches_python_int_oracle(rows):
     # exact integer sums are the same in any order, so the object-dtype
     # products give the Python-int loop's stream, certificate for
-    # certificate; on a graph that is not strongly connected, such as the
-    # last example, the gap stalls and the precision doubles every third
-    # checkpoint
+    # certificate, wherever the engine keeps iterating A+I: on components
+    # of period 1, and on graphs that are not strongly connected, such as
+    # the last example, where the gap stalls and the precision doubles
+    # every third checkpoint
     comp = WeightedDigraph.from_rows([dict(row) for row in rows])
+    assume(graph_period(comp) == 1)
     n = 60
     expected = list(itertools.islice(python_int_certificates(comp), n))
     assert list(itertools.islice(growth._certificates(comp), n)) == expected
 
 
 @pytest.mark.parametrize(
-    "level,places,length,widest", [(3, 20, 44, 96), (4, 20, 172, 96), (3, 40, 201, 192)]
+    "level,places,length",
+    [(2, 20, 14), (2, 40, 65), (3, 20, 12), (3, 40, 63), (4, 20, 11), (4, 40, 62)],
 )
-def test_certificate_stream_matches_python_int_oracle_on_thue_morse(
-    monkeypatch, level, places, length, widest
-):
+def test_periodic_stream_certifies_the_thue_morse_rate(level, places, length):
     # the whole stream to width 2 * 10^-places of the one nontrivial
-    # component; the entries pass 2^63 by the first checkpoint, and they
-    # grow past 96 bits only once the precision doubles, which at level 3
-    # happens after the 122nd certificate
-    entries = []
-    extreme_ratios = growth._extreme_ratios
-
-    def recording_extreme_ratios(s, v):
-        entries.extend(v)
-        return extreme_ratios(s, v)
-
-    monkeypatch.setattr(growth, "_extreme_ratios", recording_extreme_ratios)
+    # component, whose period is 2^(level + 1): the all-ones and float
+    # certificates are the earlier stream's, and every later one, from
+    # the iteration of A over whole periods, contains phi^(1/2^(i+1)) and
+    # is nested in the one before
     (comp,) = local_graphs(fad_automaton(tm_antidictionary(level)))
+    e = 2 ** (level + 1)
+    assert graph_period(comp) == e
     delta = Fraction(1, 10**places)
+    got = []
+    for iv in growth._certificates(comp):
+        assert not got or got[-1].lo <= iv.lo <= iv.hi <= got[-1].hi
+        assert contains_root_of(iv.lo**e, iv.hi**e, 1, -1, -1)
+        got.append(iv)
+        if iv.width <= 2 * delta:
+            break
+    assert got[:2] == list(itertools.islice(python_int_certificates(comp), 2))
+    assert len(got) == length
+
+
+@st.composite
+def periodic_rows(draw, max_classes=4, max_size=3, max_weight=5):
+    """Local rows of a graph whose edges all go from cyclic class c to
+    class c + 1 mod p, every vertex with at least one edge out and one in:
+    its strong components have periods that are multiples of p."""
+    p = draw(st.integers(2, max_classes))
+    sizes = [draw(st.integers(1, max_size)) for _ in range(p)]
+    first = list(itertools.accumulate([0] + sizes))
+    n = first[-1]
+    rows = [dict() for _ in range(n)]
+    weight = st.integers(1, max_weight)
+    for c in range(p):
+        here = range(first[c], first[c + 1])
+        there = range(first[(c + 1) % p], first[(c + 1) % p + 1])
+        for u in here:
+            for t in draw(st.lists(st.sampled_from(there), min_size=1, unique=True)):
+                rows[u][t] = draw(weight)
+        for t in there:
+            if not any(t in rows[u] for u in here):
+                rows[draw(st.sampled_from(here))][t] = draw(weight)
+    return [sorted(row.items()) for row in rows]
+
+
+@given(periodic_rows())
+@settings(max_examples=40, deadline=None)
+def test_periodic_stream_overlaps_the_earlier_stream(rows):
+    # both streams contain the index, read to the same width, so every
+    # certificate of one overlaps every certificate of the other; on up
+    # to 6 vertices, each also contains the largest real root of the
+    # characteristic polynomial, exactly
+    delta = Fraction(1, 10**20)
 
     def stream(certificates):
         out = []
@@ -467,11 +524,49 @@ def test_certificate_stream_matches_python_int_oracle_on_thue_morse(
             if iv.width <= 2 * delta:
                 return out
 
-    got = stream(growth._certificates(comp))
-    assert len(got) == length
-    assert got == stream(python_int_certificates(comp))
-    assert max(entries) >= 2**63
-    assert widest - 96 < max(entries).bit_length() <= widest
+    for comp in local_graphs(weighted_rows_dfa(rows)):
+        assert graph_period(comp) > 1
+        new, old = stream(growth._certificates(comp)), stream(python_int_certificates(comp))
+        assert all(overlap(a, b) for a in new for b in old)
+        if len(comp) <= 6:
+            root = spectral_radius_root([dict(row) for row in digraph_rows(comp)])
+            assert all(interval_contains(iv.lo, iv.hi, root) for iv in new)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+def test_graph_period_matches_dict_search_on_thue_morse(level):
+    # the engine reads the period off the local graph; the profile's
+    # imprimitivity wraps the same search
+    d = fad_automaton(tm_antidictionary(level))
+    graph = growth.transition_graph(d)
+    dec = graph_scc(graph)
+    (c,) = dec.nontrivial.tolist()
+    (comp,) = growth._component_graphs(graph, [dec.members_of(c)])
+    members = dec.members_of(c).tolist()
+    period = 2 ** (level + 1)
+    assert graph_period(comp) == automaton.imprimitivity(d, members) == period
+    assert bfs_imprimitivity(d, members) == period
+
+
+def test_continuation_budget_ends_in_a_typed_error(monkeypatch):
+    # both continuations stop at the step budget: on the Thue-Morse level-3
+    # component (period 16) after 64 // 16 periods, on the golden-ratio
+    # graph (period 1) after 64 // 16 checkpoints of A+I
+    monkeypatch.setattr(growth, "CONTINUATION_STEPS", 64)
+    (periodic,) = local_graphs(fad_automaton(tm_antidictionary(3)))
+    aperiodic = WeightedDigraph.from_rows([{0: 1, 1: 1}, {0: 1}])
+    for comp in (periodic, aperiodic):
+        stream = growth._certificates(comp)
+        assert len(list(itertools.islice(stream, 6))) == 6
+        with pytest.raises(IndexBudgetError) as err:
+            next(stream)
+        assert (err.value.states, err.value.steps) == (len(comp), 64)
+        assert isinstance(err.value, RuntimeError)
+    # level 3 needs 10 periods to reach 2e-20
+    with pytest.raises(IndexBudgetError, match="64 exact iteration steps"):
+        approximate_index(fad_automaton(tm_antidictionary(3)), Fraction(1, 10**20))
+    monkeypatch.setattr(growth, "CONTINUATION_STEPS", 160)
+    assert approximate_index(fad_automaton(tm_antidictionary(3)), Fraction(1, 10**20)).width <= Fraction(2, 10**20)
 
 
 @st.composite
@@ -501,6 +596,28 @@ def test_float_vector_matches_row_sum_oracle_bit_for_bit(rows):
     fast = growth._float_vector(comp, max_iters=200)
     slow = row_sum_float_vector(rows, len(rows), max_iters=200)
     assert fast.tobytes() == slow.tobytes()
+
+
+def test_float_pass_stops_at_a_gap_that_is_not_finite(monkeypatch):
+    # this graph is not strongly connected: two entries of the float vector
+    # underflow to 0, the gap is 0/0, and the pass stops there, with no
+    # RuntimeWarning, where it used to run all 20,000 iterations
+    rows = [[(1, 197)], [(0, 507)], [(0, 1), (2, 1006)]]
+    comp = WeightedDigraph.from_rows([dict(row) for row in rows])
+    checks = []
+
+    def counting_isfinite(x):
+        checks.append(x)
+        return np.isfinite(x)
+
+    monkeypatch.setattr(growth, "isfinite", counting_isfinite)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = growth._float_vector(comp, max_iters=20000)
+        slow = row_sum_float_vector(rows, len(rows), max_iters=20000)
+    assert fast.tobytes() == slow.tobytes()
+    assert (fast == 0).any()
+    assert len(checks) < 2000
 
 
 @given(st.lists(st.floats(0.0, 1.0, allow_subnormal=True), max_size=40))
@@ -890,6 +1007,18 @@ def test_profile_is_pinned(level):
     rep = asymptotic_profile(fad_automaton(tm_antidictionary(level)), Fraction(1, 10**6))
     assert rep.to_json_text() + "\n" == (PINNED / f"tm{level}-profile.json").read_text()
     assert repr(rep) + "\n" == (PINNED / f"tm{level}-profile.repr").read_text()
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_profile_of_a_large_thue_morse_level(level):
+    # about 1 s and 2 s; at level 6 the 512-state components are certified
+    # past their float certificates, over one period of 128 steps
+    rep = asymptotic_profile(fad_automaton(tm_antidictionary(level)))
+    e = 2 ** (level + 1)
+    assert (rep.residue_count, rep.pd) == (e, 0)
+    assert rep.gr.width <= 2 * Fraction(1, 10**6)
+    for lo, hi in [rep.gr] + [(pr.alpha_lo, pr.alpha_hi) for pr in rep.per_residue]:
+        assert contains_root_of(lo**e, hi**e, 1, -1, -1)
 
 
 def test_profile_rate_is_pinned():
