@@ -15,9 +15,11 @@ in bits in force at the last certificate and a hash of the stream.
 Steps and precision are replayed from the stream by the side's own
 rule: a tree with ``growth.CONTINUATION_STEPS`` iterates A over whole
 periods on a component with p > 1 (p steps per checkpoint, the
-precision doubled after each checkpoint that narrows the width by less
-than 2 %); otherwise the continuation iterates A+I (16 steps per
-checkpoint, doubled after three such checkpoints in a row).  The
+precision doubled after each window, the fewest periods that span 16
+steps and the component's states, that narrows the width by less than
+2 %); otherwise the continuation iterates A+I (16 steps per checkpoint,
+doubled after three checkpoints in a row that each narrow it by less
+than 2 %).  The
 record also times ``asymptotic_profile`` of the level-6 automaton.
 
 Each case runs ``--runs`` times (default 3), each in a fresh process
@@ -46,17 +48,25 @@ PROFILE_LEVEL = 6
 SAME = ("certificates", "precision", "stream_sha256")
 
 
-def replay(widths: list, p: int, periodic_engine: bool) -> tuple:
+def replay(widths: list, p: int, n: int, periodic_engine: bool) -> tuple:
     """The continuation steps and the precision of the last certificate,
-    from the widths of a stream, by the engine's rule: 96 bits at first,
-    doubled after ``patience`` checkpoints in a row that each narrow the
-    width by less than 2 %."""
-    every, patience = (p, 1) if periodic_engine and p > 1 else (16, 3)
+    from the widths of a stream of a component of n states, by the
+    engine's rule: 96 bits at first, doubled after ``patience`` windows
+    of ``window`` checkpoints in a row that each narrow the width by less
+    than 2 %."""
+    if periodic_engine and p > 1:
+        every, window, patience = p, -(-max(16, n) // p), 1
+    else:
+        every, window, patience = 16, 1, 3
     prec, stall = 96, 0
-    for prev, gap in zip(widths[1:], widths[2:-1]):
+    prev = widths[1]
+    for checkpoint, gap in enumerate(widths[2:-1], 1):
+        if checkpoint % window:
+            continue
         stall = stall + 1 if gap > prev * Fraction(49, 50) else 0
         if stall == patience:
             prec, stall = prec * 2, 0
+        prev = gap
     return every * (len(widths) - 2), prec
 
 
@@ -91,7 +101,8 @@ def one_stream(src: str, level: int, places: int) -> dict:
         if iv.width <= 2 * delta:
             break
     continuation_s = time.perf_counter() - start
-    steps, precision = replay([iv.width for iv in stream], p, hasattr(growth, "CONTINUATION_STEPS"))
+    widths = [iv.width for iv in stream]
+    steps, precision = replay(widths, p, len(comp), hasattr(growth, "CONTINUATION_STEPS"))
     return {
         "float_s": float_s[0],
         "continuation_s": continuation_s,

@@ -346,8 +346,9 @@ def _integer_vector(fv):
 
 
 # exact continuation steps one certificate stream may take, over every
-# width read from it
-CONTINUATION_STEPS = 1 << 16
+# width read from it: the cap of the earlier A+I loop, so a component of
+# period 1 that certified within that cap still does
+CONTINUATION_STEPS = 2_000_000
 
 
 class IndexBudgetError(RuntimeError):
@@ -365,7 +366,7 @@ class IndexBudgetError(RuntimeError):
         self.steps = steps
 
 
-def _certificates(comp: WeightedDigraph):
+def _certificates(comp: WeightedDigraph, period: Optional[int] = None):
     """Certified index intervals of one nontrivial strongly connected
     component, each nested in the one before: a caller takes the first
     one narrow enough, and one stream serves every width.
@@ -377,7 +378,8 @@ def _certificates(comp: WeightedDigraph):
     then the checkpoints of an iteration continued in exact integer
     arithmetic at doubling precision, each intersected with those before.
     Past the float certificate the stream reads the component's period p
-    (``automaton.graph_period``), and the continuation depends on it:
+    (``period`` when the caller has it, else ``automaton.graph_period``),
+    and the continuation depends on it:
 
     - p = 1: v <- (A+I)v, renormalized by right shift so entries stay
       near ``prec`` bits, certified every 16th step.  A+I is primitive
@@ -393,11 +395,17 @@ def _certificates(comp: WeightedDigraph):
 
     Flooring keeps every entry >= 1, and any positive vector certifies,
     so every checkpoint is valid whatever the estimate of rho: it only
-    sets the speed.  When a checkpoint narrows the width by less than
-    2 %, truncation noise is taken to stall progress: the precision
-    doubles after three such checkpoints in a row for p = 1, and after
-    one (a whole period) for p > 1.  Either continuation takes at most
-    ``CONTINUATION_STEPS`` steps, then raises IndexBudgetError.
+    sets the speed.  When the width narrows by less than 2 % over a
+    window of steps, truncation noise is taken to stall progress.  For
+    p = 1 the window is one checkpoint, and the precision doubles after
+    three such windows in a row.  For p > 1 it is the fewest whole periods
+    that span 16 steps and n, the component's size, and the precision
+    doubles after one.  Less than n steps would misread a component that
+    mixes only through long cycles: an error there travels round a cycle
+    unchanged, and the width stays put until it passes the shared states
+    (on a 2-cycle and a 200-cycle through one state, for 80 steps at a
+    time).  Either continuation takes at most ``CONTINUATION_STEPS``
+    steps, then raises IndexBudgetError.
 
     Every exact product is one ``np.add.reduceat`` of the terms w * v_j
     over the rows.  All-ones gives the least and the largest row weight
@@ -437,12 +445,14 @@ def _certificates(comp: WeightedDigraph):
         yield IndexInterval(lo, hi)
         v = v.astype(object)
 
-    p = graph_period(comp)
-    every, patience = (16, 3) if p == 1 else (p, 1)
+    p = graph_period(comp) if period is None else period
+    every = 16 if p == 1 else p
+    # a stall is judged over a window of at least 16 steps and, for p > 1, at least n
+    window, patience = (1, 3) if p == 1 else (-(-max(16, len(comp)) // p), 1)
     prec = 96
     prev_gap = hi - lo
     stall = 0
-    for _ in range(CONTINUATION_STEPS // every):
+    for checkpoint in range(1, CONTINUATION_STEPS // every + 1):
         if p == 1:
             # 16 steps of A+I, renormalized by right shift
             for _ in range(16):
@@ -463,6 +473,8 @@ def _certificates(comp: WeightedDigraph):
         a, b = _extreme_ratios(av(w).tolist(), w.tolist())
         lo, hi = max(lo, a), min(hi, b)
         yield IndexInterval(lo, hi)
+        if checkpoint % window:
+            continue
         gap = hi - lo
         if gap > prev_gap * Fraction(49, 50):
             stall += 1
@@ -570,7 +582,7 @@ def count_words(dfa: Dfa, n: int) -> int:
     return sum(counts[q] for q in dfa.accepting)
 
 
-def _analyse(graph: WeightedDigraph, delta: Fraction, runs: dict) -> tuple:
+def _analyse(graph: WeightedDigraph, delta: Fraction, runs: dict, periods=None) -> tuple:
     """Strong components of a transition graph and two certified
     intervals for each nontrivial one, keyed by component id: ``rates``
     of width at most 2*delta, and ``tight``, at most delta/2, read from
@@ -581,15 +593,19 @@ def _analyse(graph: WeightedDigraph, delta: Fraction, runs: dict) -> tuple:
     shared by every graph analysed at the same delta: the engine is
     deterministic, so a component seen before costs nothing.  One
     transition graph feeds both ``graph_scc`` and the components' local
-    graphs.
+    graphs.  ``periods``, when a dict, receives each nontrivial
+    component's period, which its stream then takes as found.
     """
     dec = graph_scc(graph)
     nontrivial = dec.nontrivial.tolist()
     comps = _component_graphs(graph, [dec.members_of(cid) for cid in nontrivial])
     rates, tight = {}, {}
     for cid, comp in zip(nontrivial, comps):
+        period = None
+        if periods is not None:
+            period = periods[cid] = graph_period(comp)
         if comp not in runs:
-            stream = _certificates(comp)
+            stream = _certificates(comp, period)
             at = next(iv for iv in stream if iv.width <= 2 * delta)
             runs[comp] = at, next(iv for iv in chain([at], stream) if iv.width <= delta / 2)
         rates[cid], tight[cid] = runs[comp]
@@ -918,8 +934,9 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
             dfr,
         )
     runs: dict = {}
+    periods: dict = {}
     graph = transition_graph(dfa)
-    dec, rates, tight = _analyse(graph, dfr, runs)
+    dec, rates, tight = _analyse(graph, dfr, runs, periods)
     cls = _classify(graph, dec, dfa.initial)
     gr = _rate(rates.values())
     if not rates:
@@ -927,8 +944,6 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
         return GrowthReport(cls, gr, 0, 1, (finite,), "NonOscillating", dfr)
 
     pd = _polynomial_index(dec, tight, dec.component_of[dfa.initial])
-    comps = _component_graphs(graph, [dec.members_of(c) for c in rates])
-    periods = {c: graph_period(comp) for c, comp in zip(rates, comps)}
     rho = lcm(*periods.values())
     masks = _residue_sets(dfa, dec, rho)
 
