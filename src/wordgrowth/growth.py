@@ -403,9 +403,9 @@ def _certificates(comp: WeightedDigraph, period: Optional[int] = None):
     doubles after one.  Less than n steps would misread a component that
     mixes only through long cycles: an error there travels round a cycle
     unchanged, and the width stays put until it passes the shared states
-    (on a 2-cycle and a 200-cycle through one state, for 80 steps at a
-    time).  Either continuation takes at most ``CONTINUATION_STEPS``
-    steps, then raises IndexBudgetError.
+    (on a 2-cycle and a 200-cycle through one state, for 80 steps).
+    Either continuation takes at most ``CONTINUATION_STEPS`` steps, then
+    raises IndexBudgetError.
 
     Every exact product is one ``np.add.reduceat`` of the terms w * v_j
     over the rows.  All-ones gives the least and the largest row weight

@@ -488,7 +488,7 @@ def test_periodic_stream_certifies_the_thue_morse_rate(level, places, length):
 def test_periodic_stream_keeps_its_precision_on_a_long_cycle():
     # a 2-cycle and a 60-cycle through state 0, period 2: an error travels
     # round the long cycle unchanged between its passes through state 0,
-    # so the width stays put for dozens of steps at a time although 96 bits
+    # so the width stays put for about 20 steps at a time although 96 bits
     # are ample; a stall window of whole periods spanning the 61 states
     # does not take that for truncation noise, and the stream reaches
     # 2e-20 without doubling its precision (with a window of one period
