@@ -8,7 +8,7 @@ levels 3 to 6, at delta = 1e-20 and 1e-40, the certificate stream of
 the one nontrivial component of ``fad_automaton(tm_antidictionary(level))``
 is read up to the first certificate of width at most 2 * delta.  The
 record gives the component's period p, the float pass's time
-(``growth._float_vector``), the continuation's time (from the second
+(``growth._float_vectors``, a batch of one), the continuation's time (from the second
 certificate to the last one read), the number of checkpoints (the
 certificates after the second), the continuation steps, the precision
 in bits in force at the last certificate and a hash of the stream.
@@ -84,7 +84,9 @@ def one_stream(src: str, level: int, places: int) -> dict:
     (c,) = dec.nontrivial.tolist()
     (comp,) = growth._component_graphs(graph, [dec.members_of(c)])
     p = automaton.imprimitivity(dfa, dec.members_of(c).tolist())
-    float_vector = growth._float_vector
+    # a checkout from before the batched pass has the one-component _float_vector
+    name = "_float_vectors" if hasattr(growth, "_float_vectors") else "_float_vector"
+    float_vector = getattr(growth, name)
     float_s = []
 
     def timed_float_vector(*args, **kwargs):
@@ -93,7 +95,7 @@ def one_stream(src: str, level: int, places: int) -> dict:
         float_s.append(time.perf_counter() - start)
         return out
 
-    growth._float_vector = timed_float_vector
+    setattr(growth, name, timed_float_vector)
     delta = Fraction(1, 10**places)
     stream = []
     for iv in growth._certificates(comp):

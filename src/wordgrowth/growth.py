@@ -8,7 +8,8 @@ positive vector v,
     min_i (Av)_i / v_i  <=  index(A)  <=  max_i (Av)_i / v_i.
 
 Any positive v gives rigorous two-sided bounds; a good v makes them
-tight.  A numpy-only float pass finds good vectors fast, and the engine
+tight.  A numpy-only float pass finds good vectors fast, for all of a
+graph's components in one block-diagonal loop, and the engine
 evaluates the bounds exactly over integers, so the emitted interval is a
 certificate regardless of how the vector was produced.  On a strongly
 connected component of period 1 the iteration v <- (A+I)v tightens the
@@ -43,7 +44,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import isfinite, lcm
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -297,44 +298,86 @@ def _extreme_ratios(sums, v):
     return Fraction(lo_s, lo_v), Fraction(hi_s, hi_v)
 
 
-def _float_vector(comp: WeightedDigraph, max_iters):
-    """Floating-point power iteration with (A+I); returns v or None.
+def _float_product(row, col, weight, v):
+    """(Av)_i in floats for every row i, the rows' entries listed in
+    row order with their rows ``row`` and columns ``col``: each row's
+    terms added in index order, as a CSR kernel does, by ``np.bincount``.
+    Another order moves the vector's last bits, and with them the
+    certified intervals.  ``weight`` is None when every weight is 1:
+    the terms are then v_j itself, since x * 1.0 is x exactly."""
+    terms = v[col] if weight is None else weight * v[col]
+    return np.bincount(row, weights=terms, minlength=len(v))
+
+
+def _block_diagonal(comps: list) -> tuple:
+    """The block-diagonal union of local graphs as the float pass reads
+    it: each entry's row and column, the float weights (None when every
+    weight is 1), and each block's first vertex and size.  A single
+    graph's columns are its own array, not a copy."""
+    sizes = np.array([len(c) for c in comps])
+    first = np.cumsum(sizes) - sizes
+    degree = np.concatenate([np.diff(c.indptr) for c in comps])
+    row = np.repeat(np.arange(len(degree)), degree)
+    if len(comps) == 1:
+        col = comps[0].indices
+    else:
+        col = np.concatenate([c.indices + f for c, f in zip(comps, first.tolist())])
+    weight = None
+    if not all((c.weights == 1).all() for c in comps):
+        weight = np.concatenate([c.weights for c in comps], dtype=float)
+    return row, col, weight, first, sizes
+
+
+def _float_vectors(comps: list, max_iters: int = 20000) -> list:
+    """Floating-point power iteration with (A+I) on each of ``comps``,
+    local graphs, all in one block-diagonal loop; one vector each.
 
     Only a convergence accelerator: nothing it returns is trusted
-    without the exact pass that follows.  The product adds each row's
-    terms in index order, as a CSR kernel does: another order moves the
-    vector's last bits, and with them the certified intervals.  A gap
-    that is not finite (an entry of v underflowed to 0, which only a
-    graph that is not strongly connected allows) stops the pass as a
-    stall does.
+    without the exact pass that follows.  Each component is iterated
+    bit for bit as if alone: its rows add the same terms in the same
+    order (``_float_product``), its max is exact, and it is divided by
+    that one scalar.  Every 32nd step each component's gap, the spread
+    of its ratios (Av)_i / v_i, is checked, and the component leaves
+    the batch when the gap is below 1e-14, narrowed by less than 0.1 %
+    since the last check, or is not finite (an entry of v underflowed
+    to 0, which only a graph that is not strongly connected allows, and
+    a ratio became 0/0 or x/0).  Its vector is copied out and the
+    batch's arrays are rebuilt without it, so no component is iterated
+    past its own stop.
+
+    No step can fail: A >= 0 gives (A+I)v >= v entrywise, and after each
+    division max v = 1, so each max divided by is at least 1, and at
+    most one plus the largest row weight sum: finite and positive.
     """
-    n = len(comp)
-    row = np.repeat(np.arange(n), np.diff(comp.indptr))
-    # float weights, once: the same products, without a cast per product
-    col, weight = comp.indices, comp.weights.astype(float)
-
-    def product(v):
-        return np.bincount(row, weights=weight * v[col], minlength=n)
-
-    v = np.ones(n)
-    prev_gap = None
-    # the ratios' 0/0 and x/0 make the gap not finite, which ends the pass
+    out = [None] * len(comps)
+    live = np.arange(len(comps))
+    row, col, weight, first, sizes = _block_diagonal(comps)
+    v = np.ones(int(sizes.sum()))
+    prev_gap = np.full(len(comps), np.inf)
+    # the ratios' 0/0 and x/0 make a gap not finite, which ends that pass
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(max_iters):
-            v = product(v) + v
-            m = float(v.max())
-            if not isfinite(m) or m <= 0:
-                return None
-            v /= m
-            if it % 32 == 31:
-                ratios = product(v) / v
-                gap = float(ratios.max() - ratios.min())
-                if gap < 1e-14:
-                    break
-                if not isfinite(gap) or (prev_gap is not None and gap >= prev_gap * 0.999):
-                    break
-                prev_gap = gap
-    return v
+            v += _float_product(row, col, weight, v)
+            m = np.maximum.reduceat(v, first)
+            # alone, a component is divided by a scalar, with no n-entry array per step
+            v /= m[0] if len(m) == 1 else np.repeat(m, sizes)
+            if it % 32 < 31:
+                continue
+            ratios = _float_product(row, col, weight, v) / v
+            gap = np.maximum.reduceat(ratios, first) - np.minimum.reduceat(ratios, first)
+            stop = (gap < 1e-14) | ~np.isfinite(gap) | (gap >= prev_gap * 0.999)
+            prev_gap = gap
+            if not stop.any():
+                continue
+            for i, a, n in zip(live[stop].tolist(), first[stop].tolist(), sizes[stop].tolist()):
+                out[i] = v[a:a + n].copy()
+            if stop.all():
+                return out
+            v, live, prev_gap = v[np.repeat(~stop, sizes)], live[~stop], gap[~stop]
+            row, col, weight, first, sizes = _block_diagonal([comps[i] for i in live.tolist()])
+    for i, a, n in zip(live.tolist(), first.tolist(), sizes.tolist()):
+        out[i] = v[a:a + n].copy()
+    return out
 
 
 def _integer_vector(fv):
@@ -366,7 +409,9 @@ class IndexBudgetError(RuntimeError):
         self.steps = steps
 
 
-def _certificates(comp: WeightedDigraph, period: Optional[int] = None):
+def _certificates(
+    comp: WeightedDigraph, period: Optional[int] = None, fv=None, row_weight=None
+):
     """Certified index intervals of one nontrivial strongly connected
     component, each nested in the one before: a caller takes the first
     one narrow enough, and one stream serves every width.
@@ -377,6 +422,10 @@ def _certificates(comp: WeightedDigraph, period: Optional[int] = None):
     float vector's (float acceleration, integerized, certified exactly),
     then the checkpoints of an iteration continued in exact integer
     arithmetic at doubling precision, each intersected with those before.
+    ``row_weight``, the row weight sums, and ``fv``, the float vector,
+    are taken as given when the caller has them (``_streams``); a stream
+    read past its first certificate without ``fv`` runs ``_float_vectors``
+    on its component alone.
     Past the float certificate the stream reads the component's period p
     (``period`` when the caller has it, else ``automaton.graph_period``),
     and the continuation depends on it:
@@ -417,11 +466,12 @@ def _certificates(comp: WeightedDigraph, period: Optional[int] = None):
     size, with the loop over the entries in C.  Exact integer sums do not
     depend on the order of their terms, so any summation order gives the
     same vector; the float pass, whose rounding does depend on it, keeps
-    its own order (see ``_float_vector``).  One pass over the
+    its own order (see ``_float_product``).  One pass over the
     (s_i, v_i) pairs picks the extreme ratios.
     """
     starts = comp.indptr[:-1]
-    row_weight = np.add.reduceat(comp.weights, starts)
+    if row_weight is None:
+        row_weight = np.add.reduceat(comp.weights, starts)
     top = int(row_weight.max())
     lo, hi = Fraction(int(row_weight.min())), Fraction(top)
     yield IndexInterval(lo, hi)
@@ -433,17 +483,15 @@ def _certificates(comp: WeightedDigraph, period: Optional[int] = None):
         """(Av)_i for every row i, exact in v's dtype."""
         return np.add.reduceat(v[col] if unit else v[col] * weights, starts)
 
-    fv = _float_vector(comp, max_iters=20000)
     if fv is None:
-        v = np.ones(len(comp), dtype=object)
-    else:
-        v = _integer_vector(fv)
-        if top >= 1 << 10:
-            v = v.astype(object)
-        a, b = _extreme_ratios(av(v).tolist(), v.tolist())
-        lo, hi = max(lo, a), min(hi, b)
-        yield IndexInterval(lo, hi)
+        (fv,) = _float_vectors([comp])
+    v = _integer_vector(fv)
+    if top >= 1 << 10:
         v = v.astype(object)
+    a, b = _extreme_ratios(av(v).tolist(), v.tolist())
+    lo, hi = max(lo, a), min(hi, b)
+    yield IndexInterval(lo, hi)
+    v = v.astype(object)
 
     p = graph_period(comp) if period is None else period
     every = 16 if p == 1 else p
@@ -485,6 +533,26 @@ def _certificates(comp: WeightedDigraph, period: Optional[int] = None):
             stall = 0
         prev_gap = gap
     raise IndexBudgetError(len(comp), hi - lo, CONTINUATION_STEPS // every * every)
+
+
+def _streams(comps: list, width: Fraction, periods: dict) -> list:
+    """A certificate stream for each of ``comps``, local graphs, in order;
+    ``periods`` maps some of them to their periods.
+
+    A stream whose all-ones certificate is wider than ``width``, the
+    narrowest width its caller reads, is read past it, so the float
+    vectors of those streams come from one block-diagonal pass
+    (``_float_vectors``); any other stream stays lazy and runs its own
+    pass only if read that far.  The row weight sums, which give the
+    all-ones certificate, are computed once, here.
+    """
+    row_weights = [np.add.reduceat(c.weights, c.indptr[:-1]) for c in comps]
+    wide = [i for i, w in enumerate(row_weights) if int(w.max()) - int(w.min()) > width]
+    fvs = dict(zip(wide, _float_vectors([comps[i] for i in wide]))) if wide else {}
+    return [
+        _certificates(c, periods.get(c), fvs.get(i), w)
+        for i, (c, w) in enumerate(zip(comps, row_weights))
+    ]
 
 
 def _component_graphs(graph: WeightedDigraph, components):
@@ -555,8 +623,8 @@ def digraph_index(
     if components is None:
         dec = graph_scc(graph)
         components = [dec.members_of(c) for c in dec.nontrivial.tolist()]
-    comps = _component_graphs(graph, components)
-    streams = (_certificates(c) for c in comps if c is not None)
+    comps = [c for c in _component_graphs(graph, components) if c is not None]
+    streams = _streams(comps, 2 * dfr, {})
     return _rate(next(iv for iv in s if iv.width <= 2 * dfr) for s in streams)
 
 
@@ -594,21 +662,23 @@ def _analyse(graph: WeightedDigraph, delta: Fraction, runs: dict, periods=None) 
     deterministic, so a component seen before costs nothing.  One
     transition graph feeds both ``graph_scc`` and the components' local
     graphs.  ``periods``, when a dict, receives each nontrivial
-    component's period, which its stream then takes as found.
+    component's period, which its stream then takes as found.  The
+    distinct components not in ``runs`` get their streams from one
+    ``_streams`` call, so their float passes run as one batch.
     """
     dec = graph_scc(graph)
     nontrivial = dec.nontrivial.tolist()
-    comps = _component_graphs(graph, [dec.members_of(cid) for cid in nontrivial])
-    rates, tight = {}, {}
-    for cid, comp in zip(nontrivial, comps):
-        period = None
-        if periods is not None:
-            period = periods[cid] = graph_period(comp)
-        if comp not in runs:
-            stream = _certificates(comp, period)
-            at = next(iv for iv in stream if iv.width <= 2 * delta)
-            runs[comp] = at, next(iv for iv in chain([at], stream) if iv.width <= delta / 2)
-        rates[cid], tight[cid] = runs[comp]
+    comps = list(_component_graphs(graph, [dec.members_of(cid) for cid in nontrivial]))
+    period_of = {}
+    if periods is not None:
+        for cid, comp in zip(nontrivial, comps):
+            periods[cid] = period_of[comp] = graph_period(comp)
+    fresh = [comp for comp in dict.fromkeys(comps) if comp not in runs]
+    for comp, stream in zip(fresh, _streams(fresh, delta / 2, period_of)):
+        at = next(iv for iv in stream if iv.width <= 2 * delta)
+        runs[comp] = at, next(iv for iv in chain([at], stream) if iv.width <= delta / 2)
+    rates = {cid: runs[comp][0] for cid, comp in zip(nontrivial, comps)}
+    tight = {cid: runs[comp][1] for cid, comp in zip(nontrivial, comps)}
     return dec, rates, tight
 
 

@@ -20,7 +20,7 @@ one such walk per period; ``component_interval``, the library's
 earlier index engine, one run per width, and
 ``python_int_certificates``, its earlier certificate stream, whose
 continuation loops over Python int lists, both on ``exact_bounds``
-(over the library's ``_extreme_ratios``), ``_float_vector`` and
+(over the library's ``_extreme_ratios``), ``_float_vectors`` and
 ``_integer_vector``;
 ``recursive_intermediate_count``, the earlier staircase count;
 ``goto_loop_quotient_graph``, the quotient read state by state off the
@@ -64,7 +64,7 @@ from wordgrowth.growth import (
     _analyse,
     _as_fraction,
     _extreme_ratios,
-    _float_vector,
+    _float_vectors,
     _integer_vector,
     _polynomial_index,
     _rate,
@@ -917,7 +917,7 @@ def row_list_certificates(comp) -> list:
     rows = digraph_rows(comp)
     lo, hi = fraction_exact_bounds(rows, [1] * len(rows))
     out = [IndexInterval(lo, hi)]
-    fv = _float_vector(comp, max_iters=20000)
+    (fv,) = _float_vectors([comp])
     if fv is not None:
         a, b = fraction_exact_bounds(rows, _integer_vector(fv).tolist())
         out.append(IndexInterval(max(lo, a), min(hi, b)))
@@ -968,7 +968,7 @@ def python_int_certificates(comp):
     rows = digraph_rows(comp)
     lo, hi = exact_bounds(rows, [1] * len(rows))
     yield IndexInterval(lo, hi)
-    fv = _float_vector(comp, max_iters=20000)
+    (fv,) = _float_vectors([comp])
     if fv is not None:
         v = _integer_vector(fv).tolist()
         a, b = exact_bounds(rows, v)
@@ -1027,7 +1027,7 @@ def component_interval(comp, delta: Fraction):
     if best_hi - best_lo <= 2 * delta:
         return IndexInterval(best_lo, best_hi)
 
-    fv = _float_vector(comp, max_iters=20000)
+    (fv,) = _float_vectors([comp])
     if fv is not None:
         v = _integer_vector(fv).tolist()
         lo, hi = exact_bounds(rows, v)

@@ -296,9 +296,9 @@ def test_exact_continuation_certifies_thue_morse(monkeypatch):
     calls = []
     certificates = growth._certificates
 
-    def counting_certificates(comp):
+    def counting_certificates(comp, *args):
         calls.append(0)
-        for iv in certificates(comp):
+        for iv in certificates(comp, *args):
             calls[-1] += 1
             yield iv
 
@@ -619,31 +619,88 @@ def test_exact_bounds_match_fraction_oracle(case):
 @settings(max_examples=150, deadline=None)
 def test_float_vector_matches_row_sum_oracle_bit_for_bit(rows):
     comp = WeightedDigraph.from_rows([dict(row) for row in rows])
-    fast = growth._float_vector(comp, max_iters=200)
+    (fast,) = growth._float_vectors([comp], max_iters=200)
     slow = row_sum_float_vector(rows, len(rows), max_iters=200)
     assert fast.tobytes() == slow.tobytes()
+
+
+def counting_products(monkeypatch) -> list:
+    """The length of v at each float product the pass computes from now
+    on: one product per step and one per gap check."""
+    sizes = []
+    product = growth._float_product
+
+    def counting_product(row, col, weight, v):
+        sizes.append(len(v))
+        return product(row, col, weight, v)
+
+    monkeypatch.setattr(growth, "_float_product", counting_product)
+    return sizes
+
+
+NOT_FINITE_GAP_ROWS = [[(1, 197)], [(0, 507)], [(0, 1), (2, 1006)]]
 
 
 def test_float_pass_stops_at_a_gap_that_is_not_finite(monkeypatch):
     # this graph is not strongly connected: two entries of the float vector
     # underflow to 0, the gap is 0/0, and the pass stops there, with no
     # RuntimeWarning, where it used to run all 20,000 iterations
-    rows = [[(1, 197)], [(0, 507)], [(0, 1), (2, 1006)]]
+    rows = NOT_FINITE_GAP_ROWS
     comp = WeightedDigraph.from_rows([dict(row) for row in rows])
-    checks = []
-
-    def counting_isfinite(x):
-        checks.append(x)
-        return np.isfinite(x)
-
-    monkeypatch.setattr(growth, "isfinite", counting_isfinite)
+    products = counting_products(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fast = growth._float_vector(comp, max_iters=20000)
+        (fast,) = growth._float_vectors([comp], max_iters=20000)
         slow = row_sum_float_vector(rows, len(rows), max_iters=20000)
     assert fast.tobytes() == slow.tobytes()
     assert (fast == 0).any()
-    assert len(checks) < 2000
+    assert len(products) < 2000
+
+
+@st.composite
+def float_batches(draw):
+    """Lists of local rows for one float pass: small and heavy rows,
+    periodic graphs, and the graph whose gap is not finite."""
+    rows = st.one_of(
+        component_rows(),
+        component_rows(max_n=4, max_weight=2000),
+        periodic_rows(),
+        st.just(NOT_FINITE_GAP_ROWS),
+    )
+    return draw(st.lists(rows, min_size=1, max_size=5))
+
+
+@given(float_batches())
+@example([NOT_FINITE_GAP_ROWS, [[(0, 1)]], [[(1, 1)], [(0, 1), (1, 1)]]])
+@settings(max_examples=60, deadline=None)
+def test_batched_float_vectors_match_row_sum_oracle_bit_for_bit(batch):
+    # every component of one block-diagonal pass gets its lone pass's vector
+    comps = [WeightedDigraph.from_rows([dict(row) for row in rows]) for rows in batch]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = growth._float_vectors(comps)
+    for rows, v in zip(batch, fast):
+        assert v.tobytes() == row_sum_float_vector(rows, len(rows), max_iters=20000).tobytes()
+
+
+def test_a_component_leaves_the_float_batch_at_its_own_stop(monkeypatch):
+    # a 3-cycle's gap is 0 at the first check, after 32 steps; a 2-cycle and
+    # a 61-cycle through one state mix slowly and run thousands of steps.
+    # The batch's work, steps times vertices, is the two lone passes' work:
+    # the cycle leaves at the first check and is not iterated further
+    cycle = WeightedDigraph.from_rows([{1: 1}, {2: 1}, {0: 1}])
+    rows = [{1: 1, 2: 1}, {0: 1}] + [{t + 1: 1} for t in range(2, 61)] + [{0: 1}]
+    slow = WeightedDigraph.from_rows(rows)
+    products = counting_products(monkeypatch)
+    lone = [growth._float_vectors([comp]) for comp in (cycle, slow)]
+    work = [sum(products[:33]), sum(products[33:])]
+    assert work[0] == 33 * 3
+    assert work[1] > 1000 * 62
+    products.clear()
+    batched = growth._float_vectors([cycle, slow])
+    assert [v.tobytes() for v in batched] == [v.tobytes() for (v,) in lone]
+    assert sum(products) == sum(work)
+    assert products[:33] == [65] * 33 and set(products[33:]) == {62}
 
 
 @given(st.lists(st.floats(0.0, 1.0, allow_subnormal=True), max_size=40))
@@ -920,6 +977,22 @@ def test_profile_certifies_each_component_once(monkeypatch):
     assert all(pr.alpha_hi > 0 for pr in rep.per_residue)
     assert len(streams) == len(set(streams)) == 7
     assert len(decompositions) == 2
+
+
+def test_profile_runs_one_float_pass_per_decomposed_graph(monkeypatch):
+    # the 7 distinct components of the Thue-Morse level-2 profile, the
+    # automaton's one and the counter product's 6 new ones, are all wider
+    # than delta/2 at all-ones, and each graph's go through one loop
+    batches = []
+    float_vectors = growth._float_vectors
+
+    def counting_float_vectors(comps, *args):
+        batches.append(len(comps))
+        return float_vectors(comps, *args)
+
+    monkeypatch.setattr(growth, "_float_vectors", counting_float_vectors)
+    asymptotic_profile(fad_automaton(tm_antidictionary(2)))
+    assert batches == [1, 6]
 
 
 def assert_same_decomposition(dec, expected, case):
