@@ -860,9 +860,19 @@ def _tails(dfa: Dfa, modulus: int) -> list:
     return _length_masks(pred, dfa.accepting, modulus)
 
 
-def _residue_sets(dfa: Dfa, dec: SccDecomposition, modulus: int) -> dict:
+def _fold(bits: int, modulus: int, r: int) -> int:
+    """``bits``, a set of residues mod ``modulus``, as the set of their
+    residues mod r, a divisor of ``modulus``."""
+    out = 0
+    for shift in range(0, modulus, r):
+        out |= bits >> shift
+    return out & ((1 << r) - 1)
+
+
+def _residue_sets(dfa: Dfa, dec: SccDecomposition, modulus: int, tail: list) -> dict:
     """For each nontrivial component C, the set of length residues mod
-    ``modulus`` realized by accepting walks through C, as a bitmask.
+    ``modulus`` realized by accepting walks through C, as a bitmask;
+    ``tail`` is ``_tails(dfa, modulus)``.
 
     A walk entering a state q at length residue c and leaving it for
     acceptance with l more letters realizes c + l; ``head[q]`` and
@@ -871,18 +881,24 @@ def _residue_sets(dfa: Dfa, dec: SccDecomposition, modulus: int) -> dict:
     through C can be pumped by closed walks of length 0 mod ``modulus``,
     so these sets capture exactly the residues with unboundedly many
     accepting walk lengths through C.
+
+    One member q of C serves for all of C.  The closed walks through q
+    have every large multiple of C's period p as a length, and p divides
+    ``modulus``, so q's set is closed under adding p.  Another member q'
+    is reached from q and back in a multiple of p letters, so each walk
+    through q' gives one through q of the same length plus a multiple of
+    p, and the other way round: q and q' realize the same set.
     """
     head = _length_masks(
         [set(row.values()) for row in dfa.transitions], [dfa.initial], modulus
     )
-    tail = _tails(dfa, modulus)
+    first = dec.members[dec.member_ptr[dec.nontrivial]]
     masks = {}
-    for cid in dec.nontrivial.tolist():
+    for cid, q in zip(dec.nontrivial.tolist(), first.tolist()):
         masks[cid] = 0
-        for q in dec.members_of(cid).tolist():
-            for c in range(modulus):
-                if head[q] >> c & 1:
-                    masks[cid] |= _rotate(tail[q], c, modulus)
+        for c in range(modulus):
+            if head[q] >> c & 1:
+                masks[cid] |= _rotate(tail[q], c, modulus)
     return masks
 
 
@@ -953,12 +969,12 @@ class _CounterProduct:
         self.graph = WeightedDigraph.from_edges(len(states), source, target, [1] * len(target))
 
 
-def _product_slices(dfa: Dfa, product: _CounterProduct, dec: SccDecomposition) -> dict:
+def _product_slices(tail: list, product: _CounterProduct, dec: SccDecomposition) -> dict:
     """For each nontrivial component of the counter product, the slices
     it lies in, as a bitmask: with (q, c) any of its pairs, slice j when
-    some walk from q reaches acceptance in j - c letters mod r."""
+    some walk from q reaches acceptance in j - c letters mod r; ``tail``
+    is ``_tails`` of the automaton at r."""
     r = product.modulus
-    tail = _tails(dfa, r)
     first = dec.members[dec.member_ptr[dec.nontrivial]]
     return {
         cid: _rotate(tail[product.states[i]], product.counters[i], r)
@@ -1015,7 +1031,8 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
 
     pd = _polynomial_index(dec, tight, dec.component_of[dfa.initial])
     rho = lcm(*periods.values())
-    masks = _residue_sets(dfa, dec, rho)
+    tail = _tails(dfa, rho)
+    masks = _residue_sets(dfa, dec, rho, tail)
 
     important = []
     for c in rates:
@@ -1029,7 +1046,8 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
 
     product = _CounterProduct(dfa, r)
     pdec, prates, ptight = _analyse(product.graph, dfr, runs)
-    slices = _product_slices(dfa, product, pdec)
+    # r divides rho, so the tails mod r fold from those mod rho
+    slices = _product_slices([_fold(t, rho, r) for t in tail], product, pdec)
     start = pdec.component_of[0]
     # slices with the same components have the same rate and degree
     seen = {}

@@ -23,6 +23,8 @@ continuation loops over Python int lists, both on ``exact_bounds``
 (over the library's ``_extreme_ratios``), ``_float_vectors`` and
 ``_integer_vector``;
 ``recursive_intermediate_count``, the earlier staircase count;
+``member_residue_sets``, the library's earlier residue masks, over every
+member of each component (on its ``_length_masks`` and ``_tails``);
 ``goto_loop_quotient_graph``, the quotient read state by state off the
 goto table of ``BreadthFirstTrie``, the library's earlier Python trie;
 ``goto_move_voltages`` and ``goto_lifted_components``, every move's
@@ -66,8 +68,11 @@ from wordgrowth.growth import (
     _extreme_ratios,
     _float_vectors,
     _integer_vector,
+    _length_masks,
     _polynomial_index,
     _rate,
+    _rotate,
+    _tails,
     approximate_index,
     classify,
     digraph_index,
@@ -732,6 +737,24 @@ def brute_two_extendable(dfa, word) -> bool:
 # ---------------------------------------------------------------------------
 # growth profiles
 
+def member_residue_sets(dfa, dec, modulus: int) -> dict:
+    """The library's earlier residue masks: for each nontrivial component,
+    the residues mod ``modulus`` of the accepting walks through any of its
+    members, from every member and every residue of its head."""
+    head = _length_masks(
+        [set(row.values()) for row in dfa.transitions], [dfa.initial], modulus
+    )
+    tail = _tails(dfa, modulus)
+    masks = {}
+    for cid in dec.nontrivial.tolist():
+        masks[cid] = 0
+        for q in dec.members_of(cid).tolist():
+            for c in range(modulus):
+                if head[q] >> c & 1:
+                    masks[cid] |= _rotate(tail[q], c, modulus)
+    return masks
+
+
 def counter_slice(dfa, modulus: int, residue: int):
     """Trimmed automaton of the accepted words of length = residue
     (mod modulus): the automaton times a length counter."""
@@ -913,15 +936,12 @@ def digraph_rows(graph) -> list:
 def row_list_certificates(comp) -> list:
     """The engine's first two certificates of a component's local graph,
     read over ``digraph_rows``: the all-ones one, then the float vector's,
-    intersected with it (only the first when the float pass fails)."""
+    intersected with it."""
     rows = digraph_rows(comp)
     lo, hi = fraction_exact_bounds(rows, [1] * len(rows))
-    out = [IndexInterval(lo, hi)]
     (fv,) = _float_vectors([comp])
-    if fv is not None:
-        a, b = fraction_exact_bounds(rows, _integer_vector(fv).tolist())
-        out.append(IndexInterval(max(lo, a), min(hi, b)))
-    return out
+    a, b = fraction_exact_bounds(rows, _integer_vector(fv).tolist())
+    return [IndexInterval(lo, hi), IndexInterval(max(lo, a), min(hi, b))]
 
 
 def row_sum_float_vector(rows, n, max_iters):
@@ -969,13 +989,10 @@ def python_int_certificates(comp):
     lo, hi = exact_bounds(rows, [1] * len(rows))
     yield IndexInterval(lo, hi)
     (fv,) = _float_vectors([comp])
-    if fv is not None:
-        v = _integer_vector(fv).tolist()
-        a, b = exact_bounds(rows, v)
-        lo, hi = max(lo, a), min(hi, b)
-        yield IndexInterval(lo, hi)
-    else:
-        v = [1] * len(rows)
+    v = _integer_vector(fv).tolist()
+    a, b = exact_bounds(rows, v)
+    lo, hi = max(lo, a), min(hi, b)
+    yield IndexInterval(lo, hi)
 
     prec = 96
     prev_gap = hi - lo

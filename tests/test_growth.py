@@ -1,6 +1,7 @@
 """Growth classification, certified index intervals, residue profiles."""
 
 import itertools
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -23,6 +24,7 @@ from oracles import (
     exact_bounds,
     fraction_exact_bounds,
     interval_contains,
+    member_residue_sets,
     per_slice_profile,
     python_int_certificates,
     row_list_certificates,
@@ -930,13 +932,52 @@ def test_slice_components_are_product_components(dfa_corpus):
         r = asymptotic_profile(d).residue_count
         product = growth._CounterProduct(d, r)
         dec = graph_scc(product.graph)
-        slices = growth._product_slices(d, product, dec)
+        slices = growth._product_slices(growth._tails(d, r), product, dec)
         for j in range(r):
             piece = counter_slice(d, r, j)
             graph = growth.transition_graph(piece)
             inside = [c for c in dec.nontrivial if slices[c] >> j & 1]
             expected = local_graphs_of(graph, graph_scc(graph))
             assert local_graphs_of(product.graph, dec, inside) == expected, (d, j)
+
+
+@st.composite
+def layered_accepting_dfas(draw, max_states=10):
+    """Automata whose first two letters lead from state q to a state of
+    class q + 1 mod p and whose third letter, now and then, leads
+    anywhere, with any start and accepting states: components of several
+    periods, some not reached or not reaching acceptance."""
+    n = draw(st.integers(1, max_states))
+    p = draw(st.integers(1, 4))
+    rows = []
+    for q in range(n):
+        layer = [t for t in range(n) if t % p == (q + 1) % p]
+        targets = draw(st.lists(st.sampled_from(layer), max_size=2, unique=True)) if layer else []
+        if draw(st.integers(0, 5)) == 0:
+            targets.append(draw(st.integers(0, n - 1)))
+        rows.append(dict(enumerate(targets)))
+    accepting = draw(st.lists(st.integers(0, n - 1), unique=True))
+    return Dfa(3, rows, draw(st.integers(0, n - 1)), accepting)
+
+
+@given(layered_accepting_dfas())
+@settings(max_examples=300, deadline=None)
+def test_residue_masks_from_one_member_match_every_member(dfa):
+    dec = graph_scc(growth.transition_graph(dfa))
+    assume(len(dec.nontrivial))
+    rho = math.lcm(*(
+        automaton.imprimitivity(dfa, dec.members_of(c).tolist()) for c in dec.nontrivial.tolist()
+    ))
+    for modulus in (rho, 2 * rho):
+        tail = growth._tails(dfa, modulus)
+        assert growth._residue_sets(dfa, dec, modulus, tail) == member_residue_sets(
+            dfa, dec, modulus
+        )
+    # the tails mod each divisor of rho fold from those mod rho
+    tail = growth._tails(dfa, rho)
+    for r in range(1, rho + 1):
+        if rho % r == 0:
+            assert [growth._fold(t, rho, r) for t in tail] == growth._tails(dfa, r)
 
 
 def test_profile_residue_count_below_period_lcm():

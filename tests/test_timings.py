@@ -1,0 +1,62 @@
+"""The timing script's runner: round order, agreement, summaries, and one
+fresh-process run of the stages mode."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from wordgrowth.powerfree import approximation_bounds
+from wordgrowth.words import ExponentBound
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("timings", ROOT / "scripts" / "timings.py")
+timings = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(timings)
+
+
+def test_rounds_rotate_the_first_side():
+    assert timings.rounds(["a", "b"], 4) == [["a", "b"], ["b", "a"], ["a", "b"], ["b", "a"]]
+    order = timings.rounds(["a", "b", "c"], 6)
+    assert order[:3] == [["a", "b", "c"], ["b", "c", "a"], ["c", "a", "b"]]
+    assert [o[0] for o in order].count("c") == 2
+    assert timings.rounds(["only"], 3) == [["only"]] * 3
+
+
+def test_summarise_raises_when_runs_disagree():
+    runs = [{"times": {"t": 1.0}, "hash": "x"}, {"times": {"t": 2.0}, "hash": "y"}]
+    with pytest.raises(ValueError, match="hash"):
+        timings.summarise(runs, ("hash",))
+    # a key that one run lacks is a disagreement too
+    with pytest.raises(ValueError, match="size"):
+        timings.summarise([{"times": {}, "size": 3}, {"times": {}}], ("size",))
+
+
+def test_summarise_gives_best_quartiles_median_and_every_run():
+    runs = [{"times": {"t": t}, "hash": "x", "rss": t * 10} for t in (4.0, 1.0, 3.0, 2.0)]
+    summary = timings.summarise(runs, ("hash",))
+    assert summary == {
+        "hash": "x",
+        "times_s": {"t": {
+            "best": 1.0, "q1": 1.75, "median": 2.5, "q3": 3.25, "runs": [4.0, 1.0, 3.0, 2.0],
+        }},
+        "rss": [40.0, 10.0, 30.0, 20.0],
+    }
+    one = timings.summarise(runs[:1], ("hash",))["times_s"]["t"]
+    assert one == {"best": 4.0, "q1": 4.0, "median": 4.0, "q3": 4.0, "runs": [4.0]}
+
+
+def test_stages_run_the_real_bounds_in_a_fresh_process():
+    record = timings.measure("stages", {"here": str(ROOT / "src")}, ["2,3,8"], 1, 120)
+    assert record["first_side_by_round"] == ["here"]
+    got = record["cases"]["2,3,8"]["here"]
+    # cap 8 admits no lower bound: lower_bound raises, and a stage that
+    # raises has no time of its own
+    assert set(got["times_s"]) == {
+        "minimal_powers", "quotient", "components", "index", "lift", "bounds",
+    }
+    bounds = approximation_bounds(2, ExponentBound.parse("3"), 8, delta=1e-7)
+    assert bounds.lower is None
+    assert got["states"] == bounds.automaton_states
+    assert got["upper"] == [str(bounds.upper.lo), str(bounds.upper.hi)]
+    assert got["lower"] == (None if bounds.lower is None else str(bounds.lower))
