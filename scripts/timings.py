@@ -25,7 +25,10 @@ named):
     ``tm2.dfa`` and ``tm2.ad`` (built as ``dfa-report`` and ``fad`` build
     them), of Thue-Morse levels 3-5, and of ``dag`` (``dag_automaton``),
     with the pairs of its ``_CounterProduct``, its ``graph_scc`` calls and
-    a hash of the report's ``repr``, which holds every certified bound.
+    a hash of the report's ``repr``, which holds every certified bound;
+    and, per run, the certificate streams it opened (``_certificates``
+    calls) and the components of each float batch it ran
+    (``_float_vectors`` calls).
 ``engine``  ``LEVEL/1e-PLACES`` reads the certificate stream of the one
     nontrivial component of Thue-Morse level LEVEL to width 2e-PLACES,
     and times the float pass and the continuation (from the second
@@ -184,9 +187,11 @@ def profile_run(case: str) -> dict:
     from wordgrowth import growth
 
     dfa = profile_automaton(case)
-    scc_calls, pairs = [], []
+    scc_calls, pairs, streams, batches = [], [], [], []
     watch(growth, "graph_scc", lambda seconds, out: scc_calls.append(seconds))
     watch(growth, "_CounterProduct", lambda seconds, out: pairs.append(len(out.states)))
+    watch(growth, "_certificates", lambda seconds, out: streams.append(seconds))
+    watch(growth, "_float_vectors", lambda seconds, out: batches.append(len(out)))
     start_rss_mb = peak_rss_mb()
     start = time.perf_counter()
     report = growth.asymptotic_profile(dfa, PROFILE_DELTA)
@@ -198,6 +203,8 @@ def profile_run(case: str) -> dict:
         "pairs": sum(pairs),
         "graph_scc_calls": len(scc_calls),
         "report_sha256": hashlib.sha256(repr(report).encode()).hexdigest(),
+        "streams": len(streams),
+        "float_batches": batches,
         "peak_rss_mb": peak_rss_mb(),
         "start_rss_mb": start_rss_mb,
     }

@@ -650,7 +650,7 @@ def count_words(dfa: Dfa, n: int) -> int:
     return sum(counts[q] for q in dfa.accepting)
 
 
-def _analyse(graph: WeightedDigraph, delta: Fraction, runs: dict, periods=None) -> tuple:
+def _analyse(graph: WeightedDigraph, delta: Fraction, runs: dict, periods=None, lift=None):
     """Strong components of a transition graph and two certified
     intervals for each nontrivial one, keyed by component id: ``rates``
     of width at most 2*delta, and ``tight``, at most delta/2, read from
@@ -662,24 +662,60 @@ def _analyse(graph: WeightedDigraph, delta: Fraction, runs: dict, periods=None) 
     deterministic, so a component seen before costs nothing.  One
     transition graph feeds both ``graph_scc`` and the components' local
     graphs.  ``periods``, when a dict, receives each nontrivial
-    component's period, which its stream then takes as found.  The
-    distinct components not in ``runs`` get their streams from one
-    ``_streams`` call, so their float passes run as one batch.
+    component's period, which its stream then takes as found.  ``lift``
+    gives a counter product its pairs' states and the automaton's ``dec``,
+    ``rates`` and ``tight``, whose intervals ``_lifts``' components take.
+    The other distinct components not in ``runs`` get their streams from
+    one ``_streams`` call, so their float passes run as one batch.
     """
     dec = graph_scc(graph)
-    nontrivial = dec.nontrivial.tolist()
-    comps = list(_component_graphs(graph, [dec.members_of(cid) for cid in nontrivial]))
+    lifted = {} if lift is None else _lifts(graph, dec, *lift[:2])
+    rest = [cid for cid in dec.nontrivial.tolist() if cid not in lifted]
+    comps = list(_component_graphs(graph, [dec.members_of(cid) for cid in rest]))
     period_of = {}
     if periods is not None:
-        for cid, comp in zip(nontrivial, comps):
+        for cid, comp in zip(rest, comps):
             periods[cid] = period_of[comp] = graph_period(comp)
     fresh = [comp for comp in dict.fromkeys(comps) if comp not in runs]
     for comp, stream in zip(fresh, _streams(fresh, delta / 2, period_of)):
         at = next(iv for iv in stream if iv.width <= 2 * delta)
         runs[comp] = at, next(iv for iv in chain([at], stream) if iv.width <= delta / 2)
-    rates = {cid: runs[comp][0] for cid, comp in zip(nontrivial, comps)}
-    tight = {cid: runs[comp][1] for cid, comp in zip(nontrivial, comps)}
+    rates = {cid: runs[comp][0] for cid, comp in zip(rest, comps)}
+    tight = {cid: runs[comp][1] for cid, comp in zip(rest, comps)}
+    for cid, c in lifted.items():
+        rates[cid], tight[cid] = lift[2][c], lift[3][c]
     return dec, rates, tight
+
+
+def _lifts(graph: WeightedDigraph, dec: SccDecomposition, states, base: SccDecomposition) -> dict:
+    """The nontrivial components of a counter product (``graph``, ``dec``,
+    pair i over state ``states[i]``) that share the stream of the
+    automaton component (of ``base``) they lie over, mapped to it.
+
+    Let P hold the pair (q, c), and C, of period p, hold q.  Closed walks
+    at q have every large multiple of p as a length and no other, so P
+    holds r / gcd(p, r) pairs over q, and as many over each state q' of C
+    (a walk q -> q' -> q, then a closed walk at q back to c, passes one).
+    So |P| = |C| exactly when r divides p.  Then (q, c) -> q maps P
+    one-to-one onto C, and an edge q -> t of C is the edge (q, c) ->
+    (t, c + 1) of P, of as many letters: a walk t -> q is one letter
+    short of a multiple of p, hence of r.  The stream reads names only in
+    the float pass, which adds each row's terms in order: two terms
+    commute, three need not, so P's rows of three or more entries must
+    list their targets in C's order, that of their states.
+    """
+    nontrivial = dec.nontrivial
+    over = base.component_of[[states[i] for i in dec.members[dec.member_ptr[nontrivial]].tolist()]]
+    lifted = np.diff(dec.member_ptr)[nontrivial] == np.diff(base.member_ptr)[over]
+    pairs = dec.members[_row_entries(dec.member_ptr, nontrivial[lifted])[0]]
+    entry, row = _row_entries(graph.indptr, pairs)
+    inside = dec.component_of[graph.indices[entry]] == dec.component_of[pairs[row]]
+    row, entry = row[inside], entry[inside]
+    state = np.array([states[t] for t in graph.indices[entry].tolist()], dtype=np.int64)
+    swapped = (np.bincount(row)[row[1:]] >= 3) & (row[1:] == row[:-1]) & (state[1:] < state[:-1])
+    broken = np.bincount(dec.component_of[pairs[row[1:][swapped]]], minlength=len(dec))
+    lifted &= broken[nontrivial] == 0
+    return dict(zip(nontrivial[lifted].tolist(), over[lifted].tolist()))
 
 
 def classify(dfa: Dfa) -> ComplexityClass:
@@ -998,12 +1034,12 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
     product component holding the pair (q, c) lies in slice j when some
     walk from q reaches acceptance in j - c letters mod r.  The slice's
     rate is the largest of its components', and its degree counts
-    maximal ones
-    along condensation paths of the product from the start, which meet
-    slice j's components only inside slice j.  A slice without a
-    nontrivial component, empty or not, has rate 0 and degree 0.  Every
-    distinct component local graph is certified once.  Raises
-    ProfileSizeError when the product is too large.
+    maximal ones along condensation paths of the product from the start,
+    which meet slice j's components only inside slice j.  A slice without
+    a nontrivial component, empty or not, has rate 0 and degree 0.  A
+    product component that lifts an automaton component one to one takes
+    its intervals, and every other distinct local graph is certified
+    once.  Raises ProfileSizeError when the product is too large.
     """
     dfr = _as_fraction(delta)
     if dfr <= 0:
@@ -1045,7 +1081,8 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
     r = lcm(*(periods[c] for c in important)) if important else 1
 
     product = _CounterProduct(dfa, r)
-    pdec, prates, ptight = _analyse(product.graph, dfr, runs)
+    lift = product.states, dec, rates, tight
+    pdec, prates, ptight = _analyse(product.graph, dfr, runs, lift=lift)
     # r divides rho, so the tails mod r fold from those mod rho
     slices = _product_slices([_fold(t, rho, r) for t in tail], product, pdec)
     start = pdec.component_of[0]

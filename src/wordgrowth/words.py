@@ -359,9 +359,10 @@ def minimal_word_arrays(
       ``ends_in_violation`` proves); before it, that is R_q >= L_q - 1
       and w[n-q] = x, so each row's forbidden letters are gathered from
       the q with R_q >= L_q - 1;
-    - the periodic extension of a period-p root to L_p applies the same
-      update to all roots at once, letter by letter, and drops a row
-      when its prefix w[:L_p-1] stops being free;
+    - period p is extended from level m_p = min(L_p - 1, p_max), whose
+      rows with R_p >= m_p are its roots' free periodic extensions: one
+      update runs on them all at once, letter by letter, to L_p and
+      drops a row when its prefix w[:L_p-1] stops being free;
     - w[1:] is free exactly when no q with L_q <= L_p - 1 has R_q >= L_q:
       its other factors lie in the free prefix.
 
@@ -385,7 +386,7 @@ def minimal_word_arrays(
     words = np.zeros((1, 0), np.min_scalar_type(k - 1))
     runs = np.zeros((1, 0), run_type)
     used = np.zeros(1, np.intp)  # letters a canonical word has used
-    arrays, visited = {}, 0
+    arrays, visited = dict.fromkeys(sorted(targets)), 0
     for n in range(p_max):
         free = np.ones((len(words), k), bool)
         if canonical:
@@ -409,25 +410,26 @@ def minimal_word_arrays(
         runs = grown
         if canonical:
             used = np.maximum(used[parent], letter + 1)
-        if n + 1 in targets:
-            arrays[n + 1] = _periodic_extensions(words, runs, lengths, n + 1)
+        for p in [p for p in arrays if min(lengths[p - 1] - 1, p_max) == n + 1]:
+            rows = runs[:, p - 1] >= n + 1 if p <= n else slice(None)
+            arrays[p] = _periodic_extensions(words[rows], runs[rows], lengths, p)
     return arrays, visited
 
 
 def _periodic_extensions(roots, runs, lengths, p: int):
-    """The rows of ``roots`` (free words of length p, with their R table;
-    see ``minimal_word_arrays``) whose periodic extension to L_p is a
-    minimal violating word, extended, in their order.  The letters of
-    the extension are read off the roots, so only the rows kept are
-    ever extended."""
-    length = int(lengths[p - 1])
+    """The rows of ``roots`` (free words of period p and length m, p <= m
+    < L_p, with their R table; see ``minimal_word_arrays``) whose periodic
+    extension to L_p is a minimal violating word, extended, in their
+    order.  The letters of the extension are read off the roots' first p
+    letters, so only the rows kept are ever extended."""
+    length, m = int(lengths[p - 1]), roots.shape[1]
     runs = runs[:, :p - 1]
     qs = np.arange(1, p, dtype=runs.dtype)
     keep = np.arange(len(roots))
     # the extension repeats the root: w[n-q] = root[(n-q) % p], q = 1..p-1
-    cols = (np.arange(p, length)[:, None] - np.arange(1, p)) % p
-    for n in range(p, length):
-        back = roots.take(keep, 0).take(cols[n - p], 1)
+    cols = (np.arange(m, length)[:, None] - np.arange(1, p)) % p
+    for n in range(m, length):
+        back = roots.take(keep, 0).take(cols[n - m], 1)
         runs = np.where(back == roots[keep, n % p][:, None], runs + 1, qs)
         # the prefix w[:L_p-1] stays free; then w[1:] is free
         qn = int(np.searchsorted(lengths[:p - 1], min(n + 1, length - 1), "right"))

@@ -195,6 +195,46 @@ def three_target_cycle_dfa():
     return Dfa(3, rows, 0, [0, 1])
 
 
+def two_entry_lift_dfa():
+    """The component of ``three_target_cycle_dfa``, renumbered 1-6 and
+    entered from a new initial state 0 by a at state 1 and by b at state
+    2, which lie in opposite classes of the period: the counter product
+    mod 2 holds two one-to-one lifts of the component, and both list
+    every three-target row's targets in the order of their states."""
+    rows = [
+        {0: 1, 1: 2},
+        {0: 2, 1: 3, 2: 4},
+        {0: 1, 1: 5},
+        {0: 5},
+        {0: 1, 2: 6},
+        {0: 2, 1: 3, 2: 4},
+        {0: 2, 1: 4},
+    ]
+    return Dfa(3, rows, 0, [1, 2])
+
+
+def swapped_three_target_dfa():
+    """A period-2 component on states 1-6, classes {1, 4, 5} and
+    {2, 3, 6}, entered from a new initial state 0 by a at state 1 and by
+    b at state 2, in opposite classes: the counter product mod 2 holds
+    two one-to-one lifts of it.  Letters a, b, c lead from state 2 to
+    states 4, 1 and 5, so both lifts number their copies of that row's
+    targets breadth first out of the order of the states: (2, 1) leads
+    to pairs 5, 6, 7 over states 4, 1, 5, and (2, 0) to pairs 1, 8, 9
+    over states 1, 5, 4.  The lift through (1, 1) certifies to other
+    Fractions than the automaton's component does."""
+    rows = [
+        {0: 1, 1: 2},
+        {0: 3, 1: 2},
+        {0: 4, 1: 1, 2: 5},
+        {0: 1, 1: 5},
+        {0: 3},
+        {0: 3, 1: 6},
+        {0: 5, 1: 4},
+    ]
+    return Dfa(3, rows, 0, [3, 4])
+
+
 def corpus_antidictionaries():
     """Ten assorted antidictionaries for extendable-part exercises."""
     return [

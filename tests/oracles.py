@@ -25,6 +25,12 @@ continuation loops over Python int lists, both on ``exact_bounds``
 ``recursive_intermediate_count``, the earlier staircase count;
 ``member_residue_sets``, the library's earlier residue masks, over every
 member of each component (on its ``_length_masks`` and ``_tails``);
+``per_component_product_profile``, the library's earlier profile, which
+certified every counter-product component on its own (on its
+``_analyse`` and the profile's other private steps);
+``root_level_word_arrays``, the library's earlier level search, which
+extended each period p from all free words of length p (on its
+``target_length``);
 ``goto_loop_quotient_graph``, the quotient read state by state off the
 goto table of ``BreadthFirstTrie``, the library's earlier Python trie;
 ``goto_move_voltages`` and ``goto_lifted_components``, every move's
@@ -65,6 +71,11 @@ from wordgrowth.growth import (
     ResidueAsymptotics,
     _analyse,
     _as_fraction,
+    _classify,
+    _CounterProduct,
+    _fold,
+    _product_slices,
+    _residue_sets,
     _extreme_ratios,
     _float_vectors,
     _integer_vector,
@@ -578,6 +589,83 @@ def minimal_words(
                 yield MinimalPower(p, tuple(w), Fraction(length, p))
 
 
+def root_level_word_arrays(
+    k: int,
+    bound: ExponentBound,
+    periods: Iterable[int],
+    canonical: bool = False,
+    budget: Optional[int] = None,
+) -> tuple:
+    """``words.minimal_word_arrays`` as it was when each period p was
+    extended at level p, from all free words of length p: its
+    ``_periodic_extensions`` then checked every letter past the root,
+    where the library now starts at level min(L_p - 1, p_max), from the
+    rows that already have period p.  Same arguments and result."""
+    if k < 1:
+        raise ValueError("alphabet must have at least 1 letter")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be at least 1")
+    targets = set(periods)
+    if not targets:
+        return {}, 0
+    p_max = max(targets)
+    lengths = np.array([target_length(bound, q) for q in range(1, p_max + 1)])
+    run_type = np.min_scalar_type(int(lengths[-1]))
+    qs = np.arange(1, p_max, dtype=run_type)  # the periods R keeps
+    words = np.zeros((1, 0), np.min_scalar_type(k - 1))
+    runs = np.zeros((1, 0), run_type)
+    used = np.zeros(1, np.intp)  # letters a canonical word has used
+    arrays, visited = {}, 0
+    for n in range(p_max):
+        free = np.ones((len(words), k), bool)
+        if canonical:
+            free &= np.arange(k) <= used[:, None]
+        # the q with L_q <= n + 1 and one letter short of a violation
+        qn = int(np.searchsorted(lengths, n + 1, "right"))
+        row, col = np.nonzero(runs[:, :qn] >= lengths[:qn] - 1)
+        free[row, words[row, n - 1 - col]] = False
+        visited += int(np.count_nonzero(free))
+        if budget is not None and visited > budget:
+            raise BudgetExceededError(p_max, budget)
+        parent, letter = np.nonzero(free)  # row-major: lexicographic order
+        words = np.concatenate([words[parent], letter[:, None].astype(words.dtype)], 1)
+        back = words[:, :n][:, ::-1][:, :p_max - 1]  # w[n-q] for the q kept
+        # R_q + 1 where w[n-q] = x, else q; then the new column q = n + 1
+        kept = runs.shape[1]
+        grown = np.empty((len(words), min(n + 1, p_max - 1)), run_type)
+        np.add(runs[parent], 1, out=grown[:, :kept])
+        np.copyto(grown[:, :kept], qs[:kept], where=back != words[:, n, None])
+        grown[:, kept:] = n + 1
+        runs = grown
+        if canonical:
+            used = np.maximum(used[parent], letter + 1)
+        if n + 1 in targets:
+            arrays[n + 1] = _root_extensions(words, runs, lengths, n + 1)
+    return arrays, visited
+
+
+def _root_extensions(roots, runs, lengths, p: int):
+    """The rows of ``roots`` (free words of length p, with their R table;
+    see ``words.minimal_word_arrays``) whose periodic extension to L_p is a
+    minimal violating word, extended, in their order.  The letters of
+    the extension are read off the roots, so only the rows kept are
+    ever extended."""
+    length = int(lengths[p - 1])
+    runs = runs[:, :p - 1]
+    qs = np.arange(1, p, dtype=runs.dtype)
+    keep = np.arange(len(roots))
+    # the extension repeats the root: w[n-q] = root[(n-q) % p], q = 1..p-1
+    cols = (np.arange(p, length)[:, None] - np.arange(1, p)) % p
+    for n in range(p, length):
+        back = roots.take(keep, 0).take(cols[n - p], 1)
+        runs = np.where(back == roots[keep, n % p][:, None], runs + 1, qs)
+        # the prefix w[:L_p-1] stays free; then w[1:] is free
+        qn = int(np.searchsorted(lengths[:p - 1], min(n + 1, length - 1), "right"))
+        ok = ~(runs[:, :qn] >= lengths[:qn]).any(1)
+        keep, runs = keep[ok], runs[ok]
+    return roots.take(keep, 0).take(np.arange(length) % p, 1)
+
+
 # ---------------------------------------------------------------------------
 # circular words
 
@@ -847,6 +935,48 @@ def per_slice_profile(dfa, delta: Fraction):
     return GrowthReport(
         cls, gr, pd, r, tuple(per_residue), oscillation_type(report), delta
     )
+
+
+def per_component_product_profile(dfa, delta: Fraction) -> tuple:
+    """``asymptotic_profile`` of a trimmed automaton with a cycle, the
+    library's earlier way, in which every nontrivial component of the
+    counter product is certified on its own (one stream per distinct
+    local graph, shared through ``runs`` with the automaton's components)
+    and none reuses the intervals of the automaton component it lies
+    over: the report, and the product's ``rates`` and ``tight``, each
+    component's two intervals keyed by its id."""
+    runs: dict = {}
+    periods: dict = {}
+    graph = transition_graph(dfa)
+    dec, rates, tight = _analyse(graph, delta, runs, periods)
+    cls = _classify(graph, dec, dfa.initial)
+    gr = _rate(rates.values())
+    pd = _polynomial_index(dec, tight, dec.component_of[dfa.initial])
+    rho = lcm(*periods.values())
+    tail = _tails(dfa, rho)
+    masks = _residue_sets(dfa, dec, rho, tail)
+    important = []
+    for c in rates:
+        higher = 0
+        for d in rates:
+            if d != c and tight[d].lo > tight[c].hi:
+                higher |= masks[d]
+        if masks[c] & ~higher:
+            important.append(c)
+    r = lcm(*(periods[c] for c in important)) if important else 1
+    product = _CounterProduct(dfa, r)
+    pdec, prates, ptight = _analyse(product.graph, delta, runs)
+    slices = _product_slices([_fold(t, rho, r) for t in tail], product, pdec)
+    start = pdec.component_of[0]
+    per_residue = []
+    for j in range(r):
+        inside = [cid for cid, bits in slices.items() if bits >> j & 1]
+        m = _polynomial_index(pdec, {c: ptight[c] for c in inside}, start) if inside else 0
+        alpha = _rate(prates[c] for c in inside)
+        per_residue.append(ResidueAsymptotics(j, alpha.lo, alpha.hi, m))
+    report = GrowthReport(cls, gr, pd, r, tuple(per_residue), "Indeterminate", delta)
+    tag = oscillation_type(report)
+    return GrowthReport(cls, gr, pd, r, tuple(per_residue), tag, delta), prates, ptight
 
 
 def trimmed_slice_rows(dfa, r: int, delta: Fraction) -> tuple:

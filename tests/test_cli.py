@@ -278,6 +278,48 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout == "[]\n"
 
 
+# one query of each command
+EVERY_COMMAND = (
+    ["dfa-report", str(DATA / "tm2.dfa")],
+    ["fad", str(DATA / "tm2.ad")],
+    ["tm-approx", "3"],
+    ["extendable", str(DATA / "tm1.dfa"), "--side", "two_sided"],
+    ["intermediate", "30", "--k", "2"],
+    ["powerfree", "2", "3", "--cap", "12"],
+    ["root", "3", "2", "--n-max", "10"],
+    ["circular", "--n", "8"],
+    ["scan", "2", "5/2", "--p-max", "16"],
+    ["asymptotic", "2", "3"],
+)
+
+
+def test_queries_load_no_numpy_module_beyond_the_import():
+    # a numpy module that only a query loads (np.unique loads numpy.ma)
+    # raises the peak RSS of the process that runs it
+    assert sorted(q[0] for q in EVERY_COMMAND) == sorted(main.commands)
+    src = os.path.dirname(os.path.dirname(wordgrowth.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import wordgrowth.cli\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m.split('.')[0] == 'numpy'}\n"
+        "before = loaded()\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        wordgrowth.cli.main(['--format', 'json', *argv], standalone_mode=False)\n"
+        "print(sorted(loaded() - before))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(EVERY_COMMAND)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
+
+
 def test_powerfree_budget_failure(runner):
     result = runner.invoke(main, ["--budget", "10", "powerfree", "3", "2", "--cap", "24"])
     assert result.exit_code == 1

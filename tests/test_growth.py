@@ -25,6 +25,7 @@ from oracles import (
     fraction_exact_bounds,
     interval_contains,
     member_residue_sets,
+    per_component_product_profile,
     per_slice_profile,
     python_int_certificates,
     row_list_certificates,
@@ -878,6 +879,8 @@ PROFILE_BUILDERS = (
     builders.chained_phi_dfa,
     builders.dominated_cycle_dfa,
     builders.three_target_cycle_dfa,
+    builders.two_entry_lift_dfa,
+    builders.swapped_three_target_dfa,
 )
 
 
@@ -980,6 +983,99 @@ def test_residue_masks_from_one_member_match_every_member(dfa):
             assert [growth._fold(t, rho, r) for t in tail] == growth._tails(dfa, r)
 
 
+@pytest.mark.parametrize("delta", [Fraction(1, 10**6), Fraction(1, 10**12)])
+def test_profile_matches_per_component_product_oracle(monkeypatch, dfa_corpus, delta):
+    """Product components that lift an automaton component take its
+    intervals: the report and every product component's two intervals
+    are those of certifying each product component on its own, Fraction
+    for Fraction."""
+    calls = []
+    analyse = growth._analyse
+
+    def recording_analyse(*args, **kwargs):
+        calls.append(analyse(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(growth, "_analyse", recording_analyse)
+    for d in profile_automata(dfa_corpus, range(-1, 6)):
+        calls.clear()
+        rep = asymptotic_profile(d, delta)
+        if len(calls) < 2:  # a finite language: no counter product
+            continue
+        _, prates, ptight = calls[1]
+        assert (rep, prates, ptight) == per_component_product_profile(d, delta), d
+
+
+def streams_opened(monkeypatch, dfa) -> int:
+    """The certificate streams ``asymptotic_profile`` opens on ``dfa``."""
+    streams = []
+    certificates = growth._certificates
+
+    def counting_certificates(comp, *args):
+        streams.append(comp)
+        return certificates(comp, *args)
+
+    monkeypatch.setattr(growth, "_certificates", counting_certificates)
+    asymptotic_profile(dfa)
+    monkeypatch.setattr(growth, "_certificates", certificates)
+    return len(streams)
+
+
+def test_three_target_lifts_reuse_only_rows_in_state_order(monkeypatch):
+    # each builder's counter product mod 2 holds one or two lifts of its
+    # one period-2 component, with rows of three targets; a lift that
+    # lists such a row's targets out of the order of their states opens a
+    # stream of its own, and the two lifts of the swapped builder do
+    for build, lifts, streams in ((builders.three_target_cycle_dfa, 1, 1),
+                                  (builders.two_entry_lift_dfa, 2, 1),
+                                  (builders.swapped_three_target_dfa, 2, 3)):
+        d = build()
+        assert asymptotic_profile(d).residue_count == 2
+        product = growth._CounterProduct(d, 2)
+        assert int(np.diff(product.graph.indptr).max()) == 3
+        assert len(graph_scc(product.graph).nontrivial) == lifts
+        assert streams_opened(monkeypatch, d) == streams, build
+
+
+@given(layered_accepting_dfas(), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_product_components_of_automaton_size_are_renamed_automaton_components(dfa, r):
+    """The lemma of ``growth._lifts``: a product component P over the
+    automaton component C of period p has |C| * r / gcd(p, r) pairs, and
+    when |P| = |C| the projection (q, c) -> q turns P's local graph into
+    C's, weights and all.  ``_lifts`` maps P to C exactly then, when
+    every row of P's local graph with three or more entries also lists
+    its targets in the order of their states."""
+    graph = growth.transition_graph(dfa)
+    base = graph_scc(graph)
+    product = growth._CounterProduct(dfa, r)
+    dec = graph_scc(product.graph)
+    states = np.array(product.states)
+    lifts = growth._lifts(product.graph, dec, product.states, base)
+    local = np.full(dfa.state_count, -1)
+    for pid in dec.nontrivial.tolist():
+        pairs = dec.members_of(pid)
+        c = int(base.component_of[states[pairs[0]]])
+        members = base.members_of(c)
+        (comp,) = growth._component_graphs(graph, [members])
+        assert len(pairs) == len(members) * r // math.gcd(graph_period(comp), r)
+        if len(pairs) != len(members):
+            assert pid not in lifts
+            continue
+        (lifted,) = growth._component_graphs(product.graph, [pairs])
+        local[members] = np.arange(len(members))
+        name = local[states[pairs]]
+        assert sorted(name.tolist()) == list(range(len(members)))
+        row = np.repeat(name, np.diff(lifted.indptr))
+        renamed = WeightedDigraph.from_edges(
+            len(members), row, name[lifted.indices], lifted.weights
+        )
+        assert renamed == comp
+        rows = [[int(name[t]) for t, _ in row] for row in digraph_rows(lifted)]
+        in_order = all(t == sorted(t) for t in rows if len(t) >= 3)
+        assert lifts.get(pid) == (c if in_order else None)
+
+
 def test_profile_residue_count_below_period_lcm():
     # the 4-cycle only adds words at lengths 0 mod 4, which the rate-2
     # block already carries; the 3-cycle adds lengths 1 mod 6: r = 6, not 12
@@ -996,9 +1092,11 @@ def test_profile_residue_count_below_period_lcm():
 
 
 def test_profile_certifies_each_component_once(monkeypatch):
-    # Thue-Morse level 2 has r = 8 slices whose components repeat: the
-    # profile reads both widths from one stream per distinct local graph
-    # and decomposes two graphs, the automaton's and the counter product's
+    # Thue-Morse level 2 has r = 8 slices, and each of the counter
+    # product's 8 components is a one-to-one lift of the automaton's one
+    # component: the profile reads both widths of every component from
+    # that one stream, and decomposes two graphs, the automaton's and the
+    # counter product's
     streams, decompositions = [], []
     certificates = growth._certificates
     decompose = growth.graph_scc
@@ -1016,14 +1114,15 @@ def test_profile_certifies_each_component_once(monkeypatch):
     rep = asymptotic_profile(fad_automaton(tm_antidictionary(2)))
     assert rep.residue_count == 8
     assert all(pr.alpha_hi > 0 for pr in rep.per_residue)
-    assert len(streams) == len(set(streams)) == 7
+    assert len(streams) == len(set(streams)) == 1
     assert len(decompositions) == 2
 
 
 def test_profile_runs_one_float_pass_per_decomposed_graph(monkeypatch):
-    # the 7 distinct components of the Thue-Morse level-2 profile, the
-    # automaton's one and the counter product's 6 new ones, are all wider
-    # than delta/2 at all-ones, and each graph's go through one loop
+    # the one component of the Thue-Morse level-2 automaton is wider than
+    # delta/2 at all-ones and gets one float pass; the counter product's
+    # components all lift it, so the product's graph opens no stream and
+    # runs no pass
     batches = []
     float_vectors = growth._float_vectors
 
@@ -1033,7 +1132,7 @@ def test_profile_runs_one_float_pass_per_decomposed_graph(monkeypatch):
 
     monkeypatch.setattr(growth, "_float_vectors", counting_float_vectors)
     asymptotic_profile(fad_automaton(tm_antidictionary(2)))
-    assert batches == [1, 6]
+    assert batches == [1]
 
 
 def assert_same_decomposition(dec, expected, case):

@@ -27,6 +27,7 @@ from oracles import (
     naive_exponent,
     naive_min_period,
     naive_violates,
+    root_level_word_arrays,
     suffixes_stay_free,
     tarjan_cyclic_components,
     thue_morse_prefix,
@@ -345,6 +346,46 @@ def test_level_search_budget_boundary_is_the_depth_first_one(k, token, cap, mode
         minimal_powers(k, bound, cap, mode, canonical, budget=visited - 1)
     assert levels.value.period == depth_first.value.period == max(periods)
     assert str(levels.value) == str(depth_first.value)
+
+
+# the eleven bounds of the extension grid, and each alphabet's largest period
+EXTENSION_TOKENS = ("11/10", "5/4", "4/3", "3/2", "5/3", "7/4", "2", "2+", "5/2", "3", "3+")
+EXTENSION_CAPS = {1: 14, 2: 12, 3: 9, 4: 7}
+
+
+def assert_same_arrays(got, expected, case):
+    arrays, visited = got
+    assert visited == expected[1], case
+    assert list(arrays) == list(expected[0]), case
+    for p, words in arrays.items():
+        assert words.dtype == expected[0][p].dtype, case
+        assert words.tolist() == expected[0][p].tolist(), case
+
+
+@pytest.mark.parametrize("k", sorted(EXTENSION_CAPS))
+def test_extension_from_the_last_searched_level_matches_root_level_oracle(k):
+    # each period is extended from level min(L_p - 1, p_max), off the rows
+    # that have period p there; the oracle extends it from level p, off
+    # every root.  Same arrays, dtypes, row order and visited count, and
+    # the same budget boundary
+    cap = EXTENSION_CAPS[k]
+    period_sets = (range(1, cap + 1), [cap], range(1, cap + 1, 2),
+                   [1, cap // 2, cap], range(cap // 2, cap + 1))
+    for token in EXTENSION_TOKENS:
+        bound = B(token)
+        for periods in period_sets:
+            for canonical in (False, True):
+                case = (k, token, list(periods), canonical)
+                expected = root_level_word_arrays(k, bound, periods, canonical)
+                assert_same_arrays(minimal_word_arrays(k, bound, periods, canonical),
+                                   expected, case)
+                visited = expected[1]
+                got = minimal_word_arrays(k, bound, periods, canonical, budget=visited)
+                assert_same_arrays(got, expected, case)
+                if visited > 1:
+                    with pytest.raises(BudgetExceededError) as err:
+                        minimal_word_arrays(k, bound, periods, canonical, budget=visited - 1)
+                    assert err.value.period == max(periods), case
 
 
 @st.composite

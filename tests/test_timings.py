@@ -1,11 +1,13 @@
-"""The timing script's runner: round order, agreement, summaries, and one
-fresh-process run of the stages mode."""
+"""The timing script's runner: round order, agreement, summaries, and
+fresh-process runs of the stages and profile modes."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
+from wordgrowth.growth import asymptotic_profile
 from wordgrowth.powerfree import approximation_bounds
 from wordgrowth.words import ExponentBound
 
@@ -60,3 +62,15 @@ def test_stages_run_the_real_bounds_in_a_fresh_process():
     assert got["states"] == bounds.automaton_states
     assert got["upper"] == [str(bounds.upper.lo), str(bounds.upper.hi)]
     assert got["lower"] == (None if bounds.lower is None else str(bounds.lower))
+
+
+def test_profile_run_records_streams_and_float_batches_per_run():
+    record = timings.measure("profile", {"here": str(ROOT / "src")}, ["tm2.dfa"], 2, 120)
+    got = record["cases"]["tm2.dfa"]["here"]
+    report = asymptotic_profile(timings.profile_automaton("tm2.dfa"), timings.PROFILE_DELTA)
+    assert got["report_sha256"] == hashlib.sha256(repr(report).encode()).hexdigest()
+    assert (got["residue_count"], got["graph_scc_calls"]) == (8, 2)
+    # one stream and one float batch, for the automaton's one component:
+    # every product component lifts it
+    assert got["streams"] == [1, 1]
+    assert got["float_batches"] == [[1], [1]]
