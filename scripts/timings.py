@@ -23,12 +23,12 @@ named):
     101 builds of each Thue-Morse level's identity-frame trie.
 ``profile``  ``asymptotic_profile`` at delta = 1e-6 of ``perfbench``'s
     ``tm2.dfa`` and ``tm2.ad`` (built as ``dfa-report`` and ``fad`` build
-    them), of Thue-Morse levels 3-5, and of ``dag`` (``dag_automaton``),
-    with the pairs of its ``_CounterProduct``, its ``graph_scc`` calls and
-    a hash of the report's ``repr``, which holds every certified bound;
-    and, per run, the certificate streams it opened (``_certificates``
-    calls) and the components of each float batch it ran
-    (``_float_vectors`` calls).
+    them), of Thue-Morse levels 3-5, of ``dag`` (``dag_automaton``) and
+    of ``chain`` (``chain_automaton``), with the pairs of its
+    ``_CounterProduct``, its ``graph_scc`` calls and a hash of the
+    report's ``repr``, which holds every certified bound; and, per run,
+    the certificate streams it opened (``_certificates`` calls) and the
+    float passes it ran (``_float_vector`` calls; ``float_pass_name``).
 ``engine``  ``LEVEL/1e-PLACES`` reads the certificate stream of the one
     nontrivial component of Thue-Morse level LEVEL to width 2e-PLACES,
     and times the float pass and the continuation (from the second
@@ -153,6 +153,13 @@ def tm_trie_times() -> dict:
 PROFILE_DELTA = Fraction(1, 10**6)
 
 
+def float_pass_name(growth) -> str:
+    """The name of ``growth``'s float pass: ``_float_vector``, or, in a
+    checkout from before it, ``_float_vectors``, which ran a graph's
+    components as one block-diagonal batch."""
+    return "_float_vector" if hasattr(growth, "_float_vector") else "_float_vectors"
+
+
 def dag_automaton(states=9400, r=64, seed=2026):
     """An r-cycle whose state 0 leads into a random acyclic automaton:
     state s of the acyclic part moves to s + 1 on letter 0 and to a
@@ -168,6 +175,25 @@ def dag_automaton(states=9400, r=64, seed=2026):
     return Dfa(2, rows, 0, range(len(rows)))
 
 
+def chain_automaton(count=12, first=8):
+    """``count`` strong components in a row, of ``first``, ``first`` + 1,
+    ... states: component i is a cycle on letter 0 with a chord from its
+    first state to its third on letter 1, so it has period 1 and rows of
+    one and two letters, and its last state leads to the next component
+    on letter 1.  Every state accepts."""
+    from wordgrowth.automaton import Dfa
+
+    rows = []
+    for i in range(count):
+        start, size = len(rows), first + i
+        block = [{0: start + (j + 1) % size} for j in range(size)]
+        block[0][1] = start + 2
+        if i + 1 < count:
+            block[-1][1] = start + size
+        rows += block
+    return Dfa(2, rows, 0, range(len(rows)))
+
+
 def profile_automaton(case: str):
     """The automaton a profile case profiles, built as the CLI builds it."""
     from wordgrowth.automaton import parse_dfa, trim
@@ -180,6 +206,8 @@ def profile_automaton(case: str):
         return fad_automaton(parse_antidictionary(path.read_text()))
     if case == "dag":
         return dag_automaton()
+    if case == "chain":
+        return chain_automaton()
     return fad_automaton(tm_antidictionary(int(case[2:])))
 
 
@@ -187,11 +215,11 @@ def profile_run(case: str) -> dict:
     from wordgrowth import growth
 
     dfa = profile_automaton(case)
-    scc_calls, pairs, streams, batches = [], [], [], []
+    scc_calls, pairs, streams, passes = [], [], [], []
     watch(growth, "graph_scc", lambda seconds, out: scc_calls.append(seconds))
     watch(growth, "_CounterProduct", lambda seconds, out: pairs.append(len(out.states)))
     watch(growth, "_certificates", lambda seconds, out: streams.append(seconds))
-    watch(growth, "_float_vectors", lambda seconds, out: batches.append(len(out)))
+    watch(growth, float_pass_name(growth), lambda seconds, out: passes.append(seconds))
     start_rss_mb = peak_rss_mb()
     start = time.perf_counter()
     report = growth.asymptotic_profile(dfa, PROFILE_DELTA)
@@ -204,7 +232,7 @@ def profile_run(case: str) -> dict:
         "graph_scc_calls": len(scc_calls),
         "report_sha256": hashlib.sha256(repr(report).encode()).hexdigest(),
         "streams": len(streams),
-        "float_batches": batches,
+        "float_passes": len(passes),
         "peak_rss_mb": peak_rss_mb(),
         "start_rss_mb": start_rss_mb,
     }
@@ -251,7 +279,7 @@ def engine_run(case: str) -> dict:
     (comp,) = growth._component_graphs(graph, [dec.members_of(c)])
     p = automaton.graph_period(comp)
     float_s = []
-    watch(growth, "_float_vectors", lambda seconds, out: float_s.append(seconds))
+    watch(growth, float_pass_name(growth), lambda seconds, out: float_s.append(seconds))
     delta = Fraction(what)
     stream = []
     for iv in growth._certificates(comp):
@@ -291,7 +319,7 @@ MODES = {
     ),
     "profile": Mode(
         profile_run,
-        ("tm2.dfa", "tm2.ad", "tm3", "tm4", "tm5", "dag"),
+        ("tm2.dfa", "tm2.ad", "tm3", "tm4", "tm5", "dag", "chain"),
         ("states", "residue_count", "pairs", "graph_scc_calls", "report_sha256"),
         {"delta": str(PROFILE_DELTA)},
     ),

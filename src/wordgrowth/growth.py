@@ -8,20 +8,19 @@ positive vector v,
     min_i (Av)_i / v_i  <=  index(A)  <=  max_i (Av)_i / v_i.
 
 Any positive v gives rigorous two-sided bounds; a good v makes them
-tight.  A numpy-only float pass finds good vectors fast, for all of a
-graph's components in one block-diagonal loop, and the engine
-evaluates the bounds exactly over integers, so the emitted interval is a
-certificate regardless of how the vector was produced.  On a strongly
-connected component of period 1 the iteration v <- (A+I)v tightens the
-bounds to any requested width.  A component of period p > 1 has p
-eigenvalues of the largest modulus, which A+I damps by at best cos(pi/p)
-per step; there the engine iterates A, scaled by an estimate of the
-index, and certifies the sum of the last p vectors, over which those
-eigenvalues' parts cancel.  The engine yields a stream of nested
-certificates per component; no step depends on the width wanted, so a
-caller reads up to the first certificate narrow enough, and reads two
-widths from one stream, within a budget of ``CONTINUATION_STEPS`` exact
-steps.  Its exact products run in int64 while they fit, else on
+tight.  A numpy-only float pass finds a good vector fast, one component
+at a time, and the engine evaluates the bounds exactly over integers, so
+the emitted interval is a certificate regardless of how the vector was
+produced.  On a strongly connected component of period 1 the iteration
+v <- (A+I)v tightens the bounds to any requested width.  A component of
+period p > 1 has p eigenvalues of the largest modulus, which A+I damps
+by at best cos(pi/p) per step; there the engine iterates A, scaled by an
+estimate of the index, and certifies the sum of the last p vectors, over
+which those eigenvalues' parts cancel.  The engine yields a stream of
+nested certificates per component; no step depends on the width wanted,
+so a caller reads up to the first certificate narrow enough, and reads
+two widths from one stream, within a budget of ``CONTINUATION_STEPS``
+exact steps.  Its exact products run in int64 while they fit, else on
 object-dtype arrays of Python ints.
 
 The components come from ``cyclic_components``, a forward-backward
@@ -309,75 +308,43 @@ def _float_product(row, col, weight, v):
     return np.bincount(row, weights=terms, minlength=len(v))
 
 
-def _block_diagonal(comps: list) -> tuple:
-    """The block-diagonal union of local graphs as the float pass reads
-    it: each entry's row and column, the float weights (None when every
-    weight is 1), and each block's first vertex and size.  A single
-    graph's columns are its own array, not a copy."""
-    sizes = np.array([len(c) for c in comps])
-    first = np.cumsum(sizes) - sizes
-    degree = np.concatenate([np.diff(c.indptr) for c in comps])
-    row = np.repeat(np.arange(len(degree)), degree)
-    if len(comps) == 1:
-        col = comps[0].indices
-    else:
-        col = np.concatenate([c.indices + f for c, f in zip(comps, first.tolist())])
-    weight = None
-    if not all((c.weights == 1).all() for c in comps):
-        weight = np.concatenate([c.weights for c in comps], dtype=float)
-    return row, col, weight, first, sizes
-
-
-def _float_vectors(comps: list, max_iters: int = 20000) -> list:
-    """Floating-point power iteration with (A+I) on each of ``comps``,
-    local graphs, all in one block-diagonal loop; one vector each.
+def _float_vector(comp: WeightedDigraph, max_iters: int = 20000):
+    """Floating-point power iteration with (A+I) on ``comp``, a local
+    graph: a vector in [0, 1] with max 1.
 
     Only a convergence accelerator: nothing it returns is trusted
-    without the exact pass that follows.  Each component is iterated
-    bit for bit as if alone: its rows add the same terms in the same
-    order (``_float_product``), its max is exact, and it is divided by
-    that one scalar.  Every 32nd step each component's gap, the spread
-    of its ratios (Av)_i / v_i, is checked, and the component leaves
-    the batch when the gap is below 1e-14, narrowed by less than 0.1 %
-    since the last check, or is not finite (an entry of v underflowed
-    to 0, which only a graph that is not strongly connected allows, and
-    a ratio became 0/0 or x/0).  Its vector is copied out and the
-    batch's arrays are rebuilt without it, so no component is iterated
-    past its own stop.
+    without the exact pass that follows.  Every 32nd step the gap, the
+    spread of the ratios (Av)_i / v_i, is checked, and the pass stops
+    when the gap is below 1e-14, narrowed by less than 0.1 % since the
+    last check, or is not finite (an entry of v underflowed to 0, which
+    only a graph that is not strongly connected allows, and a ratio
+    became 0/0 or x/0).
 
     No step can fail: A >= 0 gives (A+I)v >= v entrywise, and after each
     division max v = 1, so each max divided by is at least 1, and at
     most one plus the largest row weight sum: finite and positive.
     """
-    out = [None] * len(comps)
-    live = np.arange(len(comps))
-    row, col, weight, first, sizes = _block_diagonal(comps)
-    v = np.ones(int(sizes.sum()))
-    prev_gap = np.full(len(comps), np.inf)
-    # the ratios' 0/0 and x/0 make a gap not finite, which ends that pass
+    row = np.repeat(np.arange(len(comp)), np.diff(comp.indptr))
+    col = comp.indices
+    weight = None if (comp.weights == 1).all() else comp.weights.astype(float)
+    v = np.ones(len(comp))
+    # the max each step divides by is the ufunc's over this fixed index
+    # array, which costs less per call than v.max() or a fresh [0]
+    first = np.zeros(1, dtype=np.intp)
+    prev_gap = np.inf
+    # the ratios' 0/0 and x/0 make the gap not finite, which ends the pass
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(max_iters):
             v += _float_product(row, col, weight, v)
-            m = np.maximum.reduceat(v, first)
-            # alone, a component is divided by a scalar, with no n-entry array per step
-            v /= m[0] if len(m) == 1 else np.repeat(m, sizes)
+            v /= np.maximum.reduceat(v, first)[0]
             if it % 32 < 31:
                 continue
             ratios = _float_product(row, col, weight, v) / v
-            gap = np.maximum.reduceat(ratios, first) - np.minimum.reduceat(ratios, first)
-            stop = (gap < 1e-14) | ~np.isfinite(gap) | (gap >= prev_gap * 0.999)
+            gap = np.maximum.reduce(ratios) - np.minimum.reduce(ratios)
+            if gap < 1e-14 or not np.isfinite(gap) or gap >= prev_gap * 0.999:
+                break
             prev_gap = gap
-            if not stop.any():
-                continue
-            for i, a, n in zip(live[stop].tolist(), first[stop].tolist(), sizes[stop].tolist()):
-                out[i] = v[a:a + n].copy()
-            if stop.all():
-                return out
-            v, live, prev_gap = v[np.repeat(~stop, sizes)], live[~stop], gap[~stop]
-            row, col, weight, first, sizes = _block_diagonal([comps[i] for i in live.tolist()])
-    for i, a, n in zip(live.tolist(), first.tolist(), sizes.tolist()):
-        out[i] = v[a:a + n].copy()
-    return out
+    return v
 
 
 def _integer_vector(fv):
@@ -409,9 +376,7 @@ class IndexBudgetError(RuntimeError):
         self.steps = steps
 
 
-def _certificates(
-    comp: WeightedDigraph, period: Optional[int] = None, fv=None, row_weight=None
-):
+def _certificates(comp: WeightedDigraph, period: Optional[int] = None):
     """Certified index intervals of one nontrivial strongly connected
     component, each nested in the one before: a caller takes the first
     one narrow enough, and one stream serves every width.
@@ -422,13 +387,10 @@ def _certificates(
     float vector's (float acceleration, integerized, certified exactly),
     then the checkpoints of an iteration continued in exact integer
     arithmetic at doubling precision, each intersected with those before.
-    ``row_weight``, the row weight sums, and ``fv``, the float vector,
-    are taken as given when the caller has them (``_streams``); a stream
-    read past its first certificate without ``fv`` runs ``_float_vectors``
-    on its component alone.
-    Past the float certificate the stream reads the component's period p
-    (``period`` when the caller has it, else ``automaton.graph_period``),
-    and the continuation depends on it:
+    The float pass (``_float_vector``) runs only when the stream is read
+    past its all-ones certificate.  Past the float certificate the stream
+    reads the component's period p (``period`` when the caller has it,
+    else ``automaton.graph_period``), and the continuation depends on it:
 
     - p = 1: v <- (A+I)v, renormalized by right shift so entries stay
       near ``prec`` bits, certified every 16th step.  A+I is primitive
@@ -470,8 +432,7 @@ def _certificates(
     (s_i, v_i) pairs picks the extreme ratios.
     """
     starts = comp.indptr[:-1]
-    if row_weight is None:
-        row_weight = np.add.reduceat(comp.weights, starts)
+    row_weight = np.add.reduceat(comp.weights, starts)
     top = int(row_weight.max())
     lo, hi = Fraction(int(row_weight.min())), Fraction(top)
     yield IndexInterval(lo, hi)
@@ -483,9 +444,7 @@ def _certificates(
         """(Av)_i for every row i, exact in v's dtype."""
         return np.add.reduceat(v[col] if unit else v[col] * weights, starts)
 
-    if fv is None:
-        (fv,) = _float_vectors([comp])
-    v = _integer_vector(fv)
+    v = _integer_vector(_float_vector(comp))
     if top >= 1 << 10:
         v = v.astype(object)
     a, b = _extreme_ratios(av(v).tolist(), v.tolist())
@@ -533,26 +492,6 @@ def _certificates(
             stall = 0
         prev_gap = gap
     raise IndexBudgetError(len(comp), hi - lo, CONTINUATION_STEPS // every * every)
-
-
-def _streams(comps: list, width: Fraction, periods: dict) -> list:
-    """A certificate stream for each of ``comps``, local graphs, in order;
-    ``periods`` maps some of them to their periods.
-
-    A stream whose all-ones certificate is wider than ``width``, the
-    narrowest width its caller reads, is read past it, so the float
-    vectors of those streams come from one block-diagonal pass
-    (``_float_vectors``); any other stream stays lazy and runs its own
-    pass only if read that far.  The row weight sums, which give the
-    all-ones certificate, are computed once, here.
-    """
-    row_weights = [np.add.reduceat(c.weights, c.indptr[:-1]) for c in comps]
-    wide = [i for i, w in enumerate(row_weights) if int(w.max()) - int(w.min()) > width]
-    fvs = dict(zip(wide, _float_vectors([comps[i] for i in wide]))) if wide else {}
-    return [
-        _certificates(c, periods.get(c), fvs.get(i), w)
-        for i, (c, w) in enumerate(zip(comps, row_weights))
-    ]
 
 
 def _component_graphs(graph: WeightedDigraph, components):
@@ -624,8 +563,7 @@ def digraph_index(
         dec = graph_scc(graph)
         components = [dec.members_of(c) for c in dec.nontrivial.tolist()]
     comps = [c for c in _component_graphs(graph, components) if c is not None]
-    streams = _streams(comps, 2 * dfr, {})
-    return _rate(next(iv for iv in s if iv.width <= 2 * dfr) for s in streams)
+    return _rate(next(iv for iv in _certificates(c) if iv.width <= 2 * dfr) for c in comps)
 
 
 # ---------------------------------------------------------------------------
@@ -650,23 +588,20 @@ def count_words(dfa: Dfa, n: int) -> int:
     return sum(counts[q] for q in dfa.accepting)
 
 
-def _analyse(graph: WeightedDigraph, delta: Fraction, runs: dict, periods=None, lift=None):
+def _analyse(graph: WeightedDigraph, delta: Fraction, periods=None, lift=None):
     """Strong components of a transition graph and two certified
     intervals for each nontrivial one, keyed by component id: ``rates``
     of width at most 2*delta, and ``tight``, at most delta/2, read from
     the same stream of nested certificates (``rates`` when it is narrow
     enough, the stream read further otherwise).
 
-    ``runs`` maps a component's local graph to its two intervals and is
-    shared by every graph analysed at the same delta: the engine is
-    deterministic, so a component seen before costs nothing.  One
-    transition graph feeds both ``graph_scc`` and the components' local
-    graphs.  ``periods``, when a dict, receives each nontrivial
-    component's period, which its stream then takes as found.  ``lift``
-    gives a counter product its pairs' states and the automaton's ``dec``,
-    ``rates`` and ``tight``, whose intervals ``_lifts``' components take.
-    The other distinct components not in ``runs`` get their streams from
-    one ``_streams`` call, so their float passes run as one batch.
+    One transition graph feeds both ``graph_scc`` and the components'
+    local graphs, and each distinct local graph opens one stream.
+    ``periods``, when a dict, receives each nontrivial component's
+    period, which its stream then takes as found.  ``lift`` gives a
+    counter product its pairs' states and the automaton's ``dec``,
+    ``rates`` and ``tight``, whose intervals ``_lifts``' components take
+    without a stream.
     """
     dec = graph_scc(graph)
     lifted = {} if lift is None else _lifts(graph, dec, *lift[:2])
@@ -676,8 +611,9 @@ def _analyse(graph: WeightedDigraph, delta: Fraction, runs: dict, periods=None, 
     if periods is not None:
         for cid, comp in zip(rest, comps):
             periods[cid] = period_of[comp] = graph_period(comp)
-    fresh = [comp for comp in dict.fromkeys(comps) if comp not in runs]
-    for comp, stream in zip(fresh, _streams(fresh, delta / 2, period_of)):
+    runs = {}
+    for comp in dict.fromkeys(comps):
+        stream = _certificates(comp, period_of.get(comp))
         at = next(iv for iv in stream if iv.width <= 2 * delta)
         runs[comp] = at, next(iv for iv in chain([at], stream) if iv.width <= delta / 2)
     rates = {cid: runs[comp][0] for cid, comp in zip(rest, comps)}
@@ -770,7 +706,7 @@ def polynomial_index_general(dfa: Dfa, delta=Fraction(1, 10**6)) -> int:
     dfr = _as_fraction(delta)
     if dfr <= 0:
         raise ValueError("delta must be positive")
-    dec, _, tight = _analyse(transition_graph(dfa), dfr, {})
+    dec, _, tight = _analyse(transition_graph(dfa), dfr)
     if not tight:
         raise ValueError("polynomial index undefined for a finite language")
     return _polynomial_index(dec, tight, dec.component_of[dfa.initial])
@@ -1038,8 +974,8 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
     which meet slice j's components only inside slice j.  A slice without
     a nontrivial component, empty or not, has rate 0 and degree 0.  A
     product component that lifts an automaton component one to one takes
-    its intervals, and every other distinct local graph is certified
-    once.  Raises ProfileSizeError when the product is too large.
+    its intervals, and every other distinct local graph of the product is
+    certified once.  Raises ProfileSizeError when the product is too large.
     """
     dfr = _as_fraction(delta)
     if dfr <= 0:
@@ -1055,10 +991,9 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
             "NonOscillating",
             dfr,
         )
-    runs: dict = {}
     periods: dict = {}
     graph = transition_graph(dfa)
-    dec, rates, tight = _analyse(graph, dfr, runs, periods)
+    dec, rates, tight = _analyse(graph, dfr, periods)
     cls = _classify(graph, dec, dfa.initial)
     gr = _rate(rates.values())
     if not rates:
@@ -1082,7 +1017,7 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
 
     product = _CounterProduct(dfa, r)
     lift = product.states, dec, rates, tight
-    pdec, prates, ptight = _analyse(product.graph, dfr, runs, lift=lift)
+    pdec, prates, ptight = _analyse(product.graph, dfr, lift=lift)
     # r divides rho, so the tails mod r fold from those mod rho
     slices = _product_slices([_fold(t, rho, r) for t in tail], product, pdec)
     start = pdec.component_of[0]

@@ -20,7 +20,7 @@ one such walk per period; ``component_interval``, the library's
 earlier index engine, one run per width, and
 ``python_int_certificates``, its earlier certificate stream, whose
 continuation loops over Python int lists, both on ``exact_bounds``
-(over the library's ``_extreme_ratios``), ``_float_vectors`` and
+(over the library's ``_extreme_ratios``), ``_float_vector`` and
 ``_integer_vector``;
 ``recursive_intermediate_count``, the earlier staircase count;
 ``member_residue_sets``, the library's earlier residue masks, over every
@@ -77,7 +77,7 @@ from wordgrowth.growth import (
     _product_slices,
     _residue_sets,
     _extreme_ratios,
-    _float_vectors,
+    _float_vector,
     _integer_vector,
     _length_masks,
     _polynomial_index,
@@ -941,14 +941,13 @@ def per_component_product_profile(dfa, delta: Fraction) -> tuple:
     """``asymptotic_profile`` of a trimmed automaton with a cycle, the
     library's earlier way, in which every nontrivial component of the
     counter product is certified on its own (one stream per distinct
-    local graph, shared through ``runs`` with the automaton's components)
-    and none reuses the intervals of the automaton component it lies
+    local graph of each graph, none shared between the automaton and
+    the product) and none reuses the intervals of the automaton component it lies
     over: the report, and the product's ``rates`` and ``tight``, each
     component's two intervals keyed by its id."""
-    runs: dict = {}
     periods: dict = {}
     graph = transition_graph(dfa)
-    dec, rates, tight = _analyse(graph, delta, runs, periods)
+    dec, rates, tight = _analyse(graph, delta, periods)
     cls = _classify(graph, dec, dfa.initial)
     gr = _rate(rates.values())
     pd = _polynomial_index(dec, tight, dec.component_of[dfa.initial])
@@ -965,7 +964,7 @@ def per_component_product_profile(dfa, delta: Fraction) -> tuple:
             important.append(c)
     r = lcm(*(periods[c] for c in important)) if important else 1
     product = _CounterProduct(dfa, r)
-    pdec, prates, ptight = _analyse(product.graph, delta, runs)
+    pdec, prates, ptight = _analyse(product.graph, delta)
     slices = _product_slices([_fold(t, rho, r) for t in tail], product, pdec)
     start = pdec.component_of[0]
     per_residue = []
@@ -983,16 +982,15 @@ def trimmed_slice_rows(dfa, r: int, delta: Fraction) -> tuple:
     """The per-residue rows of a profile with residue count r, the
     library's earlier way: each slice's automaton trimmed out of the
     counter product (``counter_slice``), decomposed and analysed on its
-    own, with one certificate stream per distinct local graph across the
-    slices."""
-    runs: dict = {}
+    own, with one certificate stream per distinct local graph of each
+    slice and none shared between slices."""
     per_residue = []
     for j in range(r):
         piece = counter_slice(dfa, r, j)
         if piece.state_count == 0:
             per_residue.append(ResidueAsymptotics(j, Fraction(0), Fraction(0), 0))
             continue
-        dec, rates, tight = _analyse(transition_graph(piece), delta, runs)
+        dec, rates, tight = _analyse(transition_graph(piece), delta)
         alpha = _rate(rates.values())
         m = _polynomial_index(dec, tight, dec.component_of[0]) if tight else 0
         per_residue.append(ResidueAsymptotics(j, alpha.lo, alpha.hi, m))
@@ -1069,8 +1067,7 @@ def row_list_certificates(comp) -> list:
     intersected with it."""
     rows = digraph_rows(comp)
     lo, hi = fraction_exact_bounds(rows, [1] * len(rows))
-    (fv,) = _float_vectors([comp])
-    a, b = fraction_exact_bounds(rows, _integer_vector(fv).tolist())
+    a, b = fraction_exact_bounds(rows, _integer_vector(_float_vector(comp)).tolist())
     return [IndexInterval(lo, hi), IndexInterval(max(lo, a), min(hi, b))]
 
 
@@ -1118,8 +1115,7 @@ def python_int_certificates(comp):
     rows = digraph_rows(comp)
     lo, hi = exact_bounds(rows, [1] * len(rows))
     yield IndexInterval(lo, hi)
-    (fv,) = _float_vectors([comp])
-    v = _integer_vector(fv).tolist()
+    v = _integer_vector(_float_vector(comp)).tolist()
     a, b = exact_bounds(rows, v)
     lo, hi = max(lo, a), min(hi, b)
     yield IndexInterval(lo, hi)
@@ -1167,23 +1163,17 @@ def component_interval(comp, delta: Fraction):
     doubling precision.  Successive certificates are intersected, which
     only ever tightens the answer.
     """
-    n = len(comp)
     rows = digraph_rows(comp)
-    ones = [1] * n
-    best_lo, best_hi = exact_bounds(rows, ones)
+    best_lo, best_hi = exact_bounds(rows, [1] * len(rows))
     if best_hi - best_lo <= 2 * delta:
         return IndexInterval(best_lo, best_hi)
 
-    (fv,) = _float_vectors([comp])
-    if fv is not None:
-        v = _integer_vector(fv).tolist()
-        lo, hi = exact_bounds(rows, v)
-        best_lo = max(best_lo, lo)
-        best_hi = min(best_hi, hi)
-        if best_hi - best_lo <= 2 * delta:
-            return IndexInterval(best_lo, best_hi)
-    else:
-        v = list(ones)
+    v = _integer_vector(_float_vector(comp)).tolist()
+    lo, hi = exact_bounds(rows, v)
+    best_lo = max(best_lo, lo)
+    best_hi = min(best_hi, hi)
+    if best_hi - best_lo <= 2 * delta:
+        return IndexInterval(best_lo, best_hi)
 
     # Exact continuation: v <- (A+I)v over the integers, renormalized by
     # right shift so entries stay near `prec` bits.  Flooring keeps every

@@ -64,13 +64,13 @@ def test_stages_run_the_real_bounds_in_a_fresh_process():
     assert got["lower"] == (None if bounds.lower is None else str(bounds.lower))
 
 
-def test_profile_run_records_streams_and_float_batches_per_run():
+def test_profile_run_records_streams_and_float_passes_per_run():
     record = timings.measure("profile", {"here": str(ROOT / "src")}, ["tm2.dfa"], 2, 120)
     got = record["cases"]["tm2.dfa"]["here"]
     report = asymptotic_profile(timings.profile_automaton("tm2.dfa"), timings.PROFILE_DELTA)
     assert got["report_sha256"] == hashlib.sha256(repr(report).encode()).hexdigest()
     assert (got["residue_count"], got["graph_scc_calls"]) == (8, 2)
-    # one stream and one float batch, for the automaton's one component:
+    # one stream and one float pass, for the automaton's one component:
     # every product component lifts it
     assert got["streams"] == [1, 1]
-    assert got["float_batches"] == [[1], [1]]
+    assert got["float_passes"] == [1, 1]
