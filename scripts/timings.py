@@ -28,7 +28,7 @@ named):
     ``_CounterProduct``, its ``graph_scc`` calls and a hash of the
     report's ``repr``, which holds every certified bound; and, per run,
     the certificate streams it opened (``_certificates`` calls) and the
-    float passes it ran (``_float_vector`` calls; ``float_pass_name``).
+    float passes it ran (``_float_vector`` calls).
 ``engine``  ``LEVEL/1e-PLACES`` reads the certificate stream of the one
     nontrivial component of Thue-Morse level LEVEL to width 2e-PLACES,
     and times the float pass and the continuation (from the second
@@ -153,13 +153,6 @@ def tm_trie_times() -> dict:
 PROFILE_DELTA = Fraction(1, 10**6)
 
 
-def float_pass_name(growth) -> str:
-    """The name of ``growth``'s float pass: ``_float_vector``, or, in a
-    checkout from before it, ``_float_vectors``, which ran a graph's
-    components as one block-diagonal batch."""
-    return "_float_vector" if hasattr(growth, "_float_vector") else "_float_vectors"
-
-
 def dag_automaton(states=9400, r=64, seed=2026):
     """An r-cycle whose state 0 leads into a random acyclic automaton:
     state s of the acyclic part moves to s + 1 on letter 0 and to a
@@ -219,7 +212,7 @@ def profile_run(case: str) -> dict:
     watch(growth, "graph_scc", lambda seconds, out: scc_calls.append(seconds))
     watch(growth, "_CounterProduct", lambda seconds, out: pairs.append(len(out.states)))
     watch(growth, "_certificates", lambda seconds, out: streams.append(seconds))
-    watch(growth, float_pass_name(growth), lambda seconds, out: passes.append(seconds))
+    watch(growth, "_float_vector", lambda seconds, out: passes.append(seconds))
     start_rss_mb = peak_rss_mb()
     start = time.perf_counter()
     report = growth.asymptotic_profile(dfa, PROFILE_DELTA)
@@ -279,7 +272,7 @@ def engine_run(case: str) -> dict:
     (comp,) = growth._component_graphs(graph, [dec.members_of(c)])
     p = automaton.graph_period(comp)
     float_s = []
-    watch(growth, float_pass_name(growth), lambda seconds, out: float_s.append(seconds))
+    watch(growth, "_float_vector", lambda seconds, out: float_s.append(seconds))
     delta = Fraction(what)
     stream = []
     for iv in growth._certificates(comp):

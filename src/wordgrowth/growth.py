@@ -23,18 +23,17 @@ two widths from one stream, within a budget of ``CONTINUATION_STEPS``
 exact steps.  Its exact products run in int64 while they fit, else on
 object-dtype arrays of Python ints.
 
-The components come from ``cyclic_components``, a forward-backward
-search with trimming on numpy, when only the cycle-carrying ones are
-wanted in any order (the power-free bounds, whose quotients hold a few
-large cyclic components, where that search is faster), and from
-``automaton.graph_scc``, one pass of Tarjan's algorithm, when a growth
-profile needs every component in topological order (its graphs are
-chains of many small components, where the forward-backward search is
-over ten times slower).  A profile decomposes two graphs: the
-automaton's, and the automaton times a length counter mod r, numbered
-breadth first.  Every residue slice is read off the product's one
-decomposition, since each product component lies wholly inside or
-wholly outside a slice.
+The components come from ``automaton.graph_scc``, one pass of Tarjan's
+algorithm, which gives every component in topological order, as a
+growth profile needs.  The power-free bounds want only the
+cycle-carrying ones, in any order, and take them from
+``cyclic_components``: it trims the graph on numpy and confirms, by
+two breadth-first searches, that the core left is one component, as it
+is on the power-free quotients; any other core goes to ``graph_scc``.
+A profile decomposes two graphs: the automaton's, and the automaton
+times a length counter mod r, numbered breadth first.  Every residue
+slice is read off the product's one decomposition, since each product
+component lies wholly inside or wholly outside a slice.
 """
 
 from __future__ import annotations
@@ -129,151 +128,85 @@ def _row_entries(indptr, vertices):
 # cycle-carrying strong components
 
 
-class _ForwardBackward:
-    """The state of one forward-backward search for strong components.
+def _distinct(vertices, slot):
+    """``vertices`` without repeats, in linear time with no sort: each
+    position writes itself to its vertex's entry of ``slot``, an array
+    over every vertex, and one write per vertex survives."""
+    position = np.arange(len(vertices))
+    slot[vertices] = position
+    return vertices[slot[vertices] == position]
 
-    Every vertex has a label: the part of the graph it is still searched
-    in, or -1 once it is peeled or placed in a component.  ``live_in``
-    and ``live_out`` count each vertex's edges from and to live vertices
-    of its own part.  ``slot`` serves ``distinct``: every vertex list is
-    reduced to distinct vertices by claiming slots, in time linear in
-    the list, with no sort.
-    """
 
-    def __init__(self, graph: WeightedDigraph):
-        n = len(graph)
-        self.succ = graph.indptr, graph.indices
-        source = np.repeat(np.arange(n), np.diff(graph.indptr))
-        pred_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(graph.indices, minlength=n), out=pred_ptr[1:])
-        self.pred = pred_ptr, source[np.argsort(graph.indices, kind="stable")]
-        self.label = np.zeros(n, dtype=np.int64)
-        self.live_in = np.diff(pred_ptr)
-        self.live_out = np.diff(graph.indptr)
-        self.slot = np.empty(n, dtype=np.int64)
-        self.fresh = 1  # the next unused label
+def _neighbours(csr, vertices):
+    """The targets, with repeats, of ``vertices``' rows of ``csr``, an
+    (indptr, indices) pair."""
+    return csr[1][_row_entries(csr[0], vertices)[0]]
 
-    def distinct(self, vertices):
-        """``vertices`` without repeats.  Each position writes itself to
-        its vertex's slot; one write per vertex survives, whichever it
-        is, and keeps its position."""
-        position = np.arange(len(vertices))
-        self.slot[vertices] = position
-        return vertices[self.slot[vertices] == position]
 
-    def _cut(self, csr, vertices, part, live):
-        """Take ``vertices`` (of parts ``part``) out of ``live``, the
-        count of the neighbours their rows of ``csr`` reach in the same
-        part; return those neighbours, with repeats."""
-        entry, row = _row_entries(csr[0], vertices)
-        neighbour = csr[1][entry]
-        neighbour = neighbour[self.label[neighbour] == part[row]]
-        np.subtract.at(live, neighbour, 1)
-        return neighbour
+def _predecessors(graph: WeightedDigraph) -> tuple:
+    """``graph`` reversed, as an (indptr, indices) pair."""
+    n = len(graph)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(graph.indices, minlength=n), out=ptr[1:])
+    source = np.repeat(np.arange(n), np.diff(graph.indptr))
+    return ptr, source[np.argsort(graph.indices, kind="stable")]
 
-    def peel(self, seeds) -> None:
-        """Peel the vertices with no live predecessor or no live successor
-        in their part, starting from ``seeds`` and going on from the
-        vertices each round of removals exposes: a round reads only the
-        edges of the vertices it removes."""
-        label, live_in, live_out = self.label, self.live_in, self.live_out
-        dead = seeds[(label[seeds] >= 0) & ((live_in[seeds] == 0) | (live_out[seeds] == 0))]
-        while len(dead):
-            dead = self.distinct(dead)
-            part = label[dead]
-            label[dead] = -1
-            exposed = np.concatenate([
-                self._cut(self.succ, dead, part, live_in),
-                self._cut(self.pred, dead, part, live_out),
-            ])
-            dead = exposed[(live_in[exposed] == 0) | (live_out[exposed] == 0)]
 
-    def reach(self, csr, pivot: int, old: tuple, new: tuple) -> list:
-        """The vertices reachable from ``pivot`` along ``csr`` through
-        vertices labelled ``old[0]`` or ``old[-1]``, breadth first, as
-        arrays; each is relabelled ``new[0]`` or ``new[-1]``, after its
-        old label.  The labels are the seen mask: a relabelled vertex is
-        not entered again."""
-        label = self.label
-        frontier = np.array([pivot])
-        label[frontier] = np.where(label[frontier] == old[0], new[0], new[-1])
-        reached = [frontier]
-        while len(frontier):
-            entry, _ = _row_entries(csr[0], frontier)
-            step = csr[1][entry]
-            mark = label[step]
-            step = self.distinct(step[(mark == old[0]) | (mark == old[-1])])
-            label[step] = np.where(label[step] == old[0], new[0], new[-1])
-            reached.append(step)
-            frontier = step
-        return reached
+def _trimmed_core(graph: WeightedDigraph, pred: tuple):
+    """The vertices that a cycle reaches and that reach a cycle, in
+    increasing order: those left once every vertex with no live
+    predecessor or no live successor is peeled, ``pred`` being
+    ``_predecessors(graph)``.  A round reads only the peeled edges."""
+    alive = np.ones(len(graph), dtype=bool)
+    live_in, live_out = np.diff(pred[0]), np.diff(graph.indptr)
+    slot = np.empty(len(graph), dtype=np.int64)
+    dead = np.flatnonzero((live_in == 0) | (live_out == 0))
+    while len(dead):
+        alive[dead] = False
+        into = _neighbours((graph.indptr, graph.indices), dead)
+        into = into[alive[into]]
+        np.subtract.at(live_in, into, 1)
+        out_of = _neighbours(pred, dead)
+        out_of = out_of[alive[out_of]]
+        np.subtract.at(live_out, out_of, 1)
+        exposed = np.concatenate([into, out_of])
+        dead = _distinct(exposed[(live_in[exposed] == 0) | (live_out[exposed] == 0)], slot)
+    return np.flatnonzero(alive)
 
-    def split(self, members):
-        """One forward-backward step on a part, given its members: the
-        strong component C of ``members[0]``, and the parts left, F - C,
-        B - C and the rest, trimmed, as member arrays.
 
-        F and B are the part's vertices that the pivot reaches and that
-        reach it; C is F & B.  No edge leaves F or enters B, so an edge
-        between two of the new parts either starts in B or runs from the
-        rest into F - C; those edges leave the live counts before the new
-        parts are peeled.
-        """
-        label = self.label
-        pivot = int(members[0])
-        part = label[pivot]
-        f, b, c = self.fresh, self.fresh + 1, self.fresh + 2
-        self.fresh += 3
-        forward = np.concatenate(self.reach(self.succ, pivot, (part,), (f,)))
-        backward = np.concatenate(self.reach(self.pred, pivot, (f, part), (c, b)))
-        # the edges out of B to another new part
-        entry, row = _row_entries(self.succ[0], backward)
-        source, target = backward[row], self.succ[1][entry]
-        mark = label[target]
-        cross = (mark != label[source]) & ((mark >= f) | (mark == part))
-        # the edges into F from the rest
-        entry, row = _row_entries(self.pred[0], forward)
-        into_f, from_rest = forward[row], self.pred[1][entry]
-        rest = label[from_rest] == part
-        source = np.concatenate([source[cross], from_rest[rest]])
-        target = np.concatenate([target[cross], into_f[rest]])
-        np.subtract.at(self.live_out, source, 1)
-        np.subtract.at(self.live_in, target, 1)
-        component = backward[label[backward] == c]
-        label[component] = -1
-        self.peel(np.concatenate([source, target]))
-        parts = [forward[label[forward] == f], backward[label[backward] == b],
-                 members[label[members] == part]]
-        return component, [p for p in parts if len(p)]
+def _reaches_core(csr, core) -> bool:
+    """Whether ``core[0]`` reaches all of ``core`` along ``csr`` inside
+    ``core``, by breadth-first search with a seen mask."""
+    seen = np.ones(len(csr[0]) - 1, dtype=bool)
+    seen[core[1:]] = False
+    slot = np.empty(len(seen), dtype=np.int64)
+    frontier = core[:1]
+    while len(frontier):
+        step = _neighbours(csr, frontier)
+        frontier = _distinct(step[~seen[step]], slot)
+        seen[frontier] = True
+    return bool(seen.all())
 
 
 def cyclic_components(graph: WeightedDigraph) -> list:
-    """The strongly connected components of ``graph`` that carry a cycle,
-    each as an int64 array of its members, in no particular order.
+    """The strongly connected components of ``graph`` that carry a cycle
+    (two vertices or a loop), each as an int64 array of its members, in
+    no particular order.
 
-    The search runs on numpy, part by part (Fleischer, Hendrickson &
-    Pinar 2000, with trimming as in McLendon et al. 2005).  It first
-    peels every vertex with no live predecessor or no live successor;
-    none of them lies on a cycle.  Then it takes a pivot of a part, the
-    set F of the part's vertices the pivot reaches and the set B of
-    those that reach it: F & B is the pivot's component, and every other
-    component lies inside F - C, B - C or the rest, which are peeled and
-    searched in turn.  The component is kept when it has two vertices or
-    a loop.  Unlike ``automaton.graph_scc``, it gives no topological
-    order.
+    The graph is trimmed first (``_trimmed_core``, as in McLendon et al.
+    2005), and every such component lies inside the core left.  When the
+    core's first vertex reaches all of it and all of it reaches that
+    vertex, the core is one component, as on every power-free quotient
+    tried.  Any other core is decomposed by ``automaton.graph_scc``.
     """
-    search = _ForwardBackward(graph)
-    search.peel(np.arange(len(graph)))
-    live = np.flatnonzero(search.label == 0)
-    parts = [live] if len(live) else []
-    found = []
-    while parts:
-        component, rest = search.split(parts.pop())
-        q = int(component[0])
-        if len(component) > 1 or q in graph[q]:
-            found.append(component)
-        parts.extend(rest)
-    return found
+    pred = _predecessors(graph)
+    core = _trimmed_core(graph, pred)
+    if not len(core):
+        return []
+    if _reaches_core((graph.indptr, graph.indices), core) and _reaches_core(pred, core):
+        return [core]
+    dec = graph_scc(next(_component_graphs(graph, [core])))
+    return [core[dec.members_of(c)] for c in dec.nontrivial.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +241,7 @@ def _float_product(row, col, weight, v):
     return np.bincount(row, weights=terms, minlength=len(v))
 
 
-def _float_vector(comp: WeightedDigraph, max_iters: int = 20000):
+def _float_vector(comp: WeightedDigraph):
     """Floating-point power iteration with (A+I) on ``comp``, a local
     graph: a vector in [0, 1] with max 1.
 
@@ -318,7 +251,7 @@ def _float_vector(comp: WeightedDigraph, max_iters: int = 20000):
     when the gap is below 1e-14, narrowed by less than 0.1 % since the
     last check, or is not finite (an entry of v underflowed to 0, which
     only a graph that is not strongly connected allows, and a ratio
-    became 0/0 or x/0).
+    became 0/0 or x/0); else after ``FLOAT_STEPS`` steps.
 
     No step can fail: A >= 0 gives (A+I)v >= v entrywise, and after each
     division max v = 1, so each max divided by is at least 1, and at
@@ -334,7 +267,7 @@ def _float_vector(comp: WeightedDigraph, max_iters: int = 20000):
     prev_gap = np.inf
     # the ratios' 0/0 and x/0 make the gap not finite, which ends the pass
     with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(max_iters):
+        for it in range(FLOAT_STEPS):
             v += _float_product(row, col, weight, v)
             v /= np.maximum.reduceat(v, first)[0]
             if it % 32 < 31:
@@ -354,6 +287,9 @@ def _integer_vector(fv):
     the per-entry loop."""
     return np.maximum(1, (fv * (1 << 53)).astype(np.int64))
 
+
+# steps the float pass (_float_vector) takes at most
+FLOAT_STEPS = 20_000
 
 # exact continuation steps one certificate stream may take, over every
 # width read from it: the cap of the earlier A+I loop, so a component of

@@ -247,12 +247,17 @@ def assert_components_match_tarjan(graph):
 
 
 @given(block_digraphs())
-# a vertex between two loops, first in vertex order, is the first pivot
+# a vertex between two loops is the core's first vertex, which reaches
+# the loop after it but not the one before: graph_scc splits the core
 @example(edge_graph(3, [(1, 1), (1, 0), (0, 2), (2, 2)]))
-# a loop that reaches the first pivot's loop, found only in B - C
+# a loop that reaches the core's first vertex, which does not reach it
 @example(edge_graph(2, [(0, 0), (1, 1), (1, 0)]))
-# a loop that the first pivot's cycle reaches, found only in F - C
+# a loop that the core's first vertex reaches, which does not reach it
 @example(edge_graph(3, [(0, 1), (1, 0), (1, 2), (2, 2)]))
+# a one-component core behind a peeled tail: both searches reach it all
+@example(edge_graph(4, [(0, 1), (1, 2), (2, 3), (3, 2)]))
+# a single looped vertex is the whole core
+@example(edge_graph(3, [(0, 1), (1, 1), (1, 2)]))
 # an edgeless graph, and a loopless singleton
 @example(edge_graph(3, []))
 @example(edge_graph(1, []))
@@ -289,9 +294,8 @@ def between_cycles(graph) -> set:
 def test_peeling_keeps_the_vertices_between_cycles(graph):
     # every peeled vertex lacks a live predecessor or successor, and what
     # is left is what a cycle reaches and what reaches a cycle
-    search = growth._ForwardBackward(graph)
-    search.peel(np.arange(len(graph)))
-    assert set(np.flatnonzero(search.label == 0).tolist()) == between_cycles(graph)
+    core = growth._trimmed_core(graph, growth._predecessors(graph))
+    assert set(core.tolist()) == between_cycles(graph)
 
 
 def test_exact_continuation_certifies_thue_morse(monkeypatch):
@@ -645,8 +649,8 @@ def test_float_pass_stops_at_a_gap_that_is_not_finite(monkeypatch):
     products = counting_products(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fast = growth._float_vector(comp, max_iters=20000)
-        slow = row_sum_float_vector(rows, len(rows), max_iters=20000)
+        fast = growth._float_vector(comp)
+        slow = row_sum_float_vector(rows, len(rows), growth.FLOAT_STEPS)
     assert fast.tobytes() == slow.tobytes()
     assert (fast == 0).any()
     assert len(products) < 2000
@@ -668,8 +672,8 @@ def test_float_vector_matches_row_sum_oracle_bit_for_bit(rows):
     comp = WeightedDigraph.from_rows([dict(row) for row in rows])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fast = growth._float_vector(comp, max_iters=20000)
-    slow = row_sum_float_vector(rows, len(rows), max_iters=20000)
+        fast = growth._float_vector(comp)
+    slow = row_sum_float_vector(rows, len(rows), growth.FLOAT_STEPS)
     assert fast.tobytes() == slow.tobytes()
 
 

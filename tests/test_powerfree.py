@@ -34,7 +34,7 @@ from oracles import (
     trie_fad_automaton,
     trim_minimal_powers,
 )
-from wordgrowth import powerfree
+from wordgrowth import growth, powerfree
 from wordgrowth.automaton import scc
 from wordgrowth.fad import (
     Antidictionary,
@@ -976,6 +976,27 @@ def test_symmetry_path_never_builds_full_automaton(monkeypatch):
     assert r.lower is not None
     with pytest.raises(AssertionError, match="full automaton"):
         approximation_bounds(2, B("3"), 12, symmetry=False)
+
+
+@pytest.mark.parametrize(
+    "k,token,cap,options",
+    [
+        (2, "3", 12, {}),
+        (2, "3", 15, {}),
+        (2, "3", 17, {}),
+        (3, "2", 24, {"with_lower": False}),
+        (2, "3", 12, {"symmetry": False}),
+    ],
+)
+def test_benchmark_cores_are_one_component(monkeypatch, k, token, cap, options):
+    # the benchmark's quotients and automata trim to a core that is one
+    # component, which cyclic_components confirms without graph_scc
+    def refuse(graph):
+        raise AssertionError("cyclic_components fell back to graph_scc")
+
+    monkeypatch.setattr(growth, "graph_scc", refuse)
+    r = approximation_bounds(k, B(token), cap, **options)
+    assert r.upper.hi > 1
 
 
 # ---------------------------------------------------------------------------
