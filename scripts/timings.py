@@ -269,7 +269,7 @@ def engine_run(case: str) -> dict:
     graph = automaton.transition_graph(dfa)
     dec = automaton.graph_scc(graph)
     (c,) = dec.nontrivial.tolist()
-    (comp,) = growth._component_graphs(graph, [dec.members_of(c)])
+    (comp,) = automaton.component_graphs(graph, [dec.members_of(c)])
     p = automaton.graph_period(comp)
     float_s = []
     watch(growth, "_float_vector", lambda seconds, out: float_s.append(seconds))

@@ -6,8 +6,9 @@ nonnegative integer matrix; everything else is built on top of it:
 
 * ``words``      -- words written, measured and searched: periods,
   exponents, exponent bounds, freeness and the minimal-word searches;
-* ``automaton``  -- partial DFAs, trimming, strong components,
-  imprimitivity, walk bounds over the condensation;
+* ``automaton``  -- the graph layer, importing no other module: partial
+  DFAs, trimming, CSR digraphs, strong components, periods, local
+  graphs, the walk search and walk bounds over the condensation;
 * ``growth``     -- complexity classes, growth-rate intervals,
   polynomial indices, per-residue asymptotics, oscillation tagging;
 * ``fad``        -- antidictionaries, the automata of the languages

@@ -1,4 +1,5 @@
-"""Partial deterministic automata and the digraph analyses behind them.
+"""Partial deterministic automata and the digraph analyses behind them:
+the package's graph layer, which imports no other package module.
 
 States are dense integers ``0..n-1``, letters are indices ``0..k-1``.
 Transitions are partial: a missing (state, letter) pair means the word
@@ -10,6 +11,9 @@ letters driving the same state pair count as two edges.  That
 multiplicity is what separates exponential from polynomial growth.  The
 graph is a ``WeightedDigraph``, each edge weighted by its letters, and
 its strong components are one ``SccDecomposition`` of int64 arrays.
+Reachability is one walk search, ``length_masks``: the walk lengths mod
+r from a set of seeds, plain reachability at r = 1, which ``trim``,
+``graph_period``, the extendable parts and the growth profile read.
 """
 
 from __future__ import annotations
@@ -121,57 +125,32 @@ def empty_dfa(alphabet_size: int) -> Dfa:
 def trim(dfa: Dfa) -> Dfa:
     """Restrict to states both reachable and co-reachable, renumbered by BFS.
 
-    The result recognizes the same language.  If nothing survives, the
-    0-state automaton is returned.
+    The two sets are two walks at modulus 1, forward from the initial
+    state and backward from the accepting ones.  The result recognizes
+    the same language.  If nothing survives, the 0-state automaton is
+    returned.
     """
-    n = dfa.state_count
-    if n == 0:
+    if dfa.state_count == 0:
         return dfa
-    reach = {dfa.initial}
-    queue = [dfa.initial]
-    while queue:
-        q = queue.pop()
-        for x in dfa.transitions[q]:
-            t = dfa.transitions[q][x]
-            if t not in reach:
-                reach.add(t)
-                queue.append(t)
-    rev: list[list[int]] = [[] for _ in range(n)]
-    for q, row in enumerate(dfa.transitions):
-        for t in row.values():
-            rev[t].append(q)
-    co = set(dfa.accepting)
-    queue = list(co)
-    while queue:
-        q = queue.pop()
-        for p in rev[q]:
-            if p not in co:
-                co.add(p)
-                queue.append(p)
-    keep = reach & co
-    if dfa.initial not in keep:
+    reach = length_masks([row.values() for row in dfa.transitions], [dfa.initial], 1)
+    co = length_masks(reverse_edges(dfa.state_count, *transition_edges(dfa)), dfa.accepting, 1)
+    keep = [a & b for a, b in zip(reach, co)]
+    if not keep[dfa.initial]:
         return empty_dfa(dfa.alphabet_size)
     # breadth-first renumbering keeps the output stable across runs
     order: list[int] = [dfa.initial]
-    index = {dfa.initial: 0}
-    head = 0
-    while head < len(order):
-        q = order[head]
-        head += 1
-        for x in sorted(dfa.transitions[q]):
-            t = dfa.transitions[q][x]
-            if t in keep and t not in index:
+    index = [-1] * dfa.state_count
+    index[dfa.initial] = 0
+    # the list is the queue: the loop reads the states appended to it
+    for q in order:
+        row = dfa.transitions[q]
+        for x in sorted(row):
+            t = row[x]
+            if keep[t] and index[t] < 0:
                 index[t] = len(order)
                 order.append(t)
-    new_trans = []
-    for q in order:
-        row = {
-            x: index[t]
-            for x, t in dfa.transitions[q].items()
-            if t in keep
-        }
-        new_trans.append(row)
-    new_acc = [index[q] for q in dfa.accepting if q in index]
+    new_trans = [{x: index[t] for x, t in dfa.transitions[q].items() if keep[t]} for q in order]
+    new_acc = [index[q] for q in dfa.accepting if index[q] >= 0]
     return Dfa(dfa.alphabet_size, new_trans, 0, new_acc)
 
 
@@ -248,12 +227,18 @@ class WeightedDigraph:
         return self.indptr.tobytes(), self.indices.tobytes(), self.weights.tobytes()
 
 
-def transition_graph(dfa: Dfa) -> WeightedDigraph:
-    """Transition graph, each edge weighted by its number of letters."""
+def transition_edges(dfa: Dfa) -> tuple:
+    """The source and the target of every transition, as two lists, state
+    by state."""
     rows = dfa.transitions
     source = [q for q, row in enumerate(rows) for _ in row]
-    target = [t for row in rows for t in row.values()]
-    return WeightedDigraph.from_edges(len(rows), source, target, [1] * len(target))
+    return source, [t for row in rows for t in row.values()]
+
+
+def transition_graph(dfa: Dfa) -> WeightedDigraph:
+    """Transition graph, each edge weighted by its number of letters."""
+    source, target = transition_edges(dfa)
+    return WeightedDigraph.from_edges(dfa.state_count, source, target, [1] * len(target))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -356,6 +341,88 @@ def edge_components(graph: WeightedDigraph, component_of):
     return component_of[source], component_of[graph.indices]
 
 
+def row_entries(indptr, vertices):
+    """Positions of the entries of ``vertices``' rows in a compressed
+    sparse row table, row after row, and for each entry the index in
+    ``vertices`` of its row."""
+    start = indptr[vertices]
+    count = indptr[vertices + 1] - start
+    offset = np.cumsum(count) - count
+    entry = np.arange(int(count.sum())) + np.repeat(start - offset, count)
+    return entry, np.repeat(np.arange(len(vertices)), count)
+
+
+def component_graphs(graph: WeightedDigraph, components):
+    """Each component's local graph: its members numbered in increasing
+    order, with the edges between them.  None stands for a single vertex
+    without a loop.
+
+    The members' edges are gathered in one pass through a table of local
+    ids shared by all the components.  Numbering keeps the order of the
+    members, so the local rows keep increasing targets.
+    """
+    local = np.full(len(graph), -1, dtype=np.int64)
+    for comp in components:
+        n = len(comp)
+        if n == 1:
+            (q,) = comp
+            if q not in graph[q]:
+                yield None
+                continue
+        if not isinstance(comp, np.ndarray):
+            comp = np.fromiter(comp, dtype=np.int64, count=n)
+        # the sort that from_edges runs: numpy's default one adds its own code pages
+        members = np.sort(comp, kind="stable")
+        local[members] = np.arange(n)
+        edge, row = row_entries(graph.indptr, members)
+        col = local[graph.indices[edge]]
+        local[members] = -1
+        inside = col >= 0
+        yield WeightedDigraph(_csr(row[inside], n), col[inside], graph.weights[edge[inside]])
+
+
+# ---------------------------------------------------------------------------
+# walks
+
+
+def rotate(bits: int, c: int, modulus: int) -> int:
+    """``bits`` as a set of residues mod ``modulus``, each plus c."""
+    return ((bits << c) | (bits >> (modulus - c))) & ((1 << modulus) - 1)
+
+
+def reverse_edges(n: int, source, target) -> list:
+    """The graph on 0..n-1 whose edges run from ``source[i]`` to
+    ``target[i]``, turned round, as lists: row t lists the sources of the
+    edges into t, once per edge.  Flat edge lists, unlike rows, are read
+    without a slice per vertex."""
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for q, t in zip(source, target):
+        pred[t].append(q)
+    return pred
+
+
+def length_masks(edges, seeds, modulus: int) -> list:
+    """For each vertex v, the lengths mod ``modulus`` of the walks along
+    ``edges`` (``edges[v]`` iterates over v's targets, repeats allowed)
+    from a seed to v, as a bitmask: the least fixed point, grown from the
+    seeds at length 0, queueing a vertex again whenever its mask grows.
+    At modulus 1 the mask is 1 on the vertices the seeds reach, else 0."""
+    bits = [0] * len(edges)
+    for q in seeds:
+        bits[q] = 1
+    queue = list(seeds)
+    top, full = modulus - 1, (1 << modulus) - 1
+    # the list is the queue: the loop reads the vertices appended to it
+    for q in queue:
+        b = bits[q]
+        b = (b << 1 | b >> top) & full  # rotate(b, 1, modulus), inline
+        for t in edges[q]:
+            if b & ~bits[t]:
+                bits[t] |= b
+                queue.append(t)
+    return bits
+
+
 def graph_period(graph: WeightedDigraph) -> int:
     """Cyclic period of a strongly connected digraph: the gcd of its
     cycle lengths.
@@ -366,10 +433,10 @@ def graph_period(graph: WeightedDigraph) -> int:
     edges, and each term is the length of a closed walk through 0 less
     that of another.  The result is 1 for a graph with no cycle and for
     a graph that is not strongly connected (some vertex is not reached
-    from vertex 0, or does not reach it), so such a graph takes the index
-    engine's aperiodic path.
+    from vertex 0, or does not reach it, by a backward ``length_masks``),
+    so such a graph takes the index engine's aperiodic path.
 
-    Both searches walk the rows one vertex at a time, as ``graph_scc``
+    The search walks the rows one vertex at a time, as ``graph_scc``
     does, and the gcd is taken as the search meets each edge.  Profile
     components are a few dozen to a few hundred states, mostly long
     cycles, where a numpy search would pay its fixed cost once per level.
@@ -393,40 +460,24 @@ def graph_period(graph: WeightedDigraph) -> int:
                 period = gcd(period, depth - level[t])
     if len(queue) < n:
         return 1
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for q in range(n):
-        for t in targets[ptr[q]:ptr[q + 1]]:
-            pred[t].append(q)
-    seen = [False] * n
-    seen[0] = True
-    queue = [0]
-    for q in queue:
-        for t in pred[q]:
-            if not seen[t]:
-                seen[t] = True
-                queue.append(t)
-    return max(period, 1) if len(queue) == n else 1
+    source = np.repeat(np.arange(n), np.diff(graph.indptr)).tolist()
+    back = length_masks(reverse_edges(n, source, graph.indices.tolist()), [0], 1)
+    return max(period, 1) if all(back) else 1
 
 
 def imprimitivity(dfa: Dfa, component: Iterable[int]) -> int:
     """Cyclic period of a strongly connected component: ``graph_period``
-    of the component's own transition graph.
+    of its local graph in the transition graph.
 
     The gcd of all cycle lengths inside the component: 1 when walks of
     every large length exist between any two member states, d > 1 when
     internal walk lengths are fixed modulo d.  Raises on a component
     with no internal edge.
     """
-    local = {q: i for i, q in enumerate(sorted(set(component)))}
-    source, target = [], []
-    for q, i in local.items():
-        for t in dfa.transitions[q].values():
-            if t in local:
-                source.append(i)
-                target.append(local[t])
-    if not source:
+    (local,) = component_graphs(transition_graph(dfa), [list(set(component))])
+    if local is None or not len(local.indices):
         raise ValueError("imprimitivity undefined for a trivial component")
-    return graph_period(WeightedDigraph.from_edges(len(local), source, target, [1] * len(source)))
+    return graph_period(local)
 
 
 def cycle_intersection_bound(

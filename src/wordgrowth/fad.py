@@ -25,7 +25,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from wordgrowth.automaton import Dfa, DfaFormatError, empty_dfa, scc, trim
+from wordgrowth.automaton import (
+    Dfa,
+    DfaFormatError,
+    empty_dfa,
+    length_masks,
+    reverse_edges,
+    scc,
+    transition_edges,
+    trim,
+)
 from wordgrowth.words import parse_word, word_to_str
 
 __all__ = [
@@ -458,6 +467,11 @@ def extendable_part(dfa: Dfa, side: str = "right") -> Dfa:
     cycle, ending in a state that reaches a cycle.  Input states must
     all accept (the operation is meant for factor-closed languages);
     raises otherwise.
+
+    Both sides start from the cycle-carrying states.  The right side is
+    ``trim`` with them as the accepting states, every state then
+    accepting; the two-sided one walks from them forward and backward
+    (``length_masks``) and runs a subset construction over the first set.
     """
     if side == "two":
         side = "two_sided"
@@ -469,58 +483,32 @@ def extendable_part(dfa: Dfa, side: str = "right") -> Dfa:
     if any(q not in d.accepting for q in range(d.state_count)):
         raise ValueError("every state must accept")
     dec = scc(d)
-    m = len(dec)
-    ptr, succ = dec.successor_ptr.tolist(), dec.successors.tolist()
-    cyclic = [False] * m
-    for c in dec.nontrivial.tolist():
-        cyclic[c] = True
-    component_of = dec.component_of.tolist()
-    reaches_cycle = [False] * m
-    for c in range(m - 1, -1, -1):
-        reaches_cycle[c] = cyclic[c] or any(reaches_cycle[t] for t in succ[ptr[c]:ptr[c + 1]])
-    ext = {q for q in range(d.state_count) if reaches_cycle[component_of[q]]}
+    cyclic = np.flatnonzero(np.isin(dec.component_of, dec.nontrivial)).tolist()
     if side == "right":
-        if d.initial not in ext:
-            return empty_dfa(d.alphabet_size)
-        rows = []
-        states = sorted(ext)
-        index = {q: i for i, q in enumerate(states)}
-        for q in states:
-            rows.append({x: index[t] for x, t in d.transitions[q].items() if t in ext})
-        return trim(Dfa(d.alphabet_size, rows, index[d.initial], range(len(states))))
+        part = trim(Dfa(d.alphabet_size, d.transitions, d.initial, cyclic))
+        return Dfa(part.alphabet_size, part.transitions, part.initial, range(part.state_count))
 
-    # two-sided: left extendability means being reachable from a cycle
-    from_cycle = list(cyclic)
-    for c in range(m):
-        if from_cycle[c]:
-            for t in succ[ptr[c]:ptr[c + 1]]:
-                from_cycle[t] = True
-    entry = {q for q in range(d.state_count) if from_cycle[component_of[q]]}
-    if not entry:
-        return empty_dfa(d.alphabet_size)
-    # subset construction: start from every entry state at once, accept
-    # when some thread sits on a state that still reaches a cycle
-    start = frozenset(entry)
-    ids = {start: 0}
-    rows = [dict()]
-    accepting = set()
-    queue = [start]
-    while queue:
-        s = queue.pop()
-        q = ids[s]
-        if s & ext:
-            accepting.add(q)
+    reaches = length_masks(reverse_edges(d.state_count, *transition_edges(d)), cyclic, 1)
+    reached = length_masks([row.values() for row in d.transitions], cyclic, 1)
+    ext = {q for q, b in enumerate(reaches) if b}
+    # subset construction: start from every state a cycle reaches at once,
+    # accept when some thread sits on a state that still reaches a cycle;
+    # with no cycle the one subset is empty and nothing survives the trim
+    subsets = [frozenset(q for q, b in enumerate(reached) if b)]
+    ids = {subsets[0]: 0}
+    rows = []
+    # the list is the queue: the loop reads the subsets appended to it
+    for s in subsets:
+        rows.append({})
         for x in range(d.alphabet_size):
-            t = frozenset(
-                d.transitions[p][x] for p in s if x in d.transitions[p]
-            )
+            t = frozenset(d.transitions[p][x] for p in s if x in d.transitions[p])
             if not t:
                 continue
             if t not in ids:
-                ids[t] = len(rows)
-                rows.append(dict())
-                queue.append(t)
-            rows[q][x] = ids[t]
+                ids[t] = len(subsets)
+                subsets.append(t)
+            rows[-1][x] = ids[t]
+    accepting = [q for q, s in enumerate(subsets) if s & ext]
     return trim(Dfa(d.alphabet_size, rows, 0, accepting))
 
 
@@ -611,16 +599,20 @@ def parse_antidictionary(text: str) -> Antidictionary:
             continue
         if all(f.lstrip("-").isdigit() for f in fields):
             try:
-                words.append(tuple(int(f) for f in fields))
+                word = tuple(int(f) for f in fields)
             except ValueError:
                 raise DfaFormatError(line_no, "bad letter index") from None
         elif len(fields) == 1:
             try:
-                words.append(parse_word(fields[0]))
+                word = parse_word(fields[0])
             except ValueError as exc:
                 raise DfaFormatError(line_no, str(exc)) from None
         else:
             raise DfaFormatError(line_no, "one word per line")
+        for x in word:
+            if not 0 <= x < k:
+                raise DfaFormatError(line_no, f"letter {x} out of range")
+        words.append(word)
     if k is None:
         raise DfaFormatError(1, "empty input, expected an 'ad' header")
     try:

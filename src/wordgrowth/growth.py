@@ -33,7 +33,9 @@ is on the power-free quotients; any other core goes to ``graph_scc``.
 A profile decomposes two graphs: the automaton's, and the automaton
 times a length counter mod r, numbered breadth first.  Every residue
 slice is read off the product's one decomposition, since each product
-component lies wholly inside or wholly outside a slice.
+component lies wholly inside or wholly outside a slice.  Local graphs,
+periods and the walk lengths mod r behind the residue masks come from
+the graph layer, ``automaton``.
 """
 
 from __future__ import annotations
@@ -51,10 +53,16 @@ from wordgrowth.automaton import (
     Dfa,
     SccDecomposition,
     WeightedDigraph,
+    component_graphs,
     edge_components,
     graph_period,
     graph_scc,
+    length_masks,
     path_intersection_bound,
+    reverse_edges,
+    rotate,
+    row_entries,
+    transition_edges,
     transition_graph,
 )
 
@@ -110,21 +118,6 @@ def _as_fraction(delta) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# weighted digraphs
-
-
-def _row_entries(indptr, vertices):
-    """Positions of the entries of ``vertices``' rows in a compressed
-    sparse row table, row after row, and for each entry the index in
-    ``vertices`` of its row."""
-    start = indptr[vertices]
-    count = indptr[vertices + 1] - start
-    offset = np.cumsum(count) - count
-    entry = np.arange(int(count.sum())) + np.repeat(start - offset, count)
-    return entry, np.repeat(np.arange(len(vertices)), count)
-
-
-# ---------------------------------------------------------------------------
 # cycle-carrying strong components
 
 
@@ -140,7 +133,7 @@ def _distinct(vertices, slot):
 def _neighbours(csr, vertices):
     """The targets, with repeats, of ``vertices``' rows of ``csr``, an
     (indptr, indices) pair."""
-    return csr[1][_row_entries(csr[0], vertices)[0]]
+    return csr[1][row_entries(csr[0], vertices)[0]]
 
 
 def _predecessors(graph: WeightedDigraph) -> tuple:
@@ -205,7 +198,7 @@ def cyclic_components(graph: WeightedDigraph) -> list:
         return []
     if _reaches_core((graph.indptr, graph.indices), core) and _reaches_core(pred, core):
         return [core]
-    dec = graph_scc(next(_component_graphs(graph, [core])))
+    dec = graph_scc(next(component_graphs(graph, [core])))
     return [core[dec.members_of(c)] for c in dec.nontrivial.tolist()]
 
 
@@ -430,38 +423,6 @@ def _certificates(comp: WeightedDigraph, period: Optional[int] = None):
     raise IndexBudgetError(len(comp), hi - lo, CONTINUATION_STEPS // every * every)
 
 
-def _component_graphs(graph: WeightedDigraph, components):
-    """Each component's local graph: its members numbered in increasing
-    order, with the edges between them.  None stands for a single vertex
-    without a loop.
-
-    The members' edges are gathered in one pass through a table of local
-    ids shared by all the components.  Numbering keeps the order of the
-    members, so the local rows keep increasing targets.
-    """
-    local = np.full(len(graph), -1, dtype=np.int64)
-    for comp in components:
-        n = len(comp)
-        if n == 1:
-            (q,) = comp
-            if q not in graph[q]:
-                yield None
-                continue
-        if not isinstance(comp, np.ndarray):
-            comp = np.fromiter(comp, dtype=np.int64, count=n)
-        # the sort that from_edges runs: numpy's default one adds its own code pages
-        members = np.sort(comp, kind="stable")
-        local[members] = np.arange(n)
-        edge, row = _row_entries(graph.indptr, members)
-        col = local[graph.indices[edge]]
-        local[members] = -1
-        inside = col >= 0
-        row = row[inside]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-        yield WeightedDigraph(indptr, col[inside], graph.weights[edge[inside]])
-
-
 def _rate(intervals) -> IndexInterval:
     """Index of a graph from its nontrivial components' intervals: the
     largest of each end, or [0, 0] when no component carries a cycle."""
@@ -498,7 +459,7 @@ def digraph_index(
     if components is None:
         dec = graph_scc(graph)
         components = [dec.members_of(c) for c in dec.nontrivial.tolist()]
-    comps = [c for c in _component_graphs(graph, components) if c is not None]
+    comps = [c for c in component_graphs(graph, components) if c is not None]
     return _rate(next(iv for iv in _certificates(c) if iv.width <= 2 * dfr) for c in comps)
 
 
@@ -542,7 +503,7 @@ def _analyse(graph: WeightedDigraph, delta: Fraction, periods=None, lift=None):
     dec = graph_scc(graph)
     lifted = {} if lift is None else _lifts(graph, dec, *lift[:2])
     rest = [cid for cid in dec.nontrivial.tolist() if cid not in lifted]
-    comps = list(_component_graphs(graph, [dec.members_of(cid) for cid in rest]))
+    comps = list(component_graphs(graph, [dec.members_of(cid) for cid in rest]))
     period_of = {}
     if periods is not None:
         for cid, comp in zip(rest, comps):
@@ -579,8 +540,8 @@ def _lifts(graph: WeightedDigraph, dec: SccDecomposition, states, base: SccDecom
     nontrivial = dec.nontrivial
     over = base.component_of[[states[i] for i in dec.members[dec.member_ptr[nontrivial]].tolist()]]
     lifted = np.diff(dec.member_ptr)[nontrivial] == np.diff(base.member_ptr)[over]
-    pairs = dec.members[_row_entries(dec.member_ptr, nontrivial[lifted])[0]]
-    entry, row = _row_entries(graph.indptr, pairs)
+    pairs = dec.members[row_entries(dec.member_ptr, nontrivial[lifted])[0]]
+    entry, row = row_entries(graph.indptr, pairs)
     inside = dec.component_of[graph.indices[entry]] == dec.component_of[pairs[row]]
     row, entry = row[inside], entry[inside]
     state = np.array([states[t] for t in graph.indices[entry].tolist()], dtype=np.int64)
@@ -735,39 +696,6 @@ class GrowthReport:
         return "\n".join(lines) + "\n"
 
 
-def _rotate(bits: int, c: int, modulus: int) -> int:
-    """``bits`` as a set of residues mod ``modulus``, each plus c."""
-    return ((bits << c) | (bits >> (modulus - c))) & ((1 << modulus) - 1)
-
-
-def _length_masks(edges, seeds, modulus: int) -> list:
-    """For each vertex v, the lengths mod ``modulus`` of the walks along
-    ``edges`` from a seed to v, as a bitmask: the least fixed point,
-    grown from the seeds at length 0."""
-    bits = [0] * len(edges)
-    for q in seeds:
-        bits[q] = 1
-    queue = list(seeds)
-    while queue:
-        q = queue.pop()
-        b = _rotate(bits[q], 1, modulus)
-        for t in edges[q]:
-            if b | bits[t] != bits[t]:
-                bits[t] |= b
-                queue.append(t)
-    return bits
-
-
-def _tails(dfa: Dfa, modulus: int) -> list:
-    """``tail[q]``: the lengths mod ``modulus`` of the walks from q to an
-    accepting state, as a bitmask."""
-    pred = [[] for _ in dfa.transitions]
-    for q, row in enumerate(dfa.transitions):
-        for t in set(row.values()):
-            pred[t].append(q)
-    return _length_masks(pred, dfa.accepting, modulus)
-
-
 def _fold(bits: int, modulus: int, r: int) -> int:
     """``bits``, a set of residues mod ``modulus``, as the set of their
     residues mod r, a divisor of ``modulus``."""
@@ -780,7 +708,8 @@ def _fold(bits: int, modulus: int, r: int) -> int:
 def _residue_sets(dfa: Dfa, dec: SccDecomposition, modulus: int, tail: list) -> dict:
     """For each nontrivial component C, the set of length residues mod
     ``modulus`` realized by accepting walks through C, as a bitmask;
-    ``tail`` is ``_tails(dfa, modulus)``.
+    ``tail[q]`` holds the lengths mod ``modulus`` of the walks from q to
+    acceptance, a backward ``length_masks`` from the accepting states.
 
     A walk entering a state q at length residue c and leaving it for
     acceptance with l more letters realizes c + l; ``head[q]`` and
@@ -797,16 +726,14 @@ def _residue_sets(dfa: Dfa, dec: SccDecomposition, modulus: int, tail: list) -> 
     through q' gives one through q of the same length plus a multiple of
     p, and the other way round: q and q' realize the same set.
     """
-    head = _length_masks(
-        [set(row.values()) for row in dfa.transitions], [dfa.initial], modulus
-    )
+    head = length_masks([row.values() for row in dfa.transitions], [dfa.initial], modulus)
     first = dec.members[dec.member_ptr[dec.nontrivial]]
     masks = {}
     for cid, q in zip(dec.nontrivial.tolist(), first.tolist()):
         masks[cid] = 0
         for c in range(modulus):
             if head[q] >> c & 1:
-                masks[cid] |= _rotate(tail[q], c, modulus)
+                masks[cid] |= rotate(tail[q], c, modulus)
     return masks
 
 
@@ -881,11 +808,11 @@ def _product_slices(tail: list, product: _CounterProduct, dec: SccDecomposition)
     """For each nontrivial component of the counter product, the slices
     it lies in, as a bitmask: with (q, c) any of its pairs, slice j when
     some walk from q reaches acceptance in j - c letters mod r; ``tail``
-    is ``_tails`` of the automaton at r."""
+    is the automaton's, as in ``_residue_sets``, at r."""
     r = product.modulus
     first = dec.members[dec.member_ptr[dec.nontrivial]]
     return {
-        cid: _rotate(tail[product.states[i]], product.counters[i], r)
+        cid: rotate(tail[product.states[i]], product.counters[i], r)
         for cid, i in zip(dec.nontrivial.tolist(), first.tolist())
     }
 
@@ -938,7 +865,7 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
 
     pd = _polynomial_index(dec, tight, dec.component_of[dfa.initial])
     rho = lcm(*periods.values())
-    tail = _tails(dfa, rho)
+    tail = length_masks(reverse_edges(dfa.state_count, *transition_edges(dfa)), dfa.accepting, rho)
     masks = _residue_sets(dfa, dec, rho, tail)
 
     important = []

@@ -52,6 +52,18 @@ def random_dfa(rng, max_states=6, k=2, density=0.8, accept_all=False):
     return Dfa(k, rows, 0, accepting)
 
 
+@st.composite
+def partial_dfas(draw, max_states=8, accept_all=False):
+    """Partial automata with any initial state and accepting set: some
+    states unreachable, some dead, the accepting set possibly empty
+    (every state when ``accept_all``)."""
+    n = draw(st.integers(1, max_states))
+    k = draw(st.integers(1, 3))
+    rows = [draw(st.dictionaries(st.integers(0, k - 1), st.integers(0, n - 1))) for _ in range(n)]
+    accepting = range(n) if accept_all else draw(st.lists(st.integers(0, n - 1), unique=True))
+    return Dfa(k, rows, draw(st.integers(0, n - 1)), accepting)
+
+
 def random_trimmed(rng, **kw):
     """Random automaton that still has states after trimming."""
     while True:

@@ -24,7 +24,8 @@ continuation loops over Python int lists, both on ``exact_bounds``
 ``_integer_vector``;
 ``recursive_intermediate_count``, the earlier staircase count;
 ``member_residue_sets``, the library's earlier residue masks, over every
-member of each component (on its ``_length_masks`` and ``_tails``);
+member of each component (on its ``length_masks`` and ``tails``, the
+walk over the reversed transitions that the profile reads);
 ``per_component_product_profile``, the library's earlier profile, which
 certified every counter-product component on its own (on its
 ``_analyse`` and the profile's other private steps);
@@ -41,7 +42,12 @@ walk of that trie's ``goto``;
 (``FrozensetScc``), read by ``successor_list_scc`` off successor lists
 built from the automaton's rows; ``tarjan_cyclic_components``, the
 cycle-carrying components filtered from Tarjan's;
-``bfs_imprimitivity``, the library's earlier period search over dicts;
+``bfs_imprimitivity``, the library's earlier period search over dicts,
+and ``bfs_graph_period``, its earlier ``graph_period``, whose backward
+search ran over its own predecessor lists; ``stack_trim``, the earlier
+``trim``, two stack searches over sets, and
+``condensation_extendable_part``, the earlier ``extendable_part``, two
+passes over the condensation; ``bfs_reach``, reachability over a set;
 ``row_list_certificates``, the engine's first two certificates over
 ``digraph_rows``, one ``Fraction`` per row; and ``fraction_lower_bound``, the
 analytic lower bound in ``Fraction`` arithmetic.
@@ -62,6 +68,11 @@ from wordgrowth.automaton import (
     Dfa,
     empty_dfa,
     imprimitivity,
+    length_masks,
+    reverse_edges,
+    rotate,
+    scc,
+    transition_edges,
     transition_graph,
     trim,
 )
@@ -79,11 +90,8 @@ from wordgrowth.growth import (
     _extreme_ratios,
     _float_vector,
     _integer_vector,
-    _length_masks,
     _polynomial_index,
     _rate,
-    _rotate,
-    _tails,
     approximate_index,
     classify,
     digraph_index,
@@ -269,6 +277,177 @@ def bfs_imprimitivity(dfa, component) -> int:
     for q, t in edges:
         g = math.gcd(g, abs(level[q] + 1 - level[t]))
     return g
+
+
+def stack_trim(dfa) -> Dfa:
+    """The library's earlier ``trim``: reach by a stack search over sets,
+    co-reach by one over reverse lists, then the breadth-first renumbering."""
+    n = dfa.state_count
+    if n == 0:
+        return dfa
+    reach = {dfa.initial}
+    queue = [dfa.initial]
+    while queue:
+        q = queue.pop()
+        for x in dfa.transitions[q]:
+            t = dfa.transitions[q][x]
+            if t not in reach:
+                reach.add(t)
+                queue.append(t)
+    rev: list[list[int]] = [[] for _ in range(n)]
+    for q, row in enumerate(dfa.transitions):
+        for t in row.values():
+            rev[t].append(q)
+    co = set(dfa.accepting)
+    queue = list(co)
+    while queue:
+        q = queue.pop()
+        for p in rev[q]:
+            if p not in co:
+                co.add(p)
+                queue.append(p)
+    keep = reach & co
+    if dfa.initial not in keep:
+        return empty_dfa(dfa.alphabet_size)
+    order: list[int] = [dfa.initial]
+    index = {dfa.initial: 0}
+    head = 0
+    while head < len(order):
+        q = order[head]
+        head += 1
+        for x in sorted(dfa.transitions[q]):
+            t = dfa.transitions[q][x]
+            if t in keep and t not in index:
+                index[t] = len(order)
+                order.append(t)
+    new_trans = []
+    for q in order:
+        row = {
+            x: index[t]
+            for x, t in dfa.transitions[q].items()
+            if t in keep
+        }
+        new_trans.append(row)
+    new_acc = [index[q] for q in dfa.accepting if q in index]
+    return Dfa(dfa.alphabet_size, new_trans, 0, new_acc)
+
+
+def condensation_extendable_part(dfa, side: str = "right") -> Dfa:
+    """The library's earlier ``extendable_part``: which components reach
+    a cycle and which a cycle reaches, by two passes over the
+    condensation, on ``stack_trim``."""
+    if side == "two":
+        side = "two_sided"
+    if side not in ("right", "two_sided"):
+        raise ValueError("side must be 'right' or 'two_sided'")
+    d = stack_trim(dfa)
+    if d.state_count == 0:
+        return d
+    if any(q not in d.accepting for q in range(d.state_count)):
+        raise ValueError("every state must accept")
+    dec = scc(d)
+    m = len(dec)
+    ptr, succ = dec.successor_ptr.tolist(), dec.successors.tolist()
+    cyclic = [False] * m
+    for c in dec.nontrivial.tolist():
+        cyclic[c] = True
+    component_of = dec.component_of.tolist()
+    reaches_cycle = [False] * m
+    for c in range(m - 1, -1, -1):
+        reaches_cycle[c] = cyclic[c] or any(reaches_cycle[t] for t in succ[ptr[c]:ptr[c + 1]])
+    ext = {q for q in range(d.state_count) if reaches_cycle[component_of[q]]}
+    if side == "right":
+        if d.initial not in ext:
+            return empty_dfa(d.alphabet_size)
+        rows = []
+        states = sorted(ext)
+        index = {q: i for i, q in enumerate(states)}
+        for q in states:
+            rows.append({x: index[t] for x, t in d.transitions[q].items() if t in ext})
+        return stack_trim(Dfa(d.alphabet_size, rows, index[d.initial], range(len(states))))
+
+    # two-sided: left extendability means being reachable from a cycle
+    from_cycle = list(cyclic)
+    for c in range(m):
+        if from_cycle[c]:
+            for t in succ[ptr[c]:ptr[c + 1]]:
+                from_cycle[t] = True
+    entry = {q for q in range(d.state_count) if from_cycle[component_of[q]]}
+    if not entry:
+        return empty_dfa(d.alphabet_size)
+    # subset construction: start from every entry state at once, accept
+    # when some thread sits on a state that still reaches a cycle
+    start = frozenset(entry)
+    ids = {start: 0}
+    rows = [dict()]
+    accepting = set()
+    queue = [start]
+    while queue:
+        s = queue.pop()
+        q = ids[s]
+        if s & ext:
+            accepting.add(q)
+        for x in range(d.alphabet_size):
+            t = frozenset(
+                d.transitions[p][x] for p in s if x in d.transitions[p]
+            )
+            if not t:
+                continue
+            if t not in ids:
+                ids[t] = len(rows)
+                rows.append(dict())
+                queue.append(t)
+            rows[q][x] = ids[t]
+    return stack_trim(Dfa(d.alphabet_size, rows, 0, accepting))
+
+
+def bfs_graph_period(graph) -> int:
+    """The library's earlier ``graph_period``: breadth-first levels from
+    vertex 0, then a backward breadth-first search over predecessor
+    lists for strong connectivity."""
+    n = len(graph)
+    if n == 0:
+        return 1
+    level = [-1] * n
+    level[0] = 0
+    queue = [0]
+    period = 0
+    for q in queue:
+        depth = level[q] + 1
+        for t in graph[q]:
+            if level[t] < 0:
+                level[t] = depth
+                queue.append(t)
+            else:
+                period = math.gcd(period, depth - level[t])
+    if len(queue) < n:
+        return 1
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for q in range(n):
+        for t in graph[q]:
+            pred[t].append(q)
+    seen = [False] * n
+    seen[0] = True
+    queue = [0]
+    for q in queue:
+        for t in pred[q]:
+            if not seen[t]:
+                seen[t] = True
+                queue.append(t)
+    return max(period, 1) if len(queue) == n else 1
+
+
+def bfs_reach(rows, seeds) -> set:
+    """The vertices that ``seeds`` reach along ``rows``, by breadth-first
+    search over a set."""
+    seen = set(seeds)
+    queue = list(seen)
+    for q in queue:
+        for t in rows[q]:
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return seen
 
 
 def brute_count(dfa, n: int) -> int:
@@ -825,21 +1004,26 @@ def brute_two_extendable(dfa, word) -> bool:
 # ---------------------------------------------------------------------------
 # growth profiles
 
+def tails(dfa, modulus: int) -> list:
+    """``tail[q]``: the lengths mod ``modulus`` of the walks from q to an
+    accepting state, as a bitmask, as the profile reads them: the
+    library's walk over the reversed transitions."""
+    return length_masks(reverse_edges(dfa.state_count, *transition_edges(dfa)), dfa.accepting, modulus)
+
+
 def member_residue_sets(dfa, dec, modulus: int) -> dict:
     """The library's earlier residue masks: for each nontrivial component,
     the residues mod ``modulus`` of the accepting walks through any of its
     members, from every member and every residue of its head."""
-    head = _length_masks(
-        [set(row.values()) for row in dfa.transitions], [dfa.initial], modulus
-    )
-    tail = _tails(dfa, modulus)
+    head = length_masks([set(row.values()) for row in dfa.transitions], [dfa.initial], modulus)
+    tail = tails(dfa, modulus)
     masks = {}
     for cid in dec.nontrivial.tolist():
         masks[cid] = 0
         for q in dec.members_of(cid).tolist():
             for c in range(modulus):
                 if head[q] >> c & 1:
-                    masks[cid] |= _rotate(tail[q], c, modulus)
+                    masks[cid] |= rotate(tail[q], c, modulus)
     return masks
 
 
@@ -952,7 +1136,7 @@ def per_component_product_profile(dfa, delta: Fraction) -> tuple:
     gr = _rate(rates.values())
     pd = _polynomial_index(dec, tight, dec.component_of[dfa.initial])
     rho = lcm(*periods.values())
-    tail = _tails(dfa, rho)
+    tail = tails(dfa, rho)
     masks = _residue_sets(dfa, dec, rho, tail)
     important = []
     for c in rates:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import builders
-from oracles import bfs_imprimitivity
+from oracles import _counter_reach, bfs_graph_period, bfs_imprimitivity, bfs_reach, stack_trim
 from wordgrowth.automaton import (
     Dfa,
     DfaFormatError,
@@ -19,8 +19,11 @@ from wordgrowth.automaton import (
     graph_period,
     graph_scc,
     imprimitivity,
+    length_masks,
     parse_dfa,
+    reverse_edges,
     scc,
+    transition_edges,
     transition_graph,
     trim,
 )
@@ -163,6 +166,42 @@ def test_trim_keeps_all_states_of_consistent_automata():
     assert trim(d) == d
 
 
+@given(builders.partial_dfas())
+@settings(max_examples=300, deadline=None)
+def test_trim_matches_stack_search_oracle(dfa):
+    assert format_dfa(trim(dfa)) == format_dfa(stack_trim(dfa))
+
+
+# ---------------------------------------------------------------------------
+# walks
+
+
+@given(builders.partial_dfas(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_walk_at_modulus_one_is_reachability(dfa, data):
+    n = dfa.state_count
+    seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    rows = [list(row.values()) for row in dfa.transitions]
+    back = reverse_edges(n, *transition_edges(dfa))
+    # each transition into t, once per letter, in state order
+    assert back == [[q for q in range(n) for u in rows[q] if u == t] for t in range(n)]
+    for edges in (rows, back):
+        reached = bfs_reach(edges, seeds)
+        assert length_masks(edges, seeds, 1) == [int(q in reached) for q in range(n)]
+
+
+@given(builders.partial_dfas(), st.integers(1, 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_walk_lengths_are_counter_product_pairs(dfa, modulus, data):
+    n = dfa.state_count
+    seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    pairs = set()
+    for q in seeds:
+        pairs |= _counter_reach(dfa, modulus, (q, 0))
+    bits = length_masks([row.values() for row in dfa.transitions], seeds, modulus)
+    assert {(q, c) for q in range(n) for c in range(modulus) if bits[q] >> c & 1} == pairs
+
+
 # ---------------------------------------------------------------------------
 # strongly connected components
 
@@ -300,7 +339,7 @@ def test_graph_period_matches_dict_search(dfa):
     # cycle, else 1
     whole = len(dec) == 1 and len(dec.nontrivial) == 1
     expected = bfs_imprimitivity(dfa, range(dfa.state_count)) if whole else 1
-    assert graph_period(graph) == expected
+    assert graph_period(graph) == bfs_graph_period(graph) == expected
 
 
 def test_phi_component_is_primitive():

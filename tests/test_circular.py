@@ -419,3 +419,13 @@ def test_words_is_the_bottom_layer():
                 taken.add(name)
                 assert not name.startswith("_"), (path.name, name)
     assert {"ends_in_violation", "suffix_checks", "target_length"} <= taken  # the scan sees imports
+
+
+def test_automaton_is_the_graph_layer():
+    # automata, graphs, strong components, periods, local graphs and the
+    # walk search sit below every other module
+    src = Path(wordgrowth.__file__).parent
+    assert package_imports(src / "automaton.py") == set()
+    # growth reads the local graphs and the walk search from it
+    taken = {n for m, n in package_imports(src / "growth.py") if m == "wordgrowth.automaton"}
+    assert {"component_graphs", "length_masks", "reverse_edges", "rotate", "row_entries"} <= taken

@@ -4,11 +4,13 @@ import itertools
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import builders
 from oracles import (
     brute_right_extendable,
     brute_two_extendable,
+    condensation_extendable_part,
     recursive_intermediate_count,
     staircase_factors,
     theta_pow,
@@ -17,7 +19,7 @@ from oracles import (
     trie_fad_automaton,
 )
 from wordgrowth import fad
-from wordgrowth.automaton import Dfa, DfaFormatError, scc, trim
+from wordgrowth.automaton import Dfa, DfaFormatError, format_dfa, trim
 from wordgrowth.fad import (
     Antidictionary,
     extendable_part,
@@ -307,6 +309,24 @@ def test_extendable_empty_language():
     assert extendable_part(empty_dfa(2), "right").state_count == 0
 
 
+def part_text(part, dfa, side):
+    """The text of ``part(dfa, side)``, or the error it raises."""
+    try:
+        return format_dfa(part(dfa, side))
+    except ValueError as exc:
+        return repr(exc)
+
+
+@given(
+    st.one_of(builders.partial_dfas(), builders.partial_dfas(accept_all=True)),
+    st.sampled_from(["right", "two_sided"]),
+)
+@settings(max_examples=400, deadline=None)
+def test_extendable_part_matches_condensation_oracle(dfa, side):
+    expected = part_text(condensation_extendable_part, dfa, side)
+    assert part_text(extendable_part, dfa, side) == expected
+
+
 def test_extendable_matches_pumping_oracle(fad_corpus):
     for a in fad_corpus:
         d = fad_automaton(a)
@@ -419,6 +439,15 @@ def test_parse_antidictionary_errors():
     with pytest.raises(DfaFormatError) as err:
         parse_antidictionary("ad 2\naa bb cc")
     assert err.value.line_no == 2
+    # a letter out of range is reported at its own line, in either form
+    for text, message in [
+        ("ad 2\naaa\nbbb\nabc", "^line 4: letter 2 out of range$"),
+        ("ad 2\naaa\n0 5", "^line 3: letter 5 out of range$"),
+        ("ad 2\n# c\n\n0 -1 0", "^line 4: letter -1 out of range$"),
+        ("ad 1\na\nab", "^line 3: letter 1 out of range$"),
+    ]:
+        with pytest.raises(DfaFormatError, match=message):
+            parse_antidictionary(text)
     # not antifactorial: a prefix pair, and a link onto a forbidden word
     with pytest.raises(DfaFormatError, match="^line 1: not antifactorial: a forbidden "
                        "word occurs inside aab$"):

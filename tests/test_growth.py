@@ -33,6 +33,7 @@ from oracles import (
     row_sum_float_vector,
     spectral_radius_root,
     successor_list_scc,
+    tails,
     tarjan_components,
     tarjan_cyclic_components,
     tarjan_scc,
@@ -200,7 +201,7 @@ def test_component_graphs_match_dict_rows_oracle(case):
         adjacency[u][t] = adjacency[u].get(t, 0) + w
     assert digraph_rows(graph) == [sorted(row.items()) for row in adjacency]
     comps = tarjan_components(graph) + subsets
-    for comp, local in zip(comps, growth._component_graphs(graph, comps), strict=True):
+    for comp, local in zip(comps, automaton.component_graphs(graph, comps), strict=True):
         expected = dict_component_rows(adjacency, comp)
         assert (None if local is None else digraph_rows(local)) == expected, comp
 
@@ -381,7 +382,7 @@ def local_graphs(dfa):
     """The local graphs of an automaton's nontrivial components."""
     graph = growth.transition_graph(dfa)
     dec = graph_scc(graph)
-    return growth._component_graphs(graph, [dec.members_of(c) for c in dec.nontrivial])
+    return automaton.component_graphs(graph, [dec.members_of(c) for c in dec.nontrivial])
 
 
 def test_certificate_stream_matches_two_engine_runs_on_thue_morse():
@@ -575,7 +576,7 @@ def test_graph_period_matches_dict_search_on_thue_morse(level):
     graph = growth.transition_graph(d)
     dec = graph_scc(graph)
     (c,) = dec.nontrivial.tolist()
-    (comp,) = growth._component_graphs(graph, [dec.members_of(c)])
+    (comp,) = automaton.component_graphs(graph, [dec.members_of(c)])
     members = dec.members_of(c).tolist()
     period = 2 ** (level + 1)
     assert graph_period(comp) == automaton.imprimitivity(d, members) == period
@@ -882,7 +883,7 @@ def local_graphs_of(graph, dec, cids=None):
     nontrivial ones), in the order of their least members."""
     cids = dec.nontrivial if cids is None else cids
     members = sorted((dec.members_of(c).tolist() for c in cids), key=min)
-    return list(growth._component_graphs(graph, members))
+    return list(automaton.component_graphs(graph, members))
 
 
 def test_three_target_rows_reach_the_float_pass():
@@ -921,7 +922,7 @@ def test_slice_components_are_product_components(dfa_corpus):
         r = asymptotic_profile(d).residue_count
         product = growth._CounterProduct(d, r)
         dec = graph_scc(product.graph)
-        slices = growth._product_slices(growth._tails(d, r), product, dec)
+        slices = growth._product_slices(tails(d, r), product, dec)
         for j in range(r):
             piece = counter_slice(d, r, j)
             graph = growth.transition_graph(piece)
@@ -958,15 +959,15 @@ def test_residue_masks_from_one_member_match_every_member(dfa):
         automaton.imprimitivity(dfa, dec.members_of(c).tolist()) for c in dec.nontrivial.tolist()
     ))
     for modulus in (rho, 2 * rho):
-        tail = growth._tails(dfa, modulus)
+        tail = tails(dfa, modulus)
         assert growth._residue_sets(dfa, dec, modulus, tail) == member_residue_sets(
             dfa, dec, modulus
         )
     # the tails mod each divisor of rho fold from those mod rho
-    tail = growth._tails(dfa, rho)
+    tail = tails(dfa, rho)
     for r in range(1, rho + 1):
         if rho % r == 0:
-            assert [growth._fold(t, rho, r) for t in tail] == growth._tails(dfa, r)
+            assert [growth._fold(t, rho, r) for t in tail] == tails(dfa, r)
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 10**6), Fraction(1, 10**12)])
@@ -1043,12 +1044,12 @@ def test_product_components_of_automaton_size_are_renamed_automaton_components(d
         pairs = dec.members_of(pid)
         c = int(base.component_of[states[pairs[0]]])
         members = base.members_of(c)
-        (comp,) = growth._component_graphs(graph, [members])
+        (comp,) = automaton.component_graphs(graph, [members])
         assert len(pairs) == len(members) * r // math.gcd(graph_period(comp), r)
         if len(pairs) != len(members):
             assert pid not in lifts
             continue
-        (lifted,) = growth._component_graphs(product.graph, [pairs])
+        (lifted,) = automaton.component_graphs(product.graph, [pairs])
         local[members] = np.arange(len(members))
         name = local[states[pairs]]
         assert sorted(name.tolist()) == list(range(len(members)))
