@@ -125,16 +125,16 @@ def empty_dfa(alphabet_size: int) -> Dfa:
 def trim(dfa: Dfa) -> Dfa:
     """Restrict to states both reachable and co-reachable, renumbered by BFS.
 
-    The two sets are two walks at modulus 1, forward from the initial
-    state and backward from the accepting ones.  The result recognizes
-    the same language.  If nothing survives, the 0-state automaton is
-    returned.
+    One walk at modulus 1, backward from the accepting states, finds the
+    co-reachable states.  Every state on a path to a co-reachable state
+    is itself co-reachable, so the breadth-first renumbering from the
+    initial state, through co-reachable states only, reaches exactly the
+    states that are both.  The result recognizes the same language.  If
+    nothing survives, the 0-state automaton is returned.
     """
     if dfa.state_count == 0:
         return dfa
-    reach = length_masks([row.values() for row in dfa.transitions], [dfa.initial], 1)
-    co = length_masks(reverse_edges(dfa.state_count, *transition_edges(dfa)), dfa.accepting, 1)
-    keep = [a & b for a, b in zip(reach, co)]
+    keep = length_masks(reverse_edges(dfa.state_count, *transition_edges(dfa)), dfa.accepting, 1)
     if not keep[dfa.initial]:
         return empty_dfa(dfa.alphabet_size)
     # breadth-first renumbering keeps the output stable across runs

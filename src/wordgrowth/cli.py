@@ -4,6 +4,14 @@ One subcommand per analysis; global options pick the certified interval
 half-width, output format, search budget, and whether the
 letter-symmetry quotient is used.  All numeric output is rounded
 outward, so printed intervals always contain the certified ones.
+
+The command group is the one error boundary: a ``ValueError`` (every
+input check the library makes, ``DfaFormatError`` among them), a
+search or size limit (``BudgetExceededError``, ``TrieSizeError``,
+``IndexBudgetError``, ``ProfileSizeError``) or a ``MemoryError`` from
+any command ends in one ``Error: ...`` line and exit status 1.  The
+commands catch nothing of their own, except that ``powerfree`` prints a
+finite approximation as its answer.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from fractions import Fraction
 
 import click
 
-from wordgrowth.automaton import DfaFormatError, parse_dfa, format_dfa, trim
+from wordgrowth.automaton import format_dfa, parse_dfa, transition_graph, trim
 from wordgrowth.circular import (
     enumerate_circular_square_free,
     forbidden_period_scan,
@@ -36,6 +44,7 @@ from wordgrowth.growth import (
     asymptotic_profile,
     decimal_lower,
     decimal_upper,
+    digraph_index,
 )
 from wordgrowth.powerfree import (
     FiniteApproximationError,
@@ -55,13 +64,6 @@ def _parse_delta(text: str) -> Fraction:
     return d
 
 
-def _parse_bound(token: str) -> ExponentBound:
-    try:
-        return ExponentBound.parse(token)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -73,14 +75,19 @@ def _no_csv(fmt: str):
 
 
 class _Main(click.Group):
-    """The command group; the engine's resource limits, which any command
-    that certifies a rate may reach, end in a one-line message."""
+    """The command group and the CLI's one error boundary, around the
+    group callback and every command: a ``ValueError``, a search or size
+    limit, or a ``MemoryError`` (often without text) becomes a
+    ``click.ClickException``, one ``Error: ...`` line and exit status 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (IndexBudgetError, ProfileSizeError) as exc:
+        except (ValueError, BudgetExceededError, TrieSizeError, IndexBudgetError,
+                ProfileSizeError) as exc:
             raise click.ClickException(str(exc)) from None
+        except MemoryError as exc:
+            raise click.ClickException(str(exc) or "out of memory") from None
 
 
 @click.group(cls=_Main)
@@ -116,11 +123,7 @@ def main(ctx, delta, budget, fmt, threads, no_symmetry):
 def cmd_dfa_report(obj, path):
     """Growth profile of the language of an automaton file."""
     _no_csv(obj["fmt"])
-    try:
-        dfa = parse_dfa(_read(path))
-    except DfaFormatError as exc:
-        raise click.ClickException(str(exc)) from None
-    report = asymptotic_profile(trim(dfa), obj["delta"])
+    report = asymptotic_profile(trim(parse_dfa(_read(path))), obj["delta"])
     click.echo(report.to_json_text() if obj["fmt"] == "json" else report.to_text(), nl=False)
     if obj["fmt"] == "json":
         click.echo()
@@ -132,10 +135,7 @@ def cmd_dfa_report(obj, path):
 def cmd_fad(obj, path):
     """Growth profile of the language avoiding an antidictionary file."""
     _no_csv(obj["fmt"])
-    try:
-        ad = parse_antidictionary(_read(path))
-    except DfaFormatError as exc:
-        raise click.ClickException(str(exc)) from None
+    ad = parse_antidictionary(_read(path))
     dfa = fad_automaton(ad)
     report = asymptotic_profile(dfa, obj["delta"])
     if obj["fmt"] == "json":
@@ -162,10 +162,7 @@ def cmd_fad(obj, path):
 def cmd_tm_approx(obj, level):
     """Growth rate of the level-i Thue-Morse approximation language."""
     _no_csv(obj["fmt"])
-    try:
-        ad = tm_antidictionary(level)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    ad = tm_antidictionary(level)
     dfa = fad_automaton(ad)
     rate = approximate_index(dfa, obj["delta"])
     if obj["fmt"] == "json":
@@ -194,30 +191,17 @@ def cmd_tm_approx(obj, level):
 def cmd_extendable(obj, path, side, dump):
     """Extendable part of a factor-closed language."""
     _no_csv(obj["fmt"])
-    try:
-        dfa = trim(parse_dfa(_read(path)))
-        part = extendable_part(dfa, side)
-    except (DfaFormatError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from None
+    dfa = trim(parse_dfa(_read(path)))
+    part = extendable_part(dfa, side)
     if dump:
         click.echo(format_dfa(part), nl=False)
         return
-    zero = ("0." + "0" * 12, "0." + "0" * 12)
-    full_rate = approximate_index(dfa, obj["delta"]) if dfa.state_count else None
-    part_rate = approximate_index(part, obj["delta"]) if part.state_count else None
-    rows = {
-        "side": side,
-        "language": {
-            "states": dfa.state_count,
-            "rate_lo": decimal_lower(full_rate.lo) if full_rate else zero[0],
-            "rate_hi": decimal_upper(full_rate.hi) if full_rate else zero[1],
-        },
-        "part": {
-            "states": part.state_count,
-            "rate_lo": decimal_lower(part_rate.lo) if part_rate else zero[0],
-            "rate_hi": decimal_upper(part_rate.hi) if part_rate else zero[1],
-        },
-    }
+    rows = {"side": side}
+    for name, x in (("language", dfa), ("part", part)):
+        # a graph with no cycle, the empty one included, certifies [0, 0]
+        rate = digraph_index(transition_graph(x), obj["delta"])
+        rows[name] = {"states": x.state_count, "rate_lo": decimal_lower(rate.lo),
+                      "rate_hi": decimal_upper(rate.hi)}
     if obj["fmt"] == "json":
         click.echo(json.dumps(rows, indent=2))
     else:
@@ -237,13 +221,10 @@ def cmd_extendable(obj, path, side, dump):
 @click.pass_obj
 def cmd_intermediate(obj, n, k, word):
     """Counting function of the staircase language."""
-    try:
-        if word is not None:
-            result = intermediate_member(parse_word(word), k)
-        else:
-            result = intermediate_count(n, k)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    if word is not None:
+        result = intermediate_member(parse_word(word), k)
+    else:
+        result = intermediate_count(n, k)
     if obj["fmt"] == "json":
         click.echo(json.dumps({"n": n, "k": k, "word": word, "result": result}))
     elif obj["fmt"] == "csv":
@@ -264,7 +245,7 @@ def cmd_intermediate(obj, n, k, word):
 def cmd_powerfree(obj, k, beta, cap, mode, no_lower):
     """Two-sided growth bounds for a power-free language."""
     _no_csv(obj["fmt"])
-    bound = _parse_bound(beta)
+    bound = ExponentBound.parse(beta)
     started = time.perf_counter()
     try:
         bounds = approximation_bounds(
@@ -285,8 +266,6 @@ def cmd_powerfree(obj, k, beta, cap, mode, no_lower):
         else:
             click.echo(f"language     L({k}, {bound})\nfinite       {exc}")
         return
-    except (BudgetExceededError, TrieSizeError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from None
     elapsed = time.perf_counter() - started
     if obj["fmt"] == "json":
         doc = json.loads(bounds.to_json_text())
@@ -304,13 +283,10 @@ def cmd_powerfree(obj, k, beta, cap, mode, no_lower):
 @click.pass_obj
 def cmd_root(obj, k, beta, n_max):
     """Table of minimal-power counts by period."""
-    bound = _parse_bound(beta)
+    bound = ExponentBound.parse(beta)
     if n_max < 1:
         raise click.ClickException("n-max must be at least 1")
-    try:
-        counts = root_table(k, bound, n_max, obj["budget"])
-    except (BudgetExceededError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from None
+    counts = root_table(k, bound, n_max, obj["budget"])
     if obj["fmt"] == "json":
         click.echo(json.dumps(
             [{"k": k, "beta": str(bound), "n": n, "count": c}
@@ -329,10 +305,7 @@ def cmd_root(obj, k, beta, n_max):
 @click.pass_obj
 def cmd_circular(obj, n, k, counts):
     """Square-free circular words of one length."""
-    try:
-        words = enumerate_circular_square_free(n, k, obj["budget"])
-    except (BudgetExceededError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from None
+    words = enumerate_circular_square_free(n, k, obj["budget"])
     if counts:
         if obj["fmt"] == "json":
             click.echo(json.dumps({"n": n, "count": len(words)}))
@@ -357,11 +330,8 @@ def cmd_circular(obj, n, k, counts):
 @click.pass_obj
 def cmd_scan(obj, k, beta, p_max):
     """Forbidden periods of a power-free language up to p-max."""
-    bound = _parse_bound(beta)
-    try:
-        forbidden = forbidden_period_scan(k, bound, p_max, budget=obj["budget"])
-    except (BudgetExceededError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from None
+    bound = ExponentBound.parse(beta)
+    forbidden = forbidden_period_scan(k, bound, p_max, budget=obj["budget"])
     rows = sorted(forbidden)
     if obj["fmt"] == "json":
         click.echo(json.dumps({"k": k, "beta": str(bound), "p_max": p_max,
@@ -380,11 +350,9 @@ def cmd_scan(obj, k, beta, p_max):
 @click.pass_obj
 def cmd_asymptotic(obj, k, beta):
     """Closed-form large-alphabet growth rate estimate."""
-    bound = _parse_bound(beta)
-    try:
-        value = asymptotic_formula(k, bound)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    _no_csv(obj["fmt"])
+    bound = ExponentBound.parse(beta)
+    value = asymptotic_formula(k, bound)
     if obj["fmt"] == "json":
         click.echo(json.dumps({
             "k": k,

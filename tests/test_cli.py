@@ -13,9 +13,9 @@ from click.testing import CliRunner
 import builders
 import wordgrowth
 from oracles import free_roots
-from wordgrowth import circular, growth, words
-from wordgrowth.automaton import format_dfa, parse_dfa
-from wordgrowth.fad import FailureTrie
+from wordgrowth import circular, cli, growth, words
+from wordgrowth.automaton import DfaFormatError, format_dfa, parse_dfa
+from wordgrowth.fad import FailureTrie, TrieSizeError
 from wordgrowth.cli import main
 
 PHI_AD = "ad 2\naaa\nbbb\n"
@@ -76,10 +76,19 @@ def test_dfa_report_rejects_bad_file(runner, tmp_path):
     assert "line 2" in result.output
 
 
-def test_dfa_report_rejects_csv(runner, phi_dfa_path):
-    result = runner.invoke(main, ["--format", "csv", "dfa-report", phi_dfa_path])
+@pytest.mark.parametrize("args", [
+    ["dfa-report", "PATH"],
+    ["fad", str(DATA / "tm1.ad")],
+    ["tm-approx", "2"],
+    ["extendable", "PATH"],
+    ["powerfree", "2", "3", "--cap", "6"],
+    ["asymptotic", "5", "2"],
+], ids=lambda a: a[0])
+def test_dfa_report_rejects_csv(runner, phi_dfa_path, args):
+    args = [phi_dfa_path if a == "PATH" else a for a in args]
+    result = runner.invoke(main, ["--format", "csv", *args])
     assert result.exit_code == 1
-    assert "csv" in result.output
+    assert result.output == "Error: csv output is not defined for this command\n"
 
 
 def test_fad_report(runner, phi_ad_path):
@@ -318,6 +327,44 @@ def test_queries_load_no_numpy_module_beyond_the_import():
         check=True,
     )
     assert out.stdout == "[]\n"
+
+
+# the one library function each command hands its work to
+COMMAND_CALLS = {
+    "dfa-report": "asymptotic_profile",
+    "fad": "fad_automaton",
+    "tm-approx": "tm_antidictionary",
+    "extendable": "extendable_part",
+    "intermediate": "intermediate_count",
+    "powerfree": "approximation_bounds",
+    "root": "root_table",
+    "circular": "enumerate_circular_square_free",
+    "scan": "forbidden_period_scan",
+    "asymptotic": "asymptotic_formula",
+}
+
+LIBRARY_ERRORS = [
+    ValueError("x"),
+    DfaFormatError(3, "x"),
+    words.BudgetExceededError(7, 5),
+    TrieSizeError(9, 8),
+    growth.IndexBudgetError(64, Fraction(1, 10**6), 64),
+    growth.ProfileSizeError(2, 1),
+    MemoryError(),
+]
+
+
+@pytest.mark.parametrize("exc", LIBRARY_ERRORS, ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda a: a[0])
+def test_every_library_error_is_one_line(runner, monkeypatch, argv, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, COMMAND_CALLS[argv[0]], fail)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    assert result.output == f"Error: {str(exc) or 'out of memory'}\n"
+    assert "Traceback" not in result.output
 
 
 def test_powerfree_budget_failure(runner):
