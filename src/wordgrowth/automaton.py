@@ -520,7 +520,6 @@ def parse_dfa(text: str) -> Dfa:
     initial: Optional[int] = None
     accepting: set[int] = set()
     rows: list[dict] = []
-    seen_edges: set[tuple] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -565,9 +564,8 @@ def parse_dfa(text: str) -> Dfa:
             raise DfaFormatError(line_no, f"letter {x} out of range")
         if not 0 <= t < n:
             raise DfaFormatError(line_no, f"target state {t} out of range")
-        if (q, x) in seen_edges:
+        if x in rows[q]:
             raise DfaFormatError(line_no, f"duplicate transition from state {q} on letter {x}")
-        seen_edges.add((q, x))
         rows[q][x] = t
     if header is None:
         raise DfaFormatError(1, "empty input, expected a 'dfa' header")

@@ -10,7 +10,8 @@ frame, builds ``powerfree``'s symmetry quotients and their voltages.  One numpy
 build, one depth at a time, serves both frames: the small identity-frame
 tries of antidictionaries read from files and of the Thue-Morse
 approximations, and the letter-canonical tries of the power-free bounds,
-which reach millions of nodes.
+which reach millions of nodes.  Its linker is the one check, in both
+frames, that a word set is antifactorial.
 
 The module also carries a few concrete language families used to
 exercise the growth machinery: truncated antidictionaries of the
@@ -103,14 +104,16 @@ class FailureTrie:
     first ``nletters`` and ``fsig``.  ``FailureTrie(k, words)`` builds the
     identity frame, where ``nletters`` is k and ``fsig`` the identity, for
     ``Antidictionary``, ``fad_automaton`` and the Thue-Morse
-    approximations.  Its set need not be antifactorial: a forbidden word
-    that is a prefix of another keeps its descendants as nodes that are
-    no states, and a failure link that lands on a forbidden word follows
-    it, so the links stay exact, which is what ``Antidictionary`` checks.
-    ``FailureTrie.letter_canonical`` builds the frame of the symmetry
-    quotients of ``powerfree`` from the level search's word arrays; those
-    tries reach millions of nodes, and their sets must be antifactorial.
-    Every table reads back plain ints.
+    approximations; ``FailureTrie.letter_canonical`` the frame of
+    ``powerfree``'s symmetry quotients.  Any set builds: the nodes below a
+    forbidden word are no states, and a link onto one follows it.  The
+    build is the one antifactorial check: ``ends[u]``, filled by the
+    linker, says that a suffix of u's word is forbidden, and a forbidden
+    word offends when ``ends`` holds at a proper prefix of it or at its
+    link.  None does when no forbidden word has a child, no other node has
+    ``ends`` and no forbidden word's link has it; else ``offender`` is the
+    first's rank in (length, lexicographic) order, the order of node ids,
+    and None when none offends.  Every table reads back plain ints.
     """
 
     FRESH = -1
@@ -119,7 +122,7 @@ class FailureTrie:
 
     __slots__ = (
         "k", "width", "children", "terminal", "nletters", "fsig", "fail", "delta",
-        "voltage", "states", "state_of",
+        "voltage", "states", "state_of", "offender",
     )
 
     def __init__(self, k: int, words: Iterable[Word]):
@@ -134,9 +137,11 @@ class FailureTrie:
         arrays, one word per row (one array per word length, say).  Each
         word must bring its letters in first-occurrence order
         (ValueError otherwise), and the set must be antifactorial
-        (AssertionError otherwise)."""
+        (AssertionError otherwise, from ``offender``)."""
         trie = object.__new__(cls)
         trie._build(k, word_arrays, True)
+        if trie.offender is not None:
+            raise AssertionError("the word set is not antifactorial")
         return trie
 
     def _build(self, k: int, word_arrays: Iterable, canonical: bool) -> None:
@@ -158,9 +163,7 @@ class FailureTrie:
         slots and y themselves when u has a child on y, and else is H(fail(u),
         read) o ``fsig[u]`` with slot y renamed read, the slot that
         delta(fail(u), .) reads.  The child u.y takes that second form as
-        its ``fsig``.  Raises ValueError for a word outside the frame and,
-        in the letter-canonical frame, AssertionError for a set that is not
-        antifactorial.
+        its ``fsig``.  Raises ValueError for a word outside the frame.
         """
         children, terminal, nletters, depth_start = _sorted_insert(
             k, word_arrays, self.NODE_LIMIT, canonical
@@ -176,22 +179,35 @@ class FailureTrie:
         fail = np.zeros(n, np.intc)
         delta = np.zeros((n, w), np.intc)
         self.k, self.width = k, w
-        # Python readers (the antidictionary check, fad_automaton) index these
+        # Python readers (fad_automaton) index these
         (self.children, self.terminal, self.nletters, self.fsig, self.fail,
          self.delta) = (
             memoryview(a.reshape(-1)) for a in (children, terminal, nletters, fsig, fail, delta)
         )
-        # forbidden words, and in the identity frame the nodes below one
+        # forbidden words, and the nodes below one
         no_state = terminal.astype(bool)
-        self._link_by_depth(children, no_state, nletters, fsig, fail, delta, voltage,
+        # ends[u]: a suffix of u's word, the word included, is forbidden
+        ends = no_state.copy()
+        self._link_by_depth(children, no_state, ends, nletters, fsig, fail, delta, voltage,
                             depth_start)
+        term = terminal.view(bool)
+        forbidden = np.flatnonzero(term)
+        self.offender = None
+        if ((children.take(forbidden, axis=0) >= 0).any() or (ends & ~term).any()
+                or ends.take(fail.take(forbidden)).any()):
+            # inside[u]: a forbidden word ends at a proper prefix of u's word
+            inside = np.zeros_like(ends)
+            for lo, hi in zip(depth_start, depth_start[1:]):
+                u, y = np.nonzero(children[lo:hi] >= 0)
+                inside[children[lo + u, y]] = inside[lo + u] | ends[lo + u]
+            self.offender = np.count_nonzero(term[:np.argmax(term & (inside | ends[fail]))])
         self.voltage = None if voltage is None else memoryview(voltage[:-1])
         states = np.flatnonzero(~no_state).astype(np.intc)
         state_of = np.full(n, -1, np.intc)
         state_of[states] = np.arange(len(states), dtype=np.intc)
         self.states, self.state_of = memoryview(states), memoryview(state_of)
 
-    def _link_by_depth(self, children, no_state, nletters, fsig, fail, delta, voltage,
+    def _link_by_depth(self, children, no_state, ends, nletters, fsig, fail, delta, voltage,
                        depth_start):
         w, FRESH = self.width, self.FRESH
         canonical = voltage is not None
@@ -232,12 +248,9 @@ class FailureTrie:
             y = moved - r * w
             link_at = y * (hi - lo) + r
             link = t.reshape(-1)[link_at]
-            if canonical and (link < 0).any():
-                raise AssertionError(
-                    "failure chain hit a forbidden word; input set was not antifactorial"
-                )
             # a link that lands on a forbidden word follows it
             fail[hi:end] = np.maximum(link, ~link)
+            ends[hi:end] |= ends.take(fail[hi:end])
             # a node below a forbidden word is no state
             no_state[hi:end] |= no_state[lo:hi][r]
             ids = np.arange(hi, end)
@@ -291,11 +304,6 @@ def _sorted_insert(k: int, word_arrays: Iterable, limit: int, canonical: bool) -
     if m > 1:
         differ = cols[:, 1:] != cols[:, :-1]
         lcp[1:] = np.where(differ.any(0), differ.argmax(0), lengths[1:])
-        if canonical and ((lcp[1:] == np.minimum(lengths[1:], lengths[:-1]))
-                          & (lengths[1:] != lengths[:-1])).any():
-            raise AssertionError(
-                "a forbidden word is a prefix of another; input set was not antifactorial"
-            )
     new = inside & (np.arange(width)[:, None] >= lcp)
     n = 1 + int(np.count_nonzero(new))
     if n > limit:
@@ -325,11 +333,11 @@ def _sorted_insert(k: int, word_arrays: Iterable, limit: int, canonical: bool) -
 class Antidictionary:
     """A validated antifactorial word set over an indexed alphabet.
 
-    Construction fails if any word is a factor of another (duplicates
-    are collapsed first).  The empty word is only allowed alone, where
-    it forbids everything.  ``trie`` is the identity-frame
-    ``FailureTrie`` of the nonempty words, built once for the check and
-    read again by ``fad_automaton``.
+    Construction fails, with ValueError naming the trie's ``offender``, if
+    any word is a factor of another (duplicates are collapsed first).  The
+    empty word is only allowed alone, where it forbids everything.
+    ``trie`` is the identity-frame ``FailureTrie`` of the nonempty words,
+    built once, for the check and for ``fad_automaton``.
     """
 
     __slots__ = ("alphabet_size", "words", "trie")
@@ -347,23 +355,9 @@ class Antidictionary:
         self.alphabet_size = alphabet_size
         self.words = tuple(normalized)
         self.trie = FailureTrie(alphabet_size, [w for w in self.words if w])
-        self._check_antifactorial()
-
-    def _check_antifactorial(self) -> None:
-        k, trie = self.alphabet_size, self.trie
-        # ends[u]: some suffix of u's word, its whole word included, is forbidden
-        ends = bytearray(trie.terminal)
-        for u in trie.states:
-            ends[u] = ends[trie.fail[u]]
-        for w in self.words:
-            path = [0]
-            for x in w:
-                path.append(trie.children[path[-1] * k + x])
-            # a forbidden word ends at a proper prefix of w, or is a proper suffix
-            if any(ends[u] for u in path[1:-1]) or ends[trie.fail[path[-1]]]:
-                raise ValueError(
-                    f"not antifactorial: a forbidden word occurs inside {word_to_str(w)}"
-                )
+        if self.trie.offender is not None:
+            w = word_to_str(self.words[self.trie.offender])
+            raise ValueError(f"not antifactorial: a forbidden word occurs inside {w}")
 
     def __len__(self):
         return len(self.words)
@@ -478,8 +472,6 @@ def extendable_part(dfa: Dfa, side: str = "right") -> Dfa:
     if side not in ("right", "two_sided"):
         raise ValueError("side must be 'right' or 'two_sided'")
     d = trim(dfa)
-    if d.state_count == 0:
-        return d
     if any(q not in d.accepting for q in range(d.state_count)):
         raise ValueError("every state must accept")
     dec = scc(d)

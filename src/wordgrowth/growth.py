@@ -843,17 +843,6 @@ def asymptotic_profile(dfa: Dfa, delta=Fraction(1, 10**6)) -> GrowthReport:
     dfr = _as_fraction(delta)
     if dfr <= 0:
         raise ValueError("delta must be positive")
-    if dfa.state_count == 0:
-        empty = ResidueAsymptotics(0, Fraction(0), Fraction(0), 0)
-        return GrowthReport(
-            ComplexityClass("Finite"),
-            IndexInterval(Fraction(0), Fraction(0)),
-            0,
-            1,
-            (empty,),
-            "NonOscillating",
-            dfr,
-        )
     periods: dict = {}
     graph = transition_graph(dfa)
     dec, rates, tight = _analyse(graph, dfr, periods)

@@ -132,6 +132,13 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert f"line {line}:" in str(err.value)
 
 
+def test_parse_rejects_a_duplicate_transition():
+    # the same source and letter twice, with another line between them
+    with pytest.raises(DfaFormatError) as err:
+        parse_dfa("dfa 2 2 0\n0 0 1\n1 0 0\n0 0 0")
+    assert str(err.value) == "line 4: duplicate transition from state 0 on letter 0"
+
+
 def test_parse_ignores_comments_and_blanks():
     d = parse_dfa("\n# x\ndfa 1 1 0  # header\naccept 0\n\n0 0 0 # loop\n")
     assert d.state_count == 1 and d.accepts((0, 0, 0))

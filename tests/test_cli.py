@@ -68,6 +68,29 @@ def test_dfa_report_json(runner, phi_dfa_path):
     assert float(doc["gr"]["lo"]) <= phi <= float(doc["gr"]["hi"])
 
 
+def test_dfa_report_of_an_automaton_with_no_accepting_state(runner, tmp_path):
+    path = tmp_path / "none.dfa"
+    path.write_text("dfa 2 2 0\n0 0 1\n1 1 0\n")
+    zero = "0.000000000000"
+    assert run(runner, ["dfa-report", str(path)]) == (
+        "class        Finite\n"
+        f"growth rate  [{zero}, {zero}]\n"
+        "poly index   0\n"
+        "residues     1\n"
+        f"  n = 0 (mod 1): alpha in [{zero}, {zero}], poly degree 0\n"
+        "oscillation  NonOscillating\n"
+    )
+    assert json.loads(run(runner, ["--format", "json", "dfa-report", str(path)])) == {
+        "classification": {"tag": "Finite", "degree": None},
+        "gr": {"lo": zero, "hi": zero},
+        "pd": 0,
+        "residue_count": 1,
+        "per_residue": [{"residue": 0, "alpha_lo": zero, "alpha_hi": zero, "m": 0}],
+        "oscillation": "NonOscillating",
+        "delta": "1/1000000",
+    }
+
+
 def test_dfa_report_rejects_bad_file(runner, tmp_path):
     bad = tmp_path / "bad.dfa"
     bad.write_text("dfa 2 2 0\naccept 5\n")

@@ -306,7 +306,8 @@ def test_extendable_rejects_non_factorial_automaton():
 def test_extendable_empty_language():
     from wordgrowth.automaton import empty_dfa
 
-    assert extendable_part(empty_dfa(2), "right").state_count == 0
+    for side in ("right", "two_sided"):
+        assert extendable_part(empty_dfa(2), side).state_count == 0
 
 
 def part_text(part, dfa, side):

@@ -836,6 +836,21 @@ def test_profile_finite_language():
     assert rep.oscillation == "NonOscillating"
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_profile_empty_automaton(k):
+    # the 0-state automaton takes the general path: no component, no rate
+    zero = Fraction(0)
+    assert asymptotic_profile(empty_dfa(k), Fraction(1, 7)) == growth.GrowthReport(
+        growth.ComplexityClass("Finite"),
+        growth.IndexInterval(zero, zero),
+        0,
+        1,
+        (growth.ResidueAsymptotics(0, zero, zero, 0),),
+        "NonOscillating",
+        Fraction(1, 7),
+    )
+
+
 def test_profile_residues_match_counts(dfa_corpus):
     """A residue with a dead profile counts zero eventually; a residue
     with rate >= 1 keeps producing words."""

@@ -31,6 +31,7 @@ from oracles import (
     suffixes_stay_free,
     tarjan_cyclic_components,
     thue_morse_prefix,
+    trie_check_antifactorial,
     trie_fad_automaton,
     trim_minimal_powers,
 )
@@ -676,16 +677,23 @@ def test_quotient_matches_chain_walk_oracle_long_chains(k, token, cap):
 
 
 @st.composite
-def canonical_antidictionaries(draw):
-    """Letter-canonical representatives of a random permutation-closed
-    antifactorial set: the orbits of random words, minus every word that
-    contains a shorter kept one."""
+def orbit_closures(draw):
+    """A random permutation-closed word set, antifactorial or not: the
+    orbits of random words over 1 to 4 letters."""
     k = draw(st.integers(1, 4))
     words = draw(st.lists(
         st.lists(st.integers(0, k - 1), min_size=1, max_size=8).map(tuple), max_size=10
     ))
-    kept = antifactorial(set().union(*(orbit(w, k) for w in words)))
-    return k, sorted({canonical_form(w) for w in kept})
+    return k, set().union(*(orbit(w, k) for w in words))
+
+
+def canonical_antidictionaries():
+    """Letter-canonical representatives of a random permutation-closed
+    antifactorial set: an orbit closure minus every word that contains a
+    shorter kept one."""
+    return orbit_closures().map(
+        lambda case: (case[0], sorted({canonical_form(w) for w in antifactorial(case[1])}))
+    )
 
 
 @given(canonical_antidictionaries())
@@ -864,11 +872,33 @@ def test_canonical_trie_rejects_what_the_frame_cannot_hold():
         FailureTrie.letter_canonical(2, [np.array([[1, 0]])])  # not canonical
     with pytest.raises(ValueError, match="frame"):
         FailureTrie.letter_canonical(2, [np.array([[0, 1, 2]])])  # letter 2 of 2
-    with pytest.raises(AssertionError, match="prefix"):
+    with pytest.raises(AssertionError, match="not antifactorial"):
         FailureTrie.letter_canonical(2, [np.array([[0, 1]]), np.array([[0, 1, 0]])])
-    with pytest.raises(AssertionError, match="failure chain"):
+    with pytest.raises(AssertionError, match="not antifactorial"):
         # abb ends in bb, of aa's orbit: the link of abb is forbidden
         FailureTrie.letter_canonical(2, [np.array([[0, 0]]), np.array([[0, 1, 1]])])
+
+
+@given(orbit_closures())
+@example((2, set(orbit((0, 1), 2)) | set(orbit((0, 1, 0), 2))))  # a prefix pair
+@example((2, set(orbit((0, 0), 2)) | set(orbit((0, 1, 1), 2))))  # a link onto bb
+@settings(max_examples=300, deadline=None)
+def test_canonical_trie_rejects_exactly_the_sets_that_are_not_antifactorial(case):
+    # the canonical build raises AssertionError, and nothing else, exactly
+    # when the identity-frame chain walk finds a word inside another
+    k, closure = case
+    try:
+        trie_check_antifactorial(sorted(closure, key=lambda w: (len(w), w)))
+        antifactorial_set = True
+    except ValueError:
+        antifactorial_set = False
+    words = sorted({canonical_form(w) for w in closure})
+    try:
+        FailureTrie.letter_canonical(k, by_length(words))
+        accepted = True
+    except AssertionError:
+        accepted = False
+    assert accepted == antifactorial_set, case
 
 
 def test_trie_size_limit_is_checked_before_the_tables(monkeypatch):

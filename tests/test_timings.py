@@ -1,12 +1,16 @@
 """The timing script's runner: round order, agreement, summaries, and
-fresh-process runs of the stages and profile modes."""
+fresh-process runs of the stages, profile and engine modes."""
 
 import hashlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from wordgrowth import growth
+from wordgrowth.automaton import component_graphs, graph_scc, transition_graph
+from wordgrowth.fad import fad_automaton, tm_antidictionary
 from wordgrowth.growth import asymptotic_profile
 from wordgrowth.powerfree import approximation_bounds
 from wordgrowth.words import ExponentBound
@@ -74,3 +78,27 @@ def test_profile_run_records_streams_and_float_passes_per_run():
     # every product component lifts it
     assert got["streams"] == [1, 1]
     assert got["float_passes"] == [1, 1]
+
+
+def test_stages_time_every_thue_morse_trie_in_a_fresh_process():
+    record = timings.measure("stages", {"here": str(ROOT / "src")}, ["tm"], 1, 120)
+    times = record["cases"]["tm"]["here"]["times_s"]
+    assert set(times) == {f"trie_{level}" for level in range(-1, 6)}
+    assert all(t["best"] > 0 for t in times.values())
+
+
+def test_engine_run_reads_the_stream_read_in_process():
+    record = timings.measure("engine", {"here": str(ROOT / "src")}, ["3/1e-20"], 1, 120)
+    got = record["cases"]["3/1e-20"]["here"]
+    graph = transition_graph(fad_automaton(tm_antidictionary(3)))
+    dec = graph_scc(graph)
+    (c,) = dec.nontrivial.tolist()
+    (comp,) = component_graphs(graph, [dec.members_of(c)])
+    stream = []
+    for iv in growth._certificates(comp):
+        stream.append(iv)
+        if iv.width <= Fraction(2, 10**20):
+            break
+    assert got["stream_sha256"] == hashlib.sha256(repr(stream).encode()).hexdigest()
+    assert (got["certificates"], got["states"]) == (len(stream), len(comp))
+    assert set(got["times_s"]) == {"float", "continuation"}
