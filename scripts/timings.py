@@ -1,12 +1,17 @@
 """Time wordgrowth's pipeline stages, growth profiles or index engine.
 
-    python scripts/timings.py MODE LABEL [--runs N] [--timeout S] SIDE=SRC [SIDE=SRC ...] [CASE ...]
+    python scripts/timings.py MODE LABEL [--runs N] [--timeout S] [--as-limit MIB]
+        SIDE=SRC [SIDE=SRC ...] [CASE ...]
 
 Each ``SRC`` is the ``src`` directory of a checkout (this one's is
 ``src``), so one script measures two commits side by side.  Each case
 runs ``--runs`` times per side (default 3), each run in a fresh process
 stopped after ``--timeout`` seconds (default 60); a side that times out
-is recorded as such and not run again on that case.  Round i starts with
+is recorded as such and not run again on that case.  ``--as-limit``
+caps each fresh process's address space (``RLIMIT_AS``) at MIB MiB, so
+that a run that outgrows it fails with an allocation error instead of
+driving a machine without swap into its out-of-memory killer; the
+header records the limit (null without one).  Round i starts with
 side i mod (the number of sides), so a slow spell of the machine hits
 the sides alike.  Every run of one side must agree on the mode's
 identity keys.  ``BENCH_<MODE>_<LABEL>.json``, at the repository root,
@@ -335,13 +340,16 @@ def child() -> None:
     print(json.dumps(MODES[mode].run(case)))
 
 
-def fresh_run(mode: str, src: str, case: str, timeout: float):
-    """One run in a fresh process: its result, or None when it takes
-    longer than ``timeout`` seconds."""
+def fresh_run(mode: str, src: str, case: str, timeout: float, as_limit_mib=None):
+    """One run in a fresh process, its address space capped at
+    ``as_limit_mib`` MiB unless that is None: its result, or None when it
+    takes longer than ``timeout`` seconds."""
+    limit = None if as_limit_mib is None else (as_limit_mib << 20,) * 2
     try:
         done = subprocess.run(
             [sys.executable, "-c", CHILD, mode, src, case],
             capture_output=True, text=True, timeout=timeout,
+            preexec_fn=limit and partial(resource.setrlimit, resource.RLIMIT_AS, limit),
         )
     except subprocess.TimeoutExpired:
         return None
@@ -381,9 +389,12 @@ def summarise(results: list, same: tuple) -> dict:
     }
 
 
-def measure(mode: str, sides: dict, cases: list, runs: int, timeout: float) -> dict:
+def measure(
+    mode: str, sides: dict, cases: list, runs: int, timeout: float, as_limit_mib=None
+) -> dict:
     """The record of every case run ``runs`` times on each side, the
-    sides taking turns."""
+    sides taking turns, each run's address space capped at
+    ``as_limit_mib`` MiB unless that is None."""
     import numpy
 
     order = rounds(list(sides), runs)
@@ -395,6 +406,7 @@ def measure(mode: str, sides: dict, cases: list, runs: int, timeout: float) -> d
         "numpy": numpy.__version__,
         "runs_per_case": runs,
         "timeout_s": timeout,
+        "as_limit_mib": as_limit_mib,
         "first_side_by_round": [sides_in_turn[0] for sides_in_turn in order],
         "cases": {},
     }
@@ -404,7 +416,7 @@ def measure(mode: str, sides: dict, cases: list, runs: int, timeout: float) -> d
         for sides_in_turn in order:
             for side in sides_in_turn:
                 if results[side] is not None:
-                    out = fresh_run(mode, sides[side], case, timeout)
+                    out = fresh_run(mode, sides[side], case, timeout, as_limit_mib)
                     results[side] = None if out is None else results[side] + [out]
         summary = record["cases"][case] = {}
         for side, side_results in results.items():
@@ -438,6 +450,7 @@ def main(argv: list) -> None:
     parser.add_argument("args", nargs="+", metavar="SIDE=SRC | CASE")
     parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--timeout", type=float, default=60.0)
+    parser.add_argument("--as-limit", type=int, metavar="MIB")
     args = parser.parse_intermixed_args(argv)
     sides = {
         side: str(Path(src).resolve())
@@ -447,8 +460,10 @@ def main(argv: list) -> None:
         parser.error("name at least one SIDE=SRC")
     if args.runs < 1:
         parser.error("--runs must be at least 1")
+    if args.as_limit is not None and args.as_limit < 1:
+        parser.error("--as-limit must be at least 1")
     cases = [a for a in args.args if "=" not in a] or MODES[args.mode].cases
-    record = measure(args.mode, sides, cases, args.runs, args.timeout)
+    record = measure(args.mode, sides, cases, args.runs, args.timeout, args.as_limit)
     path = ROOT / f"BENCH_{args.mode}_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     print("wrote", path.name)

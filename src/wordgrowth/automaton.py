@@ -167,12 +167,18 @@ class WeightedDigraph:
     sparse rows.
 
     Vertex v's edges are entries ``indptr[v]`` to ``indptr[v + 1]`` of
-    ``indices``, their targets, and ``weights``; the three are flat int64
-    arrays, and targets strictly increase within each row.
+    ``indices``, their targets, and ``weights``; the three are flat
+    integer arrays, and targets strictly increase within each row.  The
+    graphs built here hold int64; ``powerfree``'s quotient holds
+    ``indptr`` and ``indices`` in int32 and ``weights`` in the narrowest
+    type that holds k, and ``component_graphs`` widens every local graph
+    to int64, the only width the index engine reads: a row sum or a
+    product with an exact vector must not wrap in a narrow type.
     ``len(graph)`` is the vertex count and ``graph[v]`` v's targets, as
     plain ints.  ``graph_scc`` walks the rows one target at a time;
     ``growth.cyclic_components`` and the index engine read the arrays.
-    Graphs with equal arrays are equal and hash alike.
+    Graphs with equal arrays are equal and hash alike, whatever their
+    dtypes: they compare as int64.
     """
 
     __slots__ = ("indptr", "indices", "weights", "_ptr", "_targets")
@@ -224,7 +230,10 @@ class WeightedDigraph:
         return hash(self._key())
 
     def _key(self) -> tuple:
-        return self.indptr.tobytes(), self.indices.tobytes(), self.weights.tobytes()
+        return tuple(
+            a.astype(np.int64, copy=False).tobytes()
+            for a in (self.indptr, self.indices, self.weights)
+        )
 
 
 def transition_edges(dfa: Dfa) -> tuple:
@@ -359,7 +368,8 @@ def component_graphs(graph: WeightedDigraph, components):
 
     The members' edges are gathered in one pass through a table of local
     ids shared by all the components.  Numbering keeps the order of the
-    members, so the local rows keep increasing targets.
+    members, so the local rows keep increasing targets.  Every local
+    graph holds int64 arrays, whatever ``graph`` holds.
     """
     local = np.full(len(graph), -1, dtype=np.int64)
     for comp in components:
@@ -378,7 +388,8 @@ def component_graphs(graph: WeightedDigraph, components):
         col = local[graph.indices[edge]]
         local[members] = -1
         inside = col >= 0
-        yield WeightedDigraph(_csr(row[inside], n), col[inside], graph.weights[edge[inside]])
+        weights = graph.weights[edge[inside]].astype(np.int64, copy=False)
+        yield WeightedDigraph(_csr(row[inside], n), col[inside], weights)
 
 
 # ---------------------------------------------------------------------------

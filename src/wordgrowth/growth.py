@@ -132,8 +132,9 @@ def _distinct(vertices, slot):
 
 def _neighbours(csr, vertices):
     """The targets, with repeats, of ``vertices``' rows of ``csr``, an
-    (indptr, indices) pair."""
-    return csr[1][row_entries(csr[0], vertices)[0]]
+    (indptr, indices) pair, as intp: the searches index with them, and
+    numpy indexes by int32 arrays, such as a narrow quotient's, slower."""
+    return csr[1][row_entries(csr[0], vertices)[0]].astype(np.intp, copy=False)
 
 
 def _predecessors(graph: WeightedDigraph) -> tuple:
@@ -206,20 +207,32 @@ def cyclic_components(graph: WeightedDigraph) -> list:
 # certified index engine
 
 
+# entries of (Av) and v that _extreme_ratios turns into Python ints at a
+# time: about 0.3 MB of them, where two whole lists would take 80 bytes
+# per entry of the component
+RATIO_CHUNK = 4096
+
+
 def _extreme_ratios(sums, v):
-    """Exact min/max of sums[i] / v[i] over positive ints.
+    """Exact min/max of sums[i] / v[i] over positive ints, ``sums`` and
+    ``v`` being equally long numpy arrays, int64 or object (Python ints).
 
     A ratio is kept as the pair (sums[i], v[i]), pairs are compared by
     cross-multiplication, and only the two extremes become
     ``Fraction``s.  Equal ratios give equal ``Fraction``s, so which pair
-    wins a tie never shows.
+    wins a tie never shows.  The pairs are read ``RATIO_CHUNK`` at a
+    time, each chunk as two lists of Python ints, in order, so that the
+    result is that of one pass over two whole lists, without their
+    bytes.
     """
     lo_s, lo_v, hi_s, hi_v = 1, 0, 0, 1  # 1/0 above every ratio, 0/1 below: sums are >= 1
-    for s, vi in zip(sums, v):
-        if s * lo_v < lo_s * vi:
-            lo_s, lo_v = s, vi
-        if s * hi_v > hi_s * vi:
-            hi_s, hi_v = s, vi
+    for at in range(0, len(v), RATIO_CHUNK):
+        chunk = slice(at, at + RATIO_CHUNK)
+        for s, vi in zip(sums[chunk].tolist(), v[chunk].tolist()):
+            if s * lo_v < lo_s * vi:
+                lo_s, lo_v = s, vi
+            if s * hi_v > hi_s * vi:
+                hi_s, hi_v = s, vi
     return Fraction(lo_s, lo_v), Fraction(hi_s, hi_v)
 
 
@@ -358,7 +371,10 @@ def _certificates(comp: WeightedDigraph, period: Optional[int] = None):
     depend on the order of their terms, so any summation order gives the
     same vector; the float pass, whose rounding does depend on it, keeps
     its own order (see ``_float_product``).  One pass over the
-    (s_i, v_i) pairs picks the extreme ratios.
+    (s_i, v_i) pairs, which ``_extreme_ratios`` reads off the two arrays
+    a chunk at a time, picks the extreme ratios.  ``comp`` holds int64
+    arrays, as ``automaton.component_graphs`` gives them: narrower
+    weights would wrap in the row sums.
     """
     starts = comp.indptr[:-1]
     row_weight = np.add.reduceat(comp.weights, starts)
@@ -376,7 +392,7 @@ def _certificates(comp: WeightedDigraph, period: Optional[int] = None):
     v = _integer_vector(_float_vector(comp))
     if top >= 1 << 10:
         v = v.astype(object)
-    a, b = _extreme_ratios(av(v).tolist(), v.tolist())
+    a, b = _extreme_ratios(av(v), v)
     lo, hi = max(lo, a), min(hi, b)
     yield IndexInterval(lo, hi)
     v = v.astype(object)
@@ -406,7 +422,7 @@ def _certificates(comp: WeightedDigraph, period: Optional[int] = None):
             for _ in range(p):
                 v = np.maximum((av(v) << prec) // num, 1)
                 w = w + v
-        a, b = _extreme_ratios(av(w).tolist(), w.tolist())
+        a, b = _extreme_ratios(av(w), w)
         lo, hi = max(lo, a), min(hi, b)
         yield IndexInterval(lo, hi)
         if checkpoint % window:

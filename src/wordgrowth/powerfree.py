@@ -88,7 +88,7 @@ def _quotient_graph(k: int, word_arrays: Iterable):
 
     State q is node ``states[q]`` of the words' letter-canonical trie;
     state 0 is the root.  Its moves are read off the trie's move table,
-    all states at once, with numpy, and the trie is dropped on return.
+    all states at once, with numpy.
     An existing-letter move has weight 1, the fresh-letter move carries
     the number of unused concrete letters, and the weights of moves to
     one target add up.  The move table already groups the moves by
@@ -97,18 +97,40 @@ def _quotient_graph(k: int, word_arrays: Iterable):
     in place, and equal targets merged.
     Weighted walk counts from the root equal the word counts of the full
     language, so index and polynomial structure are preserved.
+
+    The graph is narrow: ``indptr`` and ``indices`` are int32 (int64
+    only past 2^31 - 1 edges) and ``weights`` ``np.min_scalar_type(k)``,
+    which holds every row sum, k; ``component_graphs`` widens what the
+    index engine reads.  ``targets`` is int32 and ``voltages`` the
+    trie's type.  No table of the n states' w slots is int64 while
+    n (k + 1) < 2^31, and the trie's tables are dropped, each once read,
+    before the rows are sorted, so that the build holds no more than the
+    trie did.
     """
     trie = FailureTrie.letter_canonical(k, word_arrays)
     w = trie.width
-    states = np.asarray(trie.states)
+    # the tables read here; the trie's others go before any row is copied,
+    # and each of these once read.  The states become intp once: take
+    # would copy int32 ones at every call, and row indexing is far slower
+    states, nletters, voltage, delta, state_of = (
+        np.asarray(a) for a in (trie.states, trie.nletters, trie.voltage, trie.delta, trie.state_of)
+    )
+    del trie
+    states = states.astype(np.intp)
     n = len(states)
-    nl = np.asarray(trie.nletters)[states].astype(np.min_scalar_type(k))
-    moves = np.asarray(trie.delta).reshape(-1, w).take(states, axis=0)
+    narrow = np.min_scalar_type(k)
+    nl = nletters.take(states).astype(narrow)
+    voltages = voltage.reshape(-1, w, w).take(states, axis=0)
+    del nletters, voltage
+    moves = delta.reshape(-1, w).take(states, axis=0)
+    del delta, states
     slot = np.arange(w)
+    gone = (slot > nl[:, None]) | (moves < 0)
     # a negative move is forbidden (its wrapped state_of read is discarded)
-    targets = np.where((slot > nl[:, None]) | (moves < 0), -1, np.asarray(trie.state_of)[moves])
-    voltages = np.asarray(trie.voltage).reshape(-1, w, w).take(states, axis=0)
-    del trie, moves
+    targets = state_of[moves]
+    del moves, state_of
+    targets[gone] = -1
+    del gone
     # pack target and weight into one key, 32-bit while it fits; the moves
     # that go nowhere sort last
     key = targets.astype(np.int32 if n * (k + 1) < 2**31 else np.int64)
@@ -121,16 +143,22 @@ def _quotient_graph(k: int, word_arrays: Iterable):
         low = np.minimum(a, b)
         np.maximum(a, b, out=b)
         a[...] = low
-    target, weight = np.divmod(key, k + 1)
+    del low
+    # the key splits in place into the target and the weight, a remainder
+    # at most k, which the narrow type holds
+    weight = np.empty(key.shape, narrow)
+    target, _ = np.divmod(key, k + 1, out=(key, weight), casting="unsafe")
     # equal targets are adjacent: each run's weight goes to its first move
     for j in range(w - 1, 0, -1):
         same = target[:, j] == target[:, j - 1]
         weight[:, j - 1] += weight[:, j] * same
         target[:, j][same] = n
     keep = target < n
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    graph = WeightedDigraph(indptr, target[keep].astype(np.int64), weight[keep].astype(np.int64))
+    count = np.count_nonzero(keep, axis=1)
+    index = np.int32 if count.sum() < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(count, dtype=index, out=indptr[1:])
+    graph = WeightedDigraph(indptr, target[keep].astype(index, copy=False), weight[keep])
     return graph, QuotientMoves(nl, targets, voltages)
 
 
@@ -331,6 +359,15 @@ def approximation_bounds(
     as the oracle.  ``budget`` caps the free words the minimal-power
     search visits, as in ``words.minimal_word_arrays``, and raises
     BudgetExceededError when the search outgrows it.
+
+    The stages run in this order, and each frees what no later one
+    reads, so that the index stage, the largest, holds the least:
+    the minimal-word search, whose word arrays are dropped once the
+    quotient (``_quotient_graph``) is built; the cycle-carrying
+    components (``cyclic_components``); the lift (``_lifted_components``),
+    decided as soon as the components are known, after which the
+    ``QuotientMoves`` are dropped; the index (``digraph_index``); and the
+    lower bound, read off the index's lower end.
     """
     dfr = _as_fraction(delta)
     if dfr <= 0:
@@ -347,12 +384,9 @@ def approximation_bounds(
     else:
         canon_words = [w for words in arrays.values() for w in words.tolist()]
         graph = transition_graph(_full_automaton(k, canon_words))
+        moves = None
+    del arrays
     cyclic = cyclic_components(graph)
-    upper = digraph_index(graph, dfr, cyclic)
-    if upper.hi == 0:
-        raise FiniteApproximationError(
-            f"the cap-{cap} approximation of L({k}, {bound}) is finite"
-        )
 
     lower = None
     unique = None
@@ -369,11 +403,17 @@ def approximation_bounds(
         )
         if not unique:
             note = "automaton has several cycle components"
-        else:
-            try:
-                lower = lower_bound(upper.lo, cap)
-            except NoLowerBoundError as exc:
-                note = str(exc)
+    del moves
+    upper = digraph_index(graph, dfr, cyclic)
+    if upper.hi == 0:
+        raise FiniteApproximationError(
+            f"the cap-{cap} approximation of L({k}, {bound}) is finite"
+        )
+    if unique:
+        try:
+            lower = lower_bound(upper.lo, cap)
+        except NoLowerBoundError as exc:
+            note = str(exc)
     return PowerFreeBounds(
         k, bound, mode, cap, upper, lower, dfr, ad_size, len(graph), unique, note
     )

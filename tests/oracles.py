@@ -20,7 +20,8 @@ one such walk per period; ``component_interval``, the library's
 earlier index engine, one run per width, and
 ``python_int_certificates``, its earlier certificate stream, whose
 continuation loops over Python int lists, both on ``exact_bounds``
-(over the library's ``_extreme_ratios``), ``_float_vector`` and
+(over ``list_extreme_ratios``, the library's earlier ``_extreme_ratios``,
+one pass over two whole lists), ``_float_vector`` and
 ``_integer_vector``;
 ``recursive_intermediate_count``, the earlier staircase count;
 ``member_residue_sets``, the library's earlier residue masks, over every
@@ -87,7 +88,6 @@ from wordgrowth.growth import (
     _fold,
     _product_slices,
     _residue_sets,
-    _extreme_ratios,
     _float_vector,
     _integer_vector,
     _polynomial_index,
@@ -1212,6 +1212,18 @@ def dict_component_rows(adjacency, comp):
     return rows
 
 
+def list_extreme_ratios(sums, v):
+    """Exact min/max of sums[i] / v[i] over positive ints, given as two
+    lists: one pass, pairs compared by cross-multiplication."""
+    lo_s, lo_v, hi_s, hi_v = 1, 0, 0, 1  # 1/0 above every ratio, 0/1 below
+    for s, vi in zip(sums, v):
+        if s * lo_v < lo_s * vi:
+            lo_s, lo_v = s, vi
+        if s * hi_v > hi_s * vi:
+            hi_s, hi_v = s, vi
+    return Fraction(lo_s, lo_v), Fraction(hi_s, hi_v)
+
+
 def exact_bounds(rows, v):
     """Exact min/max of (Av)_i / v_i for a positive integer vector v, in
     Python ints.
@@ -1219,7 +1231,7 @@ def exact_bounds(rows, v):
     ``rows[i]`` lists (j, weight) pairs.  Every row is nonempty inside a
     nontrivial strongly connected component, which keeps lo >= 0 finite.
     """
-    return _extreme_ratios([sum([w * v[j] for j, w in row]) for row in rows], v)
+    return list_extreme_ratios([sum([w * v[j] for j, w in row]) for row in rows], v)
 
 
 def fraction_exact_bounds(rows, v):

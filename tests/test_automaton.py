@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +218,18 @@ def condensation_edges(dec):
     """The condensation's edges, as (component, component) pairs."""
     ptr = dec.successor_ptr.tolist()
     return [(c, t) for c in range(len(dec)) for t in dec.successors[ptr[c]:ptr[c + 1]].tolist()]
+
+
+def test_graphs_compare_and_hash_by_value_whatever_their_dtypes():
+    # the quotient holds int32 rows and narrow weights: a copy in int64,
+    # the graph layer's own width, is the same graph
+    wide = WeightedDigraph.from_rows([{0: 200, 1: 200}, {0: 200}])
+    narrow = WeightedDigraph(
+        wide.indptr.astype(np.int32), wide.indices.astype(np.int32), wide.weights.astype(np.uint8)
+    )
+    assert narrow == wide and hash(narrow) == hash(wide)
+    assert narrow != WeightedDigraph.from_rows([{0: 200, 1: 201}, {0: 200}])
+    assert narrow != WeightedDigraph.from_rows([{0: 200}, {0: 200, 1: 200}])
 
 
 def test_tarjan_known_graph():

@@ -25,6 +25,7 @@ from oracles import (
     exact_bounds,
     fraction_exact_bounds,
     interval_contains,
+    list_extreme_ratios,
     member_residue_sets,
     per_component_product_profile,
     per_slice_profile,
@@ -444,10 +445,30 @@ def test_first_certificates_sum_large_rows_in_python_ints(monkeypatch, rows, pas
     comp = WeightedDigraph.from_rows(rows)
     first, second = itertools.islice(growth._certificates(comp), 2)
     (float_sums,) = sums
-    assert int(max(float_sums) >= 2**63) == past_int64
+    # an int64 array where the sums fit, Python ints (dtype object) past it
+    assert (float_sums.dtype == object) == bool(past_int64)
+    assert int(max(float_sums.tolist()) >= 2**63) == past_int64
     rate = max(rows[0].values())
     assert first == second == (rate, rate) == digraph_index(rows)
     assert [first, second] == row_list_certificates(comp)
+
+
+def test_narrow_weights_certify_as_their_int64_copy():
+    # the power-free quotient holds int32 rows and uint8 weights; here two
+    # edges of weight 200 leave state 0, a row sum of 400, past uint8, so
+    # a sum in the quotient's own types would wrap
+    wide = WeightedDigraph.from_rows([{0: 200, 1: 200}, {0: 200}])
+    narrow = WeightedDigraph(
+        wide.indptr.astype(np.int32), wide.indices.astype(np.int32), wide.weights.astype(np.uint8)
+    )
+    (local,) = automaton.component_graphs(narrow, [np.arange(2)])
+    assert [a.dtype for a in (local.indptr, local.indices, local.weights)] == [np.int64] * 3
+    (wide_local,) = automaton.component_graphs(wide, [np.arange(2)])
+    expected = list(itertools.islice(growth._certificates(wide_local), 4))
+    assert list(itertools.islice(growth._certificates(local), 4)) == expected
+    assert expected[0] == (200, 400)
+    for delta in DELTAS:
+        assert digraph_index(narrow, delta) == digraph_index(wide, delta)
 
 
 @given(st.one_of(component_rows(), component_rows(max_n=4, max_weight=2000)))
@@ -622,6 +643,43 @@ def test_exact_bounds_match_fraction_oracle(case):
     lo, hi = exact_bounds(rows, v)
     assert (lo, hi) == fraction_exact_bounds(rows, v)
     assert type(lo) is type(hi) is Fraction
+
+
+CHUNK = growth.RATIO_CHUNK
+
+
+def ratio_pairs(n, low_at, high_at, scale):
+    """n (sum, v) pairs whose ratios lie in (3/2, 7/4), but for the
+    lowest, 1, at the entries ``low_at``, and the highest, 2, at
+    ``high_at``, from different pairs where there are several; v is near
+    2^52 * ``scale``."""
+    rng = random.Random(n)
+    v = [rng.randrange(2**52, 2**53) * scale for _ in range(n)]
+    sums = [x * 3 // 2 + rng.randrange(1, x // 4) for x in v]
+    for at, ratio in ((low_at, 1), (high_at, 2)):
+        for i in at:
+            v[i] = (2**52 + i) * scale
+            sums[i] = v[i] * ratio
+    return sums, v
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize(
+    "dtype,scale", [(np.int64, 1), (object, 2**70)], ids=["int64", "object"]
+)
+def test_chunked_extreme_ratios_match_whole_list_oracle(n, dtype, scale):
+    # each extreme is once a tie that straddles a chunk boundary (the
+    # first boundary, and the last chunk's first entry), once alone at the
+    # first entry and once alone at the last; object arrays hold sums past
+    # int64
+    boundaries = {b for b in (CHUNK, (n - 1) // CHUNK * CHUNK) if 0 < b < n}
+    straddles = [(b - 1, b) for b in sorted(boundaries)] or [(n - 2, n - 1)]
+    placements = [(s, (0,)) for s in straddles] + [((0,), s) for s in straddles]
+    placements += [((n - 1,), (0, 1)), ((0, 1), (n - 1,))]
+    for low_at, high_at in placements:
+        sums, v = ratio_pairs(n, low_at, high_at, scale)
+        got = growth._extreme_ratios(np.array(sums, dtype=dtype), np.array(v, dtype=dtype))
+        assert got == list_extreme_ratios(sums, v) == (1, 2), (low_at, high_at)
 
 
 def counting_products(monkeypatch) -> list:

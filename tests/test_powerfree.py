@@ -652,6 +652,10 @@ def by_length(words):
 
 def assert_quotient_matches_chain_walk(k, words, case):
     graph, moves = _quotient_graph(k, by_length(words))
+    # the quotient is narrow: int32 rows, and weights as narrow as k
+    assert [a.dtype for a in (graph.indptr, graph.indices, graph.weights)] == [
+        np.int32, np.int32, np.min_scalar_type(k)
+    ], case
     oracle_trie, expected = chain_walk_quotient_graph(k, words)
     rows = digraph_rows(graph)
     assert rows == [sorted(row.items()) for row in expected], case

@@ -55,6 +55,7 @@ def test_summarise_gives_best_quartiles_median_and_every_run():
 def test_stages_run_the_real_bounds_in_a_fresh_process():
     record = timings.measure("stages", {"here": str(ROOT / "src")}, ["2,3,8"], 1, 120)
     assert record["first_side_by_round"] == ["here"]
+    assert record["as_limit_mib"] is None
     got = record["cases"]["2,3,8"]["here"]
     # cap 8 admits no lower bound: lower_bound raises, and a stage that
     # raises has no time of its own
@@ -66,6 +67,17 @@ def test_stages_run_the_real_bounds_in_a_fresh_process():
     assert got["states"] == bounds.automaton_states
     assert got["upper"] == [str(bounds.upper.lo), str(bounds.upper.hi)]
     assert got["lower"] == (None if bounds.lower is None else str(bounds.lower))
+
+
+def test_stages_run_under_an_address_space_limit():
+    record = timings.measure("stages", {"here": str(ROOT / "src")}, ["2,3,8"], 1, 120, 1024)
+    assert record["as_limit_mib"] == 1024
+    got = record["cases"]["2,3,8"]["here"]
+    bounds = approximation_bounds(2, ExponentBound.parse("3"), 8, delta=1e-7)
+    assert got["upper"] == [str(bounds.upper.lo), str(bounds.upper.hi)]
+    # the limit holds in the child: 32 MiB does not even map numpy
+    with pytest.raises(SystemExit, match="stages 2,3,8 on .* failed"):
+        timings.measure("stages", {"here": str(ROOT / "src")}, ["2,3,8"], 1, 120, 32)
 
 
 def test_profile_run_records_streams_and_float_passes_per_run():
