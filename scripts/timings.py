@@ -162,15 +162,17 @@ def dag_automaton(states=9400, r=64, seed=2026):
     """An r-cycle whose state 0 leads into a random acyclic automaton:
     state s of the acyclic part moves to s + 1 on letter 0 and to a
     random later state on letter 1.  Every state accepts."""
+    import numpy as np
     from wordgrowth.automaton import Dfa
 
     rng = random.Random(seed)
-    rows = [{0: (i + 1) % r} for i in range(r)]
-    rows[0][1] = r
-    for q in range(r, r + states - 1):
-        rows.append({0: q + 1, 1: rng.randrange(q + 1, r + states)})
-    rows.append({})
-    return Dfa(2, rows, 0, range(len(rows)))
+    n = r + states
+    table = np.full((n, 2), -1)
+    table[:r, 0] = (np.arange(r) + 1) % r
+    table[0, 1] = r
+    for q in range(r, n - 1):
+        table[q] = q + 1, rng.randrange(q + 1, n)
+    return Dfa(2, table, 0, range(n))
 
 
 def chain_automaton(count=12, first=8):
@@ -179,17 +181,19 @@ def chain_automaton(count=12, first=8):
     first state to its third on letter 1, so it has period 1 and rows of
     one and two letters, and its last state leads to the next component
     on letter 1.  Every state accepts."""
+    import numpy as np
     from wordgrowth.automaton import Dfa
 
-    rows = []
-    for i in range(count):
-        start, size = len(rows), first + i
-        block = [{0: start + (j + 1) % size} for j in range(size)]
-        block[0][1] = start + 2
-        if i + 1 < count:
-            block[-1][1] = start + size
-        rows += block
-    return Dfa(2, rows, 0, range(len(rows)))
+    n = count * first + count * (count - 1) // 2
+    table = np.full((n, 2), -1)
+    start = 0
+    for size in range(first, first + count):
+        table[start:start + size, 0] = start + (np.arange(size) + 1) % size
+        table[start, 1] = start + 2
+        start += size
+        if start < n:
+            table[start - 1, 1] = start
+    return Dfa(2, table, 0, range(n))
 
 
 def profile_automaton(case: str):

@@ -49,6 +49,7 @@ from wordgrowth.growth import (
 )
 from wordgrowth.fad import (
     Antidictionary,
+    SubsetLimitError,
     TrieSizeError,
     extendable_part,
     fad_automaton,
@@ -107,6 +108,7 @@ __all__ = [
     "oscillation_type",
     "polynomial_index_general",
     "Antidictionary",
+    "SubsetLimitError",
     "TrieSizeError",
     "extendable_part",
     "fad_automaton",

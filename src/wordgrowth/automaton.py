@@ -2,9 +2,9 @@
 the package's graph layer, which imports no other package module.
 
 States are dense integers ``0..n-1``, letters are indices ``0..k-1``.
-Transitions are partial: a missing (state, letter) pair means the word
-is rejected.  The 0-state automaton is the canonical empty language and
-every operation accepts it.
+A ``Dfa``'s moves are one n x k int32 table, ``fad.FailureTrie``'s
+format, with -1 for a missing move, which rejects the word.  The 0-state
+automaton is the canonical empty language and every operation accepts it.
 
 Most analyses here treat the automaton as a labeled multigraph: two
 letters driving the same state pair count as two edges.  That
@@ -36,23 +36,24 @@ class DfaFormatError(ValueError):
 class Dfa:
     """Immutable partial DFA over an indexed alphabet.
 
-    ``transitions[q]`` maps a letter to the successor state.  ``initial``
-    is ``None`` exactly when there are no states.
+    ``table[q, x]``, read-only n x k int32, is state q's successor on
+    letter x, -1 where there is none: a copy of any n x k integer array
+    or nested list with entries in -1..n-1 (ValueError otherwise).
+    ``initial`` is ``None`` exactly when there are no states.
     """
 
-    __slots__ = ("alphabet_size", "transitions", "initial", "accepting")
+    __slots__ = ("alphabet_size", "table", "initial", "accepting")
 
-    def __init__(
-        self,
-        alphabet_size: int,
-        transitions: Iterable[dict],
-        initial: Optional[int],
-        accepting: Iterable[int],
-    ):
+    def __init__(self, alphabet_size: int, table, initial: Optional[int], accepting: Iterable[int]):
         if alphabet_size < 1:
             raise ValueError("alphabet_size must be at least 1")
-        trans = tuple(dict(row) for row in transitions)
-        n = len(trans)
+        moves = np.asarray(table)  # ragged rows raise ValueError here
+        # a float table is refused: the int32 cast would truncate it
+        if moves.ndim != 2 or moves.shape[1] != alphabet_size or moves.dtype.kind not in "iu":
+            raise ValueError(f"the transition table must be an n x {alphabet_size} integer array")
+        n = len(moves)
+        if moves.size and (moves.min() < -1 or moves.max() >= n):
+            raise ValueError(f"a transition target is out of range -1..{n - 1}")
         if n == 0:
             if initial is not None:
                 raise ValueError("automaton without states must have initial=None")
@@ -62,32 +63,27 @@ class Dfa:
         for q in acc:
             if not 0 <= q < n:
                 raise ValueError(f"accepting state {q} out of range")
-        for q, row in enumerate(trans):
-            for x, t in row.items():
-                if not 0 <= x < alphabet_size:
-                    raise ValueError(f"letter {x} out of range at state {q}")
-                if not 0 <= t < n:
-                    raise ValueError(f"transition target {t} out of range at state {q}")
         self.alphabet_size = alphabet_size
-        self.transitions = trans
+        self.table = moves.astype(np.int32)
+        self.table.flags.writeable = False
         self.initial = initial
         self.accepting = acc
 
     @property
     def state_count(self) -> int:
-        return len(self.transitions)
-
-    def step(self, state: int, letter: int) -> Optional[int]:
-        return self.transitions[state].get(letter)
+        return len(self.table)
 
     def run(self, word: Iterable[int]) -> Optional[int]:
-        """State reached from the initial state, or None if the run dies."""
+        """State reached from the initial state; None if the run dies or
+        reads a letter outside 0..k-1."""
         q = self.initial
         if q is None:
             return None
         for x in word:
-            q = self.transitions[q].get(x)
-            if q is None:
+            if not 0 <= x < self.alphabet_size:
+                return None
+            q = self.table.item(q, x)
+            if q < 0:
                 return None
         return q
 
@@ -96,17 +92,16 @@ class Dfa:
         return q is not None and q in self.accepting
 
     def edges(self) -> Iterator[tuple]:
-        """All (state, letter, target) triples in deterministic order."""
-        for q, row in enumerate(self.transitions):
-            for x in sorted(row):
-                yield q, x, row[x]
+        """All (state, letter, target) triples, by state, then by letter."""
+        q, x = np.nonzero(self.table >= 0)
+        return zip(q.tolist(), x.tolist(), self.table[q, x].tolist())
 
     def __eq__(self, other):
         if not isinstance(other, Dfa):
             return NotImplemented
         return (
             self.alphabet_size == other.alphabet_size
-            and self.transitions == other.transitions
+            and np.array_equal(self.table, other.table)
             and self.initial == other.initial
             and self.accepting == other.accepting
         )
@@ -119,7 +114,7 @@ class Dfa:
 
 
 def empty_dfa(alphabet_size: int) -> Dfa:
-    return Dfa(alphabet_size, (), None, ())
+    return Dfa(alphabet_size, np.empty((0, alphabet_size), np.int32), None, ())
 
 
 def trim(dfa: Dfa) -> Dfa:
@@ -129,29 +124,30 @@ def trim(dfa: Dfa) -> Dfa:
     co-reachable states.  Every state on a path to a co-reachable state
     is itself co-reachable, so the breadth-first renumbering from the
     initial state, through co-reachable states only, reaches exactly the
-    states that are both.  The result recognizes the same language.  If
-    nothing survives, the 0-state automaton is returned.
+    states that are both, and one gather through the new numbers gives
+    the table.  The result recognizes the same language.  If nothing
+    survives, the 0-state automaton is returned.
     """
     if dfa.state_count == 0:
         return dfa
     keep = length_masks(reverse_edges(dfa.state_count, *transition_edges(dfa)), dfa.accepting, 1)
     if not keep[dfa.initial]:
         return empty_dfa(dfa.alphabet_size)
-    # breadth-first renumbering keeps the output stable across runs
+    # breadth-first renumbering keeps the output stable across runs; a -1
+    # move reads the extra last entries: no state to keep, and no number
+    keep.append(0)
     order: list[int] = [dfa.initial]
-    index = [-1] * dfa.state_count
+    index = [-1] * len(keep)
     index[dfa.initial] = 0
+    rows = dfa.table.tolist()
     # the list is the queue: the loop reads the states appended to it
     for q in order:
-        row = dfa.transitions[q]
-        for x in sorted(row):
-            t = row[x]
+        for t in rows[q]:
             if keep[t] and index[t] < 0:
                 index[t] = len(order)
                 order.append(t)
-    new_trans = [{x: index[t] for x, t in dfa.transitions[q].items() if keep[t]} for q in order]
-    new_acc = [index[q] for q in dfa.accepting if index[q] >= 0]
-    return Dfa(dfa.alphabet_size, new_trans, 0, new_acc)
+    accepting = [index[q] for q in dfa.accepting if index[q] >= 0]
+    return Dfa(dfa.alphabet_size, np.array(index, np.int32)[dfa.table[order]], 0, accepting)
 
 
 def _csr(row, n: int):
@@ -237,17 +233,16 @@ class WeightedDigraph:
 
 
 def transition_edges(dfa: Dfa) -> tuple:
-    """The source and the target of every transition, as two lists, state
-    by state."""
-    rows = dfa.transitions
-    source = [q for q, row in enumerate(rows) for _ in row]
-    return source, [t for row in rows for t in row.values()]
+    """The source and the target of every transition, as two arrays, state
+    by state and letter by letter."""
+    source, letter = np.nonzero(dfa.table >= 0)
+    return source, dfa.table[source, letter]
 
 
 def transition_graph(dfa: Dfa) -> WeightedDigraph:
     """Transition graph, each edge weighted by its number of letters."""
     source, target = transition_edges(dfa)
-    return WeightedDigraph.from_edges(dfa.state_count, source, target, [1] * len(target))
+    return WeightedDigraph.from_edges(dfa.state_count, source, target, np.ones_like(target))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -403,11 +398,11 @@ def rotate(bits: int, c: int, modulus: int) -> int:
 
 def reverse_edges(n: int, source, target) -> list:
     """The graph on 0..n-1 whose edges run from ``source[i]`` to
-    ``target[i]``, turned round, as lists: row t lists the sources of the
-    edges into t, once per edge.  Flat edge lists, unlike rows, are read
-    without a slice per vertex."""
+    ``target[i]``, two integer arrays, turned round, as lists: row t lists
+    the sources of the edges into t, once per edge.  Flat edge lists,
+    unlike rows, are read without a slice per vertex."""
     pred: list[list[int]] = [[] for _ in range(n)]
-    for q, t in zip(source, target):
+    for q, t in zip(source.tolist(), target.tolist()):
         pred[t].append(q)
     return pred
 
@@ -417,12 +412,13 @@ def length_masks(edges, seeds, modulus: int) -> list:
     ``edges`` (``edges[v]`` iterates over v's targets, repeats allowed)
     from a seed to v, as a bitmask: the least fixed point, grown from the
     seeds at length 0, queueing a vertex again whenever its mask grows.
-    At modulus 1 the mask is 1 on the vertices the seeds reach, else 0."""
-    bits = [0] * len(edges)
+    At modulus 1 the mask is 1 on the vertices the seeds reach, else 0.
+    A -1 target, a table's missing move, reads a full mask: no edge."""
+    top, full = modulus - 1, (1 << modulus) - 1
+    bits = [0] * len(edges) + [full]
     for q in seeds:
         bits[q] = 1
     queue = list(seeds)
-    top, full = modulus - 1, (1 << modulus) - 1
     # the list is the queue: the loop reads the vertices appended to it
     for q in queue:
         b = bits[q]
@@ -431,7 +427,7 @@ def length_masks(edges, seeds, modulus: int) -> list:
             if b & ~bits[t]:
                 bits[t] |= b
                 queue.append(t)
-    return bits
+    return bits[:-1]
 
 
 def graph_period(graph: WeightedDigraph) -> int:
@@ -471,8 +467,8 @@ def graph_period(graph: WeightedDigraph) -> int:
                 period = gcd(period, depth - level[t])
     if len(queue) < n:
         return 1
-    source = np.repeat(np.arange(n), np.diff(graph.indptr)).tolist()
-    back = length_masks(reverse_edges(n, source, graph.indices.tolist()), [0], 1)
+    source = np.repeat(np.arange(n), np.diff(graph.indptr))
+    back = length_masks(reverse_edges(n, source, graph.indices), [0], 1)
     return max(period, 1) if all(back) else 1
 
 
@@ -530,7 +526,6 @@ def parse_dfa(text: str) -> Dfa:
     n = k = 0
     initial: Optional[int] = None
     accepting: set[int] = set()
-    rows: list[dict] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -550,7 +545,7 @@ def parse_dfa(text: str) -> Dfa:
             if n > 0 and not 0 <= init_field < n:
                 raise DfaFormatError(line_no, f"initial state {init_field} out of range")
             initial = init_field if n > 0 else None
-            rows = [dict() for _ in range(n)]
+            table = np.full((n, k), -1, np.int32)
             header = fields
             continue
         if fields[0] == "accept":
@@ -575,12 +570,12 @@ def parse_dfa(text: str) -> Dfa:
             raise DfaFormatError(line_no, f"letter {x} out of range")
         if not 0 <= t < n:
             raise DfaFormatError(line_no, f"target state {t} out of range")
-        if x in rows[q]:
+        if table[q, x] >= 0:
             raise DfaFormatError(line_no, f"duplicate transition from state {q} on letter {x}")
-        rows[q][x] = t
+        table[q, x] = t
     if header is None:
         raise DfaFormatError(1, "empty input, expected a 'dfa' header")
-    return Dfa(k, rows, initial, accepting)
+    return Dfa(k, table, initial, accepting)
 
 
 def format_dfa(dfa: Dfa) -> str:

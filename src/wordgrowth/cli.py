@@ -8,8 +8,9 @@ outward, so printed intervals always contain the certified ones.
 The command group is the one error boundary: a ``ValueError`` (every
 input check the library makes, ``DfaFormatError`` among them), a
 search or size limit (``BudgetExceededError``, ``TrieSizeError``,
-``IndexBudgetError``, ``ProfileSizeError``) or a ``MemoryError`` from
-any command ends in one ``Error: ...`` line and exit status 1.  The
+``SubsetLimitError``, ``IndexBudgetError``, ``ProfileSizeError``) or a
+``MemoryError`` from any command ends in one ``Error: ...`` line and
+exit status 1.  The
 commands catch nothing of their own, except that ``powerfree`` prints a
 finite approximation as its answer.
 """
@@ -29,6 +30,7 @@ from wordgrowth.circular import (
     root_table,
 )
 from wordgrowth.fad import (
+    SubsetLimitError,
     TrieSizeError,
     fad_automaton,
     intermediate_count,
@@ -83,8 +85,8 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, BudgetExceededError, TrieSizeError, IndexBudgetError,
-                ProfileSizeError) as exc:
+        except (ValueError, BudgetExceededError, TrieSizeError, SubsetLimitError,
+                IndexBudgetError, ProfileSizeError) as exc:
             raise click.ClickException(str(exc)) from None
         except MemoryError as exc:
             raise click.ClickException(str(exc) or "out of memory") from None

@@ -41,6 +41,8 @@ from wordgrowth.words import parse_word, word_to_str
 __all__ = [
     "Antidictionary",
     "FailureTrie",
+    "SUBSET_LIMIT",
+    "SubsetLimitError",
     "TrieSizeError",
     "extendable_part",
     "fad_automaton",
@@ -64,6 +66,18 @@ class TrieSizeError(RuntimeError):
             f"of {limit} that 32-bit node ids allow"
         )
         self.nodes = nodes
+        self.limit = limit
+
+
+class SubsetLimitError(RuntimeError):
+    """The two-sided extendable part's subset construction reaches more
+    subsets than ``SUBSET_LIMIT``; raised as it would add the next one."""
+
+    def __init__(self, limit: int):
+        super().__init__(
+            f"the two-sided extendable part needs more than {limit} subsets of "
+            f"states, the limit of its subset construction"
+        )
         self.limit = limit
 
 
@@ -383,7 +397,8 @@ def fad_automaton(ad: Antidictionary) -> Dfa:
     forbidden word is dropped, so the automaton is partial.  All states
     accept.
 
-    The automaton is trimmed as built, in ``trim``'s numbering.  The set
+    The table is one gather of the trie's ``delta`` (a forbidden move -1)
+    through ``state_of``, trimmed as built, in ``trim``'s numbering.  The set
     is antifactorial, so a state's word, a proper prefix of a forbidden
     word, has no forbidden factor: each of its prefixes is a state, and
     from the root the word's letters follow trie edges to it.  Every
@@ -399,11 +414,9 @@ def fad_automaton(ad: Antidictionary) -> Dfa:
     if () in ad.words:
         return empty_dfa(k)
     trie = ad.trie
-    rows: list[dict] = []
-    for u in trie.states:
-        targets = trie.delta[u * k:u * k + k]
-        rows.append({x: trie.state_of[t] for x, t in enumerate(targets) if t >= 0})
-    return Dfa(k, rows, 0, range(len(rows)))
+    delta = np.asarray(trie.delta).reshape(-1, k)[np.asarray(trie.states)]
+    table = np.where(delta >= 0, np.asarray(trie.state_of)[delta], -1)
+    return Dfa(k, table, 0, range(len(table)))
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +462,10 @@ def tm_antidictionary(i: int) -> Antidictionary:
 # ---------------------------------------------------------------------------
 # extendable parts
 
+# the most subsets the two-sided part's subset construction holds: a CLI
+# run that stops there, on subsets of about 20 states, peaks near 50 MiB
+SUBSET_LIMIT = 1 << 16
+
 
 def extendable_part(dfa: Dfa, side: str = "right") -> Dfa:
     """Automaton of the right- or two-sided-extendable words.
@@ -463,45 +480,54 @@ def extendable_part(dfa: Dfa, side: str = "right") -> Dfa:
     raises otherwise.
 
     Both sides start from the cycle-carrying states.  The right side is
-    ``trim`` with them as the accepting states, every state then
-    accepting; the two-sided one walks from them forward and backward
-    (``length_masks``) and runs a subset construction over the first set.
+    ``trim`` of the table with them as the accepting states, every state
+    then accepting; the two-sided one walks from them forward and backward
+    (``length_masks``) and runs a subset construction over the first set,
+    reading the table's columns.  It can need 2^n - 1 subsets, so it
+    raises SubsetLimitError once it would hold more than ``SUBSET_LIMIT``.
     """
     if side == "two":
         side = "two_sided"
     if side not in ("right", "two_sided"):
         raise ValueError("side must be 'right' or 'two_sided'")
     d = trim(dfa)
-    if any(q not in d.accepting for q in range(d.state_count)):
+    k = d.alphabet_size
+    if len(d.accepting) < d.state_count:
         raise ValueError("every state must accept")
     dec = scc(d)
     cyclic = np.flatnonzero(np.isin(dec.component_of, dec.nontrivial)).tolist()
     if side == "right":
-        part = trim(Dfa(d.alphabet_size, d.transitions, d.initial, cyclic))
-        return Dfa(part.alphabet_size, part.transitions, part.initial, range(part.state_count))
+        part = trim(Dfa(k, d.table, d.initial, cyclic))
+        return Dfa(k, part.table, part.initial, range(part.state_count))
 
     reaches = length_masks(reverse_edges(d.state_count, *transition_edges(d)), cyclic, 1)
-    reached = length_masks([row.values() for row in d.transitions], cyclic, 1)
+    reached = length_masks(d.table.tolist(), cyclic, 1)
     ext = {q for q, b in enumerate(reaches) if b}
+    columns = d.table.T.tolist()
     # subset construction: start from every state a cycle reaches at once,
     # accept when some thread sits on a state that still reaches a cycle;
-    # with no cycle the one subset is empty and nothing survives the trim
-    subsets = [frozenset(q for q, b in enumerate(reached) if b)]
+    # with no cycle the one subset is empty and nothing survives the trim;
+    # a subset is a sorted tuple: 192 bytes at 19 states, a frozenset's 2,264
+    subsets = [tuple(q for q, b in enumerate(reached) if b)]
     ids = {subsets[0]: 0}
     rows = []
     # the list is the queue: the loop reads the subsets appended to it
     for s in subsets:
-        rows.append({})
-        for x in range(d.alphabet_size):
-            t = frozenset(d.transitions[p][x] for p in s if x in d.transitions[p])
+        rows.append([-1] * k)
+        for x, column in enumerate(columns):
+            t = {column[p] for p in s}
+            t.discard(-1)
             if not t:
                 continue
+            t = tuple(sorted(t))
             if t not in ids:
+                if len(subsets) == SUBSET_LIMIT:
+                    raise SubsetLimitError(SUBSET_LIMIT)
                 ids[t] = len(subsets)
                 subsets.append(t)
             rows[-1][x] = ids[t]
-    accepting = [q for q, s in enumerate(subsets) if s & ext]
-    return trim(Dfa(d.alphabet_size, rows, 0, accepting))
+    accepting = [q for q, s in enumerate(subsets) if not ext.isdisjoint(s)]
+    return trim(Dfa(k, rows, 0, accepting))
 
 
 # ---------------------------------------------------------------------------

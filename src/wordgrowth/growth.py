@@ -489,13 +489,14 @@ def count_words(dfa: Dfa, n: int) -> int:
         raise ValueError("length must be nonnegative")
     if dfa.state_count == 0:
         return 0
+    rows = [[t for t in row if t >= 0] for row in dfa.table.tolist()]
     counts = [0] * dfa.state_count
     counts[dfa.initial] = 1
     for _ in range(n):
         nxt = [0] * dfa.state_count
         for q, c in enumerate(counts):
             if c:
-                for t in dfa.transitions[q].values():
+                for t in rows[q]:
                     nxt[t] += c
         counts = nxt
     return sum(counts[q] for q in dfa.accepting)
@@ -742,7 +743,7 @@ def _residue_sets(dfa: Dfa, dec: SccDecomposition, modulus: int, tail: list) -> 
     through q' gives one through q of the same length plus a multiple of
     p, and the other way round: q and q' realize the same set.
     """
-    head = length_masks([row.values() for row in dfa.transitions], [dfa.initial], modulus)
+    head = length_masks(dfa.table.tolist(), [dfa.initial], modulus)
     first = dec.members[dec.member_ptr[dec.nontrivial]]
     masks = {}
     for cid, q in zip(dec.nontrivial.tolist(), first.tolist()):
@@ -799,14 +800,14 @@ class _CounterProduct:
 
     def __init__(self, dfa: Dfa, modulus: int):
         limit = self.PAIR_LIMIT
-        rows = [sorted(row.items()) for row in dfa.transitions]
+        rows = [[t for t in row if t >= 0] for row in dfa.table.tolist()]
         number = {(dfa.initial, 0): 0}
         states, counters = [dfa.initial], [0]
         source, target = [], []
         # the lists are the queue: the loop reads the pairs appended to them
         for i, (q, c) in enumerate(zip(states, counters)):
             c = (c + 1) % modulus
-            for _, t in rows[q]:
+            for t in rows[q]:
                 j = number.get((t, c))
                 if j is None:
                     j = number[t, c] = len(states)

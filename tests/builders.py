@@ -1,6 +1,7 @@
 """Automata, antidictionaries and exponent bounds shared across the test
 modules."""
 
+import numpy as np
 from hypothesis import strategies as st
 
 from wordgrowth.automaton import Dfa, trim
@@ -17,6 +18,22 @@ TRIM_TOKENS = (
 
 def ad(k, words):
     return Antidictionary(k, [parse_word(w) for w in words])
+
+
+def dict_dfa(k, rows, initial, accepting):
+    """The ``Dfa`` of dict-row literals: row q maps each letter with a
+    move to its target, and the move table holds -1 elsewhere."""
+    table = np.full((len(rows), k), -1)
+    for q, row in enumerate(rows):
+        for x, t in row.items():
+            table[q, x] = t
+    return Dfa(k, table, initial, accepting)
+
+
+def dict_rows(dfa):
+    """The rows of a ``Dfa``'s move table as dicts, each letter with a
+    move mapped to its target."""
+    return [{x: t for x, t in enumerate(row) if t >= 0} for row in dfa.table.tolist()]
 
 
 # (k, words): up to 12 nonempty words over 1 to 3 letters, not always
@@ -49,7 +66,7 @@ def random_dfa(rng, max_states=6, k=2, density=0.8, accept_all=False):
         accepting = range(n)
     else:
         accepting = [q for q in range(n) if rng.random() < 0.6]
-    return Dfa(k, rows, 0, accepting)
+    return dict_dfa(k, rows, 0, accepting)
 
 
 @st.composite
@@ -61,7 +78,7 @@ def partial_dfas(draw, max_states=8, accept_all=False):
     k = draw(st.integers(1, 3))
     rows = [draw(st.dictionaries(st.integers(0, k - 1), st.integers(0, n - 1))) for _ in range(n)]
     accepting = range(n) if accept_all else draw(st.lists(st.integers(0, n - 1), unique=True))
-    return Dfa(k, rows, draw(st.integers(0, n - 1)), accepting)
+    return dict_dfa(k, rows, draw(st.integers(0, n - 1)), accepting)
 
 
 def random_trimmed(rng, **kw):
@@ -83,33 +100,33 @@ def random_digraph(rng, max_vertices=8, max_weight=3, density=0.35):
 
 
 def full_dfa(k):
-    return Dfa(k, [{x: 0 for x in range(k)}], 0, [0])
+    return dict_dfa(k, [{x: 0 for x in range(k)}], 0, [0])
 
 
 def chain_dfa(length, k=2):
     """Acyclic path: a finite language with one word per length."""
     rows = [{0: i + 1} for i in range(length)] + [{}]
-    return Dfa(k, rows, 0, range(length + 1))
+    return dict_dfa(k, rows, 0, range(length + 1))
 
 
 def cycle_dfa(length):
     rows = [{0: (i + 1) % length} for i in range(length)]
-    return Dfa(1, rows, 0, range(length))
+    return dict_dfa(1, rows, 0, range(length))
 
 
 def two_loop_dfa():
     """a-loop, bridge letter, a-loop: C(n) = n + 1."""
-    return Dfa(2, [{0: 0, 1: 1}, {0: 1}], 0, [0, 1])
+    return dict_dfa(2, [{0: 0, 1: 1}, {0: 1}], 0, [0, 1])
 
 
 def ab_star_factors_dfa():
     """Factors of a* b*: a-loop with a one-way bridge into a b-loop."""
-    return Dfa(2, [{0: 0, 1: 1}, {1: 1}], 0, [0, 1])
+    return dict_dfa(2, [{0: 0, 1: 1}, {1: 1}], 0, [0, 1])
 
 
 def even_only_dfa():
     """Words (aa)^m: one residue class alive, the other empty."""
-    return Dfa(1, [{0: 1}, {0: 0}], 0, [0])
+    return dict_dfa(1, [{0: 1}, {0: 0}], 0, [0])
 
 
 def phi_dfa():
@@ -124,11 +141,11 @@ def chained_phi_dfa():
     """
     base = phi_dfa()
     s = base.state_count
-    rows = [dict(base.transitions[q]) for q in range(s)]
-    rows += [{x: t + s for x, t in base.transitions[q].items()} for q in range(s)]
+    rows = dict_rows(base)
+    rows += [{x: t + s for x, t in row.items()} for row in dict_rows(base)]
     for q in range(s):
         rows[q][2] = s + base.initial
-    return Dfa(3, rows, base.initial, range(2 * s))
+    return dict_dfa(3, rows, base.initial, range(2 * s))
 
 
 def dominated_cycle_dfa():
@@ -154,7 +171,7 @@ def dominated_cycle_dfa():
         {2: 10},
         {2: 8},
     ]
-    return Dfa(3, rows, 0, [0, 2, 6, 10])
+    return dict_dfa(3, rows, 0, [0, 2, 6, 10])
 
 
 def parity_split_dfa():
@@ -170,7 +187,7 @@ def parity_split_dfa():
         {2: 4},
         {2: 3},
     ]
-    return Dfa(3, rows, 0, [0, 2, 3])
+    return dict_dfa(3, rows, 0, [0, 2, 3])
 
 
 def oscillating_dfa():
@@ -187,7 +204,7 @@ def oscillating_dfa():
         {1: 2},
         {2: 2},
     ]
-    return Dfa(3, rows, 0, [0, 1, 2])
+    return dict_dfa(3, rows, 0, [0, 1, 2])
 
 
 def three_target_cycle_dfa():
@@ -204,7 +221,7 @@ def three_target_cycle_dfa():
         {0: 1, 1: 2, 2: 3},
         {0: 1, 1: 3},
     ]
-    return Dfa(3, rows, 0, [0, 1])
+    return dict_dfa(3, rows, 0, [0, 1])
 
 
 def two_entry_lift_dfa():
@@ -222,7 +239,7 @@ def two_entry_lift_dfa():
         {0: 2, 1: 3, 2: 4},
         {0: 2, 1: 4},
     ]
-    return Dfa(3, rows, 0, [1, 2])
+    return dict_dfa(3, rows, 0, [1, 2])
 
 
 def swapped_three_target_dfa():
@@ -244,7 +261,21 @@ def swapped_three_target_dfa():
         {0: 3, 1: 6},
         {0: 5, 1: 4},
     ]
-    return Dfa(3, rows, 0, [3, 4])
+    return dict_dfa(3, rows, 0, [3, 4])
+
+
+def subset_blowup_dfa(n):
+    """n >= 2 states, all accepting, and three letters: a is the n-cycle,
+    b swaps states 0 and 1, and c sends 0 to 1 and fixes every other
+    state.  The three generate every map of the states, so the subset
+    construction of the two-sided extendable part, which starts from all
+    n states, reaches all 2^n - 1 nonempty subsets."""
+    q = np.arange(n)
+    b = q.copy()
+    b[:2] = 1, 0
+    c = q.copy()
+    c[0] = 1
+    return Dfa(3, np.column_stack([(q + 1) % n, b, c]), 0, range(n))
 
 
 def corpus_antidictionaries():

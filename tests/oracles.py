@@ -65,6 +65,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 import sympy
 
+from builders import dict_dfa, dict_rows
 from wordgrowth.automaton import (
     Dfa,
     empty_dfa,
@@ -235,7 +236,7 @@ def tarjan_scc(successors) -> FrozensetScc:
 def successor_list_scc(dfa) -> FrozensetScc:
     """Strong components of the transition graph, topologically sorted,
     from successor lists of each row's distinct targets."""
-    return tarjan_scc([sorted(set(row.values())) for row in dfa.transitions])
+    return tarjan_scc([sorted(set(row.values())) for row in dict_rows(dfa)])
 
 
 def tarjan_cyclic_components(graph) -> list:
@@ -253,10 +254,11 @@ def bfs_imprimitivity(dfa, component) -> int:
     from breadth-first levels over dicts of its internal edges: the
     library's earlier ``imprimitivity``."""
     members = set(component)
+    rows = dict_rows(dfa)
     internal = {q: [] for q in members}
     edges = []
     for q in members:
-        for t in dfa.transitions[q].values():
+        for t in rows[q].values():
             if t in members:
                 internal[q].append(t)
                 edges.append((q, t))
@@ -285,17 +287,18 @@ def stack_trim(dfa) -> Dfa:
     n = dfa.state_count
     if n == 0:
         return dfa
+    rows = dict_rows(dfa)
     reach = {dfa.initial}
     queue = [dfa.initial]
     while queue:
         q = queue.pop()
-        for x in dfa.transitions[q]:
-            t = dfa.transitions[q][x]
+        for x in rows[q]:
+            t = rows[q][x]
             if t not in reach:
                 reach.add(t)
                 queue.append(t)
     rev: list[list[int]] = [[] for _ in range(n)]
-    for q, row in enumerate(dfa.transitions):
+    for q, row in enumerate(rows):
         for t in row.values():
             rev[t].append(q)
     co = set(dfa.accepting)
@@ -315,8 +318,8 @@ def stack_trim(dfa) -> Dfa:
     while head < len(order):
         q = order[head]
         head += 1
-        for x in sorted(dfa.transitions[q]):
-            t = dfa.transitions[q][x]
+        for x in sorted(rows[q]):
+            t = rows[q][x]
             if t in keep and t not in index:
                 index[t] = len(order)
                 order.append(t)
@@ -324,12 +327,12 @@ def stack_trim(dfa) -> Dfa:
     for q in order:
         row = {
             x: index[t]
-            for x, t in dfa.transitions[q].items()
+            for x, t in rows[q].items()
             if t in keep
         }
         new_trans.append(row)
     new_acc = [index[q] for q in dfa.accepting if q in index]
-    return Dfa(dfa.alphabet_size, new_trans, 0, new_acc)
+    return dict_dfa(dfa.alphabet_size, new_trans, 0, new_acc)
 
 
 def condensation_extendable_part(dfa, side: str = "right") -> Dfa:
@@ -356,6 +359,7 @@ def condensation_extendable_part(dfa, side: str = "right") -> Dfa:
     for c in range(m - 1, -1, -1):
         reaches_cycle[c] = cyclic[c] or any(reaches_cycle[t] for t in succ[ptr[c]:ptr[c + 1]])
     ext = {q for q in range(d.state_count) if reaches_cycle[component_of[q]]}
+    d_rows = dict_rows(d)
     if side == "right":
         if d.initial not in ext:
             return empty_dfa(d.alphabet_size)
@@ -363,8 +367,8 @@ def condensation_extendable_part(dfa, side: str = "right") -> Dfa:
         states = sorted(ext)
         index = {q: i for i, q in enumerate(states)}
         for q in states:
-            rows.append({x: index[t] for x, t in d.transitions[q].items() if t in ext})
-        return stack_trim(Dfa(d.alphabet_size, rows, index[d.initial], range(len(states))))
+            rows.append({x: index[t] for x, t in d_rows[q].items() if t in ext})
+        return stack_trim(dict_dfa(d.alphabet_size, rows, index[d.initial], range(len(states))))
 
     # two-sided: left extendability means being reachable from a cycle
     from_cycle = list(cyclic)
@@ -389,7 +393,7 @@ def condensation_extendable_part(dfa, side: str = "right") -> Dfa:
             accepting.add(q)
         for x in range(d.alphabet_size):
             t = frozenset(
-                d.transitions[p][x] for p in s if x in d.transitions[p]
+                d_rows[p][x] for p in s if x in d_rows[p]
             )
             if not t:
                 continue
@@ -398,7 +402,7 @@ def condensation_extendable_part(dfa, side: str = "right") -> Dfa:
                 rows.append(dict())
                 queue.append(t)
             rows[q][x] = ids[t]
-    return stack_trim(Dfa(d.alphabet_size, rows, 0, accepting))
+    return stack_trim(dict_dfa(d.alphabet_size, rows, 0, accepting))
 
 
 def bfs_graph_period(graph) -> int:
@@ -490,7 +494,7 @@ def interval_contains(lo: Fraction, hi: Fraction, value) -> bool:
 def dfa_adjacency_rows(dfa):
     """Letter-multiplicity adjacency of a dfa's transition graph."""
     rows = [dict() for _ in range(dfa.state_count)]
-    for q, table in enumerate(dfa.transitions):
+    for q, table in enumerate(dict_rows(dfa)):
         for t in table.values():
             rows[q][t] = rows[q].get(t, 0) + 1
     return rows
@@ -1015,7 +1019,7 @@ def member_residue_sets(dfa, dec, modulus: int) -> dict:
     """The library's earlier residue masks: for each nontrivial component,
     the residues mod ``modulus`` of the accepting walks through any of its
     members, from every member and every residue of its head."""
-    head = length_masks([set(row.values()) for row in dfa.transitions], [dfa.initial], modulus)
+    head = length_masks([set(row.values()) for row in dict_rows(dfa)], [dfa.initial], modulus)
     tail = tails(dfa, modulus)
     masks = {}
     for cid in dec.nontrivial.tolist():
@@ -1031,22 +1035,23 @@ def counter_slice(dfa, modulus: int, residue: int):
     """Trimmed automaton of the accepted words of length = residue
     (mod modulus): the automaton times a length counter."""
     trans = [dict() for _ in range(dfa.state_count * modulus)]
-    for q, row in enumerate(dfa.transitions):
+    for q, row in enumerate(dict_rows(dfa)):
         for c in range(modulus):
             trans[q * modulus + c] = {
                 x: t * modulus + (c + 1) % modulus for x, t in row.items()
             }
     accepting = [q * modulus + residue for q in dfa.accepting]
-    return trim(Dfa(dfa.alphabet_size, trans, dfa.initial * modulus, accepting))
+    return trim(dict_dfa(dfa.alphabet_size, trans, dfa.initial * modulus, accepting))
 
 
 def _counter_reach(dfa, modulus: int, start):
     """(state, length mod modulus) pairs reachable from ``start``."""
+    rows = dict_rows(dfa)
     seen = {start}
     stack = [start]
     while stack:
         q, c = stack.pop()
-        for t in dfa.transitions[q].values():
+        for t in rows[q].values():
             pair = (t, (c + 1) % modulus)
             if pair not in seen:
                 seen.add(pair)
@@ -1057,9 +1062,10 @@ def _counter_reach(dfa, modulus: int, start):
 def _tight_component_interval(dfa, comp, delta):
     """A component's index certified at delta and at delta/4, intersected."""
     local = {q: i for i, q in enumerate(sorted(comp))}
+    rows = dict_rows(dfa)
     adjacency = [dict() for _ in local]
     for q, i in local.items():
-        for t in dfa.transitions[q].values():
+        for t in rows[q].values():
             if t in local:
                 adjacency[i][local[t]] = adjacency[i].get(local[t], 0) + 1
     a = digraph_index(adjacency, delta)
@@ -1952,7 +1958,7 @@ def trie_fad_automaton(ad) -> Dfa:
             t = trie.scan_step(node, x)
             if not trie.terminal[t]:
                 rows[q][x] = state_of[t]
-    return trim(Dfa(k, rows, 0, range(n)))
+    return trim(dict_dfa(k, rows, 0, range(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -62,18 +62,44 @@ def accepted_set(dfa, max_len):
 
 
 def test_dfa_validates_construction():
+    for k, table, initial, accepting in [
+        (0, np.empty((0, 0), int), None, []),  # no letter
+        (2, [[0, -1]], 1, [0]),  # initial state out of range
+        (2, [[0, -1]], 0, [3]),  # accepting state out of range
+        (2, np.empty((0, 2), int), 0, []),  # no state, yet an initial one
+        (2, [[0, -1, -1, -1, -1, 0]], 0, [0]),  # a letter past k: shape (1, 6)
+        (2, [0, -1], 0, [0]),  # shape (2,)
+        (2, [[[0, -1]]], 0, [0]),  # shape (1, 1, 2)
+        (2, [[0, -1], [0]], 0, [0]),  # ragged rows
+        (2, [[-2, 0]], 0, [0]),  # an entry below -1
+        (2, [[1, 0]], 0, [0]),  # an entry at n
+        (2, np.array([[2**32 - 1, 0]]), 0, [0]),  # int32 would wrap it to -1
+        (2, [[0.0, -1.0]], 0, [0]),  # floats, even integral ones
+        (2, [[0.5, -1]], 0, [0]),
+        (2, [[True, False]], 0, [0]),
+    ]:
+        with pytest.raises(ValueError):
+            Dfa(k, table, initial, accepting)
+    # the stored table is an int32 copy that nothing can write to
+    rows = [[1, 0], [0, 1]]
+    given = np.array(rows, dtype=np.int64)
+    d = Dfa(2, given, 0, [1])
+    assert d.table.dtype == np.int32 and not d.table.flags.writeable
     with pytest.raises(ValueError):
-        Dfa(0, [], None, [])
-    with pytest.raises(ValueError):
-        Dfa(2, [{0: 0}], 1, [0])
-    with pytest.raises(ValueError):
-        Dfa(2, [{0: 1}], 0, [0])
-    with pytest.raises(ValueError):
-        Dfa(2, [{5: 0}], 0, [0])
-    with pytest.raises(ValueError):
-        Dfa(2, [{0: 0}], 0, [3])
-    with pytest.raises(ValueError):
-        Dfa(2, [], 0, [])
+        d.table[0, 0] = 1
+    assert given.flags.writeable
+    # tables of any integer dtype, and lists, give equal automata
+    assert d == Dfa(2, np.array(rows, dtype=np.uint8), 0, [1]) == Dfa(2, rows, 0, [1])
+    assert d != Dfa(2, [[1, 0], [0, 0]], 0, [1])
+
+
+def test_run_rejects_letters_outside_the_alphabet():
+    d = builders.two_loop_dfa()  # k = 2
+    assert d.run((0, 1)) == 1 and type(d.run((0, 1))) is int
+    assert d.run((1, 1)) is None  # no move
+    for word in ((-1,), (2,), (0, -1), (0, 2)):
+        assert d.run(word) is None
+        assert not d.accepts(word)
 
 
 def test_empty_dfa():
@@ -151,14 +177,14 @@ def test_parse_ignores_comments_and_blanks():
 
 def test_trim_drops_unreachable_and_dead():
     # state 2 unreachable, state 3 cannot reach an accepting state
-    d = Dfa(2, [{0: 1, 1: 3}, {}, {0: 0}, {0: 3}], 0, [1])
+    d = builders.dict_dfa(2, [{0: 1, 1: 3}, {}, {0: 0}, {0: 3}], 0, [1])
     t = trim(d)
     assert t.state_count == 2
     assert accepted_set(t, 4) == accepted_set(d, 4) == {(0,)}
 
 
 def test_trim_no_accepting_gives_empty():
-    d = Dfa(2, [{0: 0}], 0, [])
+    d = builders.dict_dfa(2, [{0: 0}], 0, [])
     assert trim(d).state_count == 0
 
 
@@ -189,7 +215,7 @@ def test_trim_matches_stack_search_oracle(dfa):
 def test_walk_at_modulus_one_is_reachability(dfa, data):
     n = dfa.state_count
     seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
-    rows = [list(row.values()) for row in dfa.transitions]
+    rows = [list(row.values()) for row in builders.dict_rows(dfa)]
     back = reverse_edges(n, *transition_edges(dfa))
     # each transition into t, once per letter, in state order
     assert back == [[q for q in range(n) for u in rows[q] if u == t] for t in range(n)]
@@ -206,7 +232,8 @@ def test_walk_lengths_are_counter_product_pairs(dfa, modulus, data):
     pairs = set()
     for q in seeds:
         pairs |= _counter_reach(dfa, modulus, (q, 0))
-    bits = length_masks([row.values() for row in dfa.transitions], seeds, modulus)
+    # the table's rows, -1 for no move, are the edges the library reads
+    bits = length_masks(dfa.table.tolist(), seeds, modulus)
     assert {(q, c) for q in range(n) for c in range(modulus) if bits[q] >> c & 1} == pairs
 
 
@@ -263,9 +290,10 @@ def test_scc_partition_and_nontrivial(dfa_corpus):
                 assert q not in seen
                 seen.add(q)
         assert seen == set(range(d.state_count))
+        rows = builders.dict_rows(d)
         for i, comp in enumerate(components):
             internal = any(
-                t in comp for q in comp for t in d.transitions[q].values()
+                t in comp for q in comp for t in rows[q].values()
             )
             assert (i in dec.nontrivial) == internal
         for a, b in condensation_edges(dec):
@@ -308,11 +336,11 @@ def test_imprimitivity_gcd_of_cycle_lengths():
     # 6-cycle plus a chord closing a 4-cycle: gcd(6, 4) = 2
     rows = [{0: (i + 1) % 6} for i in range(6)]
     rows[3][1] = 0
-    d = Dfa(2, rows, 0, range(6))
+    d = builders.dict_dfa(2, rows, 0, range(6))
     assert imprimitivity(d, range(6)) == 2
     # adding a self-loop forces gcd 1
     rows[2][1] = 2
-    d = Dfa(2, rows, 0, range(6))
+    d = builders.dict_dfa(2, rows, 0, range(6))
     assert imprimitivity(d, range(6)) == 1
 
 
@@ -344,7 +372,7 @@ def layered_dfas(draw, max_states=14):
         if draw(st.integers(0, 7)) == 0:
             targets.append(draw(st.integers(0, n - 1)))
         rows.append(dict(enumerate(targets)))
-    return Dfa(4, rows, 0, range(n))
+    return builders.dict_dfa(4, rows, 0, range(n))
 
 
 @given(layered_dfas())

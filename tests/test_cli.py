@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import wordgrowth
 from oracles import free_roots
 from wordgrowth import circular, cli, growth, words
 from wordgrowth.automaton import DfaFormatError, format_dfa, parse_dfa
-from wordgrowth.fad import FailureTrie, TrieSizeError
+from wordgrowth.fad import FailureTrie, SubsetLimitError, TrieSizeError
 from wordgrowth.cli import main
 
 PHI_AD = "ad 2\naaa\nbbb\n"
@@ -209,6 +210,55 @@ def test_extendable_dump_reparses(runner, phi_dfa_path):
     assert dfa.state_count == 5
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "dump"])
+@pytest.mark.parametrize("side", ["right", "two_sided"])
+@pytest.mark.parametrize("stem", ["tm2", "phi"])
+def test_extendable_output_is_pinned(runner, phi_dfa_path, stem, side, fmt):
+    path = str(DATA / "tm2.dfa") if stem == "tm2" else phi_dfa_path
+    args = ["extendable", path, "--side", side]
+    if fmt == "json":
+        args = ["--format", "json", *args]
+    elif fmt == "dump":
+        args.append("--dump")
+    assert run(runner, args) == (PINNED / f"extendable-{stem}-{side}.{fmt}").read_text()
+
+
+def test_two_sided_subset_limit_is_a_quick_message(tmp_path):
+    # 24 states would reach 2^24 - 1 subsets; the construction stops at
+    # SUBSET_LIMIT, so the process ends soon and small
+    path = tmp_path / "blowup.dfa"
+    path.write_text(format_dfa(builders.subset_blowup_dfa(24)))
+    src = os.path.dirname(os.path.dirname(wordgrowth.__file__))
+    env_path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    # the child prints its own peak: VmHWM counts from its exec, whereas
+    # ru_maxrss would include this process's pages at the fork
+    code = (
+        "import sys\n"
+        "from wordgrowth.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "finally:\n"
+        "    print([line for line in open('/proc/self/status') if 'VmHWM' in line][0])\n"
+    )
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-c", code, "extendable", str(path), "--side", "two_sided"],
+        env=dict(os.environ, PYTHONPATH=env_path),
+        capture_output=True,
+        text=True,
+    )
+    seconds = time.perf_counter() - start
+    assert out.returncode == 1
+    assert out.stderr == (
+        "Error: the two-sided extendable part needs more than 65536 subsets "
+        "of states, the limit of its subset construction\n"
+    )
+    assert seconds < 2
+    name, peak_kib, unit = out.stdout.split()
+    assert name == "VmHWM:" and unit == "kB"
+    assert int(peak_kib) < 100 * 1024  # about 53 MiB here
+
+
 def test_extendable_rejects_non_factorial(runner, tmp_path):
     path = tmp_path / "even.dfa"
     path.write_text(format_dfa(builders.even_only_dfa()))
@@ -371,6 +421,7 @@ LIBRARY_ERRORS = [
     DfaFormatError(3, "x"),
     words.BudgetExceededError(7, 5),
     TrieSizeError(9, 8),
+    SubsetLimitError(4),
     growth.IndexBudgetError(64, Fraction(1, 10**6), 64),
     growth.ProfileSizeError(2, 1),
     MemoryError(),

@@ -19,7 +19,7 @@ from oracles import (
     trie_fad_automaton,
 )
 from wordgrowth import fad
-from wordgrowth.automaton import Dfa, DfaFormatError, format_dfa, trim
+from wordgrowth.automaton import DfaFormatError, format_dfa, trim
 from wordgrowth.fad import (
     Antidictionary,
     extendable_part,
@@ -298,7 +298,7 @@ def test_extendable_side_tokens():
 
 
 def test_extendable_rejects_non_factorial_automaton():
-    d = Dfa(1, [{0: 1}, {0: 0}], 0, [0])  # even-length words only
+    d = builders.dict_dfa(1, [{0: 1}, {0: 0}], 0, [0])  # even-length words only
     with pytest.raises(ValueError):
         extendable_part(trim(d), "right")
 
@@ -308,6 +308,17 @@ def test_extendable_empty_language():
 
     for side in ("right", "two_sided"):
         assert extendable_part(empty_dfa(2), side).state_count == 0
+
+
+def test_two_sided_subset_construction_stops_at_its_limit():
+    assert fad.SUBSET_LIMIT == 1 << 16
+    # 16 states reach all 2^16 - 1 nonempty subsets, one short of the limit
+    part = extendable_part(builders.subset_blowup_dfa(16), "two_sided")
+    assert part.state_count == (1 << 16) - 1
+    assert extendable_part(builders.subset_blowup_dfa(16), "right").state_count == 16
+    # 17 states would need 2^17 - 1: the construction stops at subset 65,537
+    with pytest.raises(fad.SubsetLimitError, match="more than 65536 subsets"):
+        extendable_part(builders.subset_blowup_dfa(17), "two_sided")
 
 
 def part_text(part, dfa, side):

@@ -41,7 +41,7 @@ from oracles import (
     trimmed_slice_rows,
 )
 from wordgrowth import automaton, growth
-from wordgrowth.automaton import Dfa, empty_dfa, graph_period, graph_scc, parse_dfa, scc, trim
+from wordgrowth.automaton import empty_dfa, graph_period, graph_scc, parse_dfa, scc, trim
 from wordgrowth.fad import extendable_part, fad_automaton, tm_antidictionary
 from wordgrowth.growth import (
     IndexBudgetError,
@@ -339,7 +339,7 @@ def weighted_rows_dfa(rows):
     edge of weight w is w letters."""
     alphabet = max(sum(w for _, w in row) for row in rows)
     transitions = [dict(enumerate(t for t, w in row for _ in range(w))) for row in rows]
-    return Dfa(alphabet, transitions, 0, range(len(rows)))
+    return builders.dict_dfa(alphabet, transitions, 0, range(len(rows)))
 
 
 def overlap(a, b) -> bool:
@@ -823,11 +823,11 @@ def test_polynomial_index_ignores_slower_components():
     # phi block chained into a single cycle: the cycle never dominates
     base = builders.phi_dfa()
     s = base.state_count
-    rows = [dict(base.transitions[q]) for q in range(s)]
+    rows = builders.dict_rows(base)
     rows.append({0: s})
     for q in range(s):
         rows[q][2] = s
-    d = Dfa(3, rows, base.initial, range(s + 1))
+    d = builders.dict_dfa(3, rows, base.initial, range(s + 1))
     assert polynomial_index_general(d) == 0
 
 
@@ -1020,7 +1020,7 @@ def layered_accepting_dfas(draw, max_states=10):
             targets.append(draw(st.integers(0, n - 1)))
         rows.append(dict(enumerate(targets)))
     accepting = draw(st.lists(st.integers(0, n - 1), unique=True))
-    return Dfa(3, rows, draw(st.integers(0, n - 1)), accepting)
+    return builders.dict_dfa(3, rows, draw(st.integers(0, n - 1)), accepting)
 
 
 @given(layered_accepting_dfas())
